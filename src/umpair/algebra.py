@@ -90,6 +90,11 @@ class Scalar:
     def from_json(cls, data: Any) -> Scalar:
         if not isinstance(data, dict) or set(data) != {"re", "im"}:
             raise ValueError(f"malformed scalar {data!r}, expected {{'re':..., 'im':...}}")
+        # A JSON float is a binary approximation and a bool is not a number;
+        # only exact forms (rational strings, integers) are accepted.
+        for part in (data["re"], data["im"]):
+            if isinstance(part, bool) or not isinstance(part, (str, int)):
+                raise ValueError(f"scalar part {part!r} must be a rational string or an integer")
         return cls(Fraction(data["re"]), Fraction(data["im"]))
 
     def __str__(self) -> str:

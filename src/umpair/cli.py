@@ -18,6 +18,7 @@ the report.  Vector files hold a formal sum as a JSON list of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -276,7 +277,13 @@ def _add_common(parser: argparse.ArgumentParser, theory: bool = True) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared.
+
+    Parsing does not change it, and repeated ``main`` calls in one process
+    should neither rebuild it nor fragment the heap with its objects.
+    """
     parser = argparse.ArgumentParser(
         prog="umpair",
         description="Exact manifold-gluing pairings: enumerate bases, pair vectors, "

@@ -21,11 +21,13 @@ bounded grid search for null vectors.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .algebra import (FormalSum, ONE, Scalar, ZERO, as_scalar, canonical_key,
                       descriptor_to_json)
@@ -132,9 +134,8 @@ def _lemma_worker(args: tuple[Sequence[Any], GluingTheory, Sequence[Any], list[i
     return _lemma_violations_for_rows(basis, theory, diag, rows)
 
 
-# Work below these sizes is not worth the process-pool overhead.
+# Work below this size is not worth the process-pool overhead.
 _PARALLEL_MIN_BASIS = 64
-_PARALLEL_THRESHOLD = 4096
 
 
 def verify_lemma(basis: Sequence[Any], theory: GluingTheory,
@@ -151,6 +152,8 @@ def verify_lemma(basis: Sequence[Any], theory: GluingTheory,
     if jobs <= 1 or n < _PARALLEL_MIN_BASIS:
         raw = _lemma_violations_for_rows(basis, theory, diag, range(n))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # see _scan_in_pool
+
         chunks = [(basis, theory, diag, list(range(w, n, jobs))) for w in range(jobs)]
         raw = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -317,6 +320,7 @@ class NullSearchResult:
     basis_size: int
     grid: tuple[Scalar, ...]
     assignments_tested: int
+    assignments_skipped: int
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -325,6 +329,7 @@ class NullSearchResult:
             "basis_size": self.basis_size,
             "grid": [s.to_json() for s in self.grid],
             "assignments_tested": self.assignments_tested,
+            "assignments_skipped": self.assignments_skipped,
         }
 
 
@@ -352,19 +357,6 @@ def _assignment(index: int, grid: Sequence[Scalar], n: int) -> list[Scalar]:
     return digits
 
 
-def _scan_null_range(args: tuple[Sequence[Any], tuple[Scalar, ...], Any,
-                                 Scalar, int, int]) -> int | None:
-    basis, grid, theory, lead, start, stop = args
-    groups = _glue_groups(basis, theory)
-    grid_set = frozenset(grid)
-    for index in range(start, stop):
-        coeffs = _assignment(index, grid, len(basis))
-        if _is_canonical_nonzero(coeffs, lead, grid_set) and \
-                _grouped_pair_is_zero(groups, coeffs):
-            return index
-    return None
-
-
 def _glue_groups(basis: Sequence[Any], theory: GluingTheory
                  ) -> list[list[tuple[int, int]]]:
     """Index pairs of the basis grouped by the closed form they glue to."""
@@ -376,35 +368,136 @@ def _glue_groups(basis: Sequence[Any], theory: GluingTheory
     return [groups[k] for k in sorted(groups)]
 
 
-def _is_canonical_nonzero(coeffs: Sequence[Scalar], lead: Scalar,
-                          grid_set: frozenset[Scalar]) -> bool:
-    """Keep one representative per scalar ray, without losing grid coverage.
+# Assignments per numpy batch; the working arrays take about 8 kB per basis
+# coordinate.
+_BATCH = 1024
+# Grids smaller than this are scanned serially.  Starting a spawned pool of
+# two workers costs about 0.5 s and the kernel scans 0.2-0.5 us per
+# assignment, so a second worker only pays off past a few million.
+_PARALLEL_THRESHOLD = 1 << 23
 
-    An assignment whose first nonzero coefficient is the lead value is always
-    canonical.  Any other assignment is skipped only when rescaling its first
-    nonzero coefficient to the lead lands every coefficient back on the grid
-    (that rescaled representative is enumerated separately); if the rescaled
-    vector leaves the grid, the assignment is its ray's only chance to be
-    tested and is kept.
+
+@dataclass(frozen=True)
+class _NullKernel:
+    """<x, x> = 0 over one grid and basis as exact integer table lookups.
+
+    Assignments are grid indices, one digit per basis coordinate, numbered
+    in mixed radix with coordinate 0 most significant.
+
+    ``re[a * G + b]`` and ``im[a * G + b]`` are the parts of
+    (L g_a) * conj(L g_b), where G is the grid size and L the least common
+    multiple of every denominator in the grid, so each entry is an integer
+    and a group sums to zero exactly when the unscaled sum does.
+    ``keep[f, c]`` is the ray rule for an assignment whose first nonzero
+    value is grid[f]: it is tested when rescaling coefficient c by
+    lead / grid[f] leaves the grid (every c when grid[f] is the lead, no c
+    when grid[f] is 0, which only the all-zero assignment has).  ``groups``
+    are the basis index pairs of each closed form, smallest first, so most
+    assignments are dropped after the fewest lookups.
     """
-    first = next((c for c in coeffs if not c.is_zero()), None)
-    if first is None:
-        return False
-    if first == lead:
-        return True
-    factor = lead / first
-    return any(factor * c not in grid_set for c in coeffs)
+
+    n: int
+    zero: int
+    re: np.ndarray
+    im: np.ndarray
+    keep: np.ndarray
+    groups: tuple[tuple[tuple[int, int], ...], ...]
+
+    def scan(self, start: int, stop: int) -> tuple[int | None, int]:
+        """First null index in [start, stop), and the assignments skipped up to it.
+
+        Without a hit the skip count covers the whole range.  Indices are
+        int64: a scan that reaches 2**63 would not finish anyway.
+        """
+        radix = len(self.keep)
+        skipped = 0
+        for lo in range(start, stop, _BATCH):
+            index = np.arange(lo, min(lo + _BATCH, stop), dtype=np.int64)
+            digits = np.empty((self.n, len(index)), dtype=np.intp)
+            for k in range(self.n - 1, -1, -1):
+                digits[k] = index % radix
+                index //= radix
+            first = digits[(digits != self.zero).argmax(axis=0), np.arange(len(index))]
+            kept = self.keep[first, digits].any(axis=0)
+            rows = np.flatnonzero(kept)
+            cand = digits[:, rows]
+            for group in self.groups:
+                offset = cand * radix
+                re = np.zeros(len(rows), dtype=self.re.dtype)
+                im = np.zeros(len(rows), dtype=self.im.dtype)
+                for i, j in group:
+                    at = offset[i] + cand[j]
+                    re += self.re[at]
+                    im += self.im[at]
+                null = (re == 0) & (im == 0)
+                rows, cand = rows[null], cand[:, null]
+                if not len(rows):
+                    break
+            if len(rows):
+                hit = int(rows[0])
+                return lo + hit, skipped + hit - int(np.count_nonzero(kept[:hit]))
+            skipped += len(kept) - int(np.count_nonzero(kept))
+        return None, skipped
 
 
-def _grouped_pair_is_zero(groups: list[list[tuple[int, int]]],
-                          coeffs: Sequence[Scalar]) -> bool:
-    for group in groups:
-        total = ZERO
-        for i, j in group:
-            total = total + coeffs[i] * coeffs[j].conj()
-        if not total.is_zero():
-            return False
-    return True
+def _null_kernel(basis: Sequence[Any], grid: tuple[Scalar, ...],
+                 theory: GluingTheory) -> _NullKernel:
+    """The tables of ``_NullKernel``, built once per search.
+
+    Entries are int64 when no group sum can reach 2**63: each entry is at
+    most 2*m*m in size, m the largest scaled component.  Otherwise they are
+    exact Python ints (dtype object) through the same code.
+    """
+    scale = math.lcm(*(part.denominator for c in grid for part in (c.re, c.im)))
+    scaled = [(int(c.re * scale), int(c.im * scale)) for c in grid]
+    groups = tuple(sorted((tuple(g) for g in _glue_groups(basis, theory)), key=len))
+    m = max(abs(part) for c in scaled for part in c)
+    dtype = np.int64 if len(groups[-1]) * 2 * m * m < 2**63 else object
+    re = np.array([ar * br + ai * bi for ar, ai in scaled for br, bi in scaled], dtype=dtype)
+    im = np.array([ai * br - ar * bi for ar, ai in scaled for br, bi in scaled], dtype=dtype)
+
+    lead, on_grid = _leading_value(grid), frozenset(grid)
+
+    def ray_row(first: Scalar) -> list[bool]:
+        if first.is_zero():
+            return [False] * len(grid)
+        if first == lead:
+            return [True] * len(grid)
+        factor = lead / first
+        return [factor * c not in on_grid for c in grid]
+
+    keep = np.array([ray_row(f) for f in grid], dtype=bool)
+    return _NullKernel(len(basis), grid.index(ZERO), re, im, keep, groups)
+
+
+def _scan_in_pool(kernel: _NullKernel, total: int, jobs: int
+                  ) -> tuple[int | None, int]:
+    """``kernel.scan`` over contiguous ranges in worker processes.
+
+    Results are read in range order and the pending ranges are cancelled
+    after the first hit, so the hit and the skip count are those of a
+    serial scan whatever the number of jobs.
+    """
+    # Imported here, not at module level: loading the pool modules costs a
+    # serial run about 2 MB of memory and 20 ms.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = -(-total // (jobs * 8))
+    skipped = 0
+    pool = ProcessPoolExecutor(max_workers=jobs,
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = [pool.submit(kernel.scan, lo, min(lo + chunk, total))
+                   for lo in range(0, total, chunk)]
+        for future in futures:
+            hit, part = future.result()
+            skipped += part
+            if hit is not None:
+                return hit, skipped
+        return None, skipped
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
@@ -417,32 +510,27 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
     grid, so every scalar ray that meets the grid is tested exactly where it
     meets it and no duplicates of on-grid representatives are reported.  A
     "none" result means no null vector exists on this grid only.
+
+    ``assignments_tested`` counts the assignments scanned: up to and
+    including the hit, or the whole grid.  ``assignments_skipped`` counts
+    those among them that the ray rule (or the all-zero rule) skipped.
     """
     for d in basis:
         theory.validate_basis(d)
     grid = _canonical_grid(coeff_set)
     n = len(basis)
     if n == 0:
-        return NullSearchResult(None, 0, grid, 0)
-    lead = _leading_value(grid)
+        return NullSearchResult(None, 0, grid, 0, 0)
+    kernel = _null_kernel(basis, grid, theory)
     total = len(grid) ** n
-    hit: int | None = None
     if jobs <= 1 or total < _PARALLEL_THRESHOLD:
-        hit = _scan_null_range((basis, grid, theory, lead, 0, total))
+        hit, skipped = kernel.scan(0, total)
     else:
-        chunk = -(-total // (jobs * 8))
-        tasks = [(basis, grid, theory, lead, s, min(s + chunk, total))
-                 for s in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_scan_null_range, tasks):
-                if result is not None:
-                    hit = result
-                    break
+        hit, skipped = _scan_in_pool(kernel, total, jobs)
     if hit is None:
-        return NullSearchResult(None, n, grid, total)
-    coeffs = _assignment(hit, grid, n)
-    vector = FormalSum(zip(basis, coeffs))
-    return NullSearchResult(vector, n, grid, total)
+        return NullSearchResult(None, n, grid, total, skipped)
+    vector = FormalSum(zip(basis, _assignment(hit, grid, n)))
+    return NullSearchResult(vector, n, grid, hit + 1, skipped)
 
 
 def gaussian_integer_grid(max_modulus: int) -> tuple[Scalar, ...]:

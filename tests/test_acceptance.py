@@ -164,6 +164,15 @@ def test_criterion_6_null_search_negative_controls():
         for grid in (engine.PM_ONE_GRID, engine.gaussian_integer_grid(2)):
             assert engine.null_search(d1_basis, grid, d1).vector is None
             assert engine.null_search(d2_basis, grid, d2).vector is None
+        # dim1 j=3: 15,625 assignments on gauss1 and 4,826,809 on gauss2.
+        boundary = standard_boundary(3)
+        d1_basis = enumerate1(boundary, 0)
+        d1 = Dim1Theory(boundary)
+        for radius in (1, 2):
+            grid = engine.gaussian_integer_grid(radius)
+            result = engine.null_search(d1_basis, grid, d1)
+            assert result.vector is None
+            assert result.assignments_tested == len(grid) ** 6
 
 
 def test_criterion_7_determinism_and_exactness(tmp_path):

@@ -72,6 +72,16 @@ def test_scalar_json_rejects_garbage():
         Scalar.from_json("1+2i")
 
 
+@pytest.mark.parametrize("data", [
+    {"re": 0.1, "im": "0"}, {"re": "1", "im": 1.0}, {"re": True, "im": "0"},
+    {"re": "0", "im": False}, {"re": None, "im": "0"}, {"re": ["1"], "im": "0"},
+])
+def test_scalar_json_accepts_only_strings_and_ints(data):
+    with pytest.raises(ValueError):
+        Scalar.from_json(data)
+    assert Scalar.from_json({"re": "-3/6", "im": 2}) == Scalar(Fraction(-1, 2), 2)
+
+
 def test_sum_combine_examples():
     m = FormalSum.single("M", Scalar(1, 1))
     m2 = FormalSum.single("M", Scalar(1, -1))

@@ -137,6 +137,15 @@ def test_certify_zero_vector_exits_1(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
+def test_certify_rejects_float_and_bool_coefficients(tmp_path, capsys):
+    basis = enumerate1(standard_boundary(2), 0)
+    for coeff in ({"re": 0.1, "im": "0"}, {"re": "1", "im": True}):
+        x = write_json(tmp_path / "x.json",
+                       [{"basis": basis[0].to_json(), "coeff": coeff}])
+        assert main(["certify", "--theory", "dim1", "--x", x]) == 1
+        assert capsys.readouterr().err.startswith("error: scalar part")
+
+
 def test_null_search_fourdim_finds_the_vector(tmp_path):
     out = tmp_path / "search.json"
     code = main(["null-search", "--theory", "fourdim", "--table", "mazur",

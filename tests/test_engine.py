@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+from oracles import fraction_null_search
+
 from umpair import engine
 from umpair.algebra import FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO
 from umpair.dim1 import Dim1Theory, enumerate1, standard_boundary
 from umpair.dim2 import Bounded2Manifold, Dim2Theory, enumerate2
-from umpair.fourdim import FourDimTheory, build_mazur_table
+from umpair.fourdim import (FourDimTheory, _constant_table, build_mazur_table,
+                            build_scob_table)
 from umpair.monomial import Involution, MonomialTheory, enumerate_monomials
 
 B2 = standard_boundary(2)
@@ -297,13 +301,15 @@ def test_scalar_division_supports_the_ray_check():
 
 def test_null_search_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-    labels = ("A", "B", "M", "M'")
-    from umpair.fourdim import _constant_table
-    theory = FourDimTheory(_constant_table(labels, "S4"))
-    serial = engine.null_search(list(labels), engine.PM_ONE_GRID, theory, jobs=1)
-    parallel = engine.null_search(list(labels), engine.PM_ONE_GRID, theory, jobs=2)
-    assert serial.vector is not None
-    assert serial.vector == parallel.vector
+    labels = ["A", "B", "M", "M'"]
+    hit = (FourDimTheory(_constant_table(tuple(labels), "S4")), labels)
+    none = _dim1_case(3, 0)
+    for (theory, basis), found in ((hit, True), (none, False)):
+        serial = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=1)
+        parallel = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=2)
+        assert (serial.vector is not None) == found
+        assert serial == parallel
+        assert serial.to_json() == parallel.to_json()
 
 
 def test_gaussian_grid_contents():
@@ -312,3 +318,53 @@ def test_gaussian_grid_contents():
     assert ZERO in grid and ONE in grid
     assert Scalar(1, 1) in grid and Scalar(2, 0) in grid
     assert Scalar(2, 1) not in grid
+
+
+def _dim1_case(j, max_closed):
+    boundary = standard_boundary(j)
+    return Dim1Theory(boundary), enumerate1(boundary, max_closed)
+
+
+NULL_CASES = {
+    **{f"dim1-j{j}-mc{mc}": _dim1_case(j, mc) for j in range(4) for mc in (0, 1)},
+    "dim2-j1": (Dim2Theory(1), enumerate2(1, 1, 0)),
+    "dim2-j2": (Dim2Theory(2), enumerate2(2, 1, 0)),
+    "mazur": (FOURD, list(MAZUR.labels)),
+    "scob2": (FourDimTheory(build_scob_table(2)), ["M", "M'"]),
+    "constant4": (FourDimTheory(_constant_table(("A", "B", "M", "M'"), "S4")),
+                  ["A", "B", "M", "M'"]),
+}
+NULL_GRIDS = {
+    "pm1": engine.PM_ONE_GRID,
+    "gauss1": engine.gaussian_integer_grid(1),
+    "gauss2": engine.gaussian_integer_grid(2),
+    "m2-0-1-2": (Scalar(-2, 0), ZERO, ONE, Scalar(2, 0)),
+    "rational": (ZERO, ONE, Scalar(Fraction(1, 2), Fraction(-1, 3)),
+                 Scalar(Fraction(-2, 3), 0), Scalar(0, Fraction(1, 2))),
+    # Scaled by 3**20, its entries overflow int64 and take the object path.
+    "huge": (ZERO, ONE, -ONE, Scalar(Fraction(1, 3**20), 0)),
+}
+# The oracle spends up to about 0.7 ms per assignment; larger grids are
+# checked by the kernel alone (criterion 6 in the acceptance sweep).
+ORACLE_BUDGET = 2000
+
+
+@pytest.mark.parametrize("case,grid", [
+    (case, grid) for case, (_, basis) in NULL_CASES.items()
+    for grid, values in NULL_GRIDS.items()
+    if len(values) ** len(basis) <= ORACLE_BUDGET])
+def test_null_kernel_agrees_with_fraction_oracle(case, grid):
+    theory, basis = NULL_CASES[case]
+    kernel = engine.null_search(basis, NULL_GRIDS[grid], theory)
+    oracle = fraction_null_search(basis, NULL_GRIDS[grid], theory)
+    assert kernel == oracle
+    assert kernel.to_json() == oracle.to_json()
+
+
+def test_null_kernel_falls_back_to_python_ints():
+    labels = list(MAZUR.labels)
+    assert engine._null_kernel(labels, NULL_GRIDS["gauss2"], FOURD).re.dtype == np.int64
+    huge = engine._canonical_grid(NULL_GRIDS["huge"])
+    assert engine._null_kernel(labels, huge, FOURD).re.dtype == object
+    result = engine.null_search(labels, huge, FOURD)
+    assert result.vector == FormalSum([("M", 1), ("M'", -1)])
