@@ -119,6 +119,23 @@ def as_scalar(value: Scalar | int | Fraction) -> Scalar:
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
+def json_int(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer, else ValueError naming ``what``.
+
+    Bools and floats are refused, as in Scalar.from_json.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value: Any, what: str) -> list:
+    """``value`` if it is a JSON list, else ValueError naming ``what``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def descriptor_to_json(descriptor: Any) -> Any:
     """JSON form of a basis descriptor (string, or object with to_json)."""
     if isinstance(descriptor, str):

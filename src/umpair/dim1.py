@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from .algebra import UniverseMismatchError, canonical_key
+from .algebra import UniverseMismatchError, canonical_key, json_int, json_list
 from .engine import GluingTheory
 from .monomial import Involution, Monomial
 
@@ -48,7 +48,12 @@ class Boundary0:
 
     @classmethod
     def from_json(cls, data: Any) -> Boundary0:
-        return cls(tuple(data["pos"]), tuple(data["neg"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"not a 0-manifold boundary: {data!r}")
+        pos, neg = json_list(data.get("pos"), "pos"), json_list(data.get("neg"), "neg")
+        if not all(isinstance(label, str) for label in pos + neg):
+            raise ValueError(f"boundary labels must be strings, got {pos + neg!r}")
+        return cls(tuple(pos), tuple(neg))
 
 
 def standard_boundary(j: int) -> Boundary0:
@@ -102,12 +107,17 @@ class Bounded1Manifold:
 
     @classmethod
     def from_json(cls, data: Any) -> Bounded1Manifold:
-        if data.get("dim") != 1:
+        if not isinstance(data, dict) or data.get("dim") != 1:
             raise ValueError(f"not a bounded 1-manifold descriptor: {data!r}")
-        boundary = Boundary0.from_json(data["boundary"])
-        mapping = data["matching"]
+        boundary = Boundary0.from_json(data.get("boundary"))
+        mapping = data.get("matching")
+        if (not isinstance(mapping, dict) or set(mapping) != set(boundary.pos)
+                or not all(isinstance(n, str) for n in mapping.values())):
+            raise ValueError(
+                f"matching must map each positive label to a label, got {mapping!r}")
         matching = tuple((p, mapping[p]) for p in boundary.pos)
-        return cls(boundary, matching, int(data.get("closed_circles", 0)))
+        return cls(boundary, matching,
+                   json_int(data.get("closed_circles", 0), "closed_circles"))
 
 
 @dataclass(frozen=True)
@@ -125,9 +135,9 @@ class Closed1Manifold:
 
     @classmethod
     def from_json(cls, data: Any) -> Closed1Manifold:
-        if data.get("dim") != 1 or "circles" not in data:
+        if not isinstance(data, dict) or data.get("dim") != 1 or "circles" not in data:
             raise ValueError(f"not a closed 1-manifold descriptor: {data!r}")
-        return cls(int(data["circles"]))
+        return cls(json_int(data["circles"], "circles"))
 
 
 def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:

@@ -25,14 +25,26 @@ absolute value (chi of a connected closed surface is at most 2), so padding
 comparisons with -3 makes tuples of different lengths comparable without
 ever colliding with a real entry.
 
-``euler_oracle`` recomputes the Euler characteristic of a gluing from an
-explicit cell decomposition, counting identified vertices, edges and faces
-one by one.  It shares no code with glue2 and exists to catch errors in it.
-
 ``verify_lemma_grid`` is an exhaustive diagonal-dominance check over the
-full enumerated basis, vectorized so that grids with tens of millions of
-pairs finish in seconds.  It must agree with engine.verify_lemma (the plain
-pairwise check) wherever both are feasible; the tests enforce that.
+full enumerated basis, in three exact numpy phases.  It must agree with
+engine.verify_lemma (the plain pairwise check) wherever both are feasible;
+the tests enforce that, and check the core table against glue2.
+
+1. Core table.  The components of a gluing of two bounded cores depend only
+   on their two circle partitions, so union-find runs once per partition
+   pair; a component's genus is the genus sum of its parts + E - V + 1 (E
+   circles, V parts), computed for every pair of genus assignments at once
+   by an integer matrix product.  Each core pair gets an id of its sorted
+   genus multiset.
+2. Ranks.  complexity2 is called once per distinct merged multiset (core
+   genera plus the union of two closed multisets) and its tuples are ranked
+   densely in their padded order, so integer rank order is ComplexityTuple
+   order whatever tuples complexity2 returns.
+3. Sweep.  For cores a < b every verdict between their elements depends
+   only on the triple of ids (a, b), (a, a), (b, b); each distinct triple is
+   checked once as a block over closed-multiset pairs, and only failing
+   triples are expanded back to basis positions.  a == b is checked on the
+   strict upper triangle of its block.  The sweep runs in one process.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .algebra import UniverseMismatchError
+from .algebra import UniverseMismatchError, json_int, json_list
 from .engine import GluingTheory, LemmaReport, LemmaViolation
 
 
@@ -97,12 +109,19 @@ class Bounded2Manifold:
 
     @classmethod
     def from_json(cls, data: Any) -> Bounded2Manifold:
-        if data.get("dim") != 2 or "parts" not in data:
+        if not isinstance(data, dict) or data.get("dim") != 2 or "parts" not in data:
             raise ValueError(f"not a bounded 2-manifold descriptor: {data!r}")
-        parts = tuple((tuple(int(c) for c in p["circles"]), int(p["genus"]))
-                      for p in data["parts"])
-        return cls(int(data["boundary_circles"]), parts,
-                   tuple(int(g) for g in data.get("closed", [])))
+        parts = []
+        for part in json_list(data["parts"], "parts"):
+            if not isinstance(part, dict) or set(part) != {"circles", "genus"}:
+                raise ValueError(
+                    f"malformed part {part!r}, expected {{'circles': [...], 'genus': g}}")
+            parts.append((tuple(json_int(c, "circle label")
+                                for c in json_list(part["circles"], "part circles")),
+                          json_int(part["genus"], "genus")))
+        closed = json_list(data.get("closed", []), "closed genera")
+        return cls(json_int(data.get("boundary_circles"), "boundary_circles"),
+                   tuple(parts), tuple(json_int(g, "closed genus") for g in closed))
 
 
 @dataclass(frozen=True)
@@ -124,9 +143,9 @@ class ClosedSurface:
 
     @classmethod
     def from_json(cls, data: Any) -> ClosedSurface:
-        if data.get("dim") != 2 or "genera" not in data:
+        if not isinstance(data, dict) or data.get("dim") != 2 or "genera" not in data:
             raise ValueError(f"not a closed surface descriptor: {data!r}")
-        return cls(tuple(int(g) for g in data["genera"]))
+        return cls(tuple(json_int(g, "genus") for g in json_list(data["genera"], "genera")))
 
 
 PAD = -3  # below every real tuple entry; -chi of a component is >= -2
@@ -227,39 +246,6 @@ def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
     return ClosedSurface(tuple(genera))
 
 
-def euler_oracle(m: Bounded2Manifold, n: Bounded2Manifold) -> int:
-    """Euler characteristic of the gluing from an explicit cell structure.
-
-    Each boundary circle is one shared vertex and one shared edge; a part of
-    genus g is one centre vertex, 2g loop edges, one spoke edge per boundary
-    circle it meets, and one face (the standard one-polygon model); a closed
-    piece of genus g is one vertex, 2g edges and one face.  The identified
-    complex is counted cell by cell.
-    """
-    if m.boundary_circles != n.boundary_circles:
-        raise UniverseMismatchError("boundary mismatch")
-    vertices: set[tuple] = set()
-    edges: set[tuple] = set()
-    faces: set[tuple] = set()
-    for c in range(m.boundary_circles):
-        vertices.add(("circle", c, "v"))
-        edges.add(("circle", c, "e"))
-    for side, mani in (("m", m), ("n", n)):
-        for idx, (circles, genus) in enumerate(mani.parts):
-            vertices.add((side, idx, "centre"))
-            for t in range(2 * genus):
-                edges.add((side, idx, "loop", t))
-            for c in circles:
-                edges.add((side, idx, "spoke", c))
-            faces.add((side, idx, "face"))
-        for cdx, genus in enumerate(mani.closed_genera):
-            vertices.add((side, "closed", cdx, "v"))
-            for t in range(2 * genus):
-                edges.add((side, "closed", cdx, "loop", t))
-            faces.add((side, "closed", cdx, "face"))
-    return len(vertices) - len(edges) + len(faces)
-
-
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Partitions of range(n) into blocks ordered by smallest element."""
     blocks: list[list[int]] = []
@@ -342,77 +328,200 @@ class Dim2Theory(GluingTheory):
                 f"{self.boundary_circles} circles")
 
 
+def _components(left: tuple[tuple[int, ...], ...],
+                right: tuple[tuple[int, ...], ...],
+                j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the gluing of two circle partitions, genera aside.
+
+    Returns (incidence, offset): incidence[v, c] is 1 when part v (the parts
+    of ``left``, then those of ``right``) lies in component c, and offset[c]
+    is E - V + 1 for its E circles and V parts.  A component's genus is the
+    genus sum of its parts plus its offset.
+    """
+    owner = [0] * (2 * j)
+    for idx, circles in enumerate(left + right):
+        side = j if idx >= len(left) else 0
+        for c in circles:
+            owner[side + c] = idx
+    parent = list(range(len(left) + len(right)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in range(j):
+        parent[find(owner[c])] = find(owner[j + c])
+    roots = [find(v) for v in range(len(parent))]
+    label = {r: i for i, r in enumerate(dict.fromkeys(roots))}
+    incidence = np.zeros((len(parent), len(label)), dtype=np.int32)
+    incidence[np.arange(len(parent)), [label[r] for r in roots]] = 1
+    offset = 1 - incidence.sum(axis=0, dtype=np.int32)
+    for c in range(j):
+        offset[label[roots[owner[c]]]] += 1
+    return incidence, offset
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): one row index per distinct row, and each row's slot.
+
+    rows[first][inverse] == rows for a nonnegative integer matrix.  Each row
+    is packed into one int64 (digits base max + 1), which sorts far faster
+    than whole rows; past the int64 range the rows are sorted as rows.
+    """
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] > np.iinfo(np.int64).max:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+    else:
+        codes = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def core_gluing_table(j: int, g_max: int
+                      ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Genus multiset of the gluing of every pair of bounded cores.
+
+    The cores are enumerate2(j, g_max, 0), in that order.  Returns (gid,
+    genera) with genera[gid[a, b]] == glue2(cores[a], cores[b]).genera.
+    Union-find runs once per pair of circle partitions; the genera of every
+    pair of genus assignments of those partitions then come from products
+    with the component incidence matrix, sorted along the last axis.
+    """
+    partitions = list(_set_partitions(j))
+    assignments = [np.array(list(itertools.product(range(g_max + 1), repeat=len(p))),
+                            dtype=np.int32) for p in partitions]  # enumerate2's order
+    starts = np.cumsum([0] + [len(a) for a in assignments])
+    gid = np.empty((starts[-1], starts[-1]), dtype=np.int32)
+    ids: dict[tuple[int, ...], int] = {}
+    for p, q in itertools.combinations_with_replacement(range(len(partitions)), 2):
+        incidence, offset = _components(partitions[p], partitions[q], j)
+        split = len(partitions[p])
+        left = assignments[p] @ incidence[:split]
+        right = assignments[q] @ incidence[split:]
+        block = np.sort(left[:, None, :] + right[None, :, :] + offset, axis=-1)
+        rows = block.reshape(len(left) * len(right), -1)
+        first, inverse = _unique_rows(rows)
+        global_ids = np.array([ids.setdefault(tuple(r), len(ids))
+                               for r in rows[first].tolist()], dtype=np.int32)
+        block_ids = global_ids[inverse].reshape(block.shape[:2])
+        gid[starts[p]:starts[p + 1], starts[q]:starts[q + 1]] = block_ids
+        gid[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = block_ids.T
+    return gid, list(ids)
+
+
+def _rank_table(genera: list[tuple[int, ...]],
+                unions: list[tuple[int, ...]]) -> np.ndarray:
+    """rank[g, u]: dense complexity rank of core genera g plus closed union u.
+
+    complexity2 runs once per distinct merged multiset.  Equal complexities
+    share a rank, so integer order of ranks is the complexity order.
+    """
+    width = 1 + max(max(m, default=0) for m in genera + unions)
+
+    def histograms(multisets: list[tuple[int, ...]]) -> np.ndarray:
+        counts = np.zeros((len(multisets), width), dtype=np.int64)
+        for row, multiset in enumerate(multisets):
+            for g in multiset:
+                counts[row, g] += 1
+        return counts
+
+    merged = histograms(genera)[:, None, :] + histograms(unions)[None, :, :]
+    first, inverse = _unique_rows(merged.reshape(-1, width))
+    g_first, u_first = np.divmod(first, len(unions))
+    entries = [complexity2(ClosedSurface(genera[g] + unions[u])).entries
+               for g, u in zip(g_first.tolist(), u_first.tolist())]
+    longest = max(len(e) for e in entries)
+    keys = [e + (PAD,) * (longest - len(e)) for e in entries]
+    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
+    ranks = np.array([rank_of[key] for key in keys], dtype=np.int32)
+    return ranks[inverse].reshape(len(genera), len(unions))
+
+
+_CHUNK = 1 << 18  # array elements per vectorized step of the sweep
+
+
 def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     """Exhaustive diagonal-dominance check over the full enumerated basis.
 
     Semantically identical to engine.verify_lemma(enumerate2(...), Dim2Theory(j))
     but factored through the grid structure: a basis element is a bounded
     core plus a carried closed multiset, and the complexity of any gluing
-    depends only on (core pair, multiset union).  All distinct combinations
-    are ranked exactly once with exact arithmetic; the quadratic sweep over
-    element pairs then compares precomputed integer ranks, vectorized.
+    depends only on (core pair genera, multiset union).  For cores a < b,
+    every verdict between their elements depends only on the triple
+    (gid[a, b], gid[a, a], gid[b, b]), so each distinct triple is checked
+    once as an nk x nk block and only failing triples are expanded.
     """
-    bounded = enumerate2(j, g_max, 0)
+    gid, genera = core_gluing_table(j, g_max)
     closeds = closed_multisets(g_max, closed_budget)
-    nb, nk = len(bounded), len(closeds)
+    nb, nk = len(gid), len(closeds)
     basis_size = nb * nk
 
-    genera_ids: dict[tuple[int, ...], int] = {}
-    gid = np.empty((nb, nb), dtype=np.int32)
-    for a in range(nb):
-        for b in range(a, nb):
-            genera = glue2(bounded[a], bounded[b]).genera
-            idx = genera_ids.setdefault(genera, len(genera_ids))
-            gid[a, b] = gid[b, a] = idx
-
     union_ids: dict[tuple[int, ...], int] = {}
-    kuid = np.empty((nk, nk), dtype=np.int32)
-    for p in range(nk):
-        for q in range(nk):
-            u = tuple(sorted(closeds[p] + closeds[q]))
-            idx = union_ids.setdefault(u, len(union_ids))
-            kuid[p, q] = idx
+    kuid = np.array([[union_ids.setdefault(tuple(sorted(p + q)), len(union_ids))
+                      for q in closeds] for p in closeds], dtype=np.intp)
+    rank = _rank_table(genera, list(union_ids))
+    off_rank = rank[:, kuid]                    # (ng, nk, nk)
+    diag_rank = rank[:, kuid.diagonal()]        # (ng, nk)
+    diag = gid.diagonal().astype(np.int64)
+    ng = len(genera)
+    if ng ** 3 > np.iinfo(np.int64).max:
+        raise OverflowError(f"{ng} distinct core gluings overflow the triple codes")
 
-    combo_entries: dict[tuple[int, int], tuple[int, ...]] = {}
-    for genera, gi in genera_ids.items():
-        for union, ui in union_ids.items():
-            surface = ClosedSurface(tuple(sorted(genera + union)))
-            combo_entries[(gi, ui)] = complexity2(surface).entries
-    width = max(len(e) for e in combo_entries.values())
+    def failing(g_off: np.ndarray, g_left: np.ndarray,
+                g_right: np.ndarray) -> np.ndarray:
+        """(t, nk, nk) mask of the (k1, k2) whose off gluing does not dominate."""
+        return off_rank[g_off] >= np.maximum(diag_rank[g_left][:, :, None],
+                                             diag_rank[g_right][:, None, :])
 
-    def padded(entries: tuple[int, ...]) -> tuple[int, ...]:
-        return entries + (PAD,) * (width - len(entries))
+    def triple_codes(a0: int, a1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of (gid[a, b], gid[a, a], gid[b, b]) for rows a0..a1, and
+        the mask of the pairs with b > a."""
+        codes = (gid[a0:a1].astype(np.int64) * ng + diag[a0:a1, None]) * ng + diag
+        return codes, np.arange(nb) > np.arange(a0, a1)[:, None]
 
-    ordered = sorted({padded(e) for e in combo_entries.values()})
-    rank_of = {t: r for r, t in enumerate(ordered)}
-    rank = np.empty((len(genera_ids), len(union_ids)), dtype=np.int32)
-    for (gi, ui), entries in combo_entries.items():
-        rank[gi, ui] = rank_of[padded(entries)]
-
-    diag_rank = rank[gid.diagonal()][:, kuid.diagonal()]  # (nb, nk)
-
-    def element(b: int, k: int) -> Bounded2Manifold:
-        return Bounded2Manifold(j, bounded[b].parts, closeds[k])
+    rows = max(1, _CHUNK // nb)
+    row_chunks = [(a0, min(a0 + rows, nb)) for a0 in range(0, nb, rows)]
+    triples = np.unique(np.concatenate([
+        np.unique(codes[upper])
+        for codes, upper in (triple_codes(a0, a1) for a0, a1 in row_chunks)]))
+    step = max(1, _CHUNK // (nk * nk))
+    bad_triples = [triples[:0]]
+    for t0 in range(0, len(triples), step):
+        chunk = triples[t0:t0 + step]
+        g_off, rest = np.divmod(chunk, ng * ng)
+        bad_triples.append(chunk[failing(g_off, *np.divmod(rest, ng)).any(axis=(1, 2))])
+    bad_triples = np.concatenate(bad_triples)
 
     bad_pairs = []  # (left, right) positions in the enumerate2 order, left < right
+    if len(bad_triples):
+        for a0, a1 in row_chunks:
+            codes, upper = triple_codes(a0, a1)
+            for da, b in np.argwhere(upper & np.isin(codes, bad_triples)).tolist():
+                a = a0 + da
+                block = failing(gid[a, b:b + 1], diag[a:a + 1], diag[b:b + 1])[0]
+                bad_pairs.extend((a * nk + k1, b * nk + k2)
+                                 for k1, k2 in np.argwhere(block).tolist())
     strict_upper = np.triu(np.ones((nk, nk), dtype=bool), k=1)
-    for a in range(nb):
-        off = rank[gid[a, a:]][:, kuid]                     # (nb-a, nk, nk)
-        biggest = np.maximum(diag_rank[a][None, :, None],
-                             diag_rank[a:][:, None, :])
-        checked = np.ones_like(off, dtype=bool)
-        checked[0] = strict_upper                           # b == a: need k2 > k1
-        for bi, k1, k2 in np.argwhere(checked & ~(off < biggest)):
-            bad_pairs.append((a * nk + int(k1), (a + int(bi)) * nk + int(k2)))
+    bad_pairs.extend((a * nk + k1, a * nk + k2) for a, k1, k2 in
+                     np.argwhere(failing(diag, diag, diag) & strict_upper).tolist())
+
     violations = []
-    for left_idx, right_idx in sorted(bad_pairs):
-        left = element(left_idx // nk, left_idx % nk)
-        right = element(right_idx // nk, right_idx % nk)
-        violations.append(LemmaViolation(
-            left, right,
-            complexity2(glue2(left, right)),
-            complexity2(glue2(left, left)),
-            complexity2(glue2(right, right))))
+    if bad_pairs:
+        cores = enumerate2(j, g_max, 0)
+
+        def element(index: int) -> Bounded2Manifold:
+            return Bounded2Manifold(j, cores[index // nk].parts, closeds[index % nk])
+
+        for left_idx, right_idx in sorted(bad_pairs):
+            left, right = element(left_idx), element(right_idx)
+            violations.append(LemmaViolation(
+                left, right,
+                complexity2(glue2(left, right)),
+                complexity2(glue2(left, left)),
+                complexity2(glue2(right, right))))
     return LemmaReport(passed=not violations, basis_size=basis_size,
                        pairs_checked=basis_size * (basis_size - 1) // 2,
                        violations=tuple(violations))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any, Iterable, Mapping
 
-from .algebra import FormalSum, UniverseMismatchError
+from .algebra import FormalSum, UniverseMismatchError, json_int
 from .engine import GluingTheory, pair
 
 
@@ -135,9 +135,10 @@ class Monomial:
 
     @classmethod
     def from_json(cls, data: Any) -> Monomial:
-        if not isinstance(data, dict) or "exponents" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("exponents"), dict):
             raise ValueError(f"not a monomial descriptor: {data!r}")
-        return cls.from_dict({str(p): int(e) for p, e in data["exponents"].items()})
+        return cls.from_dict({p: json_int(e, f"exponent of {p!r}")
+                              for p, e in data["exponents"].items()})
 
     def __str__(self) -> str:
         if self.is_unit():

@@ -3,13 +3,16 @@
 The convolution oracle multiplies x * conj(y) with raw dicts and Fractions,
 sharing no code with FormalSum or the pairing engine, so the two routes can
 check each other.  The Fraction null search is the one-assignment-at-a-time
-reference for the engine's integer null-search kernel.
+reference for the engine's integer null-search kernel.  The Euler oracle
+recounts a surface gluing cell by cell, sharing no code with ``glue2``.
 """
 
 import itertools
 from fractions import Fraction
 
-from umpair.algebra import ONE, ZERO, FormalSum, Scalar, as_scalar, canonical_key
+from umpair.algebra import (ONE, ZERO, FormalSum, Scalar, UniverseMismatchError,
+                            as_scalar, canonical_key)
+from umpair.dim2 import Bounded2Manifold
 from umpair.engine import NullSearchResult
 from umpair.monomial import Monomial
 
@@ -117,3 +120,36 @@ def fraction_null_search(basis, coeff_set, theory):
             return NullSearchResult(FormalSum(zip(basis, coeffs)), n, grid,
                                     index + 1, skipped)
     return NullSearchResult(None, n, grid, len(grid) ** n, skipped)
+
+
+def euler_oracle(m: Bounded2Manifold, n: Bounded2Manifold) -> int:
+    """Euler characteristic of the gluing from an explicit cell structure.
+
+    Each boundary circle is one shared vertex and one shared edge; a part of
+    genus g is one centre vertex, 2g loop edges, one spoke edge per boundary
+    circle it meets, and one face (the standard one-polygon model); a closed
+    piece of genus g is one vertex, 2g edges and one face.  The identified
+    complex is counted cell by cell.
+    """
+    if m.boundary_circles != n.boundary_circles:
+        raise UniverseMismatchError("boundary mismatch")
+    vertices: set[tuple] = set()
+    edges: set[tuple] = set()
+    faces: set[tuple] = set()
+    for c in range(m.boundary_circles):
+        vertices.add(("circle", c, "v"))
+        edges.add(("circle", c, "e"))
+    for side, mani in (("m", m), ("n", n)):
+        for idx, (circles, genus) in enumerate(mani.parts):
+            vertices.add((side, idx, "centre"))
+            for t in range(2 * genus):
+                edges.add((side, idx, "loop", t))
+            for c in circles:
+                edges.add((side, idx, "spoke", c))
+            faces.add((side, idx, "face"))
+        for cdx, genus in enumerate(mani.closed_genera):
+            vertices.add((side, "closed", cdx, "v"))
+            for t in range(2 * genus):
+                edges.add((side, "closed", cdx, "loop", t))
+            faces.add((side, "closed", cdx, "face"))
+    return len(vertices) - len(edges) + len(faces)

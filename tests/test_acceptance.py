@@ -11,14 +11,15 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import as_raw, convolution_oracle, random_poly, random_vector, raw_terms
+from oracles import (as_raw, convolution_oracle, euler_oracle, random_poly,
+                     random_vector, raw_terms)
 
 from umpair import engine
 from umpair.algebra import FormalSum, Scalar
 from umpair.cli import main
 from umpair.dim1 import Dim1Theory, Closed1Manifold, enumerate1, standard_boundary
-from umpair.dim2 import (ClosedSurface, Dim2Theory, enumerate2, euler_oracle,
-                         glue2, verify_lemma_grid)
+from umpair.dim2 import (ClosedSurface, Dim2Theory, core_gluing_table,
+                         enumerate2, glue2, verify_lemma_grid)
 from umpair.fourdim import (FourDimTheory, build_mazur_table, build_scob_table,
                             demo_null)
 from umpair.monomial import (Involution, Monomial, MonomialTheory,
@@ -68,10 +69,15 @@ def test_criterion_2_dim2_positivity():
         # pairs at j = 3 and 4 (their full product is ~9e7 pairs, far past
         # the runtime budget; the closed contribution to chi is linear and
         # covered exactly by the smaller sweeps).
+        # The same sweep checks the grid verifier's core table against glue2.
         for j in range(5):
             bounded = enumerate2(j, 3, 0)
-            for m, n in itertools.combinations_with_replacement(bounded, 2):
-                assert euler_oracle(m, n) == glue2(m, n).euler_characteristic()
+            gid, genera = core_gluing_table(j, 3)
+            for (a, m), (b, n) in itertools.combinations_with_replacement(
+                    enumerate(bounded), 2):
+                glued = glue2(m, n)
+                assert euler_oracle(m, n) == glued.euler_characteristic()
+                assert genera[gid[a, b]] == genera[gid[b, a]] == glued.genera
         for j in range(3):
             basis = enumerate2(j, 3, 3)
             for m, n in itertools.combinations_with_replacement(basis, 2):

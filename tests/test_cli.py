@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from umpair.algebra import FormalSum
 from umpair.cli import main
 from umpair.dim1 import enumerate1, standard_boundary
@@ -144,6 +146,29 @@ def test_certify_rejects_float_and_bool_coefficients(tmp_path, capsys):
                        [{"basis": basis[0].to_json(), "coeff": coeff}])
         assert main(["certify", "--theory", "dim1", "--x", x]) == 1
         assert capsys.readouterr().err.startswith("error: scalar part")
+
+
+@pytest.mark.parametrize("theory,basis", [
+    ("dim2", [0]),
+    ("dim2", {"dim": 2, "boundary_circles": 1, "parts": [[0]], "closed": []}),
+    ("dim2", {"dim": 2, "boundary_circles": 1,
+              "parts": [{"circles": [0], "genus": "1"}], "closed": []}),
+    ("monomial", {"exponents": [1]}),
+    ("monomial", ["x"]),
+    ("monomial", {"exponents": {"x": 1.0}}),
+    ("dim1", [1]),
+    ("dim1", {"dim": 1, "boundary": ["p1"], "matching": {}, "closed_circles": 0}),
+    ("dim1", {"dim": 1, "boundary": {"pos": ["p1"], "neg": ["n1"]},
+              "matching": [["p1", "n1"]], "closed_circles": 0}),
+])
+def test_wrong_shape_descriptors_exit_1_without_traceback(tmp_path, capsys, theory, basis):
+    x = write_json(tmp_path / "x.json",
+                   [{"basis": basis, "coeff": {"re": "1", "im": "0"}}])
+    alphabet = ["--alphabet", "x"] if theory == "monomial" else []
+    assert main(["certify", "--theory", theory, "--x", x] + alphabet) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_null_search_fourdim_finds_the_vector(tmp_path):

@@ -3,14 +3,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from oracles import euler_oracle
 
 from umpair import engine
 from umpair.algebra import UniverseMismatchError
 from umpair.dim2 import (Bounded2Manifold, ClosedSurface, ComplexityTuple,
-                         Dim2Theory, closed_multisets, compare_complexity,
-                         complexity2, enumerate2, euler_oracle, glue2,
-                         verify_lemma_grid)
+                         Dim2Theory, _unique_rows, closed_multisets,
+                         compare_complexity, complexity2, core_gluing_table,
+                         enumerate2, glue2, verify_lemma_grid)
 
 ANNULUS = Bounded2Manifold(2, (((0, 1), 0),))
 DISK = Bounded2Manifold(1, (((0,), 0),))
@@ -188,6 +190,50 @@ def test_grid_verifier_is_not_vacuous(monkeypatch):
     assert grid_report.violations == generic.violations
 
 
+def test_grid_verifier_matches_generic_verifier_on_partial_failures(monkeypatch):
+    # Count components as lighter, not heavier: some triples of core gluings
+    # then fail and others pass, and the failing ones must expand to exactly
+    # the pairs the generic check reports, in the same order.
+    import umpair.dim2 as dim2_module
+
+    def reversed_count(surface):
+        entries = complexity2(surface).entries
+        return ComplexityTuple((9 - entries[0],) + entries[1:])
+
+    monkeypatch.setattr(dim2_module, "complexity2", reversed_count)
+    grid_report = dim2_module.verify_lemma_grid(2, 2, 2)
+    generic = engine.verify_lemma(enumerate2(2, 2, 2), Dim2Theory(2))
+    assert 0 < len(grid_report.violations) < grid_report.pairs_checked
+    assert grid_report.violations == generic.violations
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_core_table_matches_glue2_on_every_core_pair(j):
+    cores = enumerate2(j, 3, 0)
+    gid, genera = core_gluing_table(j, 3)
+    assert gid.shape == (len(cores), len(cores))
+    for a, m in enumerate(cores):
+        for b, n in enumerate(cores):
+            assert genera[gid[a, b]] == glue2(m, n).genera
+
+
+def test_unique_rows_agrees_with_numpy_when_packed_and_when_not():
+    rng = np.random.default_rng(20503)
+    for high in (6, 2**40):  # packs into int64; 3 digits base 2**40 do not
+        rows = rng.integers(0, high, size=(400, 3))
+        rows[::5] = rows[1]
+        first, inverse = _unique_rows(rows)
+        assert (rows[first][inverse] == rows).all()
+        assert len(first) == len(np.unique(rows, axis=0))
+
+
+@pytest.mark.slow
+def test_dim2_positivity_j5():
+    report = verify_lemma_grid(5, 3, 3)
+    assert report.passed
+    assert report.basis_size == 97704
+
+
 def test_descriptor_json_round_trip():
     m = Bounded2Manifold(3, (((0, 2), 1), ((1,), 0)), (0, 3))
     assert Bounded2Manifold.from_json(m.to_json()) == m
@@ -200,3 +246,25 @@ def test_json_rejects_wrong_shape():
         Bounded2Manifold.from_json({"dim": 1, "circles": 2})
     with pytest.raises(ValueError):
         ClosedSurface.from_json({"dim": 2})
+
+
+@pytest.mark.parametrize("decode,data", [
+    (Bounded2Manifold.from_json, [0]),
+    (Bounded2Manifold.from_json,
+     {"dim": 2, "boundary_circles": 1, "parts": [[0]], "closed": []}),
+    (Bounded2Manifold.from_json,
+     {"dim": 2, "boundary_circles": 1, "parts": [{"circles": 0, "genus": 0}]}),
+    (Bounded2Manifold.from_json,
+     {"dim": 2, "boundary_circles": 1, "parts": [{"circles": [0], "genus": 1.5}]}),
+    (Bounded2Manifold.from_json,
+     {"dim": 2, "boundary_circles": "1", "parts": [{"circles": [0], "genus": 0}]}),
+    (Bounded2Manifold.from_json,
+     {"dim": 2, "boundary_circles": 1, "parts": [{"circles": [0], "genus": 0}],
+      "closed": 2}),
+    (ClosedSurface.from_json, [1]),
+    (ClosedSurface.from_json, {"dim": 2, "genera": 1}),
+    (ClosedSurface.from_json, {"dim": 2, "genera": [True]}),
+])
+def test_json_rejects_wrong_types(decode, data):
+    with pytest.raises(ValueError):
+        decode(data)
