@@ -95,7 +95,10 @@ class Scalar:
         for part in (data["re"], data["im"]):
             if isinstance(part, bool) or not isinstance(part, (str, int)):
                 raise ValueError(f"scalar part {part!r} must be a rational string or an integer")
-        return cls(Fraction(data["re"]), Fraction(data["im"]))
+        try:
+            return cls(Fraction(data["re"]), Fraction(data["im"]))
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {data!r} has a zero denominator") from None
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -32,23 +32,19 @@ THEORIES = ("dim1", "dim2", "monomial", "fourdim")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command run depends on; echoed into reports for audit."""
+    """Everything a command's output depends on; echoed into reports for audit."""
 
     theory: str
     seed: int
-    jobs: int
     bounds: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
         for name, value in self.bounds.items():
             if isinstance(value, int) and value < 0:
                 raise ValueError(f"bound {name} must be nonnegative, got {value}")
 
     def to_json(self) -> dict[str, Any]:
-        return {"theory": self.theory, "seed": self.seed, "jobs": self.jobs,
-                "bounds": self.bounds}
+        return {"theory": self.theory, "seed": self.seed, "bounds": self.bounds}
 
 
 def _label_from_json(data: Any) -> str:
@@ -123,25 +119,25 @@ def _theory_and_basis(args: argparse.Namespace
     """Theory plus enumerated basis plus the bounds actually used."""
     if args.theory == "dim1":
         bounds = {"j": args.j, "max_closed": args.max_closed}
-        RunConfig(args.theory, args.seed, args.jobs, bounds)
+        RunConfig(args.theory, args.seed, bounds)
         boundary = dim1.standard_boundary(args.j)
         return (dim1.Dim1Theory(boundary),
                 dim1.enumerate1(boundary, args.max_closed), bounds)
     if args.theory == "dim2":
         bounds = {"j": args.j, "gmax": args.gmax, "closed_budget": args.closed_budget}
-        RunConfig(args.theory, args.seed, args.jobs, bounds)
+        RunConfig(args.theory, args.seed, bounds)
         return (dim2.Dim2Theory(args.j),
                 dim2.enumerate2(args.j, args.gmax, args.closed_budget), bounds)
     if args.theory == "monomial":
         sigma = _involution_from_args(args)
         bounds = {"alphabet": list(sigma.alphabet),
                   "swaps": [list(s) for s in sigma.swaps], "degree": args.degree}
-        RunConfig(args.theory, args.seed, args.jobs, bounds)
+        RunConfig(args.theory, args.seed, bounds)
         return (monomial.MonomialTheory(sigma),
                 monomial.enumerate_monomials(sigma.alphabet, args.degree), bounds)
     table = _table_from_args(args)
     bounds = {"labels": list(table.labels)}
-    RunConfig(args.theory, args.seed, args.jobs, bounds)
+    RunConfig(args.theory, args.seed, bounds)
     return (fourdim.FourDimTheory(table), list(table.labels), bounds)
 
 
@@ -165,7 +161,7 @@ def _load_vector(path: str, theory_name: str) -> FormalSum:
 
 
 def _config_block(args: argparse.Namespace, bounds: dict[str, Any]) -> dict[str, Any]:
-    return RunConfig(args.theory, args.seed, args.jobs, bounds).to_json()
+    return RunConfig(args.theory, args.seed, bounds).to_json()
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -192,11 +188,11 @@ def cmd_pair(args: argparse.Namespace) -> int:
 def cmd_verify_lemma(args: argparse.Namespace) -> int:
     if args.theory == "dim2":
         bounds = {"j": args.j, "gmax": args.gmax, "closed_budget": args.closed_budget}
-        RunConfig(args.theory, args.seed, args.jobs, bounds)
+        RunConfig(args.theory, args.seed, bounds)
         report = dim2.verify_lemma_grid(args.j, args.gmax, args.closed_budget)
     else:
         theory, basis, bounds = _theory_and_basis(args)
-        report = engine.verify_lemma(basis, theory, jobs=args.jobs)
+        report = engine.verify_lemma(basis, theory)
     payload = {
         "command": "verify-lemma",
         "config": _config_block(args, bounds),
@@ -227,7 +223,8 @@ def cmd_null_search(args: argparse.Namespace) -> int:
     result = engine.null_search(basis, grid, theory, jobs=args.jobs)
     payload = {
         "command": "null-search",
-        "config": _config_block(args, dict(bounds, coeff_grid=args.coeff_grid)),
+        "config": dict(_config_block(args, dict(bounds, coeff_grid=args.coeff_grid)),
+                       jobs=args.jobs),
         "search": result.to_json(),
     }
     _write_output(payload, args.out)
@@ -273,7 +270,7 @@ def _add_common(parser: argparse.ArgumentParser, theory: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed echoed into reports (commands are deterministic)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for enumeration grids")
+                        help="null-search: worker processes for large grids")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -333,6 +330,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
         return args.func(args)
     except UniverseMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

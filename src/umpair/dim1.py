@@ -234,34 +234,3 @@ def points_to_monomial0(p: int, q: int) -> Monomial:
     if p < 0 or q < 0:
         raise ValueError("point counts must be nonnegative")
     return Monomial.from_dict({"u": p, "v": q})
-
-
-def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:
-    """Count glued circles by walking arcs endpoint to endpoint.
-
-    Treats each arc of m and of n as an edge between its two boundary
-    points and counts connected components of the resulting degree-2 graph.
-    Kept deliberately separate from the permutation route in glue1 so the
-    two can check each other.
-    """
-    if m.boundary != n.boundary:
-        raise UniverseMismatchError("boundary mismatch")
-    adjacency: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for mani in (m, n):
-        for p, neg in mani.matching:
-            adjacency.setdefault(("pos", p), []).append(("neg", neg))
-            adjacency.setdefault(("neg", neg), []).append(("pos", p))
-    seen: set[tuple[str, str]] = set()
-    circles = 0
-    for point in adjacency:
-        if point in seen:
-            continue
-        circles += 1
-        stack = [point]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(adjacency[current])
-    return circles + m.closed_circles + n.closed_circles

@@ -20,14 +20,12 @@ chi_1 <= ... <= chi_n and total chi is the integer tuple
 
     (n, -chi, -chi_1, ..., -chi_n),
 
-compared lexicographically.  Entries after the second are at most 2 in
-absolute value (chi of a connected closed surface is at most 2), so padding
-comparisons with -3 makes tuples of different lengths comparable without
-ever colliding with a real entry.
+compared lexicographically as a plain tuple.  Tuples of different lengths
+differ in their first entry, so no padding is needed.
 
 ``verify_lemma_grid`` is an exhaustive diagonal-dominance check over the
 full enumerated basis, in three exact numpy phases.  It must agree with
-engine.verify_lemma (the plain pairwise check) wherever both are feasible;
+engine.verify_lemma (the generic glue-table check) wherever both are feasible;
 the tests enforce that, and check the core table against glue2.
 
 1. Core table.  The components of a gluing of two bounded cores depend only
@@ -37,9 +35,9 @@ the tests enforce that, and check the core table against glue2.
    by an integer matrix product.  Each core pair gets an id of its sorted
    genus multiset.
 2. Ranks.  complexity2 is called once per distinct merged multiset (core
-   genera plus the union of two closed multisets) and its tuples are ranked
-   densely in their padded order, so integer rank order is ComplexityTuple
-   order whatever tuples complexity2 returns.
+   genera plus the union of two closed multisets) and its values are ranked
+   densely, so integer rank order is their order whatever totally ordered
+   values complexity2 returns.
 3. Sweep.  For cores a < b every verdict between their elements depends
    only on the triple of ids (a, b), (a, a), (b, b); each distinct triple is
    checked once as a block over closed-multiset pairs, and only failing
@@ -51,13 +49,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Any, Iterator
 
 import numpy as np
 
 from .algebra import UniverseMismatchError, json_int, json_list
-from .engine import GluingTheory, LemmaReport, LemmaViolation
+from .engine import GluingTheory, LemmaReport, LemmaViolation, dense_ranks
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ class Bounded2Manifold:
         parts = tuple(sorted((tuple(sorted(circles)), genus)
                              for circles, genus in self.parts))
         covered = [c for circles, _ in parts for c in circles]
-        if sorted(covered) != list(range(j)):
+        if len(covered) != j or sorted(covered) != list(range(j)):
             raise ValueError(
                 f"parts must partition the circle labels 0..{j - 1}, got {covered}")
         for circles, genus in parts:
@@ -148,61 +145,10 @@ class ClosedSurface:
         return cls(tuple(json_int(g, "genus") for g in json_list(data["genera"], "genera")))
 
 
-PAD = -3  # below every real tuple entry; -chi of a component is >= -2
-
-
-@total_ordering
-class ComplexityTuple:
-    """(n, -chi, -chi_1, ..., -chi_n) compared lexicographically with padding."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...] | list[int]):
-        self.entries = tuple(int(e) for e in entries)
-        if len(self.entries) < 2 or self.entries[0] < 0:
-            raise ValueError(f"malformed complexity tuple {self.entries}")
-        if any(e < -2 for e in self.entries[2:]):
-            raise ValueError(
-                f"component entries must be >= -2, got {self.entries}")
-
-    def _padded_cmp(self, other: ComplexityTuple) -> int:
-        for k in range(max(len(self.entries), len(other.entries))):
-            a = self.entries[k] if k < len(self.entries) else PAD
-            b = other.entries[k] if k < len(other.entries) else PAD
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ComplexityTuple):
-            return NotImplemented
-        return self._padded_cmp(other) == 0
-
-    def __lt__(self, other: ComplexityTuple) -> bool:
-        return self._padded_cmp(other) < 0
-
-    def __hash__(self) -> int:
-        trimmed = self.entries
-        while trimmed and trimmed[-1] == PAD:
-            trimmed = trimmed[:-1]
-        return hash(trimmed)
-
-    def to_json(self) -> list[int]:
-        return list(self.entries)
-
-    def __repr__(self) -> str:
-        return f"ComplexityTuple{self.entries}"
-
-
-def compare_complexity(a: ComplexityTuple, b: ComplexityTuple) -> int:
-    """-1, 0 or 1 as a is less than, equal to or greater than b."""
-    return a._padded_cmp(b)
-
-
-def complexity2(c: ClosedSurface) -> ComplexityTuple:
+def complexity2(c: ClosedSurface) -> tuple[int, ...]:
     """Complexity of a closed surface: components count heaviest, then -chi."""
     chis = sorted(2 - 2 * g for g in c.genera)
-    return ComplexityTuple((len(chis), -sum(chis), *(-x for x in chis)))
+    return (len(chis), -sum(chis), *(-x for x in chis))
 
 
 def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
@@ -316,7 +262,7 @@ class Dim2Theory(GluingTheory):
         # A closed oriented surface is diffeomorphic to its reversal.
         return closed
 
-    def complexity(self, closed: ClosedSurface) -> ComplexityTuple:
+    def complexity(self, closed: ClosedSurface) -> tuple[int, ...]:
         return complexity2(closed)
 
     def validate_basis(self, descriptor: Any) -> None:
@@ -431,12 +377,8 @@ def _rank_table(genera: list[tuple[int, ...]],
     merged = histograms(genera)[:, None, :] + histograms(unions)[None, :, :]
     first, inverse = _unique_rows(merged.reshape(-1, width))
     g_first, u_first = np.divmod(first, len(unions))
-    entries = [complexity2(ClosedSurface(genera[g] + unions[u])).entries
-               for g, u in zip(g_first.tolist(), u_first.tolist())]
-    longest = max(len(e) for e in entries)
-    keys = [e + (PAD,) * (longest - len(e)) for e in entries]
-    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
-    ranks = np.array([rank_of[key] for key in keys], dtype=np.int32)
+    ranks = dense_ranks([complexity2(ClosedSurface(genera[g] + unions[u]))
+                         for g, u in zip(g_first.tolist(), u_first.tolist())])
     return ranks[inverse].reshape(len(genera), len(unions))
 
 

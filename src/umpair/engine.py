@@ -16,7 +16,8 @@ the larger of the two diagonal gluings, the diagonal terms of <x, x> cannot
 cancel and the pairing is positive.  The engine checks that hypothesis
 (exhaustively on a basis, or on the support of a single vector), produces
 auditable positivity certificates, extracts the 0/1 Gram tensor, and runs a
-bounded grid search for null vectors.
+bounded grid search for null vectors.  All four read one glue table,
+``GramTensor``: the closed form of every basis pair and its complexity rank.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +35,13 @@ from .algebra import (FormalSum, ONE, Scalar, ZERO, as_scalar, canonical_key,
 
 
 class GluingTheory(ABC):
-    """Glue, reversal and complexity for one basis universe."""
+    """Glue, reversal and complexity for one basis universe.
+
+    The contract every theory keeps: closed descriptors are hashable and
+    equal exactly when they are the same closed form; ``reverse`` is an
+    involution; gluing is conjugate symmetric, glue(b, a) == reverse(glue(a, b));
+    and complexity values are totally ordered by ``<``.
+    """
 
     name: str = "theory"
 
@@ -54,15 +61,10 @@ class GluingTheory(ABC):
         """Raise ValueError if ``descriptor`` is not in this theory's universe."""
 
 
-def _validate_support(x: FormalSum, theory: GluingTheory) -> None:
-    for d in x.support():
-        theory.validate_basis(d)
-
-
 def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
     """The sesquilinear pairing of x and y, as a formal sum of closed forms."""
-    _validate_support(x, theory)
-    _validate_support(y, theory)
+    for d in (*x.support(), *y.support()):
+        theory.validate_basis(d)
     terms = []
     for a, ca in x.items():
         for b, cb in y.items():
@@ -70,13 +72,90 @@ def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
     return FormalSum(terms)
 
 
-def complexity_to_json(value: Any) -> Any:
-    if isinstance(value, int):
-        return value
-    to_json = getattr(value, "to_json", None)
-    if to_json is not None:
-        return to_json()
-    raise TypeError(f"complexity value {value!r} has no JSON form")
+def dense_ranks(values: Sequence[Any]) -> np.ndarray:
+    """The dense rank of each value under ``<``.
+
+    Equal values share a rank, so integer order of ranks is the order of the
+    values; any totally ordered values will do, hashable or not.
+    """
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    for prev, cur in zip(order, order[1:]):
+        ranks[cur] = ranks[prev] + (values[prev] < values[cur])
+    return np.array(ranks, dtype=np.int32)
+
+
+class GramTensor:
+    """The glue table of a basis, read by every check in this module.
+
+    ``forms`` are the distinct closed forms, and ``ids[i, j]`` is the index
+    of glue(basis[i], basis[j]) among them, so the 0/1 Gram matrix T^c of a
+    form c is ``ids == forms.index(c)``.  ``ranks[f]`` is the dense
+    complexity rank of forms[f]: integer order of ranks is complexity order.
+
+    Only the pairs i <= j are glued; the pairs i > j follow from conjugate
+    symmetry, with one ``reverse`` call per distinct form of the i <= j half.
+    ``ids`` has the narrowest unsigned dtype the form count allows, and
+    complexity values are not kept beyond their ranks.
+    """
+
+    def __init__(self, basis: Sequence[Any], theory: GluingTheory):
+        for d in basis:
+            theory.validate_basis(d)
+        self.basis = tuple(basis)
+        n = len(self.basis)
+        index: dict[Any, int] = {}
+        ids = np.zeros((n, n), dtype=np.uint8)
+        for i, a in enumerate(self.basis):
+            row = [index.setdefault(theory.glue(a, b), len(index)) for b in self.basis[i:]]
+            ids = _fit_ids(ids, len(index))
+            ids[i, i:] = row
+        back = [index.setdefault(theory.reverse(c), len(index)) for c in list(index)]
+        self.forms = tuple(index)
+        self.ids = _fit_ids(ids, len(self.forms))
+        back = np.array(back, dtype=self.ids.dtype)
+        for i in range(n):
+            self.ids[i + 1:, i] = back[self.ids[i, i + 1:]]
+        self.ranks = dense_ranks([theory.complexity(c) for c in self.forms])
+
+    def matrix(self, closed: Any) -> list[list[int]]:
+        return (self.ids == self.forms.index(closed)).astype(int).tolist()
+
+    def hermitian_value(self, closed: Any, coeffs: Sequence[Scalar]) -> Scalar:
+        """sum_ij a_i * conj(a_j) * T^c[i][j], the <x,x> coefficient at c."""
+        total = ZERO
+        for i, j in np.argwhere(self.ids == self.forms.index(closed)).tolist():
+            total = total + coeffs[i] * coeffs[j].conj()
+        return total
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "basis": [descriptor_to_json(b) for b in self.basis],
+            "forms": [{"closed": descriptor_to_json(c), "matrix": self.matrix(c)}
+                      for c in sorted(self.forms, key=canonical_key)],
+        }
+
+
+def _fit_ids(ids: np.ndarray, count: int) -> np.ndarray:
+    """``ids``, widened if ``count`` forms overflow its unsigned dtype."""
+    if count - 1 <= np.iinfo(ids.dtype).max:
+        return ids
+    return ids.astype(np.min_scalar_type(count - 1))
+
+
+def gram_tensor(basis: Sequence[Any], theory: GluingTheory) -> GramTensor:
+    return GramTensor(basis, theory)
+
+
+def _dominance_failures(table: GramTensor) -> Iterator[tuple[int, int]]:
+    """The pairs i < j, row by row, whose off-diagonal gluing is not strictly
+    less complex than the larger of their two diagonal gluings."""
+    ranks = table.ranks.tolist()
+    diag = [ranks[f] for f in table.ids.diagonal().tolist()]
+    for i, left in enumerate(diag):
+        for j, f in enumerate(table.ids[i, i + 1:].tolist(), i + 1):
+            if ranks[f] >= max(left, diag[j]):
+                yield i, j
 
 
 @dataclass(frozen=True)
@@ -89,13 +168,20 @@ class LemmaViolation:
     left_diag_complexity: Any
     right_diag_complexity: Any
 
+    @classmethod
+    def at(cls, table: GramTensor, theory: GluingTheory, i: int, j: int) -> Any:
+        """The pair (basis[i], basis[j]) with its three complexities."""
+        off, left, right = (theory.complexity(table.forms[table.ids[a, b]])
+                            for a, b in ((i, j), (i, i), (j, j)))
+        return cls(table.basis[i], table.basis[j], off, left, right)
+
     def to_json(self) -> dict[str, Any]:
         return {
             "left": descriptor_to_json(self.left),
             "right": descriptor_to_json(self.right),
-            "off_complexity": complexity_to_json(self.off_complexity),
-            "left_diag_complexity": complexity_to_json(self.left_diag_complexity),
-            "right_diag_complexity": complexity_to_json(self.right_diag_complexity),
+            "off_complexity": self.off_complexity,
+            "left_diag_complexity": self.left_diag_complexity,
+            "right_diag_complexity": self.right_diag_complexity,
         }
 
 
@@ -115,54 +201,16 @@ class LemmaReport:
         }
 
 
-def _lemma_violations_for_rows(basis: Sequence[Any], theory: GluingTheory,
-                               diag: Sequence[Any],
-                               rows: Iterable[int]) -> list[tuple[int, int, Any]]:
-    out = []
-    for i in rows:
-        di = diag[i]
-        for j in range(i + 1, len(basis)):
-            off = theory.complexity(theory.glue(basis[i], basis[j]))
-            if not off < max(di, diag[j]):
-                out.append((i, j, off))
-    return out
-
-
-def _lemma_worker(args: tuple[Sequence[Any], GluingTheory, Sequence[Any], list[int]]
-                  ) -> list[tuple[int, int, Any]]:
-    basis, theory, diag, rows = args
-    return _lemma_violations_for_rows(basis, theory, diag, rows)
-
-
-# Work below this size is not worth the process-pool overhead.
-_PARALLEL_MIN_BASIS = 64
-
-
-def verify_lemma(basis: Sequence[Any], theory: GluingTheory,
-                 jobs: int = 1) -> LemmaReport:
+def verify_lemma(basis: Sequence[Any], theory: GluingTheory) -> LemmaReport:
     """Check strict diagonal dominance of complexity on every unordered pair.
 
     Violations are data, not errors: the report lists each failing pair with
     the three complexities involved.
     """
-    for d in basis:
-        theory.validate_basis(d)
-    n = len(basis)
-    diag = [theory.complexity(theory.glue(b, b)) for b in basis]
-    if jobs <= 1 or n < _PARALLEL_MIN_BASIS:
-        raw = _lemma_violations_for_rows(basis, theory, diag, range(n))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # see _scan_in_pool
-
-        chunks = [(basis, theory, diag, list(range(w, n, jobs))) for w in range(jobs)]
-        raw = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_lemma_worker, chunks):
-                raw.extend(part)
-    raw.sort(key=lambda t: (t[0], t[1]))
-    violations = tuple(
-        LemmaViolation(basis[i], basis[j], off, diag[i], diag[j])
-        for i, j, off in raw)
+    table = GramTensor(basis, theory)
+    violations = tuple(LemmaViolation.at(table, theory, i, j)
+                       for i, j in _dominance_failures(table))
+    n = len(table.basis)
     return LemmaReport(passed=not violations, basis_size=n,
                        pairs_checked=n * (n - 1) // 2, violations=violations)
 
@@ -193,30 +241,19 @@ class PositivityCertificate:
         return {
             "status": "certificate",
             "support": [descriptor_to_json(d) for d in self.support],
-            "max_complexity": complexity_to_json(self.max_complexity),
+            "max_complexity": self.max_complexity,
             "forms": [f.to_json() for f in self.forms],
         }
 
 
 @dataclass(frozen=True)
-class CertificateFailure:
+class CertificateFailure(LemmaViolation):
     """The violating pair that blocks the no-cancellation argument."""
 
-    left: Any
-    right: Any
-    off_complexity: Any
-    left_diag_complexity: Any
-    right_diag_complexity: Any
-
     def to_json(self) -> dict[str, Any]:
-        return {
-            "status": "failure",
-            "violating_pair": [descriptor_to_json(self.left),
-                               descriptor_to_json(self.right)],
-            "off_complexity": complexity_to_json(self.off_complexity),
-            "left_diag_complexity": complexity_to_json(self.left_diag_complexity),
-            "right_diag_complexity": complexity_to_json(self.right_diag_complexity),
-        }
+        out = super().to_json()
+        return {"status": "failure",
+                "violating_pair": [out.pop("left"), out.pop("right")], **out}
 
 
 def certify_positive(x: FormalSum, theory: GluingTheory
@@ -232,86 +269,31 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     """
     if x.is_zero():
         raise ValueError("cannot certify the zero vector")
-    _validate_support(x, theory)
-    support = x.support()
+    table = GramTensor(x.support(), theory)
+    failure = next(_dominance_failures(table), None)
+    if failure is not None:
+        return CertificateFailure.at(table, theory, *failure)
     coeffs = [c for _, c in x.items()]
-    diag = [theory.complexity(theory.glue(b, b)) for b in support]
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            off = theory.complexity(theory.glue(support[i], support[j]))
-            if not off < max(diag[i], diag[j]):
-                return CertificateFailure(support[i], support[j], off,
-                                          diag[i], diag[j])
-    top = max(diag)
-    forms: dict[str, tuple[Any, Fraction, list[int]]] = {}
-    for i, b in enumerate(support):
-        if diag[i] == top:
-            closed = theory.glue(b, b)
-            key = canonical_key(closed)
-            desc, mass, idx = forms.get(key, (closed, Fraction(0), []))
-            forms[key] = (desc, mass + coeffs[i].norm2(), idx + [i])
+    diag = table.ids.diagonal().tolist()
+    top = max(table.ranks[diag])
     squared = pair(x, x, theory)
     certified = []
-    for key in sorted(forms):
-        closed, mass, idx = forms[key]
+    for f in sorted({f for f in diag if table.ranks[f] == top},
+                    key=lambda f: canonical_key(table.forms[f])):
+        closed, idx = table.forms[f], [i for i, g in enumerate(diag) if g == f]
+        mass = sum((coeffs[i].norm2() for i in idx), Fraction(0))
         if mass <= 0:
             raise AssertionError("diagonal mass must be positive")
         if squared.coefficient(closed) != as_scalar(mass):
             raise AssertionError(
-                f"certificate cross-check failed at {key}: "
+                f"certificate cross-check failed at {canonical_key(closed)}: "
                 f"expected mass {mass}, pairing has {squared.coefficient(closed)}")
         certified.append(CertificateForm(closed, mass, tuple(idx)))
     if squared.is_zero():
         raise AssertionError("certificate produced for a vector with zero pairing")
-    return PositivityCertificate(support=support, max_complexity=top,
+    return PositivityCertificate(support=table.basis,
+                                 max_complexity=theory.complexity(certified[0].closed),
                                  forms=tuple(certified))
-
-
-class GramTensor:
-    """Family of 0/1 matrices: T^c[i][j] = 1 iff glue(b_i, b_j) = c."""
-
-    def __init__(self, basis: Sequence[Any], theory: GluingTheory):
-        for d in basis:
-            theory.validate_basis(d)
-        self.basis = tuple(basis)
-        n = len(self.basis)
-        by_key: dict[str, tuple[Any, list[list[int]]]] = {}
-        for i in range(n):
-            for j in range(n):
-                closed = theory.glue(self.basis[i], self.basis[j])
-                key = canonical_key(closed)
-                if key not in by_key:
-                    by_key[key] = (closed, [[0] * n for _ in range(n)])
-                by_key[key][1][i][j] = 1
-        self._by_key = {k: by_key[k] for k in sorted(by_key)}
-
-    @property
-    def forms(self) -> tuple[Any, ...]:
-        return tuple(closed for closed, _ in self._by_key.values())
-
-    def matrix(self, closed: Any) -> list[list[int]]:
-        return self._by_key[canonical_key(closed)][1]
-
-    def hermitian_value(self, closed: Any, coeffs: Sequence[Scalar]) -> Scalar:
-        """sum_ij a_i * conj(a_j) * T^c[i][j], the <x,x> coefficient at c."""
-        m = self.matrix(closed)
-        total = ZERO
-        for i, ai in enumerate(coeffs):
-            for j, aj in enumerate(coeffs):
-                if m[i][j]:
-                    total = total + ai * aj.conj()
-        return total
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "basis": [descriptor_to_json(b) for b in self.basis],
-            "forms": [{"closed": descriptor_to_json(c), "matrix": m}
-                      for c, m in self._by_key.values()],
-        }
-
-
-def gram_tensor(basis: Sequence[Any], theory: GluingTheory) -> GramTensor:
-    return GramTensor(basis, theory)
 
 
 @dataclass(frozen=True)
@@ -355,17 +337,6 @@ def _assignment(index: int, grid: Sequence[Scalar], n: int) -> list[Scalar]:
         digits.append(grid[r])
     digits.reverse()
     return digits
-
-
-def _glue_groups(basis: Sequence[Any], theory: GluingTheory
-                 ) -> list[list[tuple[int, int]]]:
-    """Index pairs of the basis grouped by the closed form they glue to."""
-    groups: dict[str, list[tuple[int, int]]] = {}
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            key = canonical_key(theory.glue(basis[i], basis[j]))
-            groups.setdefault(key, []).append((i, j))
-    return [groups[k] for k in sorted(groups)]
 
 
 # Assignments per numpy batch; the working arrays take about 8 kB per basis
@@ -450,7 +421,9 @@ def _null_kernel(basis: Sequence[Any], grid: tuple[Scalar, ...],
     """
     scale = math.lcm(*(part.denominator for c in grid for part in (c.re, c.im)))
     scaled = [(int(c.re * scale), int(c.im * scale)) for c in grid]
-    groups = tuple(sorted((tuple(g) for g in _glue_groups(basis, theory)), key=len))
+    table = GramTensor(basis, theory)
+    groups = tuple(sorted((tuple(map(tuple, np.argwhere(table.ids == f).tolist()))
+                           for f in range(len(table.forms))), key=len))
     m = max(abs(part) for c in scaled for part in c)
     dtype = np.int64 if len(groups[-1]) * 2 * m * m < 2**63 else object
     re = np.array([ar * br + ai * bi for ar, ai in scaled for br, bi in scaled], dtype=dtype)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
 
-from .algebra import FormalSum, UniverseMismatchError
+from .algebra import FormalSum, UniverseMismatchError, json_list
 from .engine import (CertificateFailure, GluingTheory, PositivityCertificate,
                      certify_positive, pair)
 
@@ -41,11 +41,11 @@ class GluingTable:
         self.labels = tuple(labels)
         self.table = dict(table)
         self.reverse_map = dict(reverse)
+        for label in self.labels:
+            if not isinstance(label, str) or "," in label:
+                raise ValueError(f"label {label!r} must be a string without a comma")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
-        for label in self.labels:
-            if "," in label:
-                raise ValueError(f"label {label!r} may not contain a comma")
         for a in self.labels:
             for b in self.labels:
                 if (a, b) not in self.table:
@@ -85,13 +85,21 @@ class GluingTable:
         if not isinstance(data, dict) or "labels" not in data or "table" not in data:
             raise ValueError("a gluing table needs 'labels', 'table' and 'reverse'")
         table = {}
-        for key, value in data["table"].items():
+        for key, value in _names(data["table"], "table").items():
             left, sep, right = key.partition(",")
             if not sep:
                 raise ValueError(f"table key {key!r} must be 'label,label'")
-            table[(left, right)] = str(value)
-        return cls(tuple(data["labels"]), table,
-                   {str(k): str(v) for k, v in data.get("reverse", {}).items()})
+            table[(left, right)] = value
+        return cls(tuple(json_list(data["labels"], "table labels")), table,
+                   _names(data.get("reverse", {}), "reverse"))
+
+
+def _names(value: Any, what: str) -> dict[str, str]:
+    """``value`` if it maps strings to closed names, else ValueError naming ``what``."""
+    if not isinstance(value, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in value.items()):
+        raise ValueError(f"{what} must map strings to closed-name strings, got {value!r}")
+    return value
 
 
 def _constant_table(labels: tuple[str, ...], closed_name: str) -> GluingTable:

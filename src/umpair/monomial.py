@@ -12,10 +12,10 @@ The ordering: group the exponents of a monomial by involution orbit.  A
 swapped orbit {p, pbar} contributes the pair (sum of the two exponents,
 smaller of the two exponents); a fixed prime contributes (exponent, 0).
 Orbits with zero total exponent are dropped.  Sorting the contributed pairs
-in descending order and comparing the resulting lists lexicographically
-(padded with (0,0)) makes every off-diagonal product m1 * conj(m2) strictly
-smaller than the larger of the diagonal products, which is what the engine's
-positivity certificate needs.  The sort direction is a convention; the test
+in descending order and comparing the resulting tuples lexicographically
+makes every off-diagonal product m1 * conj(m2) strictly smaller than the
+larger of the diagonal products, which is what the engine's positivity
+certificate needs.  The sort direction is a convention; the test
 suite validates it exhaustively at bounded degree instead of trusting it.
 
 Basis monomials are opaque: the module never computes a prime decomposition
@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Any, Iterable, Mapping
 
 from .algebra import FormalSum, UniverseMismatchError, json_int
@@ -149,59 +148,12 @@ class Monomial:
 UNIT = Monomial()
 
 
-@total_ordering
-class MonomialComplexity:
-    """Descending list of per-orbit (sum, min) pairs, compared with padding.
-
-    Comparison extends the shorter list with (0, 0) pairs, so monomials
-    touching different numbers of orbits are still comparable.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.pairs = tuple(pairs)
-        for s, m in self.pairs:
-            if not (s >= m >= 0 and s >= 1):
-                raise ValueError(f"invalid orbit pair ({s},{m})")
-        if list(self.pairs) != sorted(self.pairs, reverse=True):
-            raise ValueError("orbit pairs must be sorted in descending order")
-
-    def _padded_cmp(self, other: MonomialComplexity) -> int:
-        for k in range(max(len(self.pairs), len(other.pairs))):
-            a = self.pairs[k] if k < len(self.pairs) else (0, 0)
-            b = other.pairs[k] if k < len(other.pairs) else (0, 0)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonomialComplexity):
-            return NotImplemented
-        return self._padded_cmp(other) == 0
-
-    def __lt__(self, other: MonomialComplexity) -> bool:
-        return self._padded_cmp(other) < 0
-
-    def __hash__(self) -> int:
-        trimmed = self.pairs
-        while trimmed and trimmed[-1] == (0, 0):
-            trimmed = trimmed[:-1]
-        return hash(trimmed)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in self.pairs]
-
-    def __repr__(self) -> str:
-        return f"MonomialComplexity({list(self.pairs)})"
-
-
 def mono_conj(m: Monomial, sigma: Involution) -> Monomial:
     """Apply the involution to every prime of the monomial."""
     return Monomial(tuple((sigma.apply(p), e) for p, e in m.exponents))
 
 
-def complexity_mono(m: Monomial, sigma: Involution) -> MonomialComplexity:
+def complexity_mono(m: Monomial, sigma: Involution) -> tuple[tuple[int, int], ...]:
     """The orbit-pair complexity of a monomial under the involution."""
     exps = dict(m.exponents)
     for p in exps:
@@ -216,7 +168,7 @@ def complexity_mono(m: Monomial, sigma: Involution) -> MonomialComplexity:
         e = exps.get(p, 0)
         if e > 0:
             pairs.append((e, 0))
-    return MonomialComplexity(sorted(pairs, reverse=True))
+    return tuple(sorted(pairs, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -232,7 +184,7 @@ class MonomialTheory(GluingTheory):
     def reverse(self, closed: Monomial) -> Monomial:
         return mono_conj(closed, self.involution)
 
-    def complexity(self, closed: Monomial) -> MonomialComplexity:
+    def complexity(self, closed: Monomial) -> tuple[tuple[int, int], ...]:
         return complexity_mono(closed, self.involution)
 
     def validate_basis(self, descriptor: Any) -> None:

@@ -4,14 +4,23 @@ The convolution oracle multiplies x * conj(y) with raw dicts and Fractions,
 sharing no code with FormalSum or the pairing engine, so the two routes can
 check each other.  The Fraction null search is the one-assignment-at-a-time
 reference for the engine's integer null-search kernel.  The Euler oracle
-recounts a surface gluing cell by cell, sharing no code with ``glue2``.
+recounts a surface gluing cell by cell, sharing no code with ``glue2``, and
+the arc walk recounts a 1-manifold gluing without the permutation route of
+``glue1``.  ``ComplexityTuple`` and ``MonomialComplexity`` are the padded
+comparators the dim2 and monomial complexities once used; the tests check
+that plain tuple order agrees with them.
 """
+
+from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import total_ordering
+from typing import Iterable
 
 from umpair.algebra import (ONE, ZERO, FormalSum, Scalar, UniverseMismatchError,
                             as_scalar, canonical_key)
+from umpair.dim1 import Bounded1Manifold
 from umpair.dim2 import Bounded2Manifold
 from umpair.engine import NullSearchResult
 from umpair.monomial import Monomial
@@ -153,3 +162,109 @@ def euler_oracle(m: Bounded2Manifold, n: Bounded2Manifold) -> int:
                 edges.add((side, "closed", cdx, "loop", t))
             faces.add((side, "closed", cdx, "face"))
     return len(vertices) - len(edges) + len(faces)
+
+
+def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:
+    """Count glued circles by walking arcs endpoint to endpoint.
+
+    Treats each arc of m and of n as an edge between its two boundary
+    points and counts connected components of the resulting degree-2 graph.
+    Kept deliberately separate from the permutation route in glue1 so the
+    two can check each other.
+    """
+    if m.boundary != n.boundary:
+        raise UniverseMismatchError("boundary mismatch")
+    adjacency: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for mani in (m, n):
+        for p, neg in mani.matching:
+            adjacency.setdefault(("pos", p), []).append(("neg", neg))
+            adjacency.setdefault(("neg", neg), []).append(("pos", p))
+    seen: set[tuple[str, str]] = set()
+    circles = 0
+    for point in adjacency:
+        if point in seen:
+            continue
+        circles += 1
+        stack = [point]
+        while stack:
+            current = stack.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            stack.extend(adjacency[current])
+    return circles + m.closed_circles + n.closed_circles
+
+
+PAD = -3  # below every real tuple entry; -chi of a component is >= -2
+
+
+@total_ordering
+class ComplexityTuple:
+    """(n, -chi, -chi_1, ..., -chi_n) compared lexicographically with padding."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...] | list[int]):
+        self.entries = tuple(int(e) for e in entries)
+        if len(self.entries) < 2 or self.entries[0] < 0:
+            raise ValueError(f"malformed complexity tuple {self.entries}")
+        if any(e < -2 for e in self.entries[2:]):
+            raise ValueError(
+                f"component entries must be >= -2, got {self.entries}")
+
+    def _padded_cmp(self, other: ComplexityTuple) -> int:
+        for k in range(max(len(self.entries), len(other.entries))):
+            a = self.entries[k] if k < len(self.entries) else PAD
+            b = other.entries[k] if k < len(other.entries) else PAD
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComplexityTuple):
+            return NotImplemented
+        return self._padded_cmp(other) == 0
+
+    def __lt__(self, other: ComplexityTuple) -> bool:
+        return self._padded_cmp(other) < 0
+
+    def __repr__(self) -> str:
+        return f"ComplexityTuple{self.entries}"
+
+
+@total_ordering
+class MonomialComplexity:
+    """Descending list of per-orbit (sum, min) pairs, compared with padding.
+
+    Comparison extends the shorter list with (0, 0) pairs, so monomials
+    touching different numbers of orbits are still comparable.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
+        self.pairs = tuple(pairs)
+        for s, m in self.pairs:
+            if not (s >= m >= 0 and s >= 1):
+                raise ValueError(f"invalid orbit pair ({s},{m})")
+        if list(self.pairs) != sorted(self.pairs, reverse=True):
+            raise ValueError("orbit pairs must be sorted in descending order")
+
+    def _padded_cmp(self, other: MonomialComplexity) -> int:
+        for k in range(max(len(self.pairs), len(other.pairs))):
+            a = self.pairs[k] if k < len(self.pairs) else (0, 0)
+            b = other.pairs[k] if k < len(other.pairs) else (0, 0)
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonomialComplexity):
+            return NotImplemented
+        return self._padded_cmp(other) == 0
+
+    def __lt__(self, other: MonomialComplexity) -> bool:
+        return self._padded_cmp(other) < 0
+
+    def __repr__(self) -> str:
+        return f"MonomialComplexity({list(self.pairs)})"

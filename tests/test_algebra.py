@@ -72,6 +72,12 @@ def test_scalar_json_rejects_garbage():
         Scalar.from_json("1+2i")
 
 
+def test_scalar_json_rejects_zero_denominators():
+    for data in ({"re": "1/0", "im": "0"}, {"re": "0", "im": "-0/0"}):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Scalar.from_json(data)
+
+
 @pytest.mark.parametrize("data", [
     {"re": 0.1, "im": "0"}, {"re": "1", "im": 1.0}, {"re": True, "im": "0"},
     {"re": "0", "im": False}, {"re": None, "im": "0"}, {"re": ["1"], "im": "0"},

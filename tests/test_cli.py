@@ -1,15 +1,19 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from umpair.algebra import FormalSum
-from umpair.cli import main
+from umpair.algebra import FormalSum, Scalar
+from umpair.cli import DECODERS, main
 from umpair.dim1 import enumerate1, standard_boundary
 from umpair.dim2 import Bounded2Manifold
+from umpair.fourdim import GluingTable
 from umpair.monomial import Monomial
 
 
@@ -169,6 +173,71 @@ def test_wrong_shape_descriptors_exit_1_without_traceback(tmp_path, capsys, theo
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+GOOD_TABLE = {"labels": ["A"], "table": {"A,A": "X"}, "reverse": {"X": "X"}}
+
+
+@pytest.mark.parametrize("table", [
+    dict(GOOD_TABLE, table=5),
+    dict(GOOD_TABLE, reverse=[0]),
+    dict(GOOD_TABLE, labels=[1]),
+    dict(GOOD_TABLE, labels="A"),
+])
+def test_wrong_shape_tables_exit_1_without_traceback(tmp_path, capsys, table):
+    path = write_json(tmp_path / "t.json", table)
+    assert main(["fourdim-demo", "--in", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert main(["fourdim-demo", "--in", write_json(tmp_path / "ok.json", GOOD_TABLE)]) == 2
+
+
+# Arbitrary JSON, with object keys drawn mostly from the descriptor schemas so
+# that decoding gets past the first key check often.
+SCHEMA_KEYS = ("dim", "boundary", "pos", "neg", "matching", "closed_circles",
+               "circles", "boundary_circles", "parts", "genus", "closed", "genera",
+               "exponents", "labels", "table", "reverse", "basis", "coeff", "re", "im")
+# Text draws from a short alphabet (labels, table keys, rationals); scalar
+# literals, "1/0" among them, also come on their own.
+text = st.text(alphabet="MNAB',~p1n2/-0 e", max_size=5)
+scalar_literals = st.sampled_from(("0", "-1", "2/3", "1/0", "-0/0", "1e3", " 5 "))
+json_values = scalar_literals | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | text | scalar_literals,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | text, children, max_size=5),
+    max_leaves=16)
+
+
+# One valid input per decoder; the fuzz also swaps each of its fields for the
+# drawn value.
+TEMPLATES = {
+    "dim1": {"dim": 1, "boundary": {"pos": ["p1"], "neg": ["n1"]},
+             "matching": {"p1": "n1"}, "closed_circles": 0},
+    "dim2": {"dim": 2, "boundary_circles": 1,
+             "parts": [{"circles": [0], "genus": 0}], "closed": []},
+    "monomial": {"exponents": {"p": 1}},
+    "table": GOOD_TABLE,
+}
+
+
+@given(json_values)
+@settings(max_examples=150, deadline=None)
+def test_every_decoder_returns_or_raises_value_error(data):
+    decoders = dict(DECODERS, table=GluingTable.from_json, scalar=Scalar.from_json)
+    for name, decode in decoders.items():
+        template = TEMPLATES.get(name, {})
+        inputs = [data] + [dict(template, **{field: data}) for field in template]
+        calls = [functools.partial(decode, value) for value in inputs]
+        if name in DECODERS:
+            terms = [data] + [[{"basis": value, "coeff": {"re": data, "im": "0"}}]
+                              for value in inputs]
+            calls += [functools.partial(FormalSum.from_json, t, decode) for t in terms]
+        for call in calls:
+            try:
+                call()
+            except ValueError:
+                pass
 
 
 def test_null_search_fourdim_finds_the_vector(tmp_path):

@@ -3,12 +3,13 @@
 import itertools
 
 import pytest
+from oracles import arc_walk_circles
 
 from umpair import engine
 from umpair.algebra import UniverseMismatchError
 from umpair.dim1 import (Boundary0, Bounded1Manifold, Closed1Manifold,
-                         Dim1Theory, arc_walk_circles, complexity1, enumerate1,
-                         glue1, points_to_monomial0, standard_boundary,
+                         Dim1Theory, complexity1, enumerate1, glue1,
+                         points_to_monomial0, standard_boundary,
                          zero_dim_involution)
 from umpair.monomial import Monomial, mono_conj
 

@@ -33,6 +33,11 @@ def vec(theory_basis, *coeffs):
     return FormalSum(zip(theory_basis, coeffs))
 
 
+def _dim1_case(j, max_closed):
+    boundary = standard_boundary(j)
+    return Dim1Theory(boundary), enumerate1(boundary, max_closed)
+
+
 def test_pair_single_term_squares_the_coefficient_norm():
     m = BASIS2[0]
     x = FormalSum.single(m, I)
@@ -140,17 +145,6 @@ def test_verify_lemma_reports_fourdim_violation():
     assert violation.off_complexity == 0
 
 
-def test_verify_lemma_parallel_matches_serial(monkeypatch):
-    monkeypatch.setattr(engine, "_PARALLEL_MIN_BASIS", 1)
-    boundary = standard_boundary(4)
-    basis = enumerate1(boundary, 1)
-    theory = Dim1Theory(boundary)
-    serial = engine.verify_lemma(basis, theory, jobs=1)
-    parallel = engine.verify_lemma(basis, theory, jobs=2)
-    assert serial == parallel
-    assert parallel.passed and parallel.basis_size == 48
-
-
 def test_certificate_for_a_singleton_support():
     m = BASIS2[0]
     cert = engine.certify_positive(FormalSum.single(m, Scalar(2, 1)), D1)
@@ -219,6 +213,59 @@ def test_certificates_are_sound_under_fuzzing():
     _fuzz_certificates(rng, enumerate2(2, 2, 1), Dim2Theory(2), 120)
     _fuzz_certificates(rng, enumerate_monomials(KNOT.alphabet, 3),
                        MonomialTheory(KNOT), 120)
+
+
+SWAP12 = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
+TABLE_CASES = {
+    **{f"dim1-j{j}": _dim1_case(j, 1) for j in range(4)},
+    "dim2-221": (Dim2Theory(2), enumerate2(2, 2, 1)),
+    "knot-3": (MonomialTheory(KNOT), enumerate_monomials(KNOT.alphabet, 3)),
+    "swap12-3": (MonomialTheory(SWAP12), enumerate_monomials(SWAP12.alphabet, 3)),
+    "mazur": (FOURD, list(MAZUR.labels)),
+    "scob2": (FourDimTheory(build_scob_table(2)), ["M", "M'"]),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_glue_table_agrees_with_glue_and_complexity(case):
+    theory, basis = TABLE_CASES[case]
+    table = engine.GramTensor(basis, theory)
+    assert table.ids.shape == (len(basis), len(basis))
+    assert len(set(table.forms)) == len(table.forms)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            assert table.forms[table.ids[i, j]] == theory.glue(a, b)
+    values = [theory.complexity(c) for c in table.forms]
+    for f, u in enumerate(values):
+        for g, v in enumerate(values):
+            assert (table.ranks[f] < table.ranks[g], table.ranks[f] == table.ranks[g]) \
+                == (u < v, u == v)
+
+
+def test_glue_table_widens_its_ids_past_256_forms():
+    sigma = Involution(("p1", "p2", "p3", "p4"), swaps=(("p1", "p2"),))
+    theory = MonomialTheory(sigma)
+    basis = enumerate_monomials(sigma.alphabet, 6)
+    table = engine.GramTensor(basis, theory)
+    assert len(table.forms) == 1820 and table.ids.dtype == np.uint16
+    for i in range(0, len(basis), 7):
+        for j in range(len(basis)):
+            assert table.forms[table.ids[i, j]] == theory.glue(basis[i], basis[j])
+
+
+def test_dense_ranks_need_only_an_order():
+    class Opaque:  # ordered but not hashable
+        __hash__ = None
+
+        def __init__(self, v):
+            self.v = v
+
+        def __lt__(self, other):
+            return self.v < other.v
+
+    ranks = engine.dense_ranks([Opaque(v) for v in (5, 1, 5, 3, 1)])
+    assert ranks.tolist() == [2, 0, 2, 1, 0]
+    assert engine.dense_ranks([]).tolist() == []
 
 
 def test_gram_tensor_dim1():
@@ -318,11 +365,6 @@ def test_gaussian_grid_contents():
     assert ZERO in grid and ONE in grid
     assert Scalar(1, 1) in grid and Scalar(2, 0) in grid
     assert Scalar(2, 1) not in grid
-
-
-def _dim1_case(j, max_closed):
-    boundary = standard_boundary(j)
-    return Dim1Theory(boundary), enumerate1(boundary, max_closed)
 
 
 NULL_CASES = {

@@ -7,12 +7,12 @@ import pytest
 
 from umpair import engine
 from umpair.algebra import FormalSum, I
-from umpair.monomial import (Involution, Monomial, MonomialComplexity,
-                             MonomialTheory, UNIT, complexity_mono,
-                             enumerate_monomials, manifold3_to_monomial,
-                             mono_conj, pair_poly)
+from umpair.monomial import (Involution, Monomial, MonomialTheory, UNIT,
+                             complexity_mono, enumerate_monomials,
+                             manifold3_to_monomial, mono_conj, pair_poly)
 
-from oracles import as_raw, convolution_oracle, random_poly, raw_terms
+from oracles import (MonomialComplexity, as_raw, convolution_oracle,
+                     random_poly, raw_terms)
 
 SWAP12 = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
 KNOT = Involution(("T", "T~"), swaps=(("T", "T~"),))
@@ -80,25 +80,22 @@ def test_pair_poly_conjugates_the_second_slot():
 
 
 def test_complexity_examples():
-    assert complexity_mono(mono(p1=2, p2=1, p3=4), SWAP12).pairs == ((4, 0), (3, 1))
-    assert complexity_mono(UNIT, SWAP12).pairs == ()
+    assert complexity_mono(mono(p1=2, p2=1, p3=4), SWAP12) == ((4, 0), (3, 1))
+    assert complexity_mono(UNIT, SWAP12) == ()
     diag = complexity_mono(mono(T=2, **{"T~": 2}), KNOT)
     off = complexity_mono(mono(T=3, **{"T~": 1}), KNOT)
-    assert diag.pairs == ((4, 2),) and off.pairs == ((4, 1),)
+    assert diag == ((4, 2),) and off == ((4, 1),)
     assert off < diag
 
 
-def test_complexity_comparison_pads_with_zero_pairs():
-    a = MonomialComplexity(((2, 1),))
-    b = MonomialComplexity(((2, 1), (1, 0)))
-    assert a < b
-    assert MonomialComplexity(()) == MonomialComplexity(())
-    with pytest.raises(ValueError):
-        MonomialComplexity(((0, 0),))
-    with pytest.raises(ValueError):
-        MonomialComplexity(((1, 2),))
-    with pytest.raises(ValueError):
-        MonomialComplexity(((1, 0), (2, 0)))   # not descending
+@pytest.mark.parametrize("swaps", [(), (("p1", "p2"),), (("p1", "p2"), ("p3", "p4"))])
+def test_plain_tuple_order_matches_the_padded_order(swaps):
+    sigma = Involution(("p1", "p2", "p3", "p4"), swaps=swaps)
+    values = [complexity_mono(m, sigma) for m in enumerate_monomials(sigma.alphabet, 4)]
+    padded = [MonomialComplexity(v) for v in values]
+    for a, pa in zip(values, padded):
+        for b, pb in zip(values, padded):
+            assert (a < b, a == b) == (pa < pb, pa == pb)
 
 
 def test_complexity_order_is_total_and_transitive():
