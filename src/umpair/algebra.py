@@ -15,6 +15,7 @@ are independent of how a sum was assembled.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
@@ -22,6 +23,9 @@ from typing import Any, Callable, Iterable, Iterator
 
 class UniverseMismatchError(ValueError):
     """Operands live over incompatible descriptor universes."""
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,14 @@ class Scalar:
         if not isinstance(data, dict) or set(data) != {"re", "im"}:
             raise ValueError(f"malformed scalar {data!r}, expected {{'re':..., 'im':...}}")
         # A JSON float is a binary approximation and a bool is not a number;
-        # only exact forms (rational strings, integers) are accepted.
+        # only exact forms are accepted: integers and "p" or "p/q" strings.
+        # Fraction alone would also take "1e400000" and compute 10**400000.
         for part in (data["re"], data["im"]):
-            if isinstance(part, bool) or not isinstance(part, (str, int)):
-                raise ValueError(f"scalar part {part!r} must be a rational string or an integer")
+            exact = (isinstance(part, int) and not isinstance(part, bool)
+                     or isinstance(part, str) and _RATIONAL.fullmatch(part) is not None)
+            if not exact:
+                raise ValueError(f"scalar part {part!r} must be a 'p' or 'p/q' string "
+                                 "or an integer")
         try:
             return cls(Fraction(data["re"]), Fraction(data["im"]))
         except ZeroDivisionError:

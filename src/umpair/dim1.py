@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from .algebra import UniverseMismatchError, canonical_key, json_int, json_list
-from .engine import GluingTheory
+from .engine import GluingTheory, table_from_codes
 from .monomial import Involution, Monomial
 
 
@@ -146,6 +148,7 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
     Circles of the glued manifold correspond to cycles of the permutation
     (m's matching composed with the inverse of n's matching) on the positive
     points; cycles are counted by explicit visited-marking traversal.
+    ``Dim1Theory.glue_table`` counts the same cycles for a whole basis.
     """
     if m.boundary != n.boundary:
         raise UniverseMismatchError(
@@ -153,6 +156,11 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
     pos_index = {p: i for i, p in enumerate(m.boundary.pos)}
     through_n = {neg: pos_index[p] for p, neg in n.matching}
     perm = [through_n[neg] for neg in m.targets]
+    return Closed1Manifold(_cycles(perm) + m.closed_circles + n.closed_circles)
+
+
+def _cycles(perm: Sequence[int]) -> int:
+    """Cycle count of a permutation of range(len(perm))."""
     visited = [False] * len(perm)
     cycles = 0
     for start in range(len(perm)):
@@ -163,7 +171,7 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
         while not visited[k]:
             visited[k] = True
             k = perm[k]
-    return Closed1Manifold(cycles + m.closed_circles + n.closed_circles)
+    return cycles
 
 
 def complexity1(c: Closed1Manifold) -> int:
@@ -204,6 +212,48 @@ class Dim1Theory(GluingTheory):
     def reverse(self, closed: Closed1Manifold) -> Closed1Manifold:
         # An oriented circle is diffeomorphic to its reversal.
         return closed
+
+    def glue_table(self, basis: Sequence[Bounded1Manifold]
+                   ) -> tuple[tuple[Closed1Manifold, ...], np.ndarray]:
+        """The glue table through permutation codes, one chunk of rows at a time.
+
+        With inv[r, v] the positive point that basis[r] matches to negative
+        point v, and W[r, v] = j**inv[r, v], (W @ inv.T)[r, s] is the
+        mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
+        cycles ``glue1`` counts.  Cycles are counted once per distinct code
+        and found again by binary search.  Codes and circle counts are int64
+        while they fit, else Python ints.
+        """
+        j, n = len(self.boundary.pos), len(basis)
+        limit = np.iinfo(np.int64).max
+        closed = [b.closed_circles for b in basis]
+        carried = np.array(closed, dtype=np.int64 if 2 * max(closed, default=0) + j <= limit
+                           else object)
+        neg = {label: v for v, label in enumerate(self.boundary.neg)}
+        inv = np.empty((n, j), dtype=np.int64 if j ** j <= limit else object)
+        for r, b in enumerate(basis):
+            inv[r, [neg[t] for t in b.targets]] = range(j)
+        weights = j ** inv
+        # Codes met so far, sorted, and their cycle counts; the identity's
+        # (on every diagonal) keeps the lookup array from ever being empty.
+        known = np.array([sum(k * j ** k for k in range(j))], dtype=inv.dtype)
+        cycles = np.array([j], dtype=np.int64)
+
+        def circles(lo: int, hi: int) -> np.ndarray:
+            nonlocal known, cycles
+            codes, slot = np.unique(weights[lo:hi] @ inv.T, return_inverse=True)
+            at = np.searchsorted(known, codes)
+            new = codes[np.take(known, at, mode="clip") != codes]
+            if len(new):
+                counts = [_cycles([code // j ** k % j for k in range(j)]) for code in new.tolist()]
+                order = np.argsort(np.concatenate((known, new)), kind="stable")
+                known = np.concatenate((known, new))[order]
+                cycles = np.concatenate((cycles, counts))[order]
+                at = np.searchsorted(known, codes)
+            pairs = cycles[at[slot]].reshape(hi - lo, n) + carried[lo:hi, None] + carried
+            return pairs.reshape(-1)
+
+        return table_from_codes(n, circles, Closed1Manifold)
 
     def complexity(self, closed: Closed1Manifold) -> int:
         return complexity1(closed)

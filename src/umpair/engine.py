@@ -26,7 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,12 @@ class GluingTheory(ABC):
     equal exactly when they are the same closed form; ``reverse`` is an
     involution; gluing is conjugate symmetric, glue(b, a) == reverse(glue(a, b));
     and complexity values are totally ordered by ``<``.
+
+    ``glue_table`` builds the glue table of a whole basis.  The default
+    glues the pairs i <= j and fills the pairs i > j by conjugate symmetry.
+    A theory may override it with a faster kernel, which must equal
+    ``glue`` on every ordered pair, list each closed form once and give its
+    ids the narrowest unsigned dtype that holds the form count.
     """
 
     name: str = "theory"
@@ -59,6 +65,27 @@ class GluingTheory(ABC):
 
     def validate_basis(self, descriptor: Any) -> None:
         """Raise ValueError if ``descriptor`` is not in this theory's universe."""
+
+    def glue_table(self, basis: Sequence[Any]) -> tuple[tuple[Any, ...], np.ndarray]:
+        """(forms, ids): the distinct closed forms of the basis pairs, and the
+        n x n matrix whose (i, j) entry indexes glue(basis[i], basis[j]) in them.
+
+        Glues the pairs i <= j; the pairs i > j take one ``reverse`` call per
+        distinct form of that half.
+        """
+        n = len(basis)
+        index: dict[Any, int] = {}
+        ids = np.zeros((n, n), dtype=np.uint8)
+        for i, a in enumerate(basis):
+            row = [index.setdefault(self.glue(a, b), len(index)) for b in basis[i:]]
+            ids = _fit_ids(ids, len(index))
+            ids[i, i:] = row
+        back = [index.setdefault(self.reverse(c), len(index)) for c in list(index)]
+        ids = _fit_ids(ids, len(index))
+        back = np.array(back, dtype=ids.dtype)
+        for i in range(n):
+            ids[i + 1:, i] = back[ids[i, i + 1:]]
+        return tuple(index), ids
 
 
 def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
@@ -93,29 +120,16 @@ class GramTensor:
     form c is ``ids == forms.index(c)``.  ``ranks[f]`` is the dense
     complexity rank of forms[f]: integer order of ranks is complexity order.
 
-    Only the pairs i <= j are glued; the pairs i > j follow from conjugate
-    symmetry, with one ``reverse`` call per distinct form of the i <= j half.
-    ``ids`` has the narrowest unsigned dtype the form count allows, and
-    complexity values are not kept beyond their ranks.
+    ``forms`` and ``ids`` come from the theory's ``glue_table``; ``ids`` has
+    the narrowest unsigned dtype the form count allows, and complexity values
+    are not kept beyond their ranks.
     """
 
     def __init__(self, basis: Sequence[Any], theory: GluingTheory):
         for d in basis:
             theory.validate_basis(d)
         self.basis = tuple(basis)
-        n = len(self.basis)
-        index: dict[Any, int] = {}
-        ids = np.zeros((n, n), dtype=np.uint8)
-        for i, a in enumerate(self.basis):
-            row = [index.setdefault(theory.glue(a, b), len(index)) for b in self.basis[i:]]
-            ids = _fit_ids(ids, len(index))
-            ids[i, i:] = row
-        back = [index.setdefault(theory.reverse(c), len(index)) for c in list(index)]
-        self.forms = tuple(index)
-        self.ids = _fit_ids(ids, len(self.forms))
-        back = np.array(back, dtype=self.ids.dtype)
-        for i in range(n):
-            self.ids[i + 1:, i] = back[self.ids[i, i + 1:]]
+        self.forms, self.ids = theory.glue_table(self.basis)
         self.ranks = dense_ranks([theory.complexity(c) for c in self.forms])
 
     def matrix(self, closed: Any) -> list[list[int]]:
@@ -143,19 +157,59 @@ def _fit_ids(ids: np.ndarray, count: int) -> np.ndarray:
     return ids.astype(np.min_scalar_type(count - 1))
 
 
+# Cells per chunk of rows in the table kernels and the dominance check:
+# their temporaries stay within a few hundred kB whatever the basis size.
+_CHUNK = 1 << 12
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows of an n-column table per chunk."""
+    return max(1, _CHUNK // max(1, n))
+
+
+def table_from_codes(n: int, codes: Callable[[int, int], np.ndarray],
+                     form: Callable[[int], Any]) -> tuple[tuple[Any, ...], np.ndarray]:
+    """A ``glue_table`` result from closed forms coded as integers.
+
+    ``codes(lo, hi)`` gives the code of each pair of a basis row lo..hi-1
+    with a column, in row-major order, as int64 or, past int64, Python ints
+    (dtype object); codes are equal exactly when their closed forms are,
+    and ``form`` decodes one.  Only one chunk of rows is held at a time.
+    """
+    index: dict[int, int] = {}
+    ids = np.zeros((n, n), dtype=np.uint8)
+    step = _chunk_rows(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        distinct, inverse = np.unique(codes(lo, hi), return_inverse=True)
+        slots = [index.setdefault(code, len(index)) for code in distinct.tolist()]
+        ids = _fit_ids(ids, len(index))
+        np.take(np.array(slots, dtype=ids.dtype), inverse.reshape(-1),
+                out=ids[lo:hi].reshape(-1))
+    return tuple(form(code) for code in index), ids
+
+
 def gram_tensor(basis: Sequence[Any], theory: GluingTheory) -> GramTensor:
     return GramTensor(basis, theory)
 
 
 def _dominance_failures(table: GramTensor) -> Iterator[tuple[int, int]]:
     """The pairs i < j, row by row, whose off-diagonal gluing is not strictly
-    less complex than the larger of their two diagonal gluings."""
-    ranks = table.ranks.tolist()
-    diag = [ranks[f] for f in table.ids.diagonal().tolist()]
-    for i, left in enumerate(diag):
-        for j, f in enumerate(table.ids[i, i + 1:].tolist(), i + 1):
-            if ranks[f] >= max(left, diag[j]):
-                yield i, j
+    less complex than the larger of their two diagonal gluings.
+
+    Compared one chunk of rows at a time and yielded lazily, so the first
+    failure costs no more than the chunk it is in.
+    """
+    n = len(table.basis)
+    diag = table.ranks[table.ids.diagonal()]
+    cols = np.arange(n)
+    step = _chunk_rows(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        off = table.ranks[table.ids[lo:hi]]
+        failed = (off >= np.maximum(diag[lo:hi, None], diag)) & (cols > cols[lo:hi, None])
+        for i, j in np.argwhere(failed).tolist():
+            yield lo + i, j
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .algebra import FormalSum, UniverseMismatchError, json_int
-from .engine import GluingTheory, pair
+from .engine import GluingTheory, pair, table_from_codes
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,36 @@ class MonomialTheory(GluingTheory):
 
     def reverse(self, closed: Monomial) -> Monomial:
         return mono_conj(closed, self.involution)
+
+    def glue_table(self, basis: Sequence[Monomial]
+                   ) -> tuple[tuple[Monomial, ...], np.ndarray]:
+        """The glue table through packed exponent vectors, one chunk of rows at a time.
+
+        A monomial is packed as the integer whose digits, base 2m + 1 for m
+        the largest basis exponent, are its exponents in alphabet order.
+        Packing is linear and no glued exponent reaches the base, so
+        glue(a, b) = a * conj(b) packs to pack(a) + pack(conj(b)).  Codes are
+        int64 while they fit, else Python ints.
+        """
+        letters = self.involution.alphabet
+        base = 2 * max((e for m in basis for _, e in m.exponents), default=0) + 1
+        place = {p: base ** k for k, p in enumerate(letters)}
+        dtype = np.int64 if base ** len(letters) <= np.iinfo(np.int64).max else object
+        left = np.array([sum(e * place[p] for p, e in m.exponents) for m in basis], dtype=dtype)
+        right = np.array([sum(e * place[self.involution.apply(p)] for p, e in m.exponents)
+                          for m in basis], dtype=dtype)
+
+        def codes(lo: int, hi: int) -> np.ndarray:
+            return (left[lo:hi, None] + right).reshape(-1)
+
+        def form(code: int) -> Monomial:
+            exponents = []
+            for p in letters:
+                code, e = divmod(code, base)
+                exponents.append((p, e))
+            return Monomial(tuple(exponents))
+
+        return table_from_codes(len(basis), codes, form)
 
     def complexity(self, closed: Monomial) -> tuple[tuple[int, int], ...]:
         return complexity_mono(closed, self.involution)

@@ -88,6 +88,18 @@ def test_scalar_json_accepts_only_strings_and_ints(data):
     assert Scalar.from_json({"re": "-3/6", "im": 2}) == Scalar(Fraction(-1, 2), 2)
 
 
+@pytest.mark.parametrize("text", [
+    "1e400000", "1.5", " 5 ", "1_000", "\u0663", "0x10", "inf", "nan", "1/2/3",
+    "", "+", "3/-4", "-/2", "1 /2",
+])
+def test_scalar_json_accepts_only_integer_and_fraction_strings(text):
+    with pytest.raises(ValueError, match="scalar part"):
+        Scalar.from_json({"re": text, "im": "0"})
+    for good, value in (("+2", 2), ("-7", -7), ("0042", 42), ("-3/4", Fraction(-3, 4)),
+                        ("10/5", 2)):
+        assert Scalar.from_json({"re": "0", "im": good}) == Scalar(0, value)
+
+
 def test_sum_combine_examples():
     m = FormalSum.single("M", Scalar(1, 1))
     m2 = FormalSum.single("M", Scalar(1, -1))

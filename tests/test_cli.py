@@ -4,11 +4,13 @@ import functools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umpair import engine
 from umpair.algebra import FormalSum, Scalar
 from umpair.cli import DECODERS, main
 from umpair.dim1 import enumerate1, standard_boundary
@@ -145,10 +147,14 @@ def test_certify_zero_vector_exits_1(tmp_path, capsys):
 
 def test_certify_rejects_float_and_bool_coefficients(tmp_path, capsys):
     basis = enumerate1(standard_boundary(2), 0)
-    for coeff in ({"re": 0.1, "im": "0"}, {"re": "1", "im": True}):
+    # Exponent notation is refused before Fraction would expand 10**4000000.
+    for coeff in ({"re": 0.1, "im": "0"}, {"re": "1", "im": True},
+                  {"re": "1e4000000", "im": "0"}):
         x = write_json(tmp_path / "x.json",
                        [{"basis": basis[0].to_json(), "coeff": coeff}])
+        start = time.perf_counter()
         assert main(["certify", "--theory", "dim1", "--x", x]) == 1
+        assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error: scalar part")
 
 
@@ -325,16 +331,27 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_parallel_runs_produce_identical_reports(tmp_path):
-    # 72 basis elements crosses the process-pool threshold, so --jobs 2
-    # really forks workers; the merged report must not depend on it.
+def test_parallel_runs_produce_identical_reports(tmp_path, monkeypatch):
+    # With the threshold at 1 every null-search grid goes to the pool, so
+    # --jobs 2 really starts workers; the search must not depend on it.
+    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+    for argv, status in ((["--theory", "fourdim", "--table", "mazur"], "found"),
+                         (["--theory", "dim1", "--j", "2"], "none")):
+        searches = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"search{jobs}.json"
+            assert main(["null-search", *argv, "--coeff-grid", "pm1",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            searches.append(load(out)["search"])
+        assert searches[0] == searches[1]
+        assert searches[0]["status"] == status
+    # verify-lemma runs in one process: --jobs 2 is accepted and ignored.
     serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
     argv = ["verify-lemma", "--theory", "dim1", "--j", "4", "--max-closed", "2"]
     assert main(argv + ["--jobs", "1", "--out", str(serial)]) == 0
     assert main(argv + ["--jobs", "2", "--out", str(parallel)]) == 0
-    serial_doc, parallel_doc = load(serial), load(parallel)
-    assert serial_doc["report"] == parallel_doc["report"]
-    assert serial_doc["report"]["basis_size"] == 72
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert load(serial)["report"]["basis_size"] == 72
 
 
 def test_console_entry_point_runs_in_a_subprocess(tmp_path):

@@ -111,6 +111,16 @@ def test_complexity_dominance_holds_exhaustively(j, max_closed):
     assert report.pairs_checked == len(basis) * (len(basis) - 1) // 2
 
 
+@pytest.mark.slow
+def test_dim1_positivity_j7():
+    # 5,040 matchings and 12.7M pairs through the permutation-code kernel.
+    boundary = standard_boundary(7)
+    report = engine.verify_lemma(enumerate1(boundary, 0), Dim1Theory(boundary))
+    assert report.passed
+    assert report.basis_size == 5040
+    assert report.pairs_checked == 5040 * 5039 // 2
+
+
 def test_points_encoding():
     assert points_to_monomial0(2, 1) == Monomial.from_dict({"u": 2, "v": 1})
     assert points_to_monomial0(0, 0) == Monomial()

@@ -12,11 +12,11 @@ from oracles import fraction_null_search
 
 from umpair import engine
 from umpair.algebra import FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO
-from umpair.dim1 import Dim1Theory, enumerate1, standard_boundary
+from umpair.dim1 import Bounded1Manifold, Dim1Theory, enumerate1, standard_boundary
 from umpair.dim2 import Bounded2Manifold, Dim2Theory, enumerate2
 from umpair.fourdim import (FourDimTheory, _constant_table, build_mazur_table,
                             build_scob_table)
-from umpair.monomial import Involution, MonomialTheory, enumerate_monomials
+from umpair.monomial import Involution, Monomial, MonomialTheory, enumerate_monomials
 
 B2 = standard_boundary(2)
 D1 = Dim1Theory(B2)
@@ -216,6 +216,24 @@ def test_certificates_are_sound_under_fuzzing():
 
 
 SWAP12 = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
+LETTERS41 = Involution(tuple(f"q{k}" for k in range(41)),
+                       swaps=(("q0", "q1"), ("q2", "q3")))
+B16 = standard_boundary(16)
+
+
+def _shapes(letters):
+    """The three involution shapes on four letters: none, one and two swaps."""
+    a, b, c, d = letters
+    return {"fixed": Involution(letters), "swap12": Involution(letters, swaps=((a, b),)),
+            "swap12-34": Involution(letters, swaps=((a, b), (c, d)))}
+
+
+def _matching(boundary, perm, closed=0):
+    """The bounded 1-manifold sending pos[k] to neg[perm[k]]."""
+    return Bounded1Manifold(boundary, tuple((p, boundary.neg[k])
+                                            for p, k in zip(boundary.pos, perm)), closed)
+
+
 TABLE_CASES = {
     **{f"dim1-j{j}": _dim1_case(j, 1) for j in range(4)},
     "dim2-221": (Dim2Theory(2), enumerate2(2, 2, 1)),
@@ -223,7 +241,38 @@ TABLE_CASES = {
     "swap12-3": (MonomialTheory(SWAP12), enumerate_monomials(SWAP12.alphabet, 3)),
     "mazur": (FOURD, list(MAZUR.labels)),
     "scob2": (FourDimTheory(build_scob_table(2)), ["M", "M'"]),
+    **{f"dim1-j{j}-mc{mc}": _dim1_case(j, mc) for j, mc in ((0, 0), (5, 0), (3, 2))},
+    **{f"p1-p4-degree4-{shape}": (MonomialTheory(sigma),
+                                  enumerate_monomials(sigma.alphabet, 4))
+       for shape, sigma in _shapes(("p1", "p2", "p3", "p4")).items()},
+    # Packed codes of 41 letters reach 3**41 > 2**63, so they are Python ints.
+    "letters41-degree1": (MonomialTheory(LETTERS41),
+                          enumerate_monomials(LETTERS41.alphabet, 1)),
+    "empty-dim1": (D1, []),
+    "empty-monomial": (MonomialTheory(KNOT), []),
+    # j**j > 2**63 at j = 16, so the codes are Python ints.
+    "dim1-j16": (Dim1Theory(B16), [_matching(B16, p) for p in (
+        range(16), range(15, -1, -1), [*range(1, 16), 0],
+        random.Random(16).sample(range(16), 16))]),
+    # Circle counts and packed exponents past int64 are Python ints too.
+    "dim1-huge-closed": (D1, [_matching(B2, [0, 1], 2**62), _matching(B2, [1, 0], 2**63)]),
+    "monomial-huge": (MonomialTheory(KNOT), [Monomial.from_dict({"T": 2**63}),
+                                             Monomial.from_dict({"T~": 1})]),
 }
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_glue_table_agrees_with_the_default(case):
+    """Every theory's glue_table against the base-class loop, the reference."""
+    theory, basis = TABLE_CASES[case]
+    forms, ids = theory.glue_table(tuple(basis))
+    ref_forms, ref_ids = engine.GluingTheory.glue_table(theory, tuple(basis))
+    assert len(set(forms)) == len(forms)
+    assert set(forms) == set(ref_forms)
+    assert ids.dtype == ref_ids.dtype and ids.shape == ref_ids.shape
+    position = {form: k for k, form in enumerate(forms)}
+    relabel = np.array([position[form] for form in ref_forms], dtype=np.intp)
+    assert (ids == relabel[ref_ids]).all()
 
 
 @pytest.mark.parametrize("case", TABLE_CASES)
@@ -266,6 +315,19 @@ def test_dense_ranks_need_only_an_order():
     ranks = engine.dense_ranks([Opaque(v) for v in (5, 1, 5, 3, 1)])
     assert ranks.tolist() == [2, 0, 2, 1, 0]
     assert engine.dense_ranks([]).tolist() == []
+
+
+def test_dominance_failures_match_a_pairwise_loop(monkeypatch):
+    # Parity of the circle count fails about half the pairs; 120 rows span
+    # several chunks of the numpy comparison.
+    monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
+    theory, basis = _dim1_case(5, 0)
+    table = engine.GramTensor(basis, theory)
+    rank = table.ranks[table.ids].tolist()
+    expected = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
+                if rank[i][j] >= max(rank[i][i], rank[j][j])]
+    assert len(basis) > engine._chunk_rows(len(basis))
+    assert expected and list(engine._dominance_failures(table)) == expected
 
 
 def test_gram_tensor_dim1():
