@@ -208,6 +208,10 @@ class FormalSum:
     def support(self) -> tuple[Any, ...]:
         return tuple(d for d, _ in self._terms.values())
 
+    def keys(self) -> tuple[str, ...]:
+        """Canonical keys of the support, in ``support()`` order."""
+        return tuple(self._terms)
+
     def coefficient(self, descriptor: Any) -> Scalar:
         entry = self._terms.get(canonical_key(descriptor))
         return ZERO if entry is None else entry[1]

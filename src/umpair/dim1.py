@@ -93,9 +93,6 @@ class Bounded1Manifold:
         """Matched negative labels, aligned with boundary.pos."""
         return tuple(n for _, n in self.matching)
 
-    def matching_dict(self) -> dict[str, str]:
-        return dict(self.matching)
-
     def universe_key(self) -> str:
         return canonical_key(self.boundary)
 

@@ -426,9 +426,12 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
 
     rows = max(1, _CHUNK // nb)
     row_chunks = [(a0, min(a0 + rows, nb)) for a0 in range(0, nb, rows)]
+    # return_counts keeps np.unique on its sorting path; the values-only path
+    # imports numpy.ma, about 3 MB more in a fresh process.
     triples = np.unique(np.concatenate([
-        np.unique(codes[upper])
-        for codes, upper in (triple_codes(a0, a1) for a0, a1 in row_chunks)]))
+        np.unique(codes[upper], return_counts=True)[0]
+        for codes, upper in (triple_codes(a0, a1) for a0, a1 in row_chunks)]),
+        return_counts=True)[0]
     step = max(1, _CHUNK // (nk * nk))
     bad_triples = [triples[:0]]
     for t0 in range(0, len(triples), step):

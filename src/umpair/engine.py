@@ -89,14 +89,38 @@ class GluingTheory(ABC):
 
 
 def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
-    """The sesquilinear pairing of x and y, as a formal sum of closed forms."""
-    for d in (*x.support(), *y.support()):
+    """<x, y> as a formal sum of closed forms, read off the glue table of both
+    supports (validated first) and summed exactly by ``_hermitian``."""
+    union = dict(zip(x.keys(), x.support())) | dict(zip(y.keys(), y.support()))
+    for d in union.values():
         theory.validate_basis(d)
-    terms = []
-    for a, ca in x.items():
-        for b, cb in y.items():
-            terms.append((theory.glue(a, b), ca * cb.conj()))
-    return FormalSum(terms)
+    forms, ids = theory.glue_table(tuple(union.values()))
+    slot = {key: i for i, key in enumerate(union)}
+    ids = ids[np.ix_([slot[k] for k in x.keys()], [slot[k] for k in y.keys()])]
+    return _hermitian(forms, ids, [c for _, c in x.items()], [c for _, c in y.items()])
+
+
+def _gaussian_integers(scalars: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
+    """(L, re, im): L the LCM of all denominators, re and im the parts times L."""
+    scale = math.lcm(*(part.denominator for c in scalars for part in (c.re, c.im)))
+    return (scale, [c.re.numerator * (scale // c.re.denominator) for c in scalars],
+            [c.im.numerator * (scale // c.im.denominator) for c in scalars])
+
+
+def _hermitian(forms: Sequence[Any], ids: np.ndarray, a: Sequence[Scalar],
+               b: Sequence[Scalar]) -> FormalSum:
+    """sum_ij a_i conj(b_j) [forms[ids[i, j]]] in Gaussian integers: with a_i =
+    (ar + ai i) / La, b_j = (br + bi i) / Lb, cell (i, j) adds ar*br + ai*bi and
+    ai*br - ar*bi to its form, and each nonzero total is divided by La*Lb."""
+    la, ar, ai = _gaussian_integers(a)
+    lb, br, bi = _gaussian_integers(b)
+    re, im = [0] * len(forms), [0] * len(forms)
+    for row, xr, xi in zip(ids.tolist(), ar, ai):
+        for f, yr, yi in zip(row, br, bi):
+            re[f] += xr * yr + xi * yi
+            im[f] += xi * yr - xr * yi
+    return FormalSum((c, Scalar(Fraction(r, la * lb), Fraction(i, la * lb)))
+                     for c, r, i in zip(forms, re, im) if r or i)
 
 
 def dense_ranks(values: Sequence[Any]) -> np.ndarray:
@@ -134,13 +158,6 @@ class GramTensor:
 
     def matrix(self, closed: Any) -> list[list[int]]:
         return (self.ids == self.forms.index(closed)).astype(int).tolist()
-
-    def hermitian_value(self, closed: Any, coeffs: Sequence[Scalar]) -> Scalar:
-        """sum_ij a_i * conj(a_j) * T^c[i][j], the <x,x> coefficient at c."""
-        total = ZERO
-        for i, j in np.argwhere(self.ids == self.forms.index(closed)).tolist():
-            total = total + coeffs[i] * coeffs[j].conj()
-        return total
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -317,9 +334,9 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     The diagonal-dominance hypothesis is checked on the support of x only.
     On success the certificate lists every closed form of maximal complexity
     among the diagonal gluings, with mass sum(|a_i|^2) over the coefficients
-    gluing to it; the masses are cross-checked against a direct computation
-    of <x, x>, and any disagreement raises (that would be a soundness defect,
-    not a property of the input).
+    gluing to it; the masses are cross-checked against <x, x>, summed on the
+    same table in Gaussian integers as ``pair`` sums, and any disagreement
+    raises (that would be a soundness defect, not a property of the input).
     """
     if x.is_zero():
         raise ValueError("cannot certify the zero vector")
@@ -330,7 +347,7 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     coeffs = [c for _, c in x.items()]
     diag = table.ids.diagonal().tolist()
     top = max(table.ranks[diag])
-    squared = pair(x, x, theory)
+    squared = _hermitian(table.forms, table.ids, coeffs, coeffs)
     certified = []
     for f in sorted({f for f in diag if table.ranks[f] == top},
                     key=lambda f: canonical_key(table.forms[f])):
@@ -473,8 +490,7 @@ def _null_kernel(basis: Sequence[Any], grid: tuple[Scalar, ...],
     most 2*m*m in size, m the largest scaled component.  Otherwise they are
     exact Python ints (dtype object) through the same code.
     """
-    scale = math.lcm(*(part.denominator for c in grid for part in (c.re, c.im)))
-    scaled = [(int(c.re * scale), int(c.im * scale)) for c in grid]
+    scaled = list(zip(*_gaussian_integers(grid)[1:]))
     table = GramTensor(basis, theory)
     groups = tuple(sorted((tuple(map(tuple, np.argwhere(table.ids == f).tolist()))
                            for f in range(len(table.forms))), key=len))

@@ -2,13 +2,16 @@
 
 The convolution oracle multiplies x * conj(y) with raw dicts and Fractions,
 sharing no code with FormalSum or the pairing engine, so the two routes can
-check each other.  The Fraction null search is the one-assignment-at-a-time
-reference for the engine's integer null-search kernel.  The Euler oracle
-recounts a surface gluing cell by cell, sharing no code with ``glue2``, and
-the arc walk recounts a 1-manifold gluing without the permutation route of
-``glue1``.  ``ComplexityTuple`` and ``MonomialComplexity`` are the padded
-comparators the dim2 and monomial complexities once used; the tests check
-that plain tuple order agrees with them.
+check each other.  The loop pairing glues every support pair with
+``theory.glue`` and sums in ``Scalar`` arithmetic, the reference for the
+engine's glue-table pairing.  The Fraction null search is the
+one-assignment-at-a-time reference for the engine's integer null-search
+kernel.  The Euler oracle recounts a surface gluing cell by cell, sharing
+no code with ``glue2``, and the arc walk recounts a 1-manifold gluing
+without the permutation route of ``glue1``.  ``ComplexityTuple`` and
+``MonomialComplexity`` are the padded comparators the dim2 and monomial
+complexities once used; the tests check that plain tuple order agrees with
+them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,17 @@ from umpair.dim1 import Bounded1Manifold
 from umpair.dim2 import Bounded2Manifold
 from umpair.engine import NullSearchResult
 from umpair.monomial import Monomial
+
+
+def loop_pair(x, y, theory):
+    """<x, y> term by term: one ``glue`` call and one Scalar product per pair."""
+    for d in (*x.support(), *y.support()):
+        theory.validate_basis(d)
+    terms = []
+    for a, ca in x.items():
+        for b, cb in y.items():
+            terms.append((theory.glue(a, b), ca * cb.conj()))
+    return FormalSum(terms)
 
 
 def convolution_oracle(x_terms, y_terms, sigma):

@@ -2,11 +2,15 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import ComplexityTuple, euler_oracle
 
+import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError
 from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory,
@@ -222,6 +226,19 @@ def test_unique_rows_agrees_with_numpy_when_packed_and_when_not():
         first, inverse = _unique_rows(rows)
         assert (rows[first][inverse] == rows).all()
         assert len(first) == len(np.unique(rows, axis=0))
+
+
+def test_grid_sweep_does_not_import_numpy_ma():
+    # np.unique's values-only path imports numpy.ma, about 3 MB of peak RSS
+    # in a fresh process; the sweep must not take it.
+    src = str(Path(umpair.__file__).resolve().parents[1])
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from umpair.dim2 import verify_lemma_grid; "
+              "assert verify_lemma_grid(2, 1, 1).passed; "
+              "print('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.slow

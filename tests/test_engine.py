@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
-from oracles import fraction_null_search
+from oracles import fraction_null_search, loop_pair
 
 from umpair import engine
 from umpair.algebra import FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO
@@ -363,10 +363,74 @@ def test_gram_reproduces_the_pairing():
     for _ in range(30):
         coeffs = [Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis]
         x = FormalSum(zip(basis, coeffs))
-        squared = engine.pair(x, x, theory)
+        squared = loop_pair(x, x, theory)
         for closed in gram.forms:
+            cells = np.argwhere(np.array(gram.matrix(closed)) == 1).tolist()
             assert squared.coefficient(closed) == \
-                gram.hermitian_value(closed, coeffs)
+                sum((coeffs[i] * coeffs[j].conj() for i, j in cells), ZERO)
+
+
+def _agreement_case(name):
+    """(theory, basis) of one theory for the pairing agreement tests."""
+    if name == "dim1":
+        boundary = standard_boundary(3)
+        return Dim1Theory(boundary), enumerate1(boundary, 1)
+    if name == "dim2":
+        return Dim2Theory(2), enumerate2(2, 1, 1)
+    if name == "monomial":
+        sigma = Involution(("p1", "p2", "p3", "p4"), swaps=(("p1", "p2"),))
+        return MonomialTheory(sigma), enumerate_monomials(sigma.alphabet, 3)
+    if name == "knot":
+        return MonomialTheory(KNOT), enumerate_monomials(KNOT.alphabet, 4)
+    table = MAZUR if name == "mazur" else build_scob_table(2)
+    return FourDimTheory(table), list(table.labels)
+
+
+def _gaussian_rational(rng, denominator):
+    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, denominator)),
+                  Fraction(rng.randint(-9, 9), rng.randint(1, denominator)))
+
+
+@pytest.mark.parametrize("name", ["dim1", "dim2", "monomial", "knot", "mazur", "scob"])
+def test_pair_agrees_with_the_loop_oracle(name):
+    theory, basis = _agreement_case(name)
+    rng = random.Random(f"pair-{name}")
+    zero = FormalSum.zero()
+    # Denominators past 2**64 make the scaled products hundreds of bits wide.
+    for denominator in (6, 2**64 + 13, 2**70):
+        for _ in range(8):
+            k = rng.randint(1, min(6, len(basis) // 2))
+            picked = rng.sample(basis, 2 * k)
+
+            def vector(support):
+                return FormalSum((d, _gaussian_rational(rng, denominator)) for d in support)
+
+            x, disjoint = vector(picked[:k]), vector(picked[k:])
+            overlap = vector(picked[k // 2:k + (k + 1) // 2])
+            assert not x.is_zero() and not disjoint.is_zero()
+            for left, right in ((x, x), (x, FormalSum(x.items())), (x, disjoint),
+                                (disjoint, x), (x, overlap), (overlap, x),
+                                (x, zero), (zero, x), (zero, zero)):
+                assert engine.pair(left, right, theory).to_json() == \
+                    loop_pair(left, right, theory).to_json()
+
+
+def test_pair_drops_forms_that_cancel():
+    two, one = D1.glue(BASIS2[0], BASIS2[0]), D1.glue(BASIS2[0], BASIS2[1])
+    # The one-circle terms are (1/3)(2i/5) + (2/3)(-i/5) = 0.
+    x = vec(BASIS2, Fraction(1, 3), Fraction(2, 3))
+    y = vec(BASIS2, Scalar(0, Fraction(1, 5)), Scalar(0, Fraction(-2, 5)))
+    for left, right in ((x, y), (y, x)):
+        result = engine.pair(left, right, D1)
+        assert result == loop_pair(left, right, D1)
+        assert result.coefficient(one) == ZERO and len(result) == 1
+    assert engine.pair(x, y, D1).coefficient(two) == Scalar(0, Fraction(1, 5))
+    assert engine.pair(vec(BASIS2, 1, 1), vec(BASIS2, 1, -1), D1).is_zero()
+    difference = FormalSum([("M", 1), ("M'", -1)])
+    other = FormalSum([("M", Scalar(2, 3)), ("M'", Fraction(1, 7))])
+    for left, right in ((difference, other), (other, difference)):
+        assert engine.pair(left, right, FOURD).is_zero()
+        assert loop_pair(left, right, FOURD).is_zero()
 
 
 def test_null_search_finds_the_fourdim_vector():
