@@ -30,13 +30,20 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 @dataclass(frozen=True)
 class Scalar:
-    """A Gaussian rational ``re + im*i`` with exact components."""
+    """A Gaussian rational ``re + im*i`` with exact components.
+
+    Parts of exact type ``Fraction`` are kept as given, since a Fraction is
+    always in lowest terms with a positive denominator; any other exact
+    rational (int, Decimal, a Fraction subclass) is converted by
+    ``Fraction()``.
+    """
 
     re: Fraction
     im: Fraction
 
     def __post_init__(self) -> None:
-        # Fraction() normalizes to lowest terms with a positive denominator.
+        if type(self.re) is Fraction and type(self.im) is Fraction:
+            return
         # Floats are rejected rather than converted: a binary float is almost
         # never the rational the caller meant, and exactness is the point.
         for part in (self.re, self.im):
@@ -97,14 +104,19 @@ class Scalar:
         # A JSON float is a binary approximation and a bool is not a number;
         # only exact forms are accepted: integers and "p" or "p/q" strings.
         # Fraction alone would also take "1e400000" and compute 10**400000.
+        # A string the pattern accepts is split at "/" and read by int().
+        parts = []
         for part in (data["re"], data["im"]):
-            exact = (isinstance(part, int) and not isinstance(part, bool)
-                     or isinstance(part, str) and _RATIONAL.fullmatch(part) is not None)
-            if not exact:
+            if isinstance(part, int) and not isinstance(part, bool):
+                parts.append((part, 1))
+            elif isinstance(part, str) and _RATIONAL.fullmatch(part) is not None:
+                num, _, den = part.partition("/")
+                parts.append((int(num), int(den) if den else 1))
+            else:
                 raise ValueError(f"scalar part {part!r} must be a 'p' or 'p/q' string "
                                  "or an integer")
         try:
-            return cls(Fraction(data["re"]), Fraction(data["im"]))
+            return cls(Fraction(*parts[0]), Fraction(*parts[1]))
         except ZeroDivisionError:
             raise ValueError(f"scalar {data!r} has a zero denominator") from None
 
@@ -157,10 +169,14 @@ def descriptor_to_json(descriptor: Any) -> Any:
     return to_json()
 
 
+# The encoder json.dumps(sort_keys=True, separators=(",", ":")) would build
+# afresh on every call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_key(descriptor: Any) -> str:
     """Canonical sort key: the serialized descriptor, lexicographically."""
-    return json.dumps(descriptor_to_json(descriptor), sort_keys=True,
-                      separators=(",", ":"))
+    return _KEY_ENCODER.encode(descriptor_to_json(descriptor))
 
 
 def _universe_signature(descriptor: Any) -> tuple[str, Any]:

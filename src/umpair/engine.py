@@ -40,7 +40,8 @@ class GluingTheory(ABC):
     The contract every theory keeps: closed descriptors are hashable and
     equal exactly when they are the same closed form; ``reverse`` is an
     involution; gluing is conjugate symmetric, glue(b, a) == reverse(glue(a, b));
-    and complexity values are totally ordered by ``<``.
+    complexity values are totally ordered by ``<``; and reversal keeps
+    complexity, complexity(reverse(c)) == complexity(c).
 
     ``glue_table`` builds the glue table of a whole basis.  The default
     glues the pairs i <= j and fills the pairs i > j by conjugate symmetry.
@@ -107,19 +108,28 @@ def _gaussian_integers(scalars: Sequence[Scalar]) -> tuple[int, list[int], list[
             [c.im.numerator * (scale // c.im.denominator) for c in scalars])
 
 
-def _hermitian(forms: Sequence[Any], ids: np.ndarray, a: Sequence[Scalar],
-               b: Sequence[Scalar]) -> FormalSum:
-    """sum_ij a_i conj(b_j) [forms[ids[i, j]]] in Gaussian integers: with a_i =
-    (ar + ai i) / La, b_j = (br + bi i) / Lb, cell (i, j) adds ar*br + ai*bi and
-    ai*br - ar*bi to its form, and each nonzero total is divided by La*Lb."""
+def _hermitian_sums(count: int, ids: np.ndarray, a: Sequence[Scalar],
+                    b: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
+    """(La*Lb, re, im): sum_ij a_i conj(b_j) [ids[i, j]] over ``count`` form
+    ids in Gaussian integers.  With a_i = (ar + ai i) / La and b_j = (br +
+    bi i) / Lb, cell (i, j) adds ar*br + ai*bi to re and ai*br - ar*bi to im
+    at its form id; form f's value is (re[f] + im[f] i) / (La*Lb)."""
     la, ar, ai = _gaussian_integers(a)
     lb, br, bi = _gaussian_integers(b)
-    re, im = [0] * len(forms), [0] * len(forms)
+    re, im = [0] * count, [0] * count
     for row, xr, xi in zip(ids.tolist(), ar, ai):
         for f, yr, yi in zip(row, br, bi):
             re[f] += xr * yr + xi * yi
             im[f] += xi * yr - xr * yi
-    return FormalSum((c, Scalar(Fraction(r, la * lb), Fraction(i, la * lb)))
+    return la * lb, re, im
+
+
+def _hermitian(forms: Sequence[Any], ids: np.ndarray, a: Sequence[Scalar],
+               b: Sequence[Scalar]) -> FormalSum:
+    """sum_ij a_i conj(b_j) [forms[ids[i, j]]] as a formal sum, from
+    ``_hermitian_sums``: each nonzero total is divided once by La*Lb."""
+    scale, re, im = _hermitian_sums(len(forms), ids, a, b)
+    return FormalSum((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
                      for c, r, i in zip(forms, re, im) if r or i)
 
 
@@ -146,7 +156,9 @@ class GramTensor:
 
     ``forms`` and ``ids`` come from the theory's ``glue_table``; ``ids`` has
     the narrowest unsigned dtype the form count allows, and complexity values
-    are not kept beyond their ranks.
+    are not kept beyond their ranks.  Only the forms met on or above the
+    diagonal are passed to ``complexity``; a form met only below it, at
+    (i, j), is the reversal of the form at (j, i) and takes its rank.
     """
 
     def __init__(self, basis: Sequence[Any], theory: GluingTheory):
@@ -154,7 +166,19 @@ class GramTensor:
             theory.validate_basis(d)
         self.basis = tuple(basis)
         self.forms, self.ids = theory.glue_table(self.basis)
-        self.ranks = dense_ranks([theory.complexity(c) for c in self.forms])
+        n = len(self.basis)
+        cols, step = np.arange(n), _chunk_rows(n)
+        upper = np.zeros(len(self.forms), dtype=bool)
+        for lo in range(0, n, step):
+            upper[self.ids[lo:lo + step][cols >= cols[lo:lo + step, None]]] = True
+        read = np.flatnonzero(upper)
+        self.ranks = np.zeros(len(self.forms), dtype=np.int32)
+        self.ranks[read] = dense_ranks([theory.complexity(self.forms[f]) for f in read])
+        if len(read) < len(self.forms):
+            for lo in range(0, n, step):
+                below = cols < cols[lo:lo + step, None]
+                self.ranks[self.ids[lo:lo + step][below]] = \
+                    self.ranks[self.ids[:, lo:lo + step].T[below]]
 
     def matrix(self, closed: Any) -> list[list[int]]:
         return (self.ids == self.forms.index(closed)).astype(int).tolist()
@@ -334,9 +358,11 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     The diagonal-dominance hypothesis is checked on the support of x only.
     On success the certificate lists every closed form of maximal complexity
     among the diagonal gluings, with mass sum(|a_i|^2) over the coefficients
-    gluing to it; the masses are cross-checked against <x, x>, summed on the
-    same table in Gaussian integers as ``pair`` sums, and any disagreement
-    raises (that would be a soundness defect, not a property of the input).
+    gluing to it.  Each mass is cross-checked against the integer sums of
+    <x, x> over the same table, the ones ``pair`` divides into its formal
+    sum: the form's value there must be real and equal to the mass, and any
+    disagreement raises (that would be a soundness defect, not a property of
+    the input).
     """
     if x.is_zero():
         raise ValueError("cannot certify the zero vector")
@@ -347,7 +373,7 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     coeffs = [c for _, c in x.items()]
     diag = table.ids.diagonal().tolist()
     top = max(table.ranks[diag])
-    squared = _hermitian(table.forms, table.ids, coeffs, coeffs)
+    scale, re, im = _hermitian_sums(len(table.forms), table.ids, coeffs, coeffs)
     certified = []
     for f in sorted({f for f in diag if table.ranks[f] == top},
                     key=lambda f: canonical_key(table.forms[f])):
@@ -355,12 +381,13 @@ def certify_positive(x: FormalSum, theory: GluingTheory
         mass = sum((coeffs[i].norm2() for i in idx), Fraction(0))
         if mass <= 0:
             raise AssertionError("diagonal mass must be positive")
-        if squared.coefficient(closed) != as_scalar(mass):
+        if im[f] or Fraction(re[f], scale) != mass:
+            value = Scalar(Fraction(re[f], scale), Fraction(im[f], scale))
             raise AssertionError(
                 f"certificate cross-check failed at {canonical_key(closed)}: "
-                f"expected mass {mass}, pairing has {squared.coefficient(closed)}")
+                f"expected mass {mass}, pairing has {value}")
         certified.append(CertificateForm(closed, mass, tuple(idx)))
-    if squared.is_zero():
+    if not any(re) and not any(im):
         raise AssertionError("certificate produced for a vector with zero pairing")
     return PositivityCertificate(support=table.basis,
                                  max_complexity=theory.complexity(certified[0].closed),

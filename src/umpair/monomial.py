@@ -24,6 +24,7 @@ from a triangulation or a knot diagram.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ class Involution:
                     raise ValueError(f"prime {p!r} appears in two swaps")
                 seen.add(p)
 
-    @property
+    @functools.cached_property
     def fixed(self) -> tuple[str, ...]:
         swapped = {p for s in self.swaps for p in s}
         return tuple(p for p in self.alphabet if p not in swapped)

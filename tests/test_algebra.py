@@ -1,5 +1,7 @@
 """Scalar arithmetic and formal-sum normalization."""
 
+import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umpair.algebra import (FormalSum, I, Scalar, UniverseMismatchError,
-                            ZERO, canonical_key, sum_combine)
+                            ZERO, canonical_key, descriptor_to_json, sum_combine)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 scalars = st.builds(Scalar, fractions, fractions)
@@ -47,17 +49,29 @@ def test_scalar_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+class Half(Fraction):
+    """A Fraction subclass: Scalar must still convert it to a plain Fraction."""
+
+
 def test_scalar_normalizes_fractions():
     s = Scalar(Fraction(2, 4), Fraction(3, -9))
     assert s.re == Fraction(1, 2) and s.im == Fraction(-1, 3)
     assert s.to_json() == {"re": "1/2", "im": "-1/3"}
+    for re, im in ((3, -4), (Decimal("0.25"), Decimal(-2)), (Half(2, 4), Half(-6, 3)),
+                   (Fraction(1, 4), 7), (-2, Fraction(-3, 9))):
+        s = Scalar(re, im)
+        assert type(s.re) is Fraction and type(s.im) is Fraction
+        assert (s.re, s.im) == (Fraction(re), Fraction(im))
+        assert s.to_json() == {"re": str(Fraction(re)), "im": str(Fraction(im))}
+    kept = Fraction(-5, 3)
+    assert Scalar(kept, kept).re is kept
 
 
 def test_scalar_rejects_floats():
-    with pytest.raises(TypeError):
-        Scalar(0.1, 0)
-    with pytest.raises(TypeError):
-        Scalar(0, 1.5)
+    for re, im in ((0.1, 0), (0, 1.5), (0.5, Fraction(1)), (Fraction(1), -0.0),
+                   (Half(1), 2.0)):
+        with pytest.raises(TypeError):
+            Scalar(re, im)
 
 
 @given(scalars)
@@ -98,6 +112,48 @@ def test_scalar_json_accepts_only_integer_and_fraction_strings(text):
     for good, value in (("+2", 2), ("-7", -7), ("0042", 42), ("-3/4", Fraction(-3, 4)),
                         ("10/5", 2)):
         assert Scalar.from_json({"re": "0", "im": good}) == Scalar(0, value)
+
+
+@given(st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=0, max_value=10**30), st.booleans())
+def test_scalar_json_parts_equal_fraction_of_the_string(num, den, plus):
+    text = f"+{num}" if plus and num >= 0 else str(num)
+    for part in (text, f"{text}/{den}"):
+        data = {"re": part, "im": str(den)}
+        if part.endswith("/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                Scalar.from_json(data)
+        else:
+            assert Scalar.from_json(data) == Scalar(Fraction(part), Fraction(den))
+
+
+def _descriptors():
+    """Basis and closed descriptors of every theory, fourdim included."""
+    from umpair.dim1 import Dim1Theory, enumerate1, standard_boundary
+    from umpair.dim2 import Dim2Theory, enumerate2
+    from umpair.fourdim import FourDimTheory, build_mazur_table
+    from umpair.monomial import Involution, MonomialTheory, enumerate_monomials
+
+    sigma = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
+    boundary = standard_boundary(3)
+    mazur = build_mazur_table()
+    for theory, basis in ((Dim1Theory(boundary), enumerate1(boundary, 1)),
+                          (Dim2Theory(2), enumerate2(2, 1, 1)),
+                          (MonomialTheory(sigma), enumerate_monomials(sigma.alphabet, 3)),
+                          (FourDimTheory(mazur), list(mazur.labels))):
+        yield from basis
+        yield from theory.glue_table(tuple(basis))[0]
+
+
+def test_canonical_key_is_the_sorted_compact_json_dump():
+    seen = 0
+    for d in _descriptors():
+        assert canonical_key(d) == json.dumps(descriptor_to_json(d), sort_keys=True,
+                                              separators=(",", ":"))
+        seen += 1
+    assert seen > 100
+    for text in ("M'", "S\u00b2\u00d7S\u00b2", 'quote"', "\u2603"):
+        assert canonical_key(text) == json.dumps(text)
 
 
 def test_sum_combine_examples():

@@ -193,6 +193,27 @@ def test_certificate_with_two_distinct_maximal_forms():
     }
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_certificate_cross_check_catches_a_wrong_sum(monkeypatch, part):
+    # Off by one at the top form, in either part, must not certify.
+    sums = engine._hermitian_sums
+    x = vec(BASIS2, Scalar(1, 2), Fraction(-1, 3))
+    top = engine.GramTensor(x.support(), D1).ids[0, 0]
+
+    def off_by_one(count, ids, a, b):
+        scale, re, im = sums(count, ids, a, b)
+        {"re": re, "im": im}[part][top] += 1
+        return scale, re, im
+
+    assert isinstance(engine.certify_positive(x, D1), engine.PositivityCertificate)
+    monkeypatch.setattr(engine, "_hermitian_sums", off_by_one)
+    # The sums are scaled by 3 * 3; the top form's true value is 5 + 1/9.
+    value = "46/9[+]1/9i" if part == "im" else "47/9"
+    with pytest.raises(AssertionError, match=f"cross-check failed at .*"
+                       f"expected mass 46/9, pairing has {value}$"):
+        engine.certify_positive(x, D1)
+
+
 def _fuzz_certificates(rng, basis, theory, rounds):
     for _ in range(rounds):
         support = rng.sample(basis, rng.randint(1, min(5, len(basis))))
@@ -289,6 +310,42 @@ def test_glue_table_agrees_with_glue_and_complexity(case):
         for g, v in enumerate(values):
             assert (table.ranks[f] < table.ranks[g], table.ranks[f] == table.ranks[g]) \
                 == (u < v, u == v)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_reversal_keeps_complexity(case):
+    theory, basis = TABLE_CASES[case]
+    for closed in theory.glue_table(tuple(basis))[0]:
+        assert theory.complexity(theory.reverse(closed)) == theory.complexity(closed)
+
+
+def test_gram_tensor_ranks_reverse_only_forms_from_their_partners(monkeypatch):
+    # Supports drawn as certify-batch draws them, up to 12 terms per theory,
+    # plus one support past a chunk of rows.
+    rng = random.Random("ranks")
+    sigma = Involution(("p1", "p2", "p3", "p4"), swaps=(("p1", "p2"),))
+    cases = [(Dim2Theory(3), enumerate2(3, 2, 2)), _dim1_case(5, 2),
+             (MonomialTheory(sigma), enumerate_monomials(sigma.alphabet, 6))]
+    supports = [(theory, rng.sample(basis, size)) for theory, basis in cases
+                for size in (1, 2, 5, 12)]
+    supports.append((cases[2][0], cases[2][1][:200]))
+    assert 200 > engine._chunk_rows(200)
+    reverse_only = 0
+    for theory, support in supports:
+        asked = []
+        complexity = type(theory).complexity
+        monkeypatch.setattr(type(theory), "complexity",
+                            lambda self, c: asked.append(c) or complexity(self, c))
+        table = engine.GramTensor(support, theory)
+        monkeypatch.undo()
+        upper = {table.ids[i, j] for i in range(len(support))
+                 for j in range(i, len(support))}
+        assert sorted(map(table.forms.index, asked)) == sorted(upper)
+        reverse_only += len(table.forms) - len(upper)
+        expected = engine.dense_ranks([theory.complexity(c) for c in table.forms])
+        assert table.ranks.dtype == expected.dtype
+        assert table.ranks.tolist() == expected.tolist()
+    assert reverse_only > 0
 
 
 def test_glue_table_widens_its_ids_past_256_forms():

@@ -32,6 +32,16 @@ def test_involution_validation():
     assert SWAP12.fixed == ("p3",)
 
 
+def test_involution_fixed_is_kept_out_of_equality_and_json():
+    computed = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
+    fresh = Involution(("p1", "p2", "p3"), swaps=(("p2", "p1"),))
+    assert computed.fixed is computed.fixed
+    assert computed == fresh and hash(computed) == hash(fresh)
+    assert repr(computed) == repr(fresh)
+    assert computed.to_json() == {"swaps": [["p1", "p2"]], "fixed": ["p3"]}
+    assert Involution.from_json(computed.to_json()) == fresh
+
+
 def test_conj_examples():
     m = mono(p1=2, p2=1, p3=4)
     assert mono_conj(m, SWAP12) == mono(p2=2, p1=1, p3=4)
