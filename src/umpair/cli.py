@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from . import dim1, dim2, engine, fourdim, monomial
@@ -30,21 +29,13 @@ from .algebra import FormalSum, Scalar, UniverseMismatchError
 THEORIES = ("dim1", "dim2", "monomial", "fourdim")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command's output depends on; echoed into reports for audit."""
-
-    theory: str
-    seed: int
-    bounds: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name, value in self.bounds.items():
-            if isinstance(value, int) and value < 0:
-                raise ValueError(f"bound {name} must be nonnegative, got {value}")
-
-    def to_json(self) -> dict[str, Any]:
-        return {"theory": self.theory, "seed": self.seed, "bounds": self.bounds}
+def _config(args: argparse.Namespace, bounds: dict[str, Any]) -> dict[str, Any]:
+    """Everything a command's output depends on, echoed into its report for
+    audit; raises ValueError on a negative integer bound."""
+    for name, value in bounds.items():
+        if isinstance(value, int) and value < 0:
+            raise ValueError(f"bound {name} must be nonnegative, got {value}")
+    return {"theory": args.theory, "seed": args.seed, "bounds": bounds}
 
 
 def _label_from_json(data: Any) -> str:
@@ -116,29 +107,27 @@ def _table_from_args(args: argparse.Namespace) -> fourdim.GluingTable:
 
 def _theory_and_basis(args: argparse.Namespace
                       ) -> tuple[engine.GluingTheory, list, dict[str, Any]]:
-    """Theory plus enumerated basis plus the bounds actually used."""
+    """Theory plus enumerated basis plus the config, with the bounds actually used."""
     if args.theory == "dim1":
-        bounds = {"j": args.j, "max_closed": args.max_closed}
-        RunConfig(args.theory, args.seed, bounds)
+        config = _config(args, {"j": args.j, "max_closed": args.max_closed})
         boundary = dim1.standard_boundary(args.j)
         return (dim1.Dim1Theory(boundary),
-                dim1.enumerate1(boundary, args.max_closed), bounds)
+                dim1.enumerate1(boundary, args.max_closed), config)
     if args.theory == "dim2":
-        bounds = {"j": args.j, "gmax": args.gmax, "closed_budget": args.closed_budget}
-        RunConfig(args.theory, args.seed, bounds)
+        config = _config(args, {"j": args.j, "gmax": args.gmax,
+                                "closed_budget": args.closed_budget})
         return (dim2.Dim2Theory(args.j),
-                dim2.enumerate2(args.j, args.gmax, args.closed_budget), bounds)
+                dim2.enumerate2(args.j, args.gmax, args.closed_budget), config)
     if args.theory == "monomial":
         sigma = _involution_from_args(args)
-        bounds = {"alphabet": list(sigma.alphabet),
-                  "swaps": [list(s) for s in sigma.swaps], "degree": args.degree}
-        RunConfig(args.theory, args.seed, bounds)
+        config = _config(args, {"alphabet": list(sigma.alphabet),
+                                "swaps": [list(s) for s in sigma.swaps],
+                                "degree": args.degree})
         return (monomial.MonomialTheory(sigma),
-                monomial.enumerate_monomials(sigma.alphabet, args.degree), bounds)
+                monomial.enumerate_monomials(sigma.alphabet, args.degree), config)
     table = _table_from_args(args)
-    bounds = {"labels": list(table.labels)}
-    RunConfig(args.theory, args.seed, bounds)
-    return (fourdim.FourDimTheory(table), list(table.labels), bounds)
+    config = _config(args, {"labels": list(table.labels)})
+    return fourdim.FourDimTheory(table), list(table.labels), config
 
 
 def _theory_for_vectors(args: argparse.Namespace,
@@ -160,15 +149,11 @@ def _load_vector(path: str, theory_name: str) -> FormalSum:
     return FormalSum.from_json(_read_json(path), DECODERS[theory_name])
 
 
-def _config_block(args: argparse.Namespace, bounds: dict[str, Any]) -> dict[str, Any]:
-    return RunConfig(args.theory, args.seed, bounds).to_json()
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    theory, basis, bounds = _theory_and_basis(args)
+    theory, basis, config = _theory_and_basis(args)
     payload = {
         "command": "enumerate",
-        "config": _config_block(args, bounds),
+        "config": config,
         "count": len(basis),
         "basis": [engine.descriptor_to_json(b) for b in basis],
     }
@@ -187,15 +172,15 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
 def cmd_verify_lemma(args: argparse.Namespace) -> int:
     if args.theory == "dim2":
-        bounds = {"j": args.j, "gmax": args.gmax, "closed_budget": args.closed_budget}
-        RunConfig(args.theory, args.seed, bounds)
+        config = _config(args, {"j": args.j, "gmax": args.gmax,
+                                "closed_budget": args.closed_budget})
         report = dim2.verify_lemma_grid(args.j, args.gmax, args.closed_budget)
     else:
-        theory, basis, bounds = _theory_and_basis(args)
+        theory, basis, config = _theory_and_basis(args)
         report = engine.verify_lemma(basis, theory)
     payload = {
         "command": "verify-lemma",
-        "config": _config_block(args, bounds),
+        "config": config,
         "report": report.to_json(),
     }
     _write_output(payload, args.out)
@@ -210,7 +195,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     outcome = engine.certify_positive(x, theory)
     payload = {
         "command": "certify",
-        "config": _config_block(args, {}),
+        "config": _config(args, {}),
         "result": outcome.to_json(),
     }
     _write_output(payload, args.out)
@@ -218,13 +203,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_null_search(args: argparse.Namespace) -> int:
-    theory, basis, bounds = _theory_and_basis(args)
+    theory, basis, config = _theory_and_basis(args)
     grid = _parse_grid(args.coeff_grid)
     result = engine.null_search(basis, grid, theory, jobs=args.jobs)
+    config["bounds"]["coeff_grid"] = args.coeff_grid
     payload = {
         "command": "null-search",
-        "config": dict(_config_block(args, dict(bounds, coeff_grid=args.coeff_grid)),
-                       jobs=args.jobs),
+        "config": dict(config, jobs=args.jobs),
         "search": result.to_json(),
     }
     _write_output(payload, args.out)
@@ -236,7 +221,7 @@ def cmd_fourdim_demo(args: argparse.Namespace) -> int:
     demo = fourdim.demo_null(table)
     payload = {
         "command": "fourdim-demo",
-        "config": _config_block(args, {}),
+        "config": _config(args, {}),
         "table": table.to_json(),
         "demo": demo.to_json(),
     }

@@ -201,7 +201,6 @@ class Dim1Theory(GluingTheory):
     """Gluing theory of bounded 1-manifolds over one fixed boundary."""
 
     boundary: Boundary0
-    name: str = "dim1"
 
     def glue(self, a: Bounded1Manifold, b: Bounded1Manifold) -> Closed1Manifold:
         return glue1(a, b)

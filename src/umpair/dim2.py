@@ -30,10 +30,10 @@ the tests enforce that, and check the core table against glue2.
 
 1. Core table.  The components of a gluing of two bounded cores depend only
    on their two circle partitions, so union-find runs once per partition
-   pair; a component's genus is the genus sum of its parts + E - V + 1 (E
-   circles, V parts), computed for every pair of genus assignments at once
-   by an integer matrix product.  Each core pair gets an id of its sorted
-   genus multiset.
+   pair, through the one ``_part_roots`` that glue2 shares; a component's
+   genus is the genus sum of its parts + E - V + 1 (E circles, V parts),
+   computed for every pair of genus assignments at once by an integer
+   matrix product.  Each core pair gets an id of its sorted genus multiset.
 2. Ranks.  complexity2 is called once per distinct merged multiset (core
    genera plus the union of two closed multisets) and its values are ranked
    densely, so integer rank order is their order whatever totally ordered
@@ -156,31 +156,10 @@ def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
     if m.boundary_circles != n.boundary_circles:
         raise UniverseMismatchError(
             f"boundary mismatch: {m.boundary_circles} vs {n.boundary_circles} circles")
-    j = m.boundary_circles
-    nodes = len(m.parts) + len(n.parts)
-    owner = [0] * (2 * j)  # node owning each circle, per side
-    for idx, (circles, _) in enumerate(m.parts):
-        for c in circles:
-            owner[c] = idx
-    for idx, (circles, _) in enumerate(n.parts):
-        for c in circles:
-            owner[j + c] = len(m.parts) + idx
-    parent = list(range(nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in range(j):
-        a, b = find(owner[c]), find(owner[j + c])
-        if a != b:
-            parent[a] = b
+    roots = _part_roots(tuple(circles for circles, _ in m.parts),
+                        tuple(circles for circles, _ in n.parts), m.boundary_circles)
     chi_of: dict[int, int] = {}
-    all_parts = list(m.parts) + list(n.parts)
-    for idx, (circles, genus) in enumerate(all_parts):
-        root = find(idx)
+    for root, (circles, genus) in zip(roots, m.parts + n.parts):
         chi_of[root] = chi_of.get(root, 0) + 2 - 2 * genus - len(circles)
     genera = []
     for chi in chi_of.values():
@@ -190,6 +169,32 @@ def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
     genera.extend(m.closed_genera)
     genera.extend(n.closed_genera)
     return ClosedSurface(tuple(genera))
+
+
+def _part_roots(left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...],
+                j: int) -> list[int]:
+    """The component root of each part of a gluing, by union-find.
+
+    Parts are the circle label tuples of ``left`` and then of ``right``;
+    gluing joins the two parts holding each of the j circles.  Two parts
+    share a root exactly when they lie in one component.
+    """
+    owner = [0] * (2 * j)  # part holding each circle, per side
+    for idx, circles in enumerate(left + right):
+        side = j if idx >= len(left) else 0
+        for c in circles:
+            owner[side + c] = idx
+    parent = list(range(len(left) + len(right)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in range(j):
+        parent[find(owner[c])] = find(owner[j + c])
+    return [find(v) for v in range(len(parent))]
 
 
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -253,7 +258,6 @@ class Dim2Theory(GluingTheory):
     """Gluing theory of bounded surfaces over j labelled circles."""
 
     boundary_circles: int
-    name: str = "dim2"
 
     def glue(self, a: Bounded2Manifold, b: Bounded2Manifold) -> ClosedSurface:
         return glue2(a, b)
@@ -284,29 +288,12 @@ def _components(left: tuple[tuple[int, ...], ...],
     is E - V + 1 for its E circles and V parts.  A component's genus is the
     genus sum of its parts plus its offset.
     """
-    owner = [0] * (2 * j)
-    for idx, circles in enumerate(left + right):
-        side = j if idx >= len(left) else 0
-        for c in circles:
-            owner[side + c] = idx
-    parent = list(range(len(left) + len(right)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in range(j):
-        parent[find(owner[c])] = find(owner[j + c])
-    roots = [find(v) for v in range(len(parent))]
+    roots = _part_roots(left, right, j)
     label = {r: i for i, r in enumerate(dict.fromkeys(roots))}
-    incidence = np.zeros((len(parent), len(label)), dtype=np.int32)
-    incidence[np.arange(len(parent)), [label[r] for r in roots]] = 1
-    offset = 1 - incidence.sum(axis=0, dtype=np.int32)
-    for c in range(j):
-        offset[label[roots[owner[c]]]] += 1
-    return incidence, offset
+    incidence = np.zeros((len(roots), len(label)), dtype=np.int32)
+    incidence[np.arange(len(roots)), [label[r] for r in roots]] = 1
+    edges = np.array([len(c) for c in left], dtype=np.int32) @ incidence[:len(left)]
+    return incidence, edges + 1 - incidence.sum(axis=0, dtype=np.int32)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,20 +440,13 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     bad_pairs.extend((a * nk + k1, a * nk + k2) for a, k1, k2 in
                      np.argwhere(failing(diag, diag, diag) & strict_upper).tolist())
 
-    violations = []
-    if bad_pairs:
-        cores = enumerate2(j, g_max, 0)
+    cores = enumerate2(j, g_max, 0) if bad_pairs else []
 
-        def element(index: int) -> Bounded2Manifold:
-            return Bounded2Manifold(j, cores[index // nk].parts, closeds[index % nk])
+    def element(index: int) -> Bounded2Manifold:
+        return Bounded2Manifold(j, cores[index // nk].parts, closeds[index % nk])
 
-        for left_idx, right_idx in sorted(bad_pairs):
-            left, right = element(left_idx), element(right_idx)
-            violations.append(LemmaViolation(
-                left, right,
-                complexity2(glue2(left, right)),
-                complexity2(glue2(left, left)),
-                complexity2(glue2(right, right))))
+    violations = tuple(LemmaViolation.of(Dim2Theory(j), element(a), element(b))
+                       for a, b in sorted(bad_pairs))
     return LemmaReport(passed=not violations, basis_size=basis_size,
                        pairs_checked=basis_size * (basis_size - 1) // 2,
-                       violations=tuple(violations))
+                       violations=violations)

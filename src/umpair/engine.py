@@ -16,8 +16,10 @@ the larger of the two diagonal gluings, the diagonal terms of <x, x> cannot
 cancel and the pairing is positive.  The engine checks that hypothesis
 (exhaustively on a basis, or on the support of a single vector), produces
 auditable positivity certificates, extracts the 0/1 Gram tensor, and runs a
-bounded grid search for null vectors.  All four read one glue table,
+bounded grid search for null vectors.  The first three read one glue table,
 ``GramTensor``: the closed form of every basis pair and its complexity rank.
+A null vector is a property of the pairing alone, so the search reads only
+the theory's ``glue_table`` and never calls ``complexity``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ class GluingTheory(ABC):
     equal exactly when they are the same closed form; ``reverse`` is an
     involution; gluing is conjugate symmetric, glue(b, a) == reverse(glue(a, b));
     complexity values are totally ordered by ``<``; and reversal keeps
-    complexity, complexity(reverse(c)) == complexity(c).
+    complexity, complexity(reverse(c)) == complexity(c), so checking
+    dominance on each pair i < j covers the gluing of both orders.
 
     ``glue_table`` builds the glue table of a whole basis.  The default
     glues the pairs i <= j and fills the pairs i > j by conjugate symmetry.
@@ -49,8 +52,6 @@ class GluingTheory(ABC):
     ``glue`` on every ordered pair, list each closed form once and give its
     ids the narrowest unsigned dtype that holds the form count.
     """
-
-    name: str = "theory"
 
     @abstractmethod
     def glue(self, a: Any, b: Any) -> Any:
@@ -155,10 +156,9 @@ class GramTensor:
     complexity rank of forms[f]: integer order of ranks is complexity order.
 
     ``forms`` and ``ids`` come from the theory's ``glue_table``; ``ids`` has
-    the narrowest unsigned dtype the form count allows, and complexity values
-    are not kept beyond their ranks.  Only the forms met on or above the
-    diagonal are passed to ``complexity``; a form met only below it, at
-    (i, j), is the reversal of the form at (j, i) and takes its rank.
+    the narrowest unsigned dtype the form count allows.  Every form is ranked
+    in one ``dense_ranks`` pass, and complexity values are not kept beyond
+    their ranks.
     """
 
     def __init__(self, basis: Sequence[Any], theory: GluingTheory):
@@ -166,19 +166,7 @@ class GramTensor:
             theory.validate_basis(d)
         self.basis = tuple(basis)
         self.forms, self.ids = theory.glue_table(self.basis)
-        n = len(self.basis)
-        cols, step = np.arange(n), _chunk_rows(n)
-        upper = np.zeros(len(self.forms), dtype=bool)
-        for lo in range(0, n, step):
-            upper[self.ids[lo:lo + step][cols >= cols[lo:lo + step, None]]] = True
-        read = np.flatnonzero(upper)
-        self.ranks = np.zeros(len(self.forms), dtype=np.int32)
-        self.ranks[read] = dense_ranks([theory.complexity(self.forms[f]) for f in read])
-        if len(read) < len(self.forms):
-            for lo in range(0, n, step):
-                below = cols < cols[lo:lo + step, None]
-                self.ranks[self.ids[lo:lo + step][below]] = \
-                    self.ranks[self.ids[:, lo:lo + step].T[below]]
+        self.ranks = dense_ranks([theory.complexity(c) for c in self.forms])
 
     def matrix(self, closed: Any) -> list[list[int]]:
         return (self.ids == self.forms.index(closed)).astype(int).tolist()
@@ -264,11 +252,10 @@ class LemmaViolation:
     right_diag_complexity: Any
 
     @classmethod
-    def at(cls, table: GramTensor, theory: GluingTheory, i: int, j: int) -> Any:
-        """The pair (basis[i], basis[j]) with its three complexities."""
-        off, left, right = (theory.complexity(table.forms[table.ids[a, b]])
-                            for a, b in ((i, j), (i, i), (j, j)))
-        return cls(table.basis[i], table.basis[j], off, left, right)
+    def of(cls, theory: GluingTheory, left: Any, right: Any) -> Any:
+        """The pair (left, right) with its three complexities."""
+        return cls(left, right, *(theory.complexity(theory.glue(a, b)) for a, b in
+                                  ((left, right), (left, left), (right, right))))
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -303,7 +290,7 @@ def verify_lemma(basis: Sequence[Any], theory: GluingTheory) -> LemmaReport:
     the three complexities involved.
     """
     table = GramTensor(basis, theory)
-    violations = tuple(LemmaViolation.at(table, theory, i, j)
+    violations = tuple(LemmaViolation.of(theory, table.basis[i], table.basis[j])
                        for i, j in _dominance_failures(table))
     n = len(table.basis)
     return LemmaReport(passed=not violations, basis_size=n,
@@ -367,9 +354,8 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     if x.is_zero():
         raise ValueError("cannot certify the zero vector")
     table = GramTensor(x.support(), theory)
-    failure = next(_dominance_failures(table), None)
-    if failure is not None:
-        return CertificateFailure.at(table, theory, *failure)
+    for i, j in _dominance_failures(table):
+        return CertificateFailure.of(theory, table.basis[i], table.basis[j])
     coeffs = [c for _, c in x.items()]
     diag = table.ids.diagonal().tolist()
     top = max(table.ranks[diag])
@@ -518,9 +504,9 @@ def _null_kernel(basis: Sequence[Any], grid: tuple[Scalar, ...],
     exact Python ints (dtype object) through the same code.
     """
     scaled = list(zip(*_gaussian_integers(grid)[1:]))
-    table = GramTensor(basis, theory)
-    groups = tuple(sorted((tuple(map(tuple, np.argwhere(table.ids == f).tolist()))
-                           for f in range(len(table.forms))), key=len))
+    forms, ids = theory.glue_table(tuple(basis))
+    groups = tuple(sorted((tuple(map(tuple, np.argwhere(ids == f).tolist()))
+                           for f in range(len(forms))), key=len))
     m = max(abs(part) for c in scaled for part in c)
     dtype = np.int64 if len(groups[-1]) * 2 * m * m < 2**63 else object
     re = np.array([ar * br + ai * bi for ar, ai in scaled for br, bi in scaled], dtype=dtype)

@@ -125,7 +125,6 @@ class FourDimTheory(GluingTheory):
     """Table-driven gluing theory; complexity is constant on closed names."""
 
     table: GluingTable
-    name: str = "fourdim"
 
     def glue(self, a: str, b: str) -> str:
         return self.table.table[(a, b)]

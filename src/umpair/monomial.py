@@ -179,7 +179,6 @@ class MonomialTheory(GluingTheory):
     """The product pairing a, b -> a * conj(b) on a monomial basis."""
 
     involution: Involution
-    name: str = "monomial"
 
     def glue(self, a: Monomial, b: Monomial) -> Monomial:
         return a * mono_conj(b, self.involution)

@@ -319,35 +319,6 @@ def test_reversal_keeps_complexity(case):
         assert theory.complexity(theory.reverse(closed)) == theory.complexity(closed)
 
 
-def test_gram_tensor_ranks_reverse_only_forms_from_their_partners(monkeypatch):
-    # Supports drawn as certify-batch draws them, up to 12 terms per theory,
-    # plus one support past a chunk of rows.
-    rng = random.Random("ranks")
-    sigma = Involution(("p1", "p2", "p3", "p4"), swaps=(("p1", "p2"),))
-    cases = [(Dim2Theory(3), enumerate2(3, 2, 2)), _dim1_case(5, 2),
-             (MonomialTheory(sigma), enumerate_monomials(sigma.alphabet, 6))]
-    supports = [(theory, rng.sample(basis, size)) for theory, basis in cases
-                for size in (1, 2, 5, 12)]
-    supports.append((cases[2][0], cases[2][1][:200]))
-    assert 200 > engine._chunk_rows(200)
-    reverse_only = 0
-    for theory, support in supports:
-        asked = []
-        complexity = type(theory).complexity
-        monkeypatch.setattr(type(theory), "complexity",
-                            lambda self, c: asked.append(c) or complexity(self, c))
-        table = engine.GramTensor(support, theory)
-        monkeypatch.undo()
-        upper = {table.ids[i, j] for i in range(len(support))
-                 for j in range(i, len(support))}
-        assert sorted(map(table.forms.index, asked)) == sorted(upper)
-        reverse_only += len(table.forms) - len(upper)
-        expected = engine.dense_ranks([theory.complexity(c) for c in table.forms])
-        assert table.ranks.dtype == expected.dtype
-        assert table.ranks.tolist() == expected.tolist()
-    assert reverse_only > 0
-
-
 def test_glue_table_widens_its_ids_past_256_forms():
     sigma = Involution(("p1", "p2", "p3", "p4"), swaps=(("p1", "p2"),))
     theory = MonomialTheory(sigma)
@@ -584,6 +555,23 @@ def test_null_kernel_agrees_with_fraction_oracle(case, grid):
     oracle = fraction_null_search(basis, NULL_GRIDS[grid], theory)
     assert kernel == oracle
     assert kernel.to_json() == oracle.to_json()
+
+
+@pytest.mark.parametrize("theory,basis,grid", [
+    (*_dim1_case(3, 0), "gauss1"),
+    (*NULL_CASES["dim2-j1"], "gauss1"),
+    (MonomialTheory(Involution(("a", "b"))), enumerate_monomials(("a", "b"), 2), "pm1"),
+    (FOURD, list(MAZUR.labels), "pm1"),
+], ids=["dim1", "dim2", "monomial", "mazur"])
+def test_null_search_never_calls_complexity(theory, basis, grid, monkeypatch):
+    """A null vector is a property of the pairing alone, not of complexity."""
+    expected = engine.null_search(basis, NULL_GRIDS[grid], theory)
+
+    def refuse(self, closed):
+        raise AssertionError("null_search called complexity")
+
+    monkeypatch.setattr(type(theory), "complexity", refuse)
+    assert engine.null_search(basis, NULL_GRIDS[grid], theory) == expected
 
 
 def test_null_kernel_falls_back_to_python_ints():
