@@ -14,8 +14,7 @@ from .algebra import (FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO,
                       sum_combine)
 from .engine import (CertificateFailure, GluingTheory, GramTensor, LemmaReport,
                      NullSearchResult, PositivityCertificate, certify_positive,
-                     gaussian_integer_grid, gram_tensor, null_search, pair,
-                     verify_lemma)
+                     gaussian_integer_grid, null_search, pair, verify_lemma)
 
 __all__ = [
     "CertificateFailure",
@@ -32,7 +31,6 @@ __all__ = [
     "ZERO",
     "certify_positive",
     "gaussian_integer_grid",
-    "gram_tensor",
     "null_search",
     "pair",
     "sum_combine",

@@ -24,9 +24,7 @@ import sys
 from typing import Any, Callable, Sequence
 
 from . import dim1, dim2, engine, fourdim, monomial
-from .algebra import FormalSum, Scalar, UniverseMismatchError
-
-THEORIES = ("dim1", "dim2", "monomial", "fourdim")
+from .algebra import FormalSum, Scalar
 
 
 def _config(args: argparse.Namespace, bounds: dict[str, Any]) -> dict[str, Any]:
@@ -231,7 +229,7 @@ def cmd_fourdim_demo(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, theory: bool = True) -> None:
     if theory:
-        parser.add_argument("--theory", choices=THEORIES, required=True)
+        parser.add_argument("--theory", choices=tuple(DECODERS), required=True)
     parser.add_argument("--j", type=int, default=0,
                         help="boundary size: point pairs (dim1) or circles (dim2)")
     parser.add_argument("--max-closed", type=int, default=0, dest="max_closed",
@@ -318,9 +316,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         return args.func(args)
-    except UniverseMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,14 +16,15 @@ the larger of the two diagonal gluings, the diagonal terms of <x, x> cannot
 cancel and the pairing is positive.  The engine checks that hypothesis
 (exhaustively on a basis, or on the support of a single vector), produces
 auditable positivity certificates, extracts the 0/1 Gram tensor, and runs a
-bounded grid search for null vectors.  The first three read one glue table,
-``GramTensor``: the closed form of every basis pair and its complexity rank.
-A null vector is a property of the pairing alone, so the search reads only
-the theory's ``glue_table`` and never calls ``complexity``.
+bounded grid search for null vectors.  Every reader, the pairing included,
+builds one ``GramTensor``: the closed form of every basis pair and, on first
+read, its complexity rank.  The pairing and its null vectors depend on
+gluing alone, so ``pair`` and ``null_search`` never call ``complexity``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -65,6 +66,7 @@ class GluingTheory(ABC):
     def complexity(self, closed: Any) -> Any:
         """A totally ordered complexity value for a closed descriptor."""
 
+    @abstractmethod
     def validate_basis(self, descriptor: Any) -> None:
         """Raise ValueError if ``descriptor`` is not in this theory's universe."""
 
@@ -91,15 +93,17 @@ class GluingTheory(ABC):
 
 
 def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
-    """<x, y> as a formal sum of closed forms, read off the glue table of both
-    supports (validated first) and summed exactly by ``_hermitian``."""
+    """<x, y> as a formal sum of closed forms, read off the ``GramTensor`` of
+    both supports and summed exactly by ``_hermitian_sums``: each nonzero
+    total is divided once by La*Lb."""
     union = dict(zip(x.keys(), x.support())) | dict(zip(y.keys(), y.support()))
-    for d in union.values():
-        theory.validate_basis(d)
-    forms, ids = theory.glue_table(tuple(union.values()))
+    table = GramTensor(union.values(), theory)
     slot = {key: i for i, key in enumerate(union)}
-    ids = ids[np.ix_([slot[k] for k in x.keys()], [slot[k] for k in y.keys()])]
-    return _hermitian(forms, ids, [c for _, c in x.items()], [c for _, c in y.items()])
+    ids = table.ids[np.ix_([slot[k] for k in x.keys()], [slot[k] for k in y.keys()])]
+    scale, re, im = _hermitian_sums(len(table.forms), ids, [c for _, c in x.items()],
+                                    [c for _, c in y.items()])
+    return FormalSum((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
+                     for c, r, i in zip(table.forms, re, im) if r or i)
 
 
 def _gaussian_integers(scalars: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
@@ -125,15 +129,6 @@ def _hermitian_sums(count: int, ids: np.ndarray, a: Sequence[Scalar],
     return la * lb, re, im
 
 
-def _hermitian(forms: Sequence[Any], ids: np.ndarray, a: Sequence[Scalar],
-               b: Sequence[Scalar]) -> FormalSum:
-    """sum_ij a_i conj(b_j) [forms[ids[i, j]]] as a formal sum, from
-    ``_hermitian_sums``: each nonzero total is divided once by La*Lb."""
-    scale, re, im = _hermitian_sums(len(forms), ids, a, b)
-    return FormalSum((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
-                     for c, r, i in zip(forms, re, im) if r or i)
-
-
 def dense_ranks(values: Sequence[Any]) -> np.ndarray:
     """The dense rank of each value under ``<``.
 
@@ -148,35 +143,32 @@ def dense_ranks(values: Sequence[Any]) -> np.ndarray:
 
 
 class GramTensor:
-    """The glue table of a basis, read by every check in this module.
+    """The glue table of a validated basis; every reader in this module builds one.
 
     ``forms`` are the distinct closed forms, and ``ids[i, j]`` is the index
     of glue(basis[i], basis[j]) among them, so the 0/1 Gram matrix T^c of a
-    form c is ``ids == forms.index(c)``.  ``ranks[f]`` is the dense
-    complexity rank of forms[f]: integer order of ranks is complexity order.
+    form c is ``matrix(c)``.  ``ranks[f]`` is the dense complexity rank of
+    forms[f]: integer order of ranks is complexity order.
 
     ``forms`` and ``ids`` come from the theory's ``glue_table``; ``ids`` has
-    the narrowest unsigned dtype the form count allows.  Every form is ranked
-    in one ``dense_ranks`` pass, and complexity values are not kept beyond
-    their ranks.
+    the narrowest unsigned dtype the form count allows.  Ranks are computed
+    on first read, every form in one ``dense_ranks`` pass, so a reader that
+    never reads them (``pair``, ``null_search``) never calls ``complexity``.
     """
 
-    def __init__(self, basis: Sequence[Any], theory: GluingTheory):
-        for d in basis:
-            theory.validate_basis(d)
+    def __init__(self, basis: Iterable[Any], theory: GluingTheory):
+        self.theory = theory
         self.basis = tuple(basis)
+        for d in self.basis:
+            theory.validate_basis(d)
         self.forms, self.ids = theory.glue_table(self.basis)
-        self.ranks = dense_ranks([theory.complexity(c) for c in self.forms])
+
+    @functools.cached_property
+    def ranks(self) -> np.ndarray:
+        return dense_ranks([self.theory.complexity(c) for c in self.forms])
 
     def matrix(self, closed: Any) -> list[list[int]]:
         return (self.ids == self.forms.index(closed)).astype(int).tolist()
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "basis": [descriptor_to_json(b) for b in self.basis],
-            "forms": [{"closed": descriptor_to_json(c), "matrix": self.matrix(c)}
-                      for c in sorted(self.forms, key=canonical_key)],
-        }
 
 
 def _fit_ids(ids: np.ndarray, count: int) -> np.ndarray:
@@ -216,10 +208,6 @@ def table_from_codes(n: int, codes: Callable[[int, int], np.ndarray],
         np.take(np.array(slots, dtype=ids.dtype), inverse.reshape(-1),
                 out=ids[lo:hi].reshape(-1))
     return tuple(form(code) for code in index), ids
-
-
-def gram_tensor(basis: Sequence[Any], theory: GluingTheory) -> GramTensor:
-    return GramTensor(basis, theory)
 
 
 def _dominance_failures(table: GramTensor) -> Iterator[tuple[int, int]]:
@@ -440,15 +428,16 @@ class _NullKernel:
     in mixed radix with coordinate 0 most significant.
 
     ``re[a * G + b]`` and ``im[a * G + b]`` are the parts of
-    (L g_a) * conj(L g_b), where G is the grid size and L the least common
-    multiple of every denominator in the grid, so each entry is an integer
-    and a group sums to zero exactly when the unscaled sum does.
+    (L g_a) * conj(L g_b), the ``_hermitian_sums`` of the grid times itself:
+    G is the grid size and L the least common multiple of every denominator
+    in the grid, so each entry is an integer and a group sums to zero
+    exactly when the unscaled sum does.
     ``keep[f, c]`` is the ray rule for an assignment whose first nonzero
     value is grid[f]: it is tested when rescaling coefficient c by
     lead / grid[f] leaves the grid (every c when grid[f] is the lead, no c
     when grid[f] is 0, which only the all-zero assignment has).  ``groups``
-    are the basis index pairs of each closed form, smallest first, so most
-    assignments are dropped after the fewest lookups.
+    are the basis index pairs of each ``GramTensor`` form, smallest first,
+    so most assignments are dropped after the fewest lookups.
     """
 
     n: int
@@ -495,22 +484,18 @@ class _NullKernel:
         return None, skipped
 
 
-def _null_kernel(basis: Sequence[Any], grid: tuple[Scalar, ...],
-                 theory: GluingTheory) -> _NullKernel:
+def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
     """The tables of ``_NullKernel``, built once per search.
 
-    Entries are int64 when no group sum can reach 2**63: each entry is at
-    most 2*m*m in size, m the largest scaled component.  Otherwise they are
-    exact Python ints (dtype object) through the same code.
+    Entries are int64 when no group sum can reach 2**63, that is when the
+    largest group times the largest entry size is below it.  Otherwise they
+    are exact Python ints (dtype object) through the same code.
     """
-    scaled = list(zip(*_gaussian_integers(grid)[1:]))
-    forms, ids = theory.glue_table(tuple(basis))
-    groups = tuple(sorted((tuple(map(tuple, np.argwhere(ids == f).tolist()))
-                           for f in range(len(forms))), key=len))
-    m = max(abs(part) for c in scaled for part in c)
-    dtype = np.int64 if len(groups[-1]) * 2 * m * m < 2**63 else object
-    re = np.array([ar * br + ai * bi for ar, ai in scaled for br, bi in scaled], dtype=dtype)
-    im = np.array([ai * br - ar * bi for ar, ai in scaled for br, bi in scaled], dtype=dtype)
+    g = len(grid)
+    _, re, im = _hermitian_sums(g * g, np.arange(g * g).reshape(g, g), grid, grid)
+    groups = tuple(sorted((tuple(map(tuple, np.argwhere(table.ids == f).tolist()))
+                           for f in range(len(table.forms))), key=len))
+    dtype = np.int64 if len(groups[-1]) * max(map(abs, re + im)) < 2**63 else object
 
     lead, on_grid = _leading_value(grid), frozenset(grid)
 
@@ -523,7 +508,8 @@ def _null_kernel(basis: Sequence[Any], grid: tuple[Scalar, ...],
         return [factor * c not in on_grid for c in grid]
 
     keep = np.array([ray_row(f) for f in grid], dtype=bool)
-    return _NullKernel(len(basis), grid.index(ZERO), re, im, keep, groups)
+    return _NullKernel(len(table.basis), grid.index(ZERO), np.array(re, dtype=dtype),
+                       np.array(im, dtype=dtype), keep, groups)
 
 
 def _scan_in_pool(kernel: _NullKernel, total: int, jobs: int
@@ -571,13 +557,12 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
     including the hit, or the whole grid.  ``assignments_skipped`` counts
     those among them that the ray rule (or the all-zero rule) skipped.
     """
-    for d in basis:
-        theory.validate_basis(d)
+    table = GramTensor(basis, theory)
     grid = _canonical_grid(coeff_set)
-    n = len(basis)
+    n = len(table.basis)
     if n == 0:
         return NullSearchResult(None, 0, grid, 0, 0)
-    kernel = _null_kernel(basis, grid, theory)
+    kernel = _null_kernel(table, grid)
     total = len(grid) ** n
     if jobs <= 1 or total < _PARALLEL_THRESHOLD:
         hit, skipped = kernel.scan(0, total)
@@ -585,7 +570,7 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
         hit, skipped = _scan_in_pool(kernel, total, jobs)
     if hit is None:
         return NullSearchResult(None, n, grid, total, skipped)
-    vector = FormalSum(zip(basis, _assignment(hit, grid, n)))
+    vector = FormalSum(zip(table.basis, _assignment(hit, grid, n)))
     return NullSearchResult(vector, n, grid, hit + 1, skipped)
 
 

@@ -32,8 +32,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import FormalSum, UniverseMismatchError, json_int
-from .engine import GluingTheory, pair, table_from_codes
+from .algebra import UniverseMismatchError, json_int
+from .engine import GluingTheory, table_from_codes
 
 
 @dataclass(frozen=True)
@@ -225,11 +225,6 @@ class MonomialTheory(GluingTheory):
         for p in descriptor.primes():
             if p not in self.involution.alphabet:
                 raise UniverseMismatchError(f"prime {p!r} not in alphabet")
-
-
-def pair_poly(x: FormalSum, y: FormalSum, sigma: Involution) -> FormalSum:
-    """Sesquilinear pairing x * conj(y) of polynomials over the alphabet."""
-    return pair(x, y, MonomialTheory(sigma))
 
 
 def manifold3_to_monomial(primes: Iterable[str] | Mapping[str, int],

@@ -23,8 +23,7 @@ from umpair.dim2 import (ClosedSurface, Dim2Theory, core_gluing_table,
 from umpair.fourdim import (FourDimTheory, build_mazur_table, build_scob_table,
                             demo_null)
 from umpair.monomial import (Involution, Monomial, MonomialTheory,
-                             enumerate_monomials, manifold3_to_monomial,
-                             pair_poly)
+                             enumerate_monomials, manifold3_to_monomial)
 
 
 @contextmanager
@@ -117,7 +116,7 @@ def test_criterion_3_monomial_diagonal_dominance():
         for _ in range(1000):
             x = random_poly(rng, sigma)
             y = random_poly(rng, sigma)
-            product = pair_poly(x, y, sigma)
+            product = engine.pair(x, y, MonomialTheory(sigma))
             assert as_raw(product) == convolution_oracle(raw_terms(x),
                                                          raw_terms(y), sigma)
 
@@ -146,7 +145,7 @@ def test_criterion_5_knot_fixture():
         granny = manifold3_to_monomial(["T", "T"], sigma)
         square = manifold3_to_monomial(["T", "T~"], sigma)
         x = FormalSum([(granny, 1), (square, -1)])
-        product = pair_poly(x, x, sigma)
+        product = engine.pair(x, x, MonomialTheory(sigma))
         assert product == FormalSum([
             (Monomial.from_dict({"T": 2, "T~": 2}), 2),
             (Monomial.from_dict({"T": 3, "T~": 1}), -1),

@@ -359,23 +359,23 @@ def test_dominance_failures_match_a_pairwise_loop(monkeypatch):
 
 
 def test_gram_tensor_dim1():
-    gram = engine.gram_tensor(BASIS2, D1)
+    gram = engine.GramTensor(BASIS2, D1)
     two, one = D1.glue(BASIS2[0], BASIS2[0]), D1.glue(BASIS2[0], BASIS2[1])
     assert gram.matrix(two) == [[1, 0], [0, 1]]
     assert gram.matrix(one) == [[0, 1], [1, 0]]
 
 
 def test_gram_tensor_fourdim_and_singleton():
-    gram = engine.gram_tensor(list(MAZUR.labels), FOURD)
+    gram = engine.GramTensor(list(MAZUR.labels), FOURD)
     assert gram.matrix("S4") == [[1, 1], [1, 1]]
-    single = engine.gram_tensor([BASIS2[0]], D1)
+    single = engine.GramTensor([BASIS2[0]], D1)
     assert single.matrix(D1.glue(BASIS2[0], BASIS2[0])) == [[1]]
 
 
 def test_gram_transpose_is_the_reversed_form():
     theory = MonomialTheory(KNOT)
     basis = enumerate_monomials(KNOT.alphabet, 2)
-    gram = engine.gram_tensor(basis, theory)
+    gram = engine.GramTensor(basis, theory)
     for closed in gram.forms:
         matrix = gram.matrix(closed)
         transposed = [list(row) for row in zip(*matrix)]
@@ -387,7 +387,7 @@ def test_gram_reproduces_the_pairing():
     boundary = standard_boundary(3)
     basis = enumerate1(boundary, 0)
     theory = Dim1Theory(boundary)
-    gram = engine.gram_tensor(basis, theory)
+    gram = engine.GramTensor(basis, theory)
     for _ in range(30):
         coeffs = [Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis]
         x = FormalSum(zip(basis, coeffs))
@@ -564,20 +564,31 @@ def test_null_kernel_agrees_with_fraction_oracle(case, grid):
     (FOURD, list(MAZUR.labels), "pm1"),
 ], ids=["dim1", "dim2", "monomial", "mazur"])
 def test_null_search_never_calls_complexity(theory, basis, grid, monkeypatch):
-    """A null vector is a property of the pairing alone, not of complexity."""
-    expected = engine.null_search(basis, NULL_GRIDS[grid], theory)
+    """A null vector and the pairing depend on gluing alone, not on complexity."""
+    x = FormalSum((b, (ONE, -ONE, I)[k % 3]) for k, b in enumerate(basis))
+    y = FormalSum((b, (I, ONE)[k % 2]) for k, b in enumerate(reversed(basis)))
+    expected = (engine.null_search(basis, NULL_GRIDS[grid], theory),
+                engine.pair(x, x, theory), engine.pair(x, y, theory))
 
     def refuse(self, closed):
-        raise AssertionError("null_search called complexity")
+        raise AssertionError("complexity was called")
 
     monkeypatch.setattr(type(theory), "complexity", refuse)
-    assert engine.null_search(basis, NULL_GRIDS[grid], theory) == expected
+    assert (engine.null_search(basis, NULL_GRIDS[grid], theory),
+            engine.pair(x, x, theory), engine.pair(x, y, theory)) == expected
 
 
 def test_null_kernel_falls_back_to_python_ints():
     labels = list(MAZUR.labels)
-    assert engine._null_kernel(labels, NULL_GRIDS["gauss2"], FOURD).re.dtype == np.int64
+    table = engine.GramTensor(labels, FOURD)
+    assert engine._null_kernel(table, NULL_GRIDS["gauss2"]).re.dtype == np.int64
+    # Group size 4 times the largest entry, 1.69e18, stays below 2**63.
+    big = engine._canonical_grid((0, 1_300_000_000, -1_300_000_000))
+    assert engine._null_kernel(table, big).re.dtype == np.int64
+    result = engine.null_search(labels, big, FOURD)
+    assert result == fraction_null_search(labels, big, FOURD)
+    assert result.vector == FormalSum([("M", -1_300_000_000), ("M'", 1_300_000_000)])
     huge = engine._canonical_grid(NULL_GRIDS["huge"])
-    assert engine._null_kernel(labels, huge, FOURD).re.dtype == object
+    assert engine._null_kernel(table, huge).re.dtype == object
     result = engine.null_search(labels, huge, FOURD)
     assert result.vector == FormalSum([("M", 1), ("M'", -1)])

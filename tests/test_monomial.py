@@ -9,7 +9,7 @@ from umpair import engine
 from umpair.algebra import FormalSum, I
 from umpair.monomial import (Involution, Monomial, MonomialTheory, UNIT,
                              complexity_mono, enumerate_monomials,
-                             manifold3_to_monomial, mono_conj, pair_poly)
+                             manifold3_to_monomial, mono_conj)
 
 from oracles import (MonomialComplexity, as_raw, convolution_oracle,
                      random_poly, raw_terms)
@@ -69,24 +69,26 @@ def test_conj_rejects_unknown_prime():
 def test_pair_poly_examples():
     sigma = Involution(("p1", "p2"), swaps=(("p1", "p2"),))
     x = FormalSum([(mono(p1=1), 1), (mono(p2=1), -1)])
-    expanded = pair_poly(x, x, sigma)
+    expanded = engine.pair(x, x, MonomialTheory(sigma))
     assert expanded == FormalSum([(mono(p1=2), -1), (mono(p1=1, p2=1), 2),
                                   (mono(p2=2), -1)])
 
     unit = FormalSum.single(UNIT)
-    assert pair_poly(unit, unit, sigma) == unit
+    assert engine.pair(unit, unit, MonomialTheory(sigma)) == unit
 
     identity = Involution(("p1",))
     left = FormalSum.single(mono(p1=1), I)
     right = FormalSum.single(mono(p1=1))
-    assert pair_poly(left, right, identity) == FormalSum.single(mono(p1=2), I)
+    assert engine.pair(left, right, MonomialTheory(identity)) == \
+        FormalSum.single(mono(p1=2), I)
 
 
 def test_pair_poly_conjugates_the_second_slot():
     identity = Involution(("p1",))
     x = FormalSum.single(mono(p1=1))
     y = FormalSum.single(mono(p1=1), I)
-    assert pair_poly(x, y, identity) == FormalSum.single(mono(p1=2), -I)
+    assert engine.pair(x, y, MonomialTheory(identity)) == \
+        FormalSum.single(mono(p1=2), -I)
 
 
 def test_complexity_examples():
@@ -131,7 +133,7 @@ def test_granny_square_fixture():
     square = manifold3_to_monomial(["T", "T~"], KNOT)
     assert granny == mono(T=2) and square == mono(T=1, **{"T~": 1})
     x = FormalSum([(granny, 1), (square, -1)])
-    product = pair_poly(x, x, KNOT)
+    product = engine.pair(x, x, MonomialTheory(KNOT))
     assert product == FormalSum([
         (mono(T=2, **{"T~": 2}), 2),
         (mono(T=3, **{"T~": 1}), -1),
@@ -168,7 +170,7 @@ def test_pair_poly_matches_convolution_oracle():
     for _ in range(200):
         x = random_poly(rng, SWAP12)
         y = random_poly(rng, SWAP12)
-        product = pair_poly(x, y, SWAP12)
+        product = engine.pair(x, y, MonomialTheory(SWAP12))
         assert as_raw(product) == convolution_oracle(raw_terms(x), raw_terms(y),
                                                      SWAP12)
 
