@@ -93,9 +93,9 @@ def _involution_from_args(args: argparse.Namespace) -> monomial.Involution:
     return monomial.Involution(alphabet, tuple(swaps))
 
 
-def _table_from_args(args: argparse.Namespace) -> fourdim.GluingTable:
+def _table_from_args(args: argparse.Namespace) -> fourdim.FourDimTheory:
     if args.in_path:
-        return fourdim.GluingTable.from_json(_read_json(args.in_path))
+        return fourdim.FourDimTheory.from_json(_read_json(args.in_path))
     if args.table == "mazur":
         return fourdim.build_mazur_table()
     if args.table == "scob":
@@ -123,9 +123,8 @@ def _theory_and_basis(args: argparse.Namespace
                                 "degree": args.degree})
         return (monomial.MonomialTheory(sigma),
                 monomial.enumerate_monomials(sigma.alphabet, args.degree), config)
-    table = _table_from_args(args)
-    config = _config(args, {"labels": list(table.labels)})
-    return fourdim.FourDimTheory(table), list(table.labels), config
+    theory = _table_from_args(args)
+    return theory, list(theory.labels), _config(args, {"labels": list(theory.labels)})
 
 
 def _theory_for_vectors(args: argparse.Namespace,
@@ -134,7 +133,7 @@ def _theory_for_vectors(args: argparse.Namespace,
     if args.theory == "monomial":
         return monomial.MonomialTheory(_involution_from_args(args))
     if args.theory == "fourdim":
-        return fourdim.FourDimTheory(_table_from_args(args))
+        return _table_from_args(args)
     for total in sums:
         for descriptor in total.support():
             if args.theory == "dim1":
@@ -215,12 +214,12 @@ def cmd_null_search(args: argparse.Namespace) -> int:
 
 
 def cmd_fourdim_demo(args: argparse.Namespace) -> int:
-    table = _table_from_args(args)
-    demo = fourdim.demo_null(table)
+    theory = _table_from_args(args)
+    demo = fourdim.demo_null(theory)
     payload = {
         "command": "fourdim-demo",
         "config": _config(args, {}),
-        "table": table.to_json(),
+        "table": theory.to_json(),
         "demo": demo.to_json(),
     }
     _write_output(payload, args.out)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -396,21 +397,6 @@ def _canonical_grid(coeff_set: Iterable[Scalar | int]) -> tuple[Scalar, ...]:
     return tuple(grid)
 
 
-def _leading_value(grid: Sequence[Scalar]) -> Scalar:
-    if ONE in grid:
-        return ONE
-    return next(c for c in grid if not c.is_zero())
-
-
-def _assignment(index: int, grid: Sequence[Scalar], n: int) -> list[Scalar]:
-    digits = []
-    for _ in range(n):
-        index, r = divmod(index, len(grid))
-        digits.append(grid[r])
-    digits.reverse()
-    return digits
-
-
 # Assignments per numpy batch; the working arrays take about 8 kB per basis
 # coordinate.
 _BATCH = 1024
@@ -447,11 +433,12 @@ class _NullKernel:
     keep: np.ndarray
     groups: tuple[tuple[tuple[int, int], ...], ...]
 
-    def scan(self, start: int, stop: int) -> tuple[int | None, int]:
-        """First null index in [start, stop), and the assignments skipped up to it.
+    def scan(self, start: int, stop: int) -> tuple[int | None, int, list[int] | None]:
+        """First null index in [start, stop), the assignments skipped up to it
+        and the hit's digits, its grid index per basis coordinate.
 
-        Without a hit the skip count covers the whole range.  Indices are
-        int64: a scan that reaches 2**63 would not finish anyway.
+        Without a hit: None, the skips of the whole range, None.  Indices
+        are int64: a scan that reaches 2**63 would not finish anyway.
         """
         radix = len(self.keep)
         skipped = 0
@@ -479,9 +466,10 @@ class _NullKernel:
                     break
             if len(rows):
                 hit = int(rows[0])
-                return lo + hit, skipped + hit - int(np.count_nonzero(kept[:hit]))
+                skipped += hit - int(np.count_nonzero(kept[:hit]))
+                return lo + hit, skipped, cand[:, 0].tolist()
             skipped += len(kept) - int(np.count_nonzero(kept))
-        return None, skipped
+        return None, skipped, None
 
 
 def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
@@ -497,7 +485,8 @@ def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
                            for f in range(len(table.forms))), key=len))
     dtype = np.int64 if len(groups[-1]) * max(map(abs, re + im)) < 2**63 else object
 
-    lead, on_grid = _leading_value(grid), frozenset(grid)
+    lead = ONE if ONE in grid else next(c for c in grid if not c.is_zero())
+    on_grid = frozenset(grid)
 
     def ray_row(first: Scalar) -> list[bool]:
         if first.is_zero():
@@ -513,8 +502,8 @@ def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
 
 
 def _scan_in_pool(kernel: _NullKernel, total: int, jobs: int
-                  ) -> tuple[int | None, int]:
-    """``kernel.scan`` over contiguous ranges in worker processes.
+                  ) -> tuple[int | None, int, list[int] | None]:
+    """``kernel.scan`` over contiguous ranges, in at most one worker per CPU.
 
     Results are read in range order and the pending ranges are cancelled
     after the first hit, so the hit and the skip count are those of a
@@ -525,6 +514,7 @@ def _scan_in_pool(kernel: _NullKernel, total: int, jobs: int
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    jobs = min(jobs, os.cpu_count() or 1)
     chunk = -(-total // (jobs * 8))
     skipped = 0
     pool = ProcessPoolExecutor(max_workers=jobs,
@@ -533,11 +523,11 @@ def _scan_in_pool(kernel: _NullKernel, total: int, jobs: int
         futures = [pool.submit(kernel.scan, lo, min(lo + chunk, total))
                    for lo in range(0, total, chunk)]
         for future in futures:
-            hit, part = future.result()
+            hit, part, digits = future.result()
             skipped += part
             if hit is not None:
-                return hit, skipped
-        return None, skipped
+                return hit, skipped, digits
+        return None, skipped, None
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -565,12 +555,12 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
     kernel = _null_kernel(table, grid)
     total = len(grid) ** n
     if jobs <= 1 or total < _PARALLEL_THRESHOLD:
-        hit, skipped = kernel.scan(0, total)
+        hit, skipped, digits = kernel.scan(0, total)
     else:
-        hit, skipped = _scan_in_pool(kernel, total, jobs)
+        hit, skipped, digits = _scan_in_pool(kernel, total, jobs)
     if hit is None:
         return NullSearchResult(None, n, grid, total, skipped)
-    vector = FormalSum(zip(table.basis, _assignment(hit, grid, n)))
+    vector = FormalSum(zip(table.basis, (grid[d] for d in digits)))
     return NullSearchResult(vector, n, grid, hit + 1, skipped)
 
 

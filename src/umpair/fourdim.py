@@ -10,11 +10,12 @@ the pairing must send x to zero.
 
 This module consumes such facts as finite symbolic tables: basis labels, a
 closed-manifold name for each ordered pair of labels, and an orientation
-reversal on the closed names.  Two builders ship the published examples,
-the doubled contractible (Mazur-type) manifold where every entry is the
-4-sphere, and the s-cobordism family where every entry is a connected sum
-of k copies of S1 x S3.  No smooth topology is computed here; the tables
-are data.
+reversal on the closed names; each table is one ``FourDimTheory``.  Two
+builders ship the published examples, the doubled contractible
+(Mazur-type) manifold where every entry is the 4-sphere, and the
+s-cobordism family where every entry is a connected sum of k copies of
+S1 x S3.  ``demo_null`` finds coinciding rows in the theory's
+``GramTensor``.  No smooth topology is computed here; the tables are data.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from itertools import combinations
 from typing import Any
 
 from .algebra import FormalSum, UniverseMismatchError, json_list
-from .engine import (CertificateFailure, GluingTheory, PositivityCertificate,
-                     certify_positive, pair)
+from .engine import (CertificateFailure, GluingTheory, GramTensor,
+                     PositivityCertificate, certify_positive, pair)
 
 
-class GluingTable:
-    """A finite symbolic pairing theory on opaque labels.
+class FourDimTheory(GluingTheory):
+    """The gluing theory of one symbolic table; complexity is constant.
 
     Validates conjugate symmetry, table(a, b) = reverse(table(b, a)), and
     that the reversal is an involution on the closed names it mentions.
@@ -64,13 +65,24 @@ class GluingTable:
                         f"{self.table[(a, b)]} != reverse({self.table[(b, a)]})")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GluingTable):
+        if not isinstance(other, FourDimTheory):
             return NotImplemented
         return (self.labels == other.labels and self.table == other.table
                 and self.reverse_map == other.reverse_map)
 
-    def rows_coincide(self, a: str, b: str) -> bool:
-        return all(self.table[(a, c)] == self.table[(b, c)] for c in self.labels)
+    def glue(self, a: str, b: str) -> str:
+        return self.table[(a, b)]
+
+    def reverse(self, closed: str) -> str:
+        return self.reverse_map[closed]
+
+    def complexity(self, closed: str) -> int:
+        return 0
+
+    def validate_basis(self, descriptor: Any) -> None:
+        if descriptor not in self.labels:
+            raise UniverseMismatchError(
+                f"label {descriptor!r} not in table labels {self.labels}")
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -81,7 +93,7 @@ class GluingTable:
         }
 
     @classmethod
-    def from_json(cls, data: Any) -> GluingTable:
+    def from_json(cls, data: Any) -> FourDimTheory:
         if not isinstance(data, dict) or "labels" not in data or "table" not in data:
             raise ValueError("a gluing table needs 'labels', 'table' and 'reverse'")
         table = {}
@@ -102,43 +114,22 @@ def _names(value: Any, what: str) -> dict[str, str]:
     return value
 
 
-def _constant_table(labels: tuple[str, ...], closed_name: str) -> GluingTable:
+def _constant_table(labels: tuple[str, ...], closed_name: str) -> FourDimTheory:
     table = {(a, b): closed_name for a in labels for b in labels}
-    return GluingTable(labels, table, {closed_name: closed_name})
+    return FourDimTheory(labels, table, {closed_name: closed_name})
 
 
-def build_mazur_table() -> GluingTable:
+def build_mazur_table() -> FourDimTheory:
     """The doubled-contractible-manifold example: every gluing is S4."""
     return _constant_table(("M", "M'"), "S4")
 
 
-def build_scob_table(k: int) -> GluingTable:
+def build_scob_table(k: int) -> FourDimTheory:
     """The s-cobordism family: every gluing is #k(S1xS3); k = 0 is S4."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     name = "S4" if k == 0 else f"#{k}(S1xS3)"
     return _constant_table(("M", "M'"), name)
-
-
-@dataclass(frozen=True)
-class FourDimTheory(GluingTheory):
-    """Table-driven gluing theory; complexity is constant on closed names."""
-
-    table: GluingTable
-
-    def glue(self, a: str, b: str) -> str:
-        return self.table.table[(a, b)]
-
-    def reverse(self, closed: str) -> str:
-        return self.table.reverse_map[closed]
-
-    def complexity(self, closed: str) -> int:
-        return 0
-
-    def validate_basis(self, descriptor: Any) -> None:
-        if descriptor not in self.table.labels:
-            raise UniverseMismatchError(
-                f"label {descriptor!r} not in table labels {self.table.labels}")
 
 
 @dataclass(frozen=True)
@@ -167,17 +158,19 @@ class DemoNullResult:
         }
 
 
-def demo_null(table: GluingTable) -> DemoNullResult:
+def demo_null(theory: FourDimTheory) -> DemoNullResult:
     """Exhibit the null vector of a table with two coinciding rows.
 
-    For the first pair of labels (a, b) whose table rows coincide, returns
-    x = a - b, the (exactly zero) pairing <x, x>, and the failed positivity
-    certificate naming the pair.  A table without coinciding rows yields a
-    diagnostic result instead of a fabricated null vector.
+    Reads the rows of the theory's ``GramTensor``, built once.  For the
+    first pair of labels (a, b), in ``itertools.combinations`` order, whose
+    rows coincide, returns x = a - b, the (exactly zero) pairing <x, x>, and
+    the failed positivity certificate naming the pair.  A table without
+    coinciding rows yields a diagnostic result instead of a fabricated null
+    vector.
     """
-    theory = FourDimTheory(table)
-    for a, b in combinations(table.labels, 2):
-        if not table.rows_coincide(a, b):
+    rows = GramTensor(theory.labels, theory).ids.tolist()
+    for (a, row_a), (b, row_b) in combinations(zip(theory.labels, rows), 2):
+        if row_a != row_b:
             continue
         x = FormalSum([(a, 1), (b, -1)])
         squared = pair(x, x, theory)

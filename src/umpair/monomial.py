@@ -115,9 +115,6 @@ class Monomial:
     def as_dict(self) -> dict[str, int]:
         return dict(self.exponents)
 
-    def exponent(self, prime: str) -> int:
-        return dict(self.exponents).get(prime, 0)
-
     def degree(self) -> int:
         return sum(e for _, e in self.exponents)
 

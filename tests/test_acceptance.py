@@ -20,8 +20,7 @@ from umpair.cli import main
 from umpair.dim1 import Dim1Theory, Closed1Manifold, enumerate1, standard_boundary
 from umpair.dim2 import (ClosedSurface, Dim2Theory, core_gluing_table,
                          enumerate2, glue2, verify_lemma_grid)
-from umpair.fourdim import (FourDimTheory, build_mazur_table, build_scob_table,
-                            demo_null)
+from umpair.fourdim import build_mazur_table, build_scob_table, demo_null
 from umpair.monomial import (Involution, Monomial, MonomialTheory,
                              enumerate_monomials, manifold3_to_monomial)
 
@@ -126,7 +125,7 @@ def test_criterion_4_fourdim_non_positivity():
         tables = [build_mazur_table()] + [build_scob_table(k) for k in range(4)]
         expected = FormalSum([("M", 1), ("M'", -1)])
         for table in tables:
-            theory = FourDimTheory(table)
+            theory = table
             demo = demo_null(table)
             assert demo.found and demo.pair_labels == ("M", "M'")
             assert demo.vector == expected

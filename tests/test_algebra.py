@@ -131,7 +131,7 @@ def _descriptors():
     """Basis and closed descriptors of every theory, fourdim included."""
     from umpair.dim1 import Dim1Theory, enumerate1, standard_boundary
     from umpair.dim2 import Dim2Theory, enumerate2
-    from umpair.fourdim import FourDimTheory, build_mazur_table
+    from umpair.fourdim import build_mazur_table
     from umpair.monomial import Involution, MonomialTheory, enumerate_monomials
 
     sigma = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
@@ -140,7 +140,7 @@ def _descriptors():
     for theory, basis in ((Dim1Theory(boundary), enumerate1(boundary, 1)),
                           (Dim2Theory(2), enumerate2(2, 1, 1)),
                           (MonomialTheory(sigma), enumerate_monomials(sigma.alphabet, 3)),
-                          (FourDimTheory(mazur), list(mazur.labels))):
+                          (mazur, list(mazur.labels))):
         yield from basis
         yield from theory.glue_table(tuple(basis))[0]
 

@@ -15,7 +15,7 @@ from umpair.algebra import FormalSum, Scalar
 from umpair.cli import DECODERS, main
 from umpair.dim1 import enumerate1, standard_boundary
 from umpair.dim2 import Bounded2Manifold
-from umpair.fourdim import GluingTable
+from umpair.fourdim import FourDimTheory
 from umpair.monomial import Monomial
 
 
@@ -230,7 +230,7 @@ TEMPLATES = {
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_every_decoder_returns_or_raises_value_error(data):
-    decoders = dict(DECODERS, table=GluingTable.from_json, scalar=Scalar.from_json)
+    decoders = dict(DECODERS, table=FourDimTheory.from_json, scalar=Scalar.from_json)
     for name, decode in decoders.items():
         template = TEMPLATES.get(name, {})
         inputs = [data] + [dict(template, **{field: data}) for field in template]

@@ -1,5 +1,6 @@
 """The pairing engine across all four gluing theories."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ D1 = Dim1Theory(B2)
 BASIS2 = enumerate1(B2, 0)               # identity matching, swap matching
 KNOT = Involution(("T", "T~"), swaps=(("T", "T~"),))
 MAZUR = build_mazur_table()
-FOURD = FourDimTheory(MAZUR)
+FOURD = MAZUR
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 scalars = st.builds(Scalar, fractions, fractions)
@@ -261,7 +262,7 @@ TABLE_CASES = {
     "knot-3": (MonomialTheory(KNOT), enumerate_monomials(KNOT.alphabet, 3)),
     "swap12-3": (MonomialTheory(SWAP12), enumerate_monomials(SWAP12.alphabet, 3)),
     "mazur": (FOURD, list(MAZUR.labels)),
-    "scob2": (FourDimTheory(build_scob_table(2)), ["M", "M'"]),
+    "scob2": (build_scob_table(2), ["M", "M'"]),
     **{f"dim1-j{j}-mc{mc}": _dim1_case(j, mc) for j, mc in ((0, 0), (5, 0), (3, 2))},
     **{f"p1-p4-degree4-{shape}": (MonomialTheory(sigma),
                                   enumerate_monomials(sigma.alphabet, 4))
@@ -411,7 +412,7 @@ def _agreement_case(name):
     if name == "knot":
         return MonomialTheory(KNOT), enumerate_monomials(KNOT.alphabet, 4)
     table = MAZUR if name == "mazur" else build_scob_table(2)
-    return FourDimTheory(table), list(table.labels)
+    return table, list(table.labels)
 
 
 def _gaussian_rational(rng, denominator):
@@ -503,7 +504,7 @@ def test_scalar_division_supports_the_ray_check():
 def test_null_search_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
     labels = ["A", "B", "M", "M'"]
-    hit = (FourDimTheory(_constant_table(tuple(labels), "S4")), labels)
+    hit = (_constant_table(tuple(labels), "S4"), labels)
     none = _dim1_case(3, 0)
     for (theory, basis), found in ((hit, True), (none, False)):
         serial = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=1)
@@ -511,6 +512,47 @@ def test_null_search_parallel_matches_serial(monkeypatch):
         assert (serial.vector is not None) == found
         assert serial == parallel
         assert serial.to_json() == parallel.to_json()
+
+
+def test_null_search_caps_workers_at_the_cpu_count(monkeypatch):
+    """--jobs above the CPU count starts no more workers than there are CPUs."""
+    import concurrent.futures
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            workers.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+    labels = ["A", "B", "M", "M'"]
+    theory = _constant_table(tuple(labels), "S4")
+    serial = engine.null_search(labels, engine.PM_ONE_GRID, theory)
+    assert engine.null_search(labels, engine.PM_ONE_GRID, theory, jobs=10_000) == serial
+    assert workers and max(workers) <= os.cpu_count()
+
+
+def test_null_hit_past_the_first_batch_serial_and_pooled(monkeypatch):
+    """The hit's digits come back right at a nonzero batch and range offset."""
+    labels = [f"L{k}" for k in range(5)] + ["M", "M'"]
+    closed = {label: "M" if label == "M'" else label for label in labels}
+    names = {(a, b): "+".join(sorted((closed[a], closed[b])))
+             for a in labels for b in labels}
+    theory = FourDimTheory(labels, names, {name: name for name in names.values()})
+    serial = engine.null_search(labels, engine.PM_ONE_GRID, theory)
+    assert serial.vector == FormalSum([("M", 1), ("M'", -1)])
+    assert (serial.assignments_tested, serial.assignments_skipped) == (1096, 1094)
+    assert serial.assignments_tested > engine._BATCH
+    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+    assert engine.null_search(labels, engine.PM_ONE_GRID, theory, jobs=2) == serial
 
 
 def test_gaussian_grid_contents():
@@ -526,8 +568,8 @@ NULL_CASES = {
     "dim2-j1": (Dim2Theory(1), enumerate2(1, 1, 0)),
     "dim2-j2": (Dim2Theory(2), enumerate2(2, 1, 0)),
     "mazur": (FOURD, list(MAZUR.labels)),
-    "scob2": (FourDimTheory(build_scob_table(2)), ["M", "M'"]),
-    "constant4": (FourDimTheory(_constant_table(("A", "B", "M", "M'"), "S4")),
+    "scob2": (build_scob_table(2), ["M", "M'"]),
+    "constant4": (_constant_table(("A", "B", "M", "M'"), "S4"),
                   ["A", "B", "M", "M'"]),
 }
 NULL_GRIDS = {

@@ -4,8 +4,8 @@ import pytest
 
 from umpair import engine
 from umpair.algebra import FormalSum
-from umpair.fourdim import (FourDimTheory, GluingTable, build_mazur_table,
-                            build_scob_table, demo_null)
+from umpair.fourdim import (FourDimTheory, build_mazur_table, build_scob_table,
+                            demo_null)
 
 
 def test_mazur_table_entries():
@@ -34,19 +34,19 @@ def test_table_conjugate_symmetry_holds_by_construction():
 
 def test_invalid_tables_are_rejected():
     with pytest.raises(ValueError):
-        GluingTable(("M", "M"), {("M", "M"): "S4"}, {"S4": "S4"})
+        FourDimTheory(("M", "M"), {("M", "M"): "S4"}, {"S4": "S4"})
     with pytest.raises(ValueError):
-        GluingTable(("A",), {}, {})
+        FourDimTheory(("A",), {}, {})
     with pytest.raises(ValueError):
-        GluingTable(("A",), {("A", "A"): "X"}, {"X": "Y", "Y": "X"})
+        FourDimTheory(("A",), {("A", "A"): "X"}, {"X": "Y", "Y": "X"})
     with pytest.raises(ValueError):
-        GluingTable(("A,B",), {("A,B", "A,B"): "X"}, {"X": "X"})
+        FourDimTheory(("A,B",), {("A,B", "A,B"): "X"}, {"X": "X"})
     # asymmetric off-diagonal entries with a fixed reversal
     with pytest.raises(ValueError):
-        GluingTable(("A", "B"),
-                    {("A", "A"): "X", ("A", "B"): "X",
-                     ("B", "A"): "Y", ("B", "B"): "Y"},
-                    {"X": "X", "Y": "Y"})
+        FourDimTheory(("A", "B"),
+                      {("A", "A"): "X", ("A", "B"): "X",
+                       ("B", "A"): "Y", ("B", "B"): "Y"},
+                      {"X": "X", "Y": "Y"})
 
 
 @pytest.mark.parametrize("table", [build_mazur_table(), build_scob_table(1),
@@ -62,8 +62,21 @@ def test_demo_null_exhibits_the_difference_vector(table):
     assert (failure.left, failure.right) == ("M", "M'")
 
 
+def test_demo_takes_the_first_coinciding_pair_in_label_order():
+    # Rows A = C and B = D; (A, C) comes before (B, D).
+    side = {"A": "AC", "B": "BD", "C": "AC", "D": "BD"}
+    name = {("AC", "AC"): "P", ("AC", "BD"): "Q", ("BD", "AC"): "Q", ("BD", "BD"): "R"}
+    table = FourDimTheory(("A", "B", "C", "D"),
+                          {(a, b): name[(side[a], side[b])] for a in side for b in side},
+                          {"P": "P", "Q": "Q", "R": "R"})
+    demo = demo_null(table)
+    assert demo.pair_labels == ("A", "C")
+    assert demo.vector == FormalSum([("A", 1), ("C", -1)])
+    assert demo.pairing.is_zero()
+
+
 def test_demo_diagnoses_tables_without_coinciding_rows():
-    table = GluingTable(
+    table = FourDimTheory(
         ("A", "B"),
         {("A", "A"): "X", ("A", "B"): "Z", ("B", "A"): "Z", ("B", "B"): "Y"},
         {"X": "X", "Y": "Y", "Z": "Z"})
@@ -75,7 +88,7 @@ def test_demo_diagnoses_tables_without_coinciding_rows():
 
 def test_null_search_and_lemma_on_every_built_table():
     for table in (build_mazur_table(), build_scob_table(1), build_scob_table(2)):
-        theory = FourDimTheory(table)
+        theory = table
         found = engine.null_search(list(table.labels), engine.PM_ONE_GRID, theory)
         assert found.vector == FormalSum([("M", 1), ("M'", -1)])
         report = engine.verify_lemma(list(table.labels), theory)
@@ -86,15 +99,15 @@ def test_null_search_and_lemma_on_every_built_table():
 
 def test_table_json_round_trip():
     table = build_scob_table(2)
-    assert GluingTable.from_json(table.to_json()) == table
+    assert FourDimTheory.from_json(table.to_json()) == table
     with pytest.raises(ValueError):
-        GluingTable.from_json({"labels": ["A"]})
+        FourDimTheory.from_json({"labels": ["A"]})
     with pytest.raises(ValueError):
-        GluingTable.from_json({"labels": ["A"], "table": {"AA": "X"},
-                               "reverse": {"X": "X"}})
+        FourDimTheory.from_json({"labels": ["A"], "table": {"AA": "X"},
+                                 "reverse": {"X": "X"}})
 
 
 def test_theory_validates_labels():
-    theory = FourDimTheory(build_mazur_table())
+    theory = build_mazur_table()
     with pytest.raises(Exception):
         engine.pair(FormalSum.single("stranger"), FormalSum.single("M"), theory)
