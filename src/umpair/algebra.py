@@ -152,6 +152,13 @@ def json_int(value: Any, what: str) -> int:
     return value
 
 
+def check_bounds(bounds: dict[str, Any]) -> None:
+    """ValueError naming the first integer bound below zero."""
+    for name, value in bounds.items():
+        if isinstance(value, int) and value < 0:
+            raise ValueError(f"bound {name} must be nonnegative, got {value}")
+
+
 def json_list(value: Any, what: str) -> list:
     """``value`` if it is a JSON list, else ValueError naming ``what``."""
     if not isinstance(value, list):
@@ -258,13 +265,6 @@ class FormalSum:
 
     def __rmul__(self, alpha: Scalar | int | Fraction) -> FormalSum:
         return self.scaled(alpha)
-
-    def conj_coefficients(self) -> FormalSum:
-        return FormalSum((d, c.conj()) for d, c in self.items())
-
-    def map_basis(self, fn: Callable[[Any], Any]) -> FormalSum:
-        """Push the sum through a basis map (coefficients untouched)."""
-        return FormalSum((fn(d), c) for d, c in self.items())
 
     def to_json(self) -> list[dict[str, Any]]:
         return [{"basis": descriptor_to_json(d), "coeff": c.to_json()}

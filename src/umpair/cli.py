@@ -24,15 +24,13 @@ import sys
 from typing import Any, Callable, Sequence
 
 from . import dim1, dim2, engine, fourdim, monomial
-from .algebra import FormalSum, Scalar
+from .algebra import FormalSum, Scalar, check_bounds
 
 
 def _config(args: argparse.Namespace, bounds: dict[str, Any]) -> dict[str, Any]:
     """Everything a command's output depends on, echoed into its report for
     audit; raises ValueError on a negative integer bound."""
-    for name, value in bounds.items():
-        if isinstance(value, int) and value < 0:
-            raise ValueError(f"bound {name} must be nonnegative, got {value}")
+    check_bounds(bounds)
     return {"theory": args.theory, "seed": args.seed, "bounds": bounds}
 
 
@@ -58,13 +56,18 @@ def _read_json(path: str) -> Any:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _write_output(payload: Any, out: str | None) -> None:
+def _write_output(args: argparse.Namespace, payload: Any) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _write_report(args: argparse.Namespace, config: dict[str, Any], **body: Any) -> None:
+    """The JSON report of every command but ``pair``: command, config, body."""
+    _write_output(args, {"command": args.command, "config": config, **body})
 
 
 def _parse_grid(spec: str) -> tuple[Scalar, ...]:
@@ -103,43 +106,32 @@ def _table_from_args(args: argparse.Namespace) -> fourdim.FourDimTheory:
     raise ValueError("the fourdim theory needs --table mazur|scob or --in <table.json>")
 
 
-def _theory_and_basis(args: argparse.Namespace
-                      ) -> tuple[engine.GluingTheory, list, dict[str, Any]]:
-    """Theory plus enumerated basis plus the config, with the bounds actually used."""
+def _build(args: argparse.Namespace, vectors: Sequence[FormalSum] = ()
+           ) -> tuple[engine.GluingTheory, dict[str, Any], Callable[[], list]]:
+    """The theory of one invocation, its config (bounds checked first) and a
+    thunk enumerating its basis.  dim1 and dim2 take their boundary from the
+    first vector descriptor when there is one."""
+    first = next((d for total in vectors for d in total.support()), None)
     if args.theory == "dim1":
         config = _config(args, {"j": args.j, "max_closed": args.max_closed})
-        boundary = dim1.standard_boundary(args.j)
-        return (dim1.Dim1Theory(boundary),
-                dim1.enumerate1(boundary, args.max_closed), config)
+        boundary = dim1.standard_boundary(args.j) if first is None else first.boundary
+        return (dim1.Dim1Theory(boundary), config,
+                lambda: dim1.enumerate1(boundary, args.max_closed))
     if args.theory == "dim2":
         config = _config(args, {"j": args.j, "gmax": args.gmax,
                                 "closed_budget": args.closed_budget})
-        return (dim2.Dim2Theory(args.j),
-                dim2.enumerate2(args.j, args.gmax, args.closed_budget), config)
+        circles = args.j if first is None else first.boundary_circles
+        return (dim2.Dim2Theory(circles), config,
+                lambda: dim2.enumerate2(args.j, args.gmax, args.closed_budget))
     if args.theory == "monomial":
         sigma = _involution_from_args(args)
         config = _config(args, {"alphabet": list(sigma.alphabet),
                                 "swaps": [list(s) for s in sigma.swaps],
                                 "degree": args.degree})
-        return (monomial.MonomialTheory(sigma),
-                monomial.enumerate_monomials(sigma.alphabet, args.degree), config)
+        return (monomial.MonomialTheory(sigma), config,
+                lambda: monomial.enumerate_monomials(sigma.alphabet, args.degree))
     theory = _table_from_args(args)
-    return theory, list(theory.labels), _config(args, {"labels": list(theory.labels)})
-
-
-def _theory_for_vectors(args: argparse.Namespace,
-                        sums: Sequence[FormalSum]) -> engine.GluingTheory | None:
-    """Theory context for pair/certify, derived from flags or the vectors."""
-    if args.theory == "monomial":
-        return monomial.MonomialTheory(_involution_from_args(args))
-    if args.theory == "fourdim":
-        return _table_from_args(args)
-    for total in sums:
-        for descriptor in total.support():
-            if args.theory == "dim1":
-                return dim1.Dim1Theory(descriptor.boundary)
-            return dim2.Dim2Theory(descriptor.boundary_circles)
-    return None  # every vector empty; the pairing is empty regardless
+    return theory, _config(args, {"labels": list(theory.labels)}), lambda: list(theory.labels)
 
 
 def _load_vector(path: str, theory_name: str) -> FormalSum:
@@ -147,40 +139,27 @@ def _load_vector(path: str, theory_name: str) -> FormalSum:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    theory, basis, config = _theory_and_basis(args)
-    payload = {
-        "command": "enumerate",
-        "config": config,
-        "count": len(basis),
-        "basis": [engine.descriptor_to_json(b) for b in basis],
-    }
-    _write_output(payload, args.out)
+    _, config, basis = _build(args)
+    items = basis()
+    _write_report(args, config, count=len(items),
+                  basis=[engine.descriptor_to_json(b) for b in items])
     return 0
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
     x = _load_vector(args.x, args.theory)
     y = _load_vector(args.y, args.theory)
-    theory = _theory_for_vectors(args, (x, y))
-    result = FormalSum.zero() if theory is None else engine.pair(x, y, theory)
-    _write_output(result.to_json(), args.out)
+    _write_output(args, engine.pair(x, y, _build(args, (x, y))[0]).to_json())
     return 0
 
 
 def cmd_verify_lemma(args: argparse.Namespace) -> int:
+    theory, config, basis = _build(args)
     if args.theory == "dim2":
-        config = _config(args, {"j": args.j, "gmax": args.gmax,
-                                "closed_budget": args.closed_budget})
         report = dim2.verify_lemma_grid(args.j, args.gmax, args.closed_budget)
     else:
-        theory, basis, config = _theory_and_basis(args)
-        report = engine.verify_lemma(basis, theory)
-    payload = {
-        "command": "verify-lemma",
-        "config": config,
-        "report": report.to_json(),
-    }
-    _write_output(payload, args.out)
+        report = engine.verify_lemma(basis(), theory)
+    _write_report(args, config, report=report.to_json())
     return 0 if report.passed else 2
 
 
@@ -188,41 +167,24 @@ def cmd_certify(args: argparse.Namespace) -> int:
     x = _load_vector(args.x, args.theory)
     if x.is_zero():
         raise ValueError("cannot certify a zero (or empty) vector")
-    theory = _theory_for_vectors(args, (x,))
-    outcome = engine.certify_positive(x, theory)
-    payload = {
-        "command": "certify",
-        "config": _config(args, {}),
-        "result": outcome.to_json(),
-    }
-    _write_output(payload, args.out)
+    outcome = engine.certify_positive(x, _build(args, (x,))[0])
+    _write_report(args, _config(args, {}), result=outcome.to_json())
     return 0 if isinstance(outcome, engine.PositivityCertificate) else 2
 
 
 def cmd_null_search(args: argparse.Namespace) -> int:
-    theory, basis, config = _theory_and_basis(args)
-    grid = _parse_grid(args.coeff_grid)
-    result = engine.null_search(basis, grid, theory, jobs=args.jobs)
+    theory, config, basis = _build(args)
+    result = engine.null_search(basis(), _parse_grid(args.coeff_grid), theory,
+                                jobs=args.jobs)
     config["bounds"]["coeff_grid"] = args.coeff_grid
-    payload = {
-        "command": "null-search",
-        "config": dict(config, jobs=args.jobs),
-        "search": result.to_json(),
-    }
-    _write_output(payload, args.out)
+    _write_report(args, config, search=result.to_json())
     return 0
 
 
 def cmd_fourdim_demo(args: argparse.Namespace) -> int:
-    theory = _table_from_args(args)
+    theory = _build(args)[0]
     demo = fourdim.demo_null(theory)
-    payload = {
-        "command": "fourdim-demo",
-        "config": _config(args, {}),
-        "table": theory.to_json(),
-        "demo": demo.to_json(),
-    }
-    _write_output(payload, args.out)
+    _write_report(args, _config(args, {}), table=theory.to_json(), demo=demo.to_json())
     return 0 if demo.found else 2
 
 

@@ -53,7 +53,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .algebra import UniverseMismatchError, json_int, json_list
+from .algebra import UniverseMismatchError, check_bounds, json_int, json_list
 from .engine import GluingTheory, LemmaReport, LemmaViolation, dense_ranks
 
 
@@ -323,6 +323,7 @@ def core_gluing_table(j: int, g_max: int
     pair of genus assignments of those partitions then come from products
     with the component incidence matrix, sorted along the last axis.
     """
+    check_bounds({"j": j, "g_max": g_max})
     partitions = list(_set_partitions(j))
     assignments = [np.array(list(itertools.product(range(g_max + 1), repeat=len(p))),
                             dtype=np.int32) for p in partitions]  # enumerate2's order
@@ -383,6 +384,7 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     (gid[a, b], gid[a, a], gid[b, b]), so each distinct triple is checked
     once as an nk x nk block and only failing triples are expanded.
     """
+    check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
     gid, genera = core_gluing_table(j, g_max)
     closeds = closed_multisets(g_max, closed_budget)
     nb, nk = len(gid), len(closeds)

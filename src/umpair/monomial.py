@@ -32,7 +32,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import UniverseMismatchError, json_int
+from .algebra import UniverseMismatchError, check_bounds, json_int
 from .engine import GluingTheory, table_from_codes
 
 
@@ -111,9 +111,6 @@ class Monomial:
     @classmethod
     def from_dict(cls, exponents: Mapping[str, int]) -> Monomial:
         return cls(tuple(exponents.items()))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.exponents)
 
     def degree(self) -> int:
         return sum(e for _, e in self.exponents)
@@ -242,6 +239,7 @@ def manifold3_to_monomial(primes: Iterable[str] | Mapping[str, int],
 
 def enumerate_monomials(alphabet: Iterable[str], max_degree: int) -> list[Monomial]:
     """All monomials of total degree <= max_degree, by degree then lexicographically."""
+    check_bounds({"max_degree": max_degree})
     letters = tuple(alphabet)
     out = []
     for degree in range(max_degree + 1):

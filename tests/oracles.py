@@ -64,7 +64,7 @@ def as_raw(formal_sum):
 
 
 def raw_terms(formal_sum):
-    return [(m.as_dict(), (c.re, c.im)) for m, c in formal_sum.items()]
+    return [(dict(m.exponents), (c.re, c.im)) for m, c in formal_sum.items()]
 
 
 def random_poly(rng, sigma, max_terms=8, max_exp=3):

@@ -316,9 +316,19 @@ def test_usage_errors_exit_1():
     assert main([]) == 1
 
 
-def test_negative_bounds_exit_1(capsys):
+def test_negative_bounds_exit_1(tmp_path, capsys):
     assert main(["enumerate", "--theory", "dim1", "--j", "-2"]) == 1
     assert "nonnegative" in capsys.readouterr().err
+    # pair and certify read their boundary from the vectors, but a negative
+    # bound flag is still an input error.
+    x = dim1_vector_file(tmp_path, "x.json", [1, -1])
+    disk = FormalSum.single(Bounded2Manifold(1, (((0,), 0),)))
+    y = write_json(tmp_path / "y.json", disk.to_json())
+    for argv in (["pair", "--theory", "dim1", "--j", "-1", "--x", x, "--y", x],
+                 ["certify", "--theory", "dim1", "--max-closed", "-1", "--x", x],
+                 ["certify", "--theory", "dim2", "--gmax", "-1", "--x", y]):
+        assert main(argv) == 1
+        assert "nonnegative" in capsys.readouterr().err
     assert main(["verify-lemma", "--theory", "dim1", "--j", "2", "--jobs", "0"]) == 1
     assert "jobs" in capsys.readouterr().err
 
@@ -337,14 +347,14 @@ def test_parallel_runs_produce_identical_reports(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
     for argv, status in ((["--theory", "fourdim", "--table", "mazur"], "found"),
                          (["--theory", "dim1", "--j", "2"], "none")):
-        searches = []
+        reports = []
         for jobs in ("1", "2"):
             out = tmp_path / f"search{jobs}.json"
             assert main(["null-search", *argv, "--coeff-grid", "pm1",
                          "--jobs", jobs, "--out", str(out)]) == 0
-            searches.append(load(out)["search"])
-        assert searches[0] == searches[1]
-        assert searches[0]["status"] == status
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["search"]["status"] == status
     # verify-lemma runs in one process: --jobs 2 is accepted and ignored.
     serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
     argv = ["verify-lemma", "--theory", "dim1", "--j", "4", "--max-closed", "2"]

@@ -177,6 +177,16 @@ def test_grid_verifier_matches_generic_verifier(j, gmax, budget):
     assert grid_report.violations == generic.violations == ()
 
 
+@pytest.mark.parametrize("bounds,name", [((-1, 0, 0), "j"), ((1, -1, 0), "g_max"),
+                                         ((1, 0, -1), "closed_budget")])
+def test_grid_verifier_rejects_negative_bounds(bounds, name):
+    with pytest.raises(ValueError, match=f"bound {name} must be nonnegative"):
+        verify_lemma_grid(*bounds)
+    if name != "closed_budget":
+        with pytest.raises(ValueError, match=f"bound {name} must be nonnegative"):
+            core_gluing_table(*bounds[:2])
+
+
 def test_grid_verifier_is_not_vacuous(monkeypatch):
     # Flatten the complexity order; every pair must then be reported, and the
     # grid sweep must agree with the generic pairwise check on the details.

@@ -165,6 +165,11 @@ def test_enumerate_monomials_counts_and_order():
     assert degrees == sorted(degrees)
 
 
+def test_enumerate_monomials_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="bound max_degree must be nonnegative"):
+        enumerate_monomials(("a",), -1)
+
+
 def test_pair_poly_matches_convolution_oracle():
     rng = random.Random(3401)
     for _ in range(200):
