@@ -21,7 +21,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import dim1, dim2, engine, fourdim, monomial
 from .algebra import FormalSum, Scalar, check_bounds
@@ -31,7 +31,7 @@ def _config(args: argparse.Namespace, bounds: dict[str, Any]) -> dict[str, Any]:
     """Everything a command's output depends on, echoed into its report for
     audit; raises ValueError on a negative integer bound."""
     check_bounds(bounds)
-    return {"theory": args.theory, "seed": args.seed, "bounds": bounds}
+    return {"theory": args.theory, "bounds": bounds}
 
 
 def _label_from_json(data: Any) -> str:
@@ -165,8 +165,6 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     x = _load_vector(args.x, args.theory)
-    if x.is_zero():
-        raise ValueError("cannot certify a zero (or empty) vector")
     outcome = engine.certify_positive(x, _build(args, (x,))[0])
     _write_report(args, _config(args, {}), result=outcome.to_json())
     return 0 if isinstance(outcome, engine.PositivityCertificate) else 2
@@ -211,11 +209,17 @@ def _add_common(parser: argparse.ArgumentParser, theory: bool = True) -> None:
                         help="fourdim: parameter of the scob table")
     parser.add_argument("--in", dest="in_path", default=None,
                         help="fourdim: user-supplied gluing table JSON")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into reports (commands are deterministic)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="null-search: worker processes for large grids")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so ``main`` prints them as one line with no
+    usage text (which wraps at the terminal width).  Subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
 
 
 @functools.cache
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing does not change it, and repeated ``main`` calls in one process
     should neither rebuild it nor fragment the heap with its objects.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umpair",
         description="Exact manifold-gluing pairings: enumerate bases, pair vectors, "
                     "verify complexity dominance, certify positivity, search for "
@@ -268,15 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         return args.func(args)
+    except SystemExit:  # --help, after printing the usage
+        return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

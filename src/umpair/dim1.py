@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .algebra import UniverseMismatchError, canonical_key, json_int, json_list
+from .algebra import UniverseMismatchError, canonical_key, check_bounds, json_int, json_list
 from .engine import GluingTheory, table_from_codes
 from .monomial import Involution, Monomial
 
@@ -60,8 +60,7 @@ class Boundary0:
 
 def standard_boundary(j: int) -> Boundary0:
     """j positive and j negative points with the default labels p1..pj, n1..nj."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
+    check_bounds({"j": j})
     return Boundary0(tuple(f"p{i + 1}" for i in range(j)),
                      tuple(f"n{i + 1}" for i in range(j)))
 
@@ -184,8 +183,7 @@ def enumerate1(boundary: Boundary0, max_closed: int = 0) -> list[Bounded1Manifol
     When the boundary has unequal positive and negative counts no oriented
     bounded 1-manifold exists and the basis is empty.
     """
-    if max_closed < 0:
-        raise ValueError("max_closed must be nonnegative")
+    check_bounds({"max_closed": max_closed})
     if len(boundary.pos) != len(boundary.neg):
         return []
     out = []

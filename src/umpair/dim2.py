@@ -219,8 +219,7 @@ def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def closed_multisets(g_max: int, budget: int) -> list[tuple[int, ...]]:
     """Sorted genus multisets with at most ``budget`` components, total genus
     at most ``budget`` and each genus at most ``g_max``."""
-    if g_max < 0 or budget < 0:
-        raise ValueError("genus bound and closed budget must be nonnegative")
+    check_bounds({"g_max": g_max, "budget": budget})
     found: list[tuple[int, ...]] = []
 
     def grow(prefix: list[int], start: int, total: int) -> None:
@@ -241,8 +240,7 @@ def enumerate2(j: int, g_max: int, closed_budget: int = 0) -> list[Bounded2Manif
     Deterministic order: partitions of the circle labels, then genus
     assignments, then closed multisets (so consecutive runs agree exactly).
     """
-    if j < 0:
-        raise ValueError("boundary circle count must be nonnegative")
+    check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
     out = []
     closeds = closed_multisets(g_max, closed_budget)
     for partition in _set_partitions(j):

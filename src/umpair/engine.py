@@ -341,7 +341,7 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     the input).
     """
     if x.is_zero():
-        raise ValueError("cannot certify the zero vector")
+        raise ValueError("cannot certify a zero (or empty) vector")
     table = GramTensor(x.support(), theory)
     for i, j in _dominance_failures(table):
         return CertificateFailure.of(theory, table.basis[i], table.basis[j])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
 
-from .algebra import FormalSum, UniverseMismatchError, json_list
+from .algebra import FormalSum, UniverseMismatchError, check_bounds, json_list
 from .engine import (CertificateFailure, GluingTheory, GramTensor,
                      PositivityCertificate, certify_positive, pair)
 
@@ -126,8 +126,7 @@ def build_mazur_table() -> FourDimTheory:
 
 def build_scob_table(k: int) -> FourDimTheory:
     """The s-cobordism family: every gluing is #k(S1xS3); k = 0 is S4."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    check_bounds({"k": k})
     name = "S4" if k == 0 else f"#{k}(S1xS3)"
     return _constant_table(("M", "M'"), name)
 

@@ -9,7 +9,9 @@ output kept as a list of lines so that a diff points at the changed line.
 ``library.jsonl`` holds one seeded ``pair(x, x)``, ``pair(x, y)`` or
 ``certify_positive(x)`` record a line, with the raw term lists it decoded.
 ``tests/test_golden.py`` replays both in-process through ``umpair.cli.main``
-and the library.
+and the library.  Input errors, usage errors from the argument parser
+included, are recorded like any other run: one ``error:`` line and exit 1.
+``--help`` is left out, because argparse wraps its text at the terminal width.
 
 ``--check`` runs every case and record afresh, prints a unified diff for
 each one whose bytes differ from the committed files, and exits 1 if any
@@ -169,7 +171,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                                                             ("B", _coeff(f"1/{BIG}")))}),
 
     "verify-lemma-dim1": (["verify-lemma", "--theory", "dim1", "--j", "3",
-                           "--max-closed", "1", "--seed", "7"], {}),
+                           "--max-closed", "1"], {}),
     "verify-lemma-dim2": (["verify-lemma", "--theory", "dim2", "--j", "2", "--gmax", "1",
                            "--closed-budget", "1", "--out", "out.json"], {}),
     "verify-lemma-monomial": (["verify-lemma", "--theory", "monomial", *KNOTS,
@@ -249,6 +251,13 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "error-bad-grid": (["null-search", "--theory", "dim1", "--j", "1",
                        "--coeff-grid", "gaussX"], {}),
     "error-missing-file": (["certify", "--theory", "dim1", "--x", "absent.json"], {}),
+    "error-negative-k": (["fourdim-demo", "--table", "scob", "--k", "-1"], {}),
+    # Usage errors from the argument parser: one error line, no usage text.
+    "error-usage-removed-seed": (["verify-lemma", "--theory", "dim1", "--j", "3",
+                                  "--seed", "7"], {}),
+    "error-usage-bad-theory": (["verify-lemma", "--theory", "nonsense"], {}),
+    "error-usage-missing-vectors": (["pair", "--theory", "dim1"], {}),
+    "error-usage-no-command": ([], {}),
 }
 
 

@@ -2,15 +2,17 @@
 
 import functools
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umpair import engine
+from umpair import dim1, dim2, engine, fourdim
 from umpair.algebra import FormalSum, Scalar
 from umpair.cli import DECODERS, main
 from umpair.dim1 import enumerate1, standard_boundary
@@ -310,10 +312,35 @@ def test_fourdim_demo_accepts_user_tables(tmp_path):
     assert "no coinciding rows" in load(out)["demo"]["message"]
 
 
-def test_usage_errors_exit_1():
-    assert main(["pair", "--theory", "dim1"]) == 1          # missing --x/--y
-    assert main(["verify-lemma", "--theory", "nonsense"]) == 1
-    assert main([]) == 1
+USAGE_ERRORS = [
+    ["pair", "--theory", "dim1"],                           # missing --x/--y
+    ["verify-lemma", "--theory", "nonsense"],
+    ["verify-lemma", "--theory", "dim1", "--seed", "7"],    # a removed flag
+    ["enumerate", "--theory", "dim1", "--j", "two"],
+    [],
+]
+
+
+def test_usage_errors_exit_1(capsys, monkeypatch):
+    # One error line and no usage text, so the bytes do not depend on the
+    # terminal width that argparse wraps its usage at.
+    for argv in USAGE_ERRORS:
+        errors = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            errors.append(err)
+        assert errors[0] == errors[1], argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify-lemma", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: umpair") and err == ""
 
 
 def test_negative_bounds_exit_1(tmp_path, capsys):
@@ -333,9 +360,26 @@ def test_negative_bounds_exit_1(tmp_path, capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: dim1.standard_boundary(-1), "j"),
+    (lambda: dim1.enumerate1(dim1.standard_boundary(1), -1), "max_closed"),
+    (lambda: dim2.enumerate2(-1, 0, 0), "j"),
+    (lambda: dim2.enumerate2(1, -1, 0), "g_max"),
+    (lambda: dim2.enumerate2(1, 0, -1), "closed_budget"),
+    (lambda: dim2.closed_multisets(-1, 0), "g_max"),
+    (lambda: dim2.closed_multisets(0, -1), "budget"),
+    (lambda: fourdim.build_scob_table(-1), "k"),
+], ids=["standard_boundary", "enumerate1", "enumerate2-j", "enumerate2-g_max",
+        "enumerate2-closed_budget", "closed_multisets-g_max", "closed_multisets-budget",
+        "build_scob_table"])
+def test_library_bound_errors_read_like_the_cli(call, name):
+    with pytest.raises(ValueError, match=f"^bound {name} must be nonnegative, got -1$"):
+        call()
+
+
 def test_outputs_are_byte_identical_across_reruns(tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["verify-lemma", "--theory", "dim1", "--j", "3", "--seed", "7"]
+    argv = ["verify-lemma", "--theory", "dim1", "--j", "3"]
     assert main(argv + ["--out", str(first)]) == 0
     assert main(argv + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
@@ -371,3 +415,33 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path):
         capture_output=True, text=True, check=False)
     assert result.returncode == 0
     assert json.loads(result.stdout)["search"]["status"] == "none"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(argv, exit code) for each ``umpair`` example in README's "Command line"
+    section that reads no input file; a comment saying "exits 2" expects 2."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    examples = []
+    for line in section.split("\n#")[0].splitlines():
+        if not line.startswith("    umpair "):
+            continue
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        if not {"--x", "--y", "--in"} & set(words):
+            examples.append((words[1:], 2 if "exits 2" in comment else 0))
+    return examples
+
+
+def test_readme_command_line_examples_run(capsys):
+    # A README example that uses a removed flag or a wrong exit code fails here.
+    examples = readme_examples()
+    assert {argv[0] for argv, _ in examples} == {
+        "enumerate", "verify-lemma", "null-search", "fourdim-demo"}
+    assert [argv for argv, code in examples if code == 2] == [
+        ["verify-lemma", "--theory", "fourdim", "--table", "mazur"]]
+    for argv, code in examples:
+        assert main(argv) == code, argv
+        assert capsys.readouterr().err == ""
