@@ -48,6 +48,14 @@ class GluingTheory(ABC):
     complexity, complexity(reverse(c)) == complexity(c), so checking
     dominance on each pair i < j covers the gluing of both orders.
 
+    A theory object's gluing is fixed for its lifetime: the glue table of a
+    basis depends only on the object and the basis.  ``GramTensor`` relies
+    on it and reuses the last table it built for the same theory object and
+    an equal basis (complexity may still change; ranks are never reused).
+    Dim1, dim2 and monomial theories are frozen dataclasses, and
+    ``FourDimTheory`` copies its tables when built and never changes them;
+    code that wants a different gluing builds a new theory object.
+
     ``glue_table`` builds the glue table of a whole basis.  The default
     glues the pairs i <= j and fills the pairs i > j by conjugate symmetry.
     A theory may override it with a faster kernel, which must equal
@@ -152,17 +160,30 @@ class GramTensor:
     forms[f]: integer order of ranks is complexity order.
 
     ``forms`` and ``ids`` come from the theory's ``glue_table``; ``ids`` has
-    the narrowest unsigned dtype the form count allows.  Ranks are computed
-    on first read, every form in one ``dense_ranks`` pass, so a reader that
-    never reads them (``pair``, ``null_search``) never calls ``complexity``.
+    the narrowest unsigned dtype the form count allows and is read-only.
+    The last table built is kept and reused when the same theory object
+    (``is``, since a theory need not be hashable) builds an equal basis
+    again, so ``pair(x, x)`` followed by ``certify_positive(x)`` glues the
+    support of x once.  Only that one table is kept.  Ranks are never
+    reused: they are computed on first read, every form in one
+    ``dense_ranks`` pass, so a reader that never reads them (``pair``,
+    ``null_search``) never calls ``complexity``.
     """
+
+    # (theory, basis, forms, ids) of the last table built.
+    _last: tuple[GluingTheory, tuple[Any, ...], tuple[Any, ...], np.ndarray] | None = None
 
     def __init__(self, basis: Iterable[Any], theory: GluingTheory):
         self.theory = theory
         self.basis = tuple(basis)
         for d in self.basis:
             theory.validate_basis(d)
-        self.forms, self.ids = theory.glue_table(self.basis)
+        last = GramTensor._last
+        if last is None or last[0] is not theory or last[1] != self.basis:
+            forms, ids = theory.glue_table(self.basis)
+            ids.flags.writeable = False
+            last = GramTensor._last = (theory, self.basis, forms, ids)
+        self.forms, self.ids = last[2], last[3]
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:

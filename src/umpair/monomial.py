@@ -109,6 +109,14 @@ class Monomial:
         object.__setattr__(self, "exponents", cleaned)
 
     @classmethod
+    def _canonical(cls, exponents: tuple[tuple[str, int], ...]) -> Monomial:
+        """The monomial of exponents that are already positive and sorted by
+        distinct prime, built without the checks of ``__post_init__``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exponents)
+        return m
+
+    @classmethod
     def from_dict(cls, exponents: Mapping[str, int]) -> Monomial:
         return cls(tuple(exponents.items()))
 
@@ -185,12 +193,13 @@ class MonomialTheory(GluingTheory):
         """The glue table through packed exponent vectors, one chunk of rows at a time.
 
         A monomial is packed as the integer whose digits, base 2m + 1 for m
-        the largest basis exponent, are its exponents in alphabet order.
-        Packing is linear and no glued exponent reaches the base, so
-        glue(a, b) = a * conj(b) packs to pack(a) + pack(conj(b)).  Codes are
-        int64 while they fit, else Python ints.
+        the largest basis exponent, are its exponents in sorted prime order,
+        the order of ``Monomial.exponents``, so a code decodes straight to a
+        canonical monomial.  Packing is linear and no glued exponent reaches
+        the base, so glue(a, b) = a * conj(b) packs to pack(a) +
+        pack(conj(b)).  Codes are int64 while they fit, else Python ints.
         """
-        letters = self.involution.alphabet
+        letters = sorted(self.involution.alphabet)
         base = 2 * max((e for m in basis for _, e in m.exponents), default=0) + 1
         place = {p: base ** k for k, p in enumerate(letters)}
         dtype = np.int64 if base ** len(letters) <= np.iinfo(np.int64).max else object
@@ -204,9 +213,12 @@ class MonomialTheory(GluingTheory):
         def form(code: int) -> Monomial:
             exponents = []
             for p in letters:
+                if not code:
+                    break
                 code, e = divmod(code, base)
-                exponents.append((p, e))
-            return Monomial(tuple(exponents))
+                if e:
+                    exponents.append((p, e))
+            return Monomial._canonical(tuple(exponents))
 
         return table_from_codes(len(basis), codes, form)
 

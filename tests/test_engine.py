@@ -1,7 +1,10 @@
 """The pairing engine across all four gluing theories."""
 
+import gc
 import os
 import random
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -241,6 +244,7 @@ SWAP12 = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
 LETTERS41 = Involution(tuple(f"q{k}" for k in range(41)),
                        swaps=(("q0", "q1"), ("q2", "q3")))
 B16 = standard_boundary(16)
+P2P1P3 = Involution(("p2", "p1", "p3"), swaps=(("p1", "p2"),))
 
 
 def _shapes(letters):
@@ -270,6 +274,8 @@ TABLE_CASES = {
     # Packed codes of 41 letters reach 3**41 > 2**63, so they are Python ints.
     "letters41-degree1": (MonomialTheory(LETTERS41),
                           enumerate_monomials(LETTERS41.alphabet, 1)),
+    # The alphabet out of sorted order: codes are packed in sorted prime order.
+    "p2-p1-p3-degree3": (MonomialTheory(P2P1P3), enumerate_monomials(P2P1P3.alphabet, 3)),
     "empty-dim1": (D1, []),
     "empty-monomial": (MonomialTheory(KNOT), []),
     # j**j > 2**63 at j = 16, so the codes are Python ints.
@@ -318,6 +324,21 @@ def test_reversal_keeps_complexity(case):
     theory, basis = TABLE_CASES[case]
     for closed in theory.glue_table(tuple(basis))[0]:
         assert theory.complexity(theory.reverse(closed)) == theory.complexity(closed)
+
+
+@pytest.mark.parametrize("case", [c for c, (theory, _) in TABLE_CASES.items()
+                                  if isinstance(theory, MonomialTheory)])
+def test_decoded_monomials_are_canonical(case):
+    """Forms decoded from packed codes equal, and hash like, checked monomials."""
+    theory, basis = TABLE_CASES[case]
+    forms, ids = theory.glue_table(tuple(basis))
+    for form in forms:
+        checked = Monomial(tuple(reversed(form.exponents)))
+        assert form.exponents == checked.exponents and hash(form) == hash(checked)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            glued = theory.glue(a, b)
+            assert forms[ids[i, j]] == glued and hash(forms[ids[i, j]]) == hash(glued)
 
 
 def test_glue_table_widens_its_ids_past_256_forms():
@@ -460,6 +481,107 @@ def test_pair_drops_forms_that_cancel():
     for left, right in ((difference, other), (other, difference)):
         assert engine.pair(left, right, FOURD).is_zero()
         assert loop_pair(left, right, FOURD).is_zero()
+
+
+@dataclass(frozen=True)
+class CountingDim1(Dim1Theory):
+    """A dim1 theory that records the basis of each ``glue_table`` call."""
+
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+    def glue_table(self, basis):
+        self.calls.append(basis)
+        return super().glue_table(basis)
+
+
+def _dim1_vectors(theory, seed, count):
+    """``count`` seeded vectors on supports of 1 to 5 matchings, j = 3."""
+    rng = random.Random(seed)
+    basis = enumerate1(theory.boundary, 1)
+    return [FormalSum((d, _gaussian_rational(rng, 6))
+                      for d in rng.sample(basis, rng.randint(1, 5))) for _ in range(count)]
+
+
+def test_gram_tensor_ids_are_read_only():
+    table = engine.GramTensor(BASIS2, D1)
+    with pytest.raises(ValueError):
+        table.ids[0, 0] = 0
+
+
+def test_pair_then_certify_glues_the_support_once():
+    theory = CountingDim1(standard_boundary(3))
+    fresh = Dim1Theory(standard_boundary(3))
+    for x in _dim1_vectors(theory, 71, 10):
+        theory.calls.clear()
+        squared = engine.pair(x, x, theory)
+        cert = engine.certify_positive(x, theory)
+        assert theory.calls == [x.support()]
+        assert squared == engine.pair(x, x, fresh)
+        assert cert.to_json() == engine.certify_positive(x, fresh).to_json()
+
+
+def test_gram_tensor_rebuilds_for_another_theory_object_or_basis():
+    boundary = standard_boundary(3)
+    first, second = CountingDim1(boundary), CountingDim1(boundary)
+    assert first == second and first is not second
+    basis = tuple(enumerate1(boundary, 0))
+    engine.GramTensor(basis, first)
+    engine.GramTensor(list(basis), first)
+    assert first.calls == [basis]
+    engine.GramTensor(basis, second)
+    assert second.calls == [basis]
+    engine.GramTensor(basis[:3], second)
+    engine.GramTensor(basis, second)
+    assert second.calls == [basis, basis[:3], basis] and first.calls == [basis]
+
+
+def test_pair_of_two_vectors_after_a_square_matches_a_fresh_theory():
+    theory = CountingDim1(standard_boundary(3))
+    xs = _dim1_vectors(theory, 72, 12)
+    for x, y in zip(xs, xs[1:]):
+        engine.pair(x, x, theory)
+        assert engine.pair(x, y, theory) == \
+            engine.pair(x, y, Dim1Theory(standard_boundary(3)))
+
+
+def test_complexity_patched_between_builds_is_honored(monkeypatch):
+    theory, basis = _dim1_case(3, 1)
+    before = engine.GramTensor(basis, theory)
+    assert engine.verify_lemma(basis, theory).passed
+    monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
+    after = engine.GramTensor(basis, theory)
+    assert after.ids is before.ids
+    assert after.ranks.tolist() == [c.circles % 2 for c in after.forms]
+    assert not engine.verify_lemma(basis, theory).passed
+
+
+@pytest.mark.parametrize("name", ["dim1", "dim2", "monomial", "mazur"])
+def test_reused_tables_equal_fresh_ones(name):
+    theory, basis = _agreement_case(name)
+    rng = random.Random(f"memo-{name}")
+    for _ in range(10):
+        x = FormalSum((d, _gaussian_rational(rng, 6))
+                      for d in rng.sample(basis, rng.randint(1, min(6, len(basis)))))
+        if x.is_zero():
+            continue
+        engine.pair(x, x, theory)
+        last = engine.GramTensor._last
+        table = engine.GramTensor(x.support(), theory)
+        assert table.ids is last[3]
+        forms, ids = theory.glue_table(table.basis)
+        assert table.forms == forms and (table.ids == ids).all()
+        assert table.ids.dtype == ids.dtype
+
+
+def test_gram_tensor_keeps_only_the_last_table():
+    theory = Dim1Theory(standard_boundary(3))
+    basis = enumerate1(theory.boundary, 0)
+    first = engine.GramTensor(basis, theory)
+    freed = weakref.ref(first.ids)
+    second = engine.GramTensor(basis[:2], theory)
+    del first
+    gc.collect()
+    assert freed() is None and second.ids.shape == (2, 2)
 
 
 def test_null_search_finds_the_fourdim_vector():
