@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 
 class UniverseMismatchError(ValueError):
@@ -140,6 +140,24 @@ def as_scalar(value: Scalar | int | Fraction) -> Scalar:
     if isinstance(value, (int, Fraction)):
         return Scalar(Fraction(value), Fraction(0))
     raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+
+_Frozen = TypeVar("_Frozen")
+
+
+def build_canonical(cls: type[_Frozen], **fields: Any) -> _Frozen:
+    """An instance of the frozen dataclass ``cls`` from fields that are
+    already canonical, built without running ``__post_init__``.
+
+    Only for values the package generated itself in canonical form; every
+    outside value goes through the checked constructor.
+    """
+    obj = object.__new__(cls)
+    # Set field by field, not as a whole __dict__: CPython then keeps the
+    # values inline, about half the memory per instance.
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def json_int(value: Any, what: str) -> int:

@@ -33,9 +33,12 @@ the tests enforce that, and check the core table against glue2.
    pair, through the one ``_part_roots`` that glue2 shares; a component's
    genus is the genus sum of its parts + E - V + 1 (E circles, V parts),
    computed for every pair of genus assignments at once by an integer
-   matrix product.  Each core pair gets an id of its sorted genus multiset.
+   matrix product.  The genus rows are deduplicated unsorted; each distinct
+   row is then sorted once, and each core pair gets an id of its genus
+   multiset.
 2. Ranks.  complexity2 is called once per distinct merged multiset (core
-   genera plus the union of two closed multisets) and its values are ranked
+   genera plus the union of two closed multisets), on a surface built
+   already sorted without re-validation, and its values are ranked
    densely, so integer rank order is their order whatever totally ordered
    values complexity2 returns.
 3. Sweep.  For cores a < b every verdict between their elements depends
@@ -53,7 +56,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .algebra import UniverseMismatchError, check_bounds, json_int, json_list
+from .algebra import (UniverseMismatchError, build_canonical, check_bounds, json_int,
+                      json_list)
 from .engine import GluingTheory, LemmaReport, LemmaViolation, dense_ranks
 
 
@@ -123,7 +127,10 @@ class Bounded2Manifold:
 
 @dataclass(frozen=True)
 class ClosedSurface:
-    """A closed oriented surface: the sorted multiset of component genera."""
+    """A closed oriented surface: the multiset of component genera.
+
+    The genera ascend (construction sorts them); complexity2 relies on that.
+    """
 
     genera: tuple[int, ...]
 
@@ -146,9 +153,13 @@ class ClosedSurface:
 
 
 def complexity2(c: ClosedSurface) -> tuple[int, ...]:
-    """Complexity of a closed surface: components count heaviest, then -chi."""
-    chis = sorted(2 - 2 * g for g in c.genera)
-    return (len(chis), -sum(chis), *(-x for x in chis))
+    """Complexity of a closed surface: components count heaviest, then -chi.
+
+    The genera ascend, so the -chi = 2g - 2 of the components in ascending
+    chi order are those of the genera in reverse.
+    """
+    neg = [2 * g - 2 for g in reversed(c.genera)]
+    return (len(neg), sum(neg), *neg)
 
 
 def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
@@ -168,7 +179,9 @@ def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
         genera.append((2 - chi) // 2)
     genera.extend(m.closed_genera)
     genera.extend(n.closed_genera)
-    return ClosedSurface(tuple(genera))
+    # The chi check above keeps every core genus nonnegative, and the closed
+    # genera were checked when m and n were built.
+    return build_canonical(ClosedSurface, genera=tuple(sorted(genera)))
 
 
 def _part_roots(left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...],
@@ -243,11 +256,14 @@ def enumerate2(j: int, g_max: int, closed_budget: int = 0) -> list[Bounded2Manif
     check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
     out = []
     closeds = closed_multisets(g_max, closed_budget)
+    # Blocks come sorted and ordered by smallest element, and each closed
+    # multiset sorted, so every element is built already canonical.
     for partition in _set_partitions(j):
         for genera in itertools.product(range(g_max + 1), repeat=len(partition)):
             parts = tuple(zip(partition, genera))
             for closed in closeds:
-                out.append(Bounded2Manifold(j, parts, closed))
+                out.append(build_canonical(Bounded2Manifold, boundary_circles=j,
+                                           parts=parts, closed_genera=closed))
     return out
 
 
@@ -319,7 +335,9 @@ def core_gluing_table(j: int, g_max: int
     genera) with genera[gid[a, b]] == glue2(cores[a], cores[b]).genera.
     Union-find runs once per pair of circle partitions; the genera of every
     pair of genus assignments of those partitions then come from products
-    with the component incidence matrix, sorted along the last axis.
+    with the component incidence matrix.  Those rows are deduplicated as
+    they are, and only the distinct rows are sorted into multisets, so
+    rows that differ only in component order share one id.
     """
     check_bounds({"j": j, "g_max": g_max})
     partitions = list(_set_partitions(j))
@@ -333,12 +351,12 @@ def core_gluing_table(j: int, g_max: int
         split = len(partitions[p])
         left = assignments[p] @ incidence[:split]
         right = assignments[q] @ incidence[split:]
-        block = np.sort(left[:, None, :] + right[None, :, :] + offset, axis=-1)
-        rows = block.reshape(len(left) * len(right), -1)
+        rows = (left[:, None, :] + right[None, :, :] + offset).reshape(
+            len(left) * len(right), -1)
         first, inverse = _unique_rows(rows)
-        global_ids = np.array([ids.setdefault(tuple(r), len(ids))
+        global_ids = np.array([ids.setdefault(tuple(sorted(r)), len(ids))
                                for r in rows[first].tolist()], dtype=np.int32)
-        block_ids = global_ids[inverse].reshape(block.shape[:2])
+        block_ids = global_ids[inverse].reshape(len(left), len(right))
         gid[starts[p]:starts[p + 1], starts[q]:starts[q + 1]] = block_ids
         gid[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = block_ids.T
     return gid, list(ids)
@@ -348,8 +366,11 @@ def _rank_table(genera: list[tuple[int, ...]],
                 unions: list[tuple[int, ...]]) -> np.ndarray:
     """rank[g, u]: dense complexity rank of core genera g plus closed union u.
 
-    complexity2 runs once per distinct merged multiset.  Equal complexities
-    share a rank, so integer order of ranks is the complexity order.
+    complexity2 runs once per distinct merged multiset, on a ClosedSurface
+    built already sorted, without the checks of its constructor: core
+    genera and closed unions are nonnegative by construction.  Equal
+    complexities share a rank, so integer order of ranks is the complexity
+    order.
     """
     width = 1 + max(max(m, default=0) for m in genera + unions)
 
@@ -363,8 +384,10 @@ def _rank_table(genera: list[tuple[int, ...]],
     merged = histograms(genera)[:, None, :] + histograms(unions)[None, :, :]
     first, inverse = _unique_rows(merged.reshape(-1, width))
     g_first, u_first = np.divmod(first, len(unions))
-    ranks = dense_ranks([complexity2(ClosedSurface(genera[g] + unions[u]))
-                         for g, u in zip(g_first.tolist(), u_first.tolist())])
+    ranks = dense_ranks([
+        complexity2(build_canonical(ClosedSurface,
+                                    genera=tuple(sorted(genera[g] + unions[u]))))
+        for g, u in zip(g_first.tolist(), u_first.tolist())])
     return ranks[inverse].reshape(len(genera), len(unions))
 
 
@@ -443,7 +466,9 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     cores = enumerate2(j, g_max, 0) if bad_pairs else []
 
     def element(index: int) -> Bounded2Manifold:
-        return Bounded2Manifold(j, cores[index // nk].parts, closeds[index % nk])
+        return build_canonical(Bounded2Manifold, boundary_circles=j,
+                               parts=cores[index // nk].parts,
+                               closed_genera=closeds[index % nk])
 
     violations = tuple(LemmaViolation.of(Dim2Theory(j), element(a), element(b))
                        for a, b in sorted(bad_pairs))

@@ -32,7 +32,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import UniverseMismatchError, check_bounds, json_int
+from .algebra import UniverseMismatchError, build_canonical, check_bounds, json_int
 from .engine import GluingTheory, table_from_codes
 
 
@@ -107,14 +107,6 @@ class Monomial:
         if len(set(names)) != len(names):
             raise ValueError("duplicate prime in exponent list")
         object.__setattr__(self, "exponents", cleaned)
-
-    @classmethod
-    def _canonical(cls, exponents: tuple[tuple[str, int], ...]) -> Monomial:
-        """The monomial of exponents that are already positive and sorted by
-        distinct prime, built without the checks of ``__post_init__``."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "exponents", exponents)
-        return m
 
     @classmethod
     def from_dict(cls, exponents: Mapping[str, int]) -> Monomial:
@@ -218,7 +210,8 @@ class MonomialTheory(GluingTheory):
                 code, e = divmod(code, base)
                 if e:
                     exponents.append((p, e))
-            return Monomial._canonical(tuple(exponents))
+            # Positive exponents of distinct primes, in sorted order.
+            return build_canonical(Monomial, exponents=tuple(exponents))
 
         return table_from_codes(len(basis), codes, form)
 

@@ -8,7 +8,9 @@ engine's glue-table pairing.  The Fraction null search is the
 one-assignment-at-a-time reference for the engine's integer null-search
 kernel.  The Euler oracle recounts a surface gluing cell by cell, sharing
 no code with ``glue2``, and the arc walk recounts a 1-manifold gluing
-without the permutation route of ``glue1``.  ``ComplexityTuple`` and
+without the permutation route of ``glue1``.  ``sorted_chi_complexity``
+recomputes the dim2 complexity by sorting the component chis, never
+relying on the order of the genera.  ``ComplexityTuple`` and
 ``MonomialComplexity`` are the padded comparators the dim2 and monomial
 complexities once used; the tests check that plain tuple order agrees with
 them.
@@ -210,6 +212,13 @@ def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:
 
 
 PAD = -3  # below every real tuple entry; -chi of a component is >= -2
+
+
+def sorted_chi_complexity(genera: Iterable[int]) -> tuple[int, ...]:
+    """(n, -chi, -chi_1, ..., -chi_n) from the component chis sorted afresh,
+    whatever order the genera come in: the formula complexity2 once used."""
+    chis = sorted(2 - 2 * g for g in genera)
+    return (len(chis), -sum(chis), *(-x for x in chis))
 
 
 @total_ordering

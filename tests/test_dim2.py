@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import ComplexityTuple, euler_oracle
+from oracles import ComplexityTuple, euler_oracle, sorted_chi_complexity
 
 import umpair
 from umpair import engine
-from umpair.algebra import UniverseMismatchError
+from umpair.algebra import UniverseMismatchError, canonical_key
 from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory,
                          _unique_rows, closed_multisets, complexity2,
                          core_gluing_table, enumerate2, glue2,
@@ -26,6 +26,37 @@ PANTS = Bounded2Manifold(3, (((0, 1, 2), 0),))
 def chi_bounded(m):
     parts = sum(2 - 2 * g - len(circles) for circles, g in m.parts)
     return parts + sum(2 - 2 * g for g in m.closed_genera)
+
+
+def checked_rebuild(m):
+    """m through the checked constructor, from its parts, circles and closed
+    genera all reversed, so the constructor must put them in order itself."""
+    return Bounded2Manifold(m.boundary_circles,
+                            tuple((circles[::-1], g) for circles, g in m.parts[::-1]),
+                            m.closed_genera[::-1])
+
+
+def assert_same_descriptor(fast, checked):
+    """fast, built without the checked constructor, is checked in every
+    form a basis descriptor is read in."""
+    assert fast == checked and hash(fast) == hash(checked)
+    assert fast.to_json() == checked.to_json()
+    assert canonical_key(fast) == canonical_key(checked)
+
+
+@pytest.fixture(scope="module")
+def reachable_surfaces():
+    """Every closed surface glue2 reaches over enumerate2(j, 3, 3), j <= 3.
+
+    glue2 appends both closed multisets to the core gluing's genera, so the
+    reachable set is core gluings times unions of two closed multisets.
+    """
+    closeds = closed_multisets(3, 3)
+    unions = {tuple(sorted(p + q)) for p in closeds for q in closeds}
+    genera = {glue2(m, n).genera for j in range(4)
+              for m in enumerate2(j, 3, 0) for n in enumerate2(j, 3, 0)}
+    return [ClosedSurface(t) for t in
+            sorted({tuple(sorted(g + u)) for g in genera for u in unions})]
 
 
 def test_glue_examples():
@@ -51,15 +82,8 @@ def test_complexity_examples():
     assert two_tori == (2, 0, 0, 0) and genus2 == (1, 2, 2) and two_tori > genus2
 
 
-def test_plain_tuple_order_matches_the_padded_order():
-    # Every closed surface glue2 reaches over enumerate2(j, 3, 3), j <= 3:
-    # glue2 appends both closed multisets to the core gluing's genera, so
-    # the reachable set is core gluings times unions of two closed multisets.
-    closeds = closed_multisets(3, 3)
-    unions = {tuple(sorted(p + q)) for p in closeds for q in closeds}
-    genera = {glue2(m, n).genera for j in range(4)
-              for m in enumerate2(j, 3, 0) for n in enumerate2(j, 3, 0)}
-    values = sorted({complexity2(ClosedSurface(g + u)) for g in genera for u in unions})
+def test_plain_tuple_order_matches_the_padded_order(reachable_surfaces):
+    values = sorted({complexity2(s) for s in reachable_surfaces})
     assert len(values) == 5228
     # Both orders are total, so they agree on every pair exactly when sorting
     # by each gives the same sequence, strictly increasing in both (about
@@ -67,6 +91,14 @@ def test_plain_tuple_order_matches_the_padded_order():
     padded = sorted(ComplexityTuple(v) for v in values)
     assert [p.entries for p in padded] == values
     assert all(a < b for a, b in zip(padded, padded[1:]))
+
+
+def test_complexity2_matches_the_sorted_chi_oracle(reachable_surfaces):
+    # complexity2 reads the genera in their stored ascending order; the
+    # oracle sorts the chis afresh.
+    assert len(reachable_surfaces) == 5228
+    for surface in reachable_surfaces:
+        assert complexity2(surface) == sorted_chi_complexity(surface.genera)
 
 
 def test_complexity_order_is_total_and_transitive():
@@ -93,6 +125,16 @@ def test_enumerate_is_deterministic_and_duplicate_free():
     basis = enumerate2(3, 2, 1)
     assert basis == enumerate2(3, 2, 1)
     assert len(set(basis)) == len(basis)
+
+
+@pytest.mark.parametrize("j,gmax,budget", [(0, 2, 2), (1, 2, 2), (2, 2, 2),
+                                           (3, 2, 2), (4, 1, 2)])
+def test_enumerate2_equals_a_checked_rebuild_in_order(j, gmax, budget):
+    basis = enumerate2(j, gmax, budget)
+    rebuilt = [checked_rebuild(m) for m in basis]
+    assert basis == rebuilt
+    for fast, checked in zip(basis, rebuilt):
+        assert_same_descriptor(fast, checked)
 
 
 def test_parts_must_partition_the_circles():
@@ -216,12 +258,74 @@ def test_grid_verifier_matches_generic_verifier_on_partial_failures(monkeypatch)
     generic = engine.verify_lemma(enumerate2(2, 2, 2), Dim2Theory(2))
     assert 0 < len(grid_report.violations) < grid_report.pairs_checked
     assert grid_report.violations == generic.violations
+    for violation in grid_report.violations:
+        for element in (violation.left, violation.right):
+            assert_same_descriptor(element, checked_rebuild(element))
 
 
-@pytest.mark.parametrize("j", range(4))
+def test_glue2_and_rank_table_surfaces_equal_their_checked_builds(monkeypatch):
+    # Both build their ClosedSurfaces without the checked constructor.  Over
+    # j <= 3, g_max 3, budget 3, glue2 runs once per distinct core gluing
+    # and closed union, which reaches every surface it can produce there,
+    # and _rank_table once per distinct merged multiset; the two sets agree.
+    import umpair.dim2 as dim2_module
+
+    ranked = []
+
+    def recording(surface):
+        ranked.append(surface)
+        return complexity2(surface)
+
+    monkeypatch.setattr(dim2_module, "complexity2", recording)
+    closeds = closed_multisets(3, 3)
+    split = {}  # each closed union, from one pair of closed multisets
+    for p in closeds:
+        for q in closeds:
+            split.setdefault(tuple(sorted(p + q)), (p, q))
+    for j in range(4):
+        cores = enumerate2(j, 3, 0)
+        gid, genera = core_gluing_table(j, 3)
+        ranked.clear()
+        dim2_module._rank_table(genera, list(split))
+        _, first = np.unique(gid, return_index=True)
+        glued = [glue2(Bounded2Manifold(j, cores[a].parts, p),
+                       Bounded2Manifold(j, cores[b].parts, q))
+                 for a, b in zip(*np.divmod(first, len(cores)))
+                 for p, q in split.values()]
+        assert {s.genera for s in glued} == {s.genera for s in ranked}
+        for surface in glued + ranked:
+            assert_same_descriptor(surface, ClosedSurface(surface.genera[::-1]))
+
+
+@pytest.mark.parametrize("j,gmax,budget", [(1, 3, 3), (2, 2, 2), (3, 1, 2)])
+def test_rank_table_calls_complexity2_once_per_distinct_merged_multiset(
+        monkeypatch, j, gmax, budget):
+    # The patched-complexity tests above rely on every merged multiset
+    # reaching complexity2, and the benchmark counts these calls.
+    import umpair.dim2 as dim2_module
+
+    calls = []
+
+    def counting(surface):
+        calls.append(surface.genera)
+        return complexity2(surface)
+
+    monkeypatch.setattr(dim2_module, "complexity2", counting)
+    assert dim2_module.verify_lemma_grid(j, gmax, budget).passed
+    cores = enumerate2(j, gmax, 0)
+    closeds = closed_multisets(gmax, budget)
+    core_genera = {glue2(m, n).genera for m in cores for n in cores}
+    expected = {tuple(sorted(g + p + q))
+                for g in core_genera for p in closeds for q in closeds}
+    assert len(calls) == len(expected)
+    assert set(calls) == expected
+
+
+@pytest.mark.parametrize("j", range(5))
 def test_core_table_matches_glue2_on_every_core_pair(j):
-    cores = enumerate2(j, 3, 0)
-    gid, genera = core_gluing_table(j, 3)
+    gmax = 3 if j < 4 else 1  # j = 4 has 15 partitions; g_max 1 keeps 94 cores
+    cores = enumerate2(j, gmax, 0)
+    gid, genera = core_gluing_table(j, gmax)
     assert gid.shape == (len(cores), len(cores))
     for a, m in enumerate(cores):
         for b, n in enumerate(cores):
