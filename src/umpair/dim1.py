@@ -22,6 +22,7 @@ disjoint union as the product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -144,7 +145,8 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
     Circles of the glued manifold correspond to cycles of the permutation
     (m's matching composed with the inverse of n's matching) on the positive
     points; cycles are counted by explicit visited-marking traversal.
-    ``Dim1Theory.glue_table`` counts the same cycles for a whole basis.
+    ``Dim1Theory.glue_table`` reads the same counts for a whole basis from
+    ``_cycle_table``, built once per j <= 7 by this traversal.
     """
     if m.boundary != n.boundary:
         raise UniverseMismatchError(
@@ -168,6 +170,23 @@ def _cycles(perm: Sequence[int]) -> int:
             visited[k] = True
             k = perm[k]
     return cycles
+
+
+# Largest boundary size whose cycle table (j**j int8 entries, 0.8 MB at
+# j = 7) is built; at j = 8 even the basis table would hold 1.6e9 cells.
+_MAX_CODED_J = 7
+
+
+@functools.cache
+def _cycle_table(j: int) -> np.ndarray:
+    """Cycle count of every permutation of range(j), at its mixed-radix code
+    sum_k perm[k] * j**k; codes of non-permutations hold 0."""
+    table = np.zeros(j ** j, dtype=np.int8)
+    place = [j ** k for k in range(j)]
+    for perm in itertools.permutations(range(j)):
+        table[sum(p * w for p, w in zip(perm, place))] = _cycles(perm)
+    table.flags.writeable = False  # shared by every caller in the process
+    return table
 
 
 def complexity1(c: Closed1Manifold) -> int:
@@ -214,37 +233,26 @@ class Dim1Theory(GluingTheory):
         With inv[r, v] the positive point that basis[r] matches to negative
         point v, and W[r, v] = j**inv[r, v], (W @ inv.T)[r, s] is the
         mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
-        cycles ``glue1`` counts.  Cycles are counted once per distinct code
-        and found again by binary search.  Codes and circle counts are int64
-        while they fit, else Python ints.
+        cycles ``glue1`` counts; ``_cycle_table(j)`` holds them all.  Past
+        ``_MAX_CODED_J`` that table is too large and the default loop glues
+        the pairs.  Circle counts are int64 while they fit, else Python ints.
         """
         j, n = len(self.boundary.pos), len(basis)
+        if j > _MAX_CODED_J:
+            return GluingTheory.glue_table(self, basis)
         limit = np.iinfo(np.int64).max
         closed = [b.closed_circles for b in basis]
         carried = np.array(closed, dtype=np.int64 if 2 * max(closed, default=0) + j <= limit
                            else object)
         neg = {label: v for v, label in enumerate(self.boundary.neg)}
-        inv = np.empty((n, j), dtype=np.int64 if j ** j <= limit else object)
+        inv = np.empty((n, j), dtype=np.int64)
         for r, b in enumerate(basis):
             inv[r, [neg[t] for t in b.targets]] = range(j)
         weights = j ** inv
-        # Codes met so far, sorted, and their cycle counts; the identity's
-        # (on every diagonal) keeps the lookup array from ever being empty.
-        known = np.array([sum(k * j ** k for k in range(j))], dtype=inv.dtype)
-        cycles = np.array([j], dtype=np.int64)
+        table = _cycle_table(j)
 
         def circles(lo: int, hi: int) -> np.ndarray:
-            nonlocal known, cycles
-            codes, slot = np.unique(weights[lo:hi] @ inv.T, return_inverse=True)
-            at = np.searchsorted(known, codes)
-            new = codes[np.take(known, at, mode="clip") != codes]
-            if len(new):
-                counts = [_cycles([code // j ** k % j for k in range(j)]) for code in new.tolist()]
-                order = np.argsort(np.concatenate((known, new)), kind="stable")
-                known = np.concatenate((known, new))[order]
-                cycles = np.concatenate((cycles, counts))[order]
-                at = np.searchsorted(known, codes)
-            pairs = cycles[at[slot]].reshape(hi - lo, n) + carried[lo:hi, None] + carried
+            pairs = table[weights[lo:hi] @ inv.T] + carried[lo:hi, None] + carried
             return pairs.reshape(-1)
 
         return table_from_codes(n, circles, Closed1Manifold)

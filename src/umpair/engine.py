@@ -224,12 +224,31 @@ def table_from_codes(n: int, codes: Callable[[int, int], np.ndarray],
     step = _chunk_rows(n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        distinct, inverse = np.unique(codes(lo, hi), return_inverse=True)
+        distinct, inverse = _relabel(codes(lo, hi))
         slots = [index.setdefault(code, len(index)) for code in distinct.tolist()]
         ids = _fit_ids(ids, len(index))
         np.take(np.array(slots, dtype=ids.dtype), inverse.reshape(-1),
                 out=ids[lo:hi].reshape(-1))
     return tuple(form(code) for code in index), ids
+
+
+def _relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for a 1-d array.
+
+    Integer codes that span no more values than there are codes are
+    relabelled through a presence mask instead of a sort; the distinct
+    values come out in the same ascending order.
+    """
+    if codes.dtype.kind in "iu" and codes.size:
+        low = codes.min()
+        span = int(codes.max()) - int(low) + 1
+        if span <= codes.size:
+            offset = codes - low
+            seen = np.zeros(span, dtype=bool)
+            seen[offset] = True
+            return (np.flatnonzero(seen).astype(codes.dtype) + low,
+                    (np.cumsum(seen) - 1)[offset])
+    return np.unique(codes, return_inverse=True)
 
 
 def _dominance_failures(table: GramTensor) -> Iterator[tuple[int, int]]:

@@ -1,11 +1,15 @@
 """Bounded and closed 1-manifolds: gluing, complexity, enumeration."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracles import arc_walk_circles
 
-from umpair import engine
+import umpair
+from umpair import dim1, engine
 from umpair.algebra import UniverseMismatchError
 from umpair.dim1 import (Boundary0, Bounded1Manifold, Closed1Manifold,
                          Dim1Theory, complexity1, enumerate1, glue1,
@@ -111,9 +115,44 @@ def test_complexity_dominance_holds_exhaustively(j, max_closed):
     assert report.pairs_checked == len(basis) * (len(basis) - 1) // 2
 
 
+@pytest.mark.parametrize("j", range(8))
+def test_cycle_table_holds_the_cycles_of_every_permutation(j):
+    table = dim1._cycle_table(j)
+    assert table.shape == (j ** j,)
+    for perm in itertools.permutations(range(j)):
+        assert table[sum(p * j ** k for k, p in enumerate(perm))] == dim1._cycles(perm)
+
+
+def test_glue_table_past_the_coded_bound_builds_no_cycle_table(monkeypatch):
+    def refuse(j):
+        raise AssertionError(f"cycle table built at j = {j}")
+
+    monkeypatch.setattr(dim1, "_cycle_table", refuse)
+    j = dim1._MAX_CODED_J + 1
+    boundary = standard_boundary(j)
+    basis = enumerate1(boundary, 0)[:3]
+    forms, ids = Dim1Theory(boundary).glue_table(tuple(basis))
+    assert [forms[ids[i, i]] for i in range(3)] == [Closed1Manifold(j)] * 3
+
+
+def test_verify_lemma_does_not_import_numpy_ma():
+    # np.unique's values-only path imports numpy.ma, about 3 MB of peak RSS
+    # in a fresh process; the dim1 table must not take it.
+    src = str(Path(umpair.__file__).resolve().parents[1])
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from umpair import engine; "
+              "from umpair.dim1 import Dim1Theory, enumerate1, standard_boundary; "
+              "b = standard_boundary(4); "
+              "assert engine.verify_lemma(enumerate1(b, 1), Dim1Theory(b)).passed; "
+              "print('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 @pytest.mark.slow
 def test_dim1_positivity_j7():
-    # 5,040 matchings and 12.7M pairs through the permutation-code kernel.
+    # 5,040 matchings and 12.7M pairs through the cycle table: about 1 s.
     boundary = standard_boundary(7)
     report = engine.verify_lemma(enumerate1(boundary, 0), Dim1Theory(boundary))
     assert report.passed

@@ -260,6 +260,13 @@ def _matching(boundary, perm, closed=0):
                                             for p, k in zip(boundary.pos, perm)), closed)
 
 
+def _sampled_dim1(j, n):
+    """n seeded random matchings over j points, each carrying 0 to 2 circles."""
+    rng, boundary = random.Random(j), standard_boundary(j)
+    return Dim1Theory(boundary), [_matching(boundary, rng.sample(range(j), j), rng.randrange(3))
+                                  for _ in range(n)]
+
+
 TABLE_CASES = {
     **{f"dim1-j{j}": _dim1_case(j, 1) for j in range(4)},
     "dim2-221": (Dim2Theory(2), enumerate2(2, 2, 1)),
@@ -278,10 +285,13 @@ TABLE_CASES = {
     "p2-p1-p3-degree3": (MonomialTheory(P2P1P3), enumerate_monomials(P2P1P3.alphabet, 3)),
     "empty-dim1": (D1, []),
     "empty-monomial": (MonomialTheory(KNOT), []),
-    # j**j > 2**63 at j = 16, so the codes are Python ints.
+    # Past the cycle table's bound (j = 7) dim1 glues pairs in the default loop.
     "dim1-j16": (Dim1Theory(B16), [_matching(B16, p) for p in (
         range(16), range(15, -1, -1), [*range(1, 16), 0],
         random.Random(16).sample(range(16), 16))]),
+    # Both sides of that bound, with carried circles.
+    "dim1-j7": _sampled_dim1(7, 30),
+    "dim1-j8": _sampled_dim1(8, 12),
     # Circle counts and packed exponents past int64 are Python ints too.
     "dim1-huge-closed": (D1, [_matching(B2, [0, 1], 2**62), _matching(B2, [1, 0], 2**63)]),
     "monomial-huge": (MonomialTheory(KNOT), [Monomial.from_dict({"T": 2**63}),
@@ -350,6 +360,24 @@ def test_glue_table_widens_its_ids_past_256_forms():
     for i in range(0, len(basis), 7):
         for j in range(len(basis)):
             assert table.forms[table.ids[i, j]] == theory.glue(basis[i], basis[j])
+
+
+@pytest.mark.parametrize("codes", [
+    np.array([3, 1, 2, 1, 3, 3], dtype=np.int64),          # dense span
+    np.array([5, 2**40, 5, -7, 2**40], dtype=np.int64),    # sparse span
+    np.array([-3, -1, -2, -3, 0, -1], dtype=np.int64),     # negative codes
+    np.array([4, 4, 4, 4], dtype=np.int64),                # a single value
+    np.array([9], dtype=np.int64),                         # length 1
+    np.array([7, 5, 6, 5], dtype=np.uint8),                # unsigned
+    np.array([2**70, 1, 2**70, 3], dtype=object),          # Python ints
+    np.array([2, 0, 1, 2], dtype=object),
+], ids=["dense", "sparse", "negative", "single-value", "length-1", "uint8",
+        "object-wide", "object-dense"])
+def test_relabel_agrees_with_numpy_unique(codes):
+    distinct, inverse = engine._relabel(codes)
+    ref_distinct, ref_inverse = np.unique(codes, return_inverse=True)
+    assert distinct.dtype == ref_distinct.dtype and distinct.tolist() == ref_distinct.tolist()
+    assert inverse.reshape(-1).tolist() == ref_inverse.reshape(-1).tolist()
 
 
 def test_dense_ranks_need_only_an_order():
