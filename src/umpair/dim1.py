@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -145,8 +145,8 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
     Circles of the glued manifold correspond to cycles of the permutation
     (m's matching composed with the inverse of n's matching) on the positive
     points; cycles are counted by explicit visited-marking traversal.
-    ``Dim1Theory.glue_table`` reads the same counts for a whole basis from
-    ``_cycle_table``, built once per j <= 7 by this traversal.
+    ``Dim1Theory.glue_table`` counts the same cycles for a whole basis,
+    reading them from ``_cycle_table`` up to j = 8.
     """
     if m.boundary != n.boundary:
         raise UniverseMismatchError(
@@ -172,21 +172,68 @@ def _cycles(perm: Sequence[int]) -> int:
     return cycles
 
 
-# Largest boundary size whose cycle table (j**j int8 entries, 0.8 MB at
-# j = 7) is built; at j = 8 even the basis table would hold 1.6e9 cells.
-_MAX_CODED_J = 7
+# Largest boundary size whose cycle table (j**j int8 entries: 0.8 MB at
+# j = 7, 16.8 MB at j = 8) is built; past it cycles are counted per distinct
+# code.
+_MAX_CODED_J = 8
 
 
 @functools.cache
 def _cycle_table(j: int) -> np.ndarray:
     """Cycle count of every permutation of range(j), at its mixed-radix code
-    sum_k perm[k] * j**k; codes of non-permutations hold 0."""
+    sum_k perm[k] * j**k; codes of non-permutations hold 0.
+
+    The permutations of range(m + 1) are grown from those of range(m) by
+    inserting m: as a fixed point it adds a cycle, and placed after any i
+    (perm[i] = m, perm[m] = the old perm[i]) it joins i's cycle.
+    """
+    perms = np.zeros((1, 0), dtype=np.int64)
+    counts = np.zeros(1, dtype=np.int8)
+    for m in range(j):
+        fixed = np.column_stack((perms, np.full(len(perms), m)))
+        grown = [fixed]
+        for i in range(m):
+            joined = fixed.copy()
+            joined[:, i], joined[:, m] = m, perms[:, i]
+            grown.append(joined)
+        perms = np.concatenate(grown)
+        counts = np.concatenate((counts + 1, np.tile(counts, m)))
     table = np.zeros(j ** j, dtype=np.int8)
-    place = [j ** k for k in range(j)]
-    for perm in itertools.permutations(range(j)):
-        table[sum(p * w for p, w in zip(perm, place))] = _cycles(perm)
+    table[perms @ j ** np.arange(j, dtype=np.int64)] = counts
     table.flags.writeable = False  # shared by every caller in the process
     return table
+
+
+def _cycle_counter(j: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function giving the cycle count at each code of an array of
+    permutation codes of range(j) (int64 while j**j fits, else Python ints).
+
+    Up to ``_MAX_CODED_J`` it reads ``_cycle_table(j)``.  Past it cycles are
+    counted once per distinct code and found again by binary search in the
+    codes met so far, over every array the function is given.
+    """
+    if j <= _MAX_CODED_J:
+        return _cycle_table(j).__getitem__
+    # Codes met so far, sorted, and their cycle counts; the identity's
+    # (on every diagonal) keeps the lookup array from ever being empty.
+    known = np.array([sum(k * j ** k for k in range(j))],
+                     dtype=np.int64 if j ** j <= np.iinfo(np.int64).max else object)
+    cycles = np.array([j], dtype=np.int64)
+
+    def count(block: np.ndarray) -> np.ndarray:
+        nonlocal known, cycles
+        codes, slot = np.unique(block, return_inverse=True)
+        at = np.searchsorted(known, codes)
+        new = codes[np.take(known, at, mode="clip") != codes]
+        if len(new):
+            counts = [_cycles([code // j ** k % j for k in range(j)]) for code in new.tolist()]
+            order = np.argsort(np.concatenate((known, new)), kind="stable")
+            known = np.concatenate((known, new))[order]
+            cycles = np.concatenate((cycles, counts))[order]
+            at = np.searchsorted(known, codes)
+        return cycles[at[slot]].reshape(block.shape)
+
+    return count
 
 
 def complexity1(c: Closed1Manifold) -> int:
@@ -233,26 +280,23 @@ class Dim1Theory(GluingTheory):
         With inv[r, v] the positive point that basis[r] matches to negative
         point v, and W[r, v] = j**inv[r, v], (W @ inv.T)[r, s] is the
         mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
-        cycles ``glue1`` counts; ``_cycle_table(j)`` holds them all.  Past
-        ``_MAX_CODED_J`` that table is too large and the default loop glues
-        the pairs.  Circle counts are int64 while they fit, else Python ints.
+        cycles ``glue1`` counts; ``_cycle_counter(j)`` reads them.  Codes and
+        circle counts are int64 while they fit, else Python ints.
         """
         j, n = len(self.boundary.pos), len(basis)
-        if j > _MAX_CODED_J:
-            return GluingTheory.glue_table(self, basis)
         limit = np.iinfo(np.int64).max
         closed = [b.closed_circles for b in basis]
         carried = np.array(closed, dtype=np.int64 if 2 * max(closed, default=0) + j <= limit
                            else object)
         neg = {label: v for v, label in enumerate(self.boundary.neg)}
-        inv = np.empty((n, j), dtype=np.int64)
+        inv = np.empty((n, j), dtype=np.int64 if j ** j <= limit else object)
         for r, b in enumerate(basis):
             inv[r, [neg[t] for t in b.targets]] = range(j)
         weights = j ** inv
-        table = _cycle_table(j)
+        count = _cycle_counter(j)
 
         def circles(lo: int, hi: int) -> np.ndarray:
-            pairs = table[weights[lo:hi] @ inv.T] + carried[lo:hi, None] + carried
+            pairs = count(weights[lo:hi] @ inv.T) + carried[lo:hi, None] + carried
             return pairs.reshape(-1)
 
         return table_from_codes(n, circles, Closed1Manifold)

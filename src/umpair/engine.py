@@ -235,11 +235,12 @@ def table_from_codes(n: int, codes: Callable[[int, int], np.ndarray],
 def _relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(codes, return_inverse=True)`` for a 1-d array.
 
-    Integer codes that span no more values than there are codes are
+    int64 codes that span no more values than there are codes are
     relabelled through a presence mask instead of a sort; the distinct
-    values come out in the same ascending order.
+    values come out in the same ascending order.  Any other dtype is
+    sorted by ``np.unique``.
     """
-    if codes.dtype.kind in "iu" and codes.size:
+    if codes.dtype == np.int64 and codes.size:
         low = codes.min()
         span = int(codes.max()) - int(low) + 1
         if span <= codes.size:

@@ -1,6 +1,7 @@
 """Bounded and closed 1-manifolds: gluing, complexity, enumeration."""
 
 import itertools
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -115,7 +116,7 @@ def test_complexity_dominance_holds_exhaustively(j, max_closed):
     assert report.pairs_checked == len(basis) * (len(basis) - 1) // 2
 
 
-@pytest.mark.parametrize("j", range(8))
+@pytest.mark.parametrize("j", range(dim1._MAX_CODED_J + 1))
 def test_cycle_table_holds_the_cycles_of_every_permutation(j):
     table = dim1._cycle_table(j)
     assert table.shape == (j ** j,)
@@ -129,10 +130,12 @@ def test_glue_table_past_the_coded_bound_builds_no_cycle_table(monkeypatch):
 
     monkeypatch.setattr(dim1, "_cycle_table", refuse)
     j = dim1._MAX_CODED_J + 1
-    boundary = standard_boundary(j)
-    basis = enumerate1(boundary, 0)[:3]
+    boundary, rng = standard_boundary(j), random.Random(j)
+    basis = [Bounded1Manifold(boundary, tuple(zip(boundary.pos, rng.sample(boundary.neg, j))))
+             for _ in range(6)]
     forms, ids = Dim1Theory(boundary).glue_table(tuple(basis))
-    assert [forms[ids[i, i]] for i in range(3)] == [Closed1Manifold(j)] * 3
+    assert [[forms[ids[r, s]] for s in range(6)] for r in range(6)] == [
+        [glue1(a, b) for b in basis] for a in basis]
 
 
 def test_verify_lemma_does_not_import_numpy_ma():

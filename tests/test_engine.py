@@ -285,13 +285,13 @@ TABLE_CASES = {
     "p2-p1-p3-degree3": (MonomialTheory(P2P1P3), enumerate_monomials(P2P1P3.alphabet, 3)),
     "empty-dim1": (D1, []),
     "empty-monomial": (MonomialTheory(KNOT), []),
-    # Past the cycle table's bound (j = 7) dim1 glues pairs in the default loop.
+    # j**j > 2**63 at j = 16, so the codes are Python ints.
     "dim1-j16": (Dim1Theory(B16), [_matching(B16, p) for p in (
         range(16), range(15, -1, -1), [*range(1, 16), 0],
         random.Random(16).sample(range(16), 16))]),
-    # Both sides of that bound, with carried circles.
-    "dim1-j7": _sampled_dim1(7, 30),
-    "dim1-j8": _sampled_dim1(8, 12),
+    # Both sides of the cycle table's bound (j = 8), with carried circles.
+    "dim1-j8": _sampled_dim1(8, 30),
+    "dim1-j9": _sampled_dim1(9, 12),
     # Circle counts and packed exponents past int64 are Python ints too.
     "dim1-huge-closed": (D1, [_matching(B2, [0, 1], 2**62), _matching(B2, [1, 0], 2**63)]),
     "monomial-huge": (MonomialTheory(KNOT), [Monomial.from_dict({"T": 2**63}),
@@ -369,10 +369,11 @@ def test_glue_table_widens_its_ids_past_256_forms():
     np.array([4, 4, 4, 4], dtype=np.int64),                # a single value
     np.array([9], dtype=np.int64),                         # length 1
     np.array([7, 5, 6, 5], dtype=np.uint8),                # unsigned
+    np.arange(-100, 101, dtype=np.int8).repeat(2),         # narrow, span past 127
     np.array([2**70, 1, 2**70, 3], dtype=object),          # Python ints
     np.array([2, 0, 1, 2], dtype=object),
 ], ids=["dense", "sparse", "negative", "single-value", "length-1", "uint8",
-        "object-wide", "object-dense"])
+        "int8-wide", "object-wide", "object-dense"])
 def test_relabel_agrees_with_numpy_unique(codes):
     distinct, inverse = engine._relabel(codes)
     ref_distinct, ref_inverse = np.unique(codes, return_inverse=True)
