@@ -273,33 +273,41 @@ class Dim1Theory(GluingTheory):
         # An oriented circle is diffeomorphic to its reversal.
         return closed
 
-    def glue_table(self, basis: Sequence[Bounded1Manifold]
+    def glue_table(self, rows: Sequence[Bounded1Manifold],
+                   cols: Sequence[Bounded1Manifold] | None = None
                    ) -> tuple[tuple[Closed1Manifold, ...], np.ndarray]:
-        """The glue table through permutation codes, one chunk of rows at a time.
+        """The rows x cols glue table through permutation codes, one chunk of
+        rows at a time; ``cols`` defaults to ``rows``.
 
-        With inv[r, v] the positive point that basis[r] matches to negative
-        point v, and W[r, v] = j**inv[r, v], (W @ inv.T)[r, s] is the
-        mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
+        With inv[r, v] the positive point that element r matches to negative
+        point v, and W[r, v] = j**inv[r, v], (W[rows] @ inv[cols].T)[r, s] is
+        the mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
         cycles ``glue1`` counts; ``_cycle_counter(j)`` reads them.  Codes and
         circle counts are int64 while they fit, else Python ints.
         """
-        j, n = len(self.boundary.pos), len(basis)
-        limit = np.iinfo(np.int64).max
-        closed = [b.closed_circles for b in basis]
-        carried = np.array(closed, dtype=np.int64 if 2 * max(closed, default=0) + j <= limit
-                           else object)
+        cols = rows if cols is None else cols
+        j, limit = len(self.boundary.pos), np.iinfo(np.int64).max
         neg = {label: v for v, label in enumerate(self.boundary.neg)}
-        inv = np.empty((n, j), dtype=np.int64 if j ** j <= limit else object)
-        for r, b in enumerate(basis):
-            inv[r, [neg[t] for t in b.targets]] = range(j)
-        weights = j ** inv
+
+        def arrays(side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, np.ndarray]:
+            closed = [b.closed_circles for b in side]
+            carried = np.array(closed, dtype=np.int64 if 2 * max(closed, default=0) + j <= limit
+                               else object)
+            inv = np.empty((len(side), j), dtype=np.int64 if j ** j <= limit else object)
+            for r, b in enumerate(side):
+                inv[r, [neg[t] for t in b.targets]] = range(j)
+            return inv, carried
+
+        inv, carried = arrays(cols)
+        row_inv, row_carried = (inv, carried) if cols is rows else arrays(rows)
+        weights = j ** row_inv
         count = _cycle_counter(j)
 
         def circles(lo: int, hi: int) -> np.ndarray:
-            pairs = count(weights[lo:hi] @ inv.T) + carried[lo:hi, None] + carried
+            pairs = count(weights[lo:hi] @ inv.T) + row_carried[lo:hi, None] + carried
             return pairs.reshape(-1)
 
-        return table_from_codes(n, circles, Closed1Manifold)
+        return table_from_codes(len(rows), len(cols), circles, Closed1Manifold)
 
     def complexity(self, closed: Closed1Manifold) -> int:
         return complexity1(closed)

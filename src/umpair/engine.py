@@ -56,11 +56,13 @@ class GluingTheory(ABC):
     ``FourDimTheory`` copies its tables when built and never changes them;
     code that wants a different gluing builds a new theory object.
 
-    ``glue_table`` builds the glue table of a whole basis.  The default
+    ``glue_table(rows, cols)`` builds the glue table of every row against
+    every column; with ``cols`` omitted it is the square table of ``rows``.
+    The default glues every cell of a rectangular table, and on a square one
     glues the pairs i <= j and fills the pairs i > j by conjugate symmetry.
     A theory may override it with a faster kernel, which must equal
-    ``glue`` on every ordered pair, list each closed form once and give its
-    ids the narrowest unsigned dtype that holds the form count.
+    ``glue`` on every cell, list each closed form once and give its ids the
+    narrowest unsigned dtype that holds the form count.
     """
 
     @abstractmethod
@@ -79,37 +81,41 @@ class GluingTheory(ABC):
     def validate_basis(self, descriptor: Any) -> None:
         """Raise ValueError if ``descriptor`` is not in this theory's universe."""
 
-    def glue_table(self, basis: Sequence[Any]) -> tuple[tuple[Any, ...], np.ndarray]:
-        """(forms, ids): the distinct closed forms of the basis pairs, and the
-        n x n matrix whose (i, j) entry indexes glue(basis[i], basis[j]) in them.
+    def glue_table(self, rows: Sequence[Any], cols: Sequence[Any] | None = None
+                   ) -> tuple[tuple[Any, ...], np.ndarray]:
+        """(forms, ids): the distinct closed forms of the table, and the
+        rows x cols matrix whose (i, j) entry indexes glue(rows[i], cols[j])
+        in them.  ``cols`` defaults to ``rows``.
 
-        Glues the pairs i <= j; the pairs i > j take one ``reverse`` call per
-        distinct form of that half.
+        A square table glues the pairs i <= j; the pairs i > j take one
+        ``reverse`` call per distinct form of that half.
         """
-        n = len(basis)
+        square = cols is None
+        cols = rows if cols is None else cols
         index: dict[Any, int] = {}
-        ids = np.zeros((n, n), dtype=np.uint8)
-        for i, a in enumerate(basis):
-            row = [index.setdefault(self.glue(a, b), len(index)) for b in basis[i:]]
+        ids = np.zeros((len(rows), len(cols)), dtype=np.uint8)
+        for i, a in enumerate(rows):
+            start = i if square else 0
+            row = [index.setdefault(self.glue(a, b), len(index)) for b in cols[start:]]
             ids = _fit_ids(ids, len(index))
-            ids[i, i:] = row
-        back = [index.setdefault(self.reverse(c), len(index)) for c in list(index)]
-        ids = _fit_ids(ids, len(index))
-        back = np.array(back, dtype=ids.dtype)
-        for i in range(n):
-            ids[i + 1:, i] = back[ids[i, i + 1:]]
+            ids[i, start:] = row
+        if square:
+            back = [index.setdefault(self.reverse(c), len(index)) for c in list(index)]
+            ids = _fit_ids(ids, len(index))
+            back = np.array(back, dtype=ids.dtype)
+            for i in range(len(rows)):
+                ids[i + 1:, i] = back[ids[i, i + 1:]]
         return tuple(index), ids
 
 
 def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
     """<x, y> as a formal sum of closed forms, read off the ``GramTensor`` of
-    both supports and summed exactly by ``_hermitian_sums``: each nonzero
-    total is divided once by La*Lb."""
-    union = dict(zip(x.keys(), x.support())) | dict(zip(y.keys(), y.support()))
-    table = GramTensor(union.values(), theory)
-    slot = {key: i for i, key in enumerate(union)}
-    ids = table.ids[np.ix_([slot[k] for k in x.keys()], [slot[k] for k in y.keys()])]
-    scale, re, im = _hermitian_sums(len(table.forms), ids, [c for _, c in x.items()],
+    supp x by supp y (square when both supports are the same) and summed
+    exactly by ``_hermitian_sums``: each nonzero total is divided once by
+    La*Lb."""
+    same = x.keys() == y.keys()
+    table = GramTensor(y.support(), theory, rows=None if same else x.support())
+    scale, re, im = _hermitian_sums(len(table.forms), table.ids, [c for _, c in x.items()],
                                     [c for _, c in y.items()])
     return FormalSum((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
                      for c, r, i in zip(table.forms, re, im) if r or i)
@@ -155,34 +161,44 @@ class GramTensor:
     """The glue table of a validated basis; every reader in this module builds one.
 
     ``forms`` are the distinct closed forms, and ``ids[i, j]`` is the index
-    of glue(basis[i], basis[j]) among them, so the 0/1 Gram matrix T^c of a
-    form c is ``matrix(c)``.  ``ranks[f]`` is the dense complexity rank of
-    forms[f]: integer order of ranks is complexity order.
+    of glue(rows[i], basis[j]) among them, so the 0/1 Gram matrix T^c of a
+    form c is ``matrix(c)``.  ``rows`` is the basis itself unless a row set
+    is given: the table is then rectangular, len(rows) x len(basis).
+    ``ranks[f]`` is the dense complexity rank of forms[f]: integer order of
+    ranks is complexity order.
 
     ``forms`` and ``ids`` come from the theory's ``glue_table``; ``ids`` has
     the narrowest unsigned dtype the form count allows and is read-only.
     The last table built is kept and reused when the same theory object
-    (``is``, since a theory need not be hashable) builds an equal basis
-    again, so ``pair(x, x)`` followed by ``certify_positive(x)`` glues the
-    support of x once.  Only that one table is kept.  Ranks are never
-    reused: they are computed on first read, every form in one
-    ``dense_ranks`` pass, so a reader that never reads them (``pair``,
-    ``null_search``) never calls ``complexity``.
+    (``is``, since a theory need not be hashable) builds an equal basis with
+    an equal row set again, so ``pair(x, x)`` followed by
+    ``certify_positive(x)`` glues the support of x once.  A square table
+    and a rectangular one are never the same entry, whatever their rows.
+    Only that one table is kept.  Ranks are never reused: they are computed
+    on first read, every form in one ``dense_ranks`` pass, so a reader that
+    never reads them (``pair``, ``null_search``) never calls ``complexity``.
     """
 
-    # (theory, basis, forms, ids) of the last table built.
-    _last: tuple[GluingTheory, tuple[Any, ...], tuple[Any, ...], np.ndarray] | None = None
+    # (theory, basis, forms, ids, row set or None when square) of the last
+    # table built.
+    _last: tuple[GluingTheory, tuple[Any, ...], tuple[Any, ...], np.ndarray,
+                 tuple[Any, ...] | None] | None = None
 
-    def __init__(self, basis: Iterable[Any], theory: GluingTheory):
+    def __init__(self, basis: Iterable[Any], theory: GluingTheory,
+                 rows: Iterable[Any] | None = None):
         self.theory = theory
         self.basis = tuple(basis)
-        for d in self.basis:
+        row_set = None if rows is None else tuple(rows)
+        self.rows = self.basis if row_set is None else row_set
+        for d in self.basis if row_set is None else row_set + self.basis:
             theory.validate_basis(d)
         last = GramTensor._last
-        if last is None or last[0] is not theory or last[1] != self.basis:
-            forms, ids = theory.glue_table(self.basis)
+        if (last is None or last[0] is not theory or last[1] != self.basis
+                or last[4] != row_set):
+            forms, ids = (theory.glue_table(self.basis) if row_set is None
+                          else theory.glue_table(row_set, self.basis))
             ids.flags.writeable = False
-            last = GramTensor._last = (theory, self.basis, forms, ids)
+            last = GramTensor._last = (theory, self.basis, forms, ids, row_set)
         self.forms, self.ids = last[2], last[3]
 
     @functools.cached_property
@@ -210,20 +226,21 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK // max(1, n))
 
 
-def table_from_codes(n: int, codes: Callable[[int, int], np.ndarray],
+def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarray],
                      form: Callable[[int], Any]) -> tuple[tuple[Any, ...], np.ndarray]:
-    """A ``glue_table`` result from closed forms coded as integers.
+    """A ``glue_table`` result of ``rows`` x ``cols`` cells from closed forms
+    coded as integers.
 
-    ``codes(lo, hi)`` gives the code of each pair of a basis row lo..hi-1
+    ``codes(lo, hi)`` gives the code of each pair of a table row lo..hi-1
     with a column, in row-major order, as int64 or, past int64, Python ints
     (dtype object); codes are equal exactly when their closed forms are,
     and ``form`` decodes one.  Only one chunk of rows is held at a time.
     """
     index: dict[int, int] = {}
-    ids = np.zeros((n, n), dtype=np.uint8)
-    step = _chunk_rows(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    ids = np.zeros((rows, cols), dtype=np.uint8)
+    step = _chunk_rows(cols)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
         distinct, inverse = _relabel(codes(lo, hi))
         slots = [index.setdefault(code, len(index)) for code in distinct.tolist()]
         ids = _fit_ids(ids, len(index))

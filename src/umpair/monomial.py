@@ -180,9 +180,10 @@ class MonomialTheory(GluingTheory):
     def reverse(self, closed: Monomial) -> Monomial:
         return mono_conj(closed, self.involution)
 
-    def glue_table(self, basis: Sequence[Monomial]
+    def glue_table(self, rows: Sequence[Monomial], cols: Sequence[Monomial] | None = None
                    ) -> tuple[tuple[Monomial, ...], np.ndarray]:
-        """The glue table through packed exponent vectors, one chunk of rows at a time.
+        """The rows x cols glue table through packed exponent vectors, one
+        chunk of rows at a time; ``cols`` defaults to ``rows``.
 
         A monomial is packed as the integer whose digits, base 2m + 1 for m
         the largest basis exponent, are its exponents in sorted prime order,
@@ -191,13 +192,14 @@ class MonomialTheory(GluingTheory):
         the base, so glue(a, b) = a * conj(b) packs to pack(a) +
         pack(conj(b)).  Codes are int64 while they fit, else Python ints.
         """
+        cols = rows if cols is None else cols
         letters = sorted(self.involution.alphabet)
-        base = 2 * max((e for m in basis for _, e in m.exponents), default=0) + 1
+        base = 2 * max((e for m in (*rows, *cols) for _, e in m.exponents), default=0) + 1
         place = {p: base ** k for k, p in enumerate(letters)}
         dtype = np.int64 if base ** len(letters) <= np.iinfo(np.int64).max else object
-        left = np.array([sum(e * place[p] for p, e in m.exponents) for m in basis], dtype=dtype)
+        left = np.array([sum(e * place[p] for p, e in m.exponents) for m in rows], dtype=dtype)
         right = np.array([sum(e * place[self.involution.apply(p)] for p, e in m.exponents)
-                          for m in basis], dtype=dtype)
+                          for m in cols], dtype=dtype)
 
         def codes(lo: int, hi: int) -> np.ndarray:
             return (left[lo:hi, None] + right).reshape(-1)
@@ -213,7 +215,7 @@ class MonomialTheory(GluingTheory):
             # Positive exponents of distinct primes, in sorted order.
             return build_canonical(Monomial, exponents=tuple(exponents))
 
-        return table_from_codes(len(basis), codes, form)
+        return table_from_codes(len(rows), len(cols), codes, form)
 
     def complexity(self, closed: Monomial) -> tuple[tuple[int, int], ...]:
         return complexity_mono(closed, self.involution)

@@ -314,6 +314,21 @@ def test_glue_table_agrees_with_the_default(case):
 
 
 @pytest.mark.parametrize("case", TABLE_CASES)
+def test_rectangular_glue_table_agrees_with_glue(case):
+    """A row subset, in another order, against every column."""
+    theory, basis = TABLE_CASES[case]
+    rows, cols = tuple(basis[::-2]), tuple(basis)
+    forms, ids = theory.glue_table(rows, cols)
+    ref_forms, ref_ids = engine.GluingTheory.glue_table(theory, rows, cols)
+    assert ids.shape == ref_ids.shape == (len(rows), len(cols))
+    assert len(set(forms)) == len(forms) and set(forms) == set(ref_forms)
+    assert ids.dtype == ref_ids.dtype == np.min_scalar_type(max(len(forms) - 1, 0))
+    for i, a in enumerate(rows):
+        for k, b in enumerate(cols):
+            assert forms[ids[i, k]] == ref_forms[ref_ids[i, k]] == theory.glue(a, b)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
 def test_glue_table_agrees_with_glue_and_complexity(case):
     theory, basis = TABLE_CASES[case]
     table = engine.GramTensor(basis, theory)
@@ -494,6 +509,27 @@ def test_pair_agrees_with_the_loop_oracle(name):
                     loop_pair(left, right, theory).to_json()
 
 
+@pytest.mark.parametrize("n,cells", [(1, 1), (3, 9), (12, 144)])
+def test_dim2_pair_of_disjoint_supports_glues_only_their_product(monkeypatch, n, cells):
+    """pair(x, y) glues supp x by supp y; pair(x, x) then certify(x) glue the
+    upper triangle of supp x once between them."""
+    rng = random.Random(f"dim2-disjoint-{n}")
+    picked = rng.sample(enumerate2(2, 2, 1), 2 * n)
+    x, y = (FormalSum((d, Scalar(rng.randint(1, 9), rng.randint(-9, 9))) for d in side)
+            for side in (picked[:n], picked[n:]))
+    expected = loop_pair(x, y, Dim2Theory(2)), loop_pair(x, x, Dim2Theory(2))
+    glued = []
+    glue = Dim2Theory.glue
+    monkeypatch.setattr(Dim2Theory, "glue", lambda self, a, b: glued.append(1) or glue(self, a, b))
+    assert engine.pair(x, y, Dim2Theory(2)) == expected[0]
+    assert len(glued) == cells
+    glued.clear()
+    theory = Dim2Theory(2)
+    assert engine.pair(x, x, theory) == expected[1]
+    assert isinstance(engine.certify_positive(x, theory), engine.PositivityCertificate)
+    assert len(glued) == n * (n + 1) // 2
+
+
 def test_pair_drops_forms_that_cancel():
     two, one = D1.glue(BASIS2[0], BASIS2[0]), D1.glue(BASIS2[0], BASIS2[1])
     # The one-circle terms are (1/3)(2i/5) + (2/3)(-i/5) = 0.
@@ -514,13 +550,14 @@ def test_pair_drops_forms_that_cancel():
 
 @dataclass(frozen=True)
 class CountingDim1(Dim1Theory):
-    """A dim1 theory that records the basis of each ``glue_table`` call."""
+    """A dim1 theory that records the rows (and columns, when given) of each
+    ``glue_table`` call."""
 
     calls: list = field(default_factory=list, compare=False, repr=False)
 
-    def glue_table(self, basis):
-        self.calls.append(basis)
-        return super().glue_table(basis)
+    def glue_table(self, rows, cols=None):
+        self.calls.append(rows if cols is None else (rows, cols))
+        return super().glue_table(rows, cols)
 
 
 def _dim1_vectors(theory, seed, count):
@@ -562,6 +599,14 @@ def test_gram_tensor_rebuilds_for_another_theory_object_or_basis():
     engine.GramTensor(basis[:3], second)
     engine.GramTensor(basis, second)
     assert second.calls == [basis, basis[:3], basis] and first.calls == [basis]
+    # A rectangular table is never served as a square one, even with every row.
+    second.calls.clear()
+    rect = engine.GramTensor(basis, second, rows=basis)
+    engine.GramTensor(basis, second, rows=list(basis))
+    square = engine.GramTensor(basis, second)
+    engine.GramTensor(basis, second, rows=basis[:2])
+    assert second.calls == [(basis, basis), basis, (basis[:2], basis)]
+    assert rect.rows == square.rows == basis and (rect.ids == square.ids).all()
 
 
 def test_pair_of_two_vectors_after_a_square_matches_a_fresh_theory():
