@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -293,9 +294,10 @@ class Dim1Theory(GluingTheory):
             closed = [b.closed_circles for b in side]
             carried = np.array(closed, dtype=np.int64 if 2 * max(closed, default=0) + j <= limit
                                else object)
+            targets = np.array([neg[t] for b in side for _, t in b.matching],
+                               dtype=np.intp).reshape(len(side), j)
             inv = np.empty((len(side), j), dtype=np.int64 if j ** j <= limit else object)
-            for r, b in enumerate(side):
-                inv[r, [neg[t] for t in b.targets]] = range(j)
+            inv[np.arange(len(side))[:, None], targets] = np.arange(j)
             return inv, carried
 
         inv, carried = arrays(cols)
@@ -308,6 +310,24 @@ class Dim1Theory(GluingTheory):
             return pairs.reshape(-1)
 
         return table_from_codes(len(rows), len(cols), circles, Closed1Manifold)
+
+    def orbits(self, basis: Sequence[Bounded1Manifold]) -> list[int] | None:
+        """Carried-circle counts, when each count that occurs carries all j!
+        matchings exactly once; else None.
+
+        Relabelling the negative points by rho sends a matching sigma to
+        rho∘sigma and leaves every composed permutation that ``glue1``
+        counts unchanged, so it keeps every gluing; it moves the j!
+        matchings of one carried count through a single orbit.
+        """
+        matchings: dict[int, set[tuple[tuple[str, str], ...]]] = {}
+        for b in basis:
+            matchings.setdefault(b.closed_circles, set()).add(b.matching)
+        full = math.factorial(len(self.boundary.pos))
+        if (len(basis) != full * len(matchings)
+                or any(len(m) != full for m in matchings.values())):
+            return None
+        return [b.closed_circles for b in basis]
 
     def complexity(self, closed: Closed1Manifold) -> int:
         return complexity1(closed)

@@ -63,6 +63,15 @@ class GluingTheory(ABC):
     A theory may override it with a faster kernel, which must equal
     ``glue`` on every cell, list each closed form once and give its ids the
     narrowest unsigned dtype that holds the form count.
+
+    ``orbits(basis)`` is an optional hook for ``verify_lemma``: one orbit
+    label per element of a validated basis, or None (the default).  A theory
+    may return labels only when the basis is a union of whole orbits of a
+    group of boundary relabellings g that keep gluing exactly,
+    glue(g·a, g·b) == glue(a, b), so that the claim holds for any
+    complexity.  ``verify_lemma`` then glues one representative row per
+    orbit; its ``pairs_checked`` still counts the n(n-1)/2 pairs the
+    check covers, not the cells it glued.
     """
 
     @abstractmethod
@@ -106,6 +115,10 @@ class GluingTheory(ABC):
             for i in range(len(rows)):
                 ids[i + 1:, i] = back[ids[i, i + 1:]]
         return tuple(index), ids
+
+    def orbits(self, basis: Sequence[Any]) -> Sequence[Any] | None:
+        """One orbit label per basis element, or None: see the class docstring."""
+        return None
 
 
 def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
@@ -269,23 +282,28 @@ def _relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(codes, return_inverse=True)
 
 
-def _dominance_failures(table: GramTensor) -> Iterator[tuple[int, int]]:
-    """The pairs i < j, row by row, whose off-diagonal gluing is not strictly
-    less complex than the larger of their two diagonal gluings.
+def _dominance_failures(table: GramTensor, at: np.ndarray | None = None,
+                        diag: np.ndarray | None = None) -> Iterator[tuple[int, int]]:
+    """The basis index pairs (i, j), i < j, row by row, whose off-diagonal
+    gluing is not strictly less complex than the larger of their two
+    diagonal gluings.
 
+    Table row r is basis element ``at[r]``, and ``diag`` is the diagonal
+    rank of every basis element; both default to those of a square table.
     Compared one chunk of rows at a time and yielded lazily, so the first
     failure costs no more than the chunk it is in.
     """
     n = len(table.basis)
-    diag = table.ranks[table.ids.diagonal()]
+    at = np.arange(n) if at is None else at
+    diag = table.ranks[table.ids.diagonal()] if diag is None else diag
     cols = np.arange(n)
     step = _chunk_rows(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo in range(0, len(at), step):
+        hi = min(lo + step, len(at))
         off = table.ranks[table.ids[lo:hi]]
-        failed = (off >= np.maximum(diag[lo:hi, None], diag)) & (cols > cols[lo:hi, None])
-        for i, j in np.argwhere(failed).tolist():
-            yield lo + i, j
+        failed = (off >= np.maximum(diag[at[lo:hi], None], diag)) & (cols > at[lo:hi, None])
+        for r, j in np.argwhere(failed).tolist():
+            yield int(at[lo + r]), j
 
 
 @dataclass(frozen=True)
@@ -334,14 +352,47 @@ def verify_lemma(basis: Sequence[Any], theory: GluingTheory) -> LemmaReport:
     """Check strict diagonal dominance of complexity on every unordered pair.
 
     Violations are data, not errors: the report lists each failing pair with
-    the three complexities involved.
+    the three complexities involved.  When the theory's ``orbits`` hook
+    splits the basis into orbits, the representative rows are checked first
+    (``_orbit_rows_pass``); any failure there, or no orbits, runs the sweep
+    over every pair, so violations always come from that sweep.
     """
-    table = GramTensor(basis, theory)
-    violations = tuple(LemmaViolation.of(theory, table.basis[i], table.basis[j])
-                       for i, j in _dominance_failures(table))
-    n = len(table.basis)
+    basis = tuple(basis)
+    violations: tuple[LemmaViolation, ...] = ()
+    if not _orbit_rows_pass(basis, theory):
+        table = GramTensor(basis, theory)
+        violations = tuple(LemmaViolation.of(theory, table.basis[i], table.basis[j])
+                           for i, j in _dominance_failures(table))
+    n = len(basis)
     return LemmaReport(passed=not violations, basis_size=n,
                        pairs_checked=n * (n - 1) // 2, violations=violations)
+
+
+def _orbit_rows_pass(basis: tuple[Any, ...], theory: GluingTheory) -> bool:
+    """True when ``theory.orbits`` labels the basis and every pair passes.
+
+    A relabelling g that keeps gluing sends the pair {a, b} to {g·a, g·b}
+    with the same three closed forms.  Moving a to the first element of its
+    orbit turns every pair into a pair of that element's row, so the table
+    of the first element of each orbit against the whole basis meets the
+    dominance test of every pair.  Each element's diagonal is its
+    representative's own cell, since glue(g·b, g·b) == glue(b, b).  Each
+    row is compared with its later columns only: a later orbit starts
+    after every earlier representative, so it lies wholly to their right.
+    """
+    for d in basis:
+        theory.validate_basis(d)
+    labels = theory.orbits(basis)
+    if labels is None:
+        return False
+    slot: dict[Any, int] = {}
+    orbit = np.array([slot.setdefault(label, len(slot)) for label in labels], dtype=np.intp)
+    # Labels are numbered in order of first appearance, so this is each
+    # orbit's first element, in increasing order.
+    first = np.unique(orbit, return_index=True)[1]
+    table = GramTensor(basis, theory, rows=[basis[k] for k in first])
+    own = table.ranks[table.ids[np.arange(len(first)), first]]
+    return next(_dominance_failures(table, first, own[orbit]), None) is None
 
 
 @dataclass(frozen=True)

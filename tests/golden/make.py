@@ -172,6 +172,9 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
 
     "verify-lemma-dim1": (["verify-lemma", "--theory", "dim1", "--j", "3",
                            "--max-closed", "1"], {}),
+    # Two orbits of 5,040 matchings; recorded by the full pairwise sweep.
+    "verify-lemma-dim1-j7": (["verify-lemma", "--theory", "dim1", "--j", "7",
+                              "--max-closed", "1"], {}),
     "verify-lemma-dim2": (["verify-lemma", "--theory", "dim2", "--j", "2", "--gmax", "1",
                            "--closed-budget", "1", "--out", "out.json"], {}),
     "verify-lemma-monomial": (["verify-lemma", "--theory", "monomial", *KNOTS,

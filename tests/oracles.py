@@ -4,7 +4,9 @@ The convolution oracle multiplies x * conj(y) with raw dicts and Fractions,
 sharing no code with FormalSum or the pairing engine, so the two routes can
 check each other.  The loop pairing glues every support pair with
 ``theory.glue`` and sums in ``Scalar`` arithmetic, the reference for the
-engine's glue-table pairing.  The Fraction null search is the
+engine's glue-table pairing; the loop lemma, every pair glued and
+compared on its own, is the reference for ``verify_lemma``'s orbit rows and
+its full sweep.  The Fraction null search is the
 one-assignment-at-a-time reference for the engine's integer null-search
 kernel.  The Euler oracle recounts a surface gluing cell by cell, sharing
 no code with ``glue2``, and the arc walk recounts a 1-manifold gluing
@@ -27,7 +29,7 @@ from umpair.algebra import (ONE, ZERO, FormalSum, Scalar, UniverseMismatchError,
                             as_scalar, canonical_key)
 from umpair.dim1 import Bounded1Manifold
 from umpair.dim2 import Bounded2Manifold
-from umpair.engine import NullSearchResult
+from umpair.engine import LemmaReport, LemmaViolation, NullSearchResult
 from umpair.monomial import Monomial
 
 
@@ -40,6 +42,23 @@ def loop_pair(x, y, theory):
         for b, cb in y.items():
             terms.append((theory.glue(a, b), ca * cb.conj()))
     return FormalSum(terms)
+
+
+def loop_lemma(basis, theory):
+    """The lemma report of ``engine.verify_lemma`` from one ``glue`` and
+    ``complexity`` call per diagonal and per pair i < j, compared with ``<``."""
+    for d in basis:
+        theory.validate_basis(d)
+    diag = [theory.complexity(theory.glue(b, b)) for b in basis]
+    violations = []
+    for i, a in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            off = theory.complexity(theory.glue(a, basis[j]))
+            if not (off < diag[i] or off < diag[j]):
+                violations.append(LemmaViolation(a, basis[j], off, diag[i], diag[j]))
+    n = len(basis)
+    return LemmaReport(passed=not violations, basis_size=n, pairs_checked=n * (n - 1) // 2,
+                       violations=tuple(violations))
 
 
 def convolution_oracle(x_terms, y_terms, sigma):

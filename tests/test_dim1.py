@@ -7,11 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import arc_walk_circles
+from oracles import arc_walk_circles, loop_lemma
 
 import umpair
 from umpair import dim1, engine
-from umpair.algebra import UniverseMismatchError
+from umpair.algebra import UniverseMismatchError, canonical_key
 from umpair.dim1 import (Boundary0, Bounded1Manifold, Closed1Manifold,
                          Dim1Theory, complexity1, enumerate1, glue1,
                          points_to_monomial0, standard_boundary,
@@ -153,14 +153,153 @@ def test_verify_lemma_does_not_import_numpy_ma():
     assert result.stdout.strip() == "False"
 
 
-@pytest.mark.slow
 def test_dim1_positivity_j7():
-    # 5,040 matchings and 12.7M pairs through the cycle table: about 1 s.
+    # 5,040 matchings in one orbit: 12.7M pairs covered by one row of 5,040 cells.
     boundary = standard_boundary(7)
     report = engine.verify_lemma(enumerate1(boundary, 0), Dim1Theory(boundary))
     assert report.passed
     assert report.basis_size == 5040
     assert report.pairs_checked == 5040 * 5039 // 2
+
+
+def test_dim1_positivity_j7_max_closed_2():
+    # Three orbits of 5,040: 114M pairs covered by 3 x 15,120 cells.
+    boundary = standard_boundary(7)
+    report = engine.verify_lemma(enumerate1(boundary, 2), Dim1Theory(boundary))
+    assert report.passed
+    assert report.basis_size == 15120
+    assert report.pairs_checked == 15120 * 15119 // 2
+
+
+@pytest.mark.slow
+def test_dim1_positivity_j8_in_a_fresh_process():
+    """40,320 matchings, one orbit: under 1 s and 100 MB peak RSS."""
+    src = str(Path(umpair.__file__).resolve().parents[1])
+    script = ("import resource, sys, time; sys.path.insert(0, sys.argv[1]); "
+              "from umpair import engine; "
+              "from umpair.dim1 import Dim1Theory, enumerate1, standard_boundary; "
+              "b = standard_boundary(8); basis = enumerate1(b, 0); "
+              "start = time.perf_counter(); "
+              "report = engine.verify_lemma(basis, Dim1Theory(b)); "
+              "seconds = time.perf_counter() - start; "
+              "assert report.passed and report.pairs_checked == 40320 * 40319 // 2; "
+              "print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+                            capture_output=True, text=True, check=True)
+    seconds, max_rss_kb = result.stdout.split()
+    assert float(seconds) < 1.0
+    assert int(max_rss_kb) < 100 * 1024
+
+
+def relabelled(m, pos_perm, neg_perm):
+    """g·m for the boundary relabelling g that moves positive point k to
+    pos_perm[k] and negative point k to neg_perm[k]."""
+    boundary = m.boundary
+    neg_index = {label: k for k, label in enumerate(boundary.neg)}
+    targets = [""] * len(boundary.pos)
+    for k, (_, t) in enumerate(m.matching):
+        targets[pos_perm[k]] = boundary.neg[neg_perm[neg_index[t]]]
+    return Bounded1Manifold(boundary, tuple(zip(boundary.pos, targets)), m.closed_circles)
+
+
+@pytest.mark.parametrize("j", range(6))
+def test_relabelling_the_boundary_keeps_every_gluing(j):
+    """glue(g·a, g·b) == glue(a, b) for seeded relabellings g of both signs,
+    and g permutes the enumerated basis, so its circle counts are whole orbits."""
+    boundary, rng = standard_boundary(j), random.Random(f"relabel-{j}")
+    theory, basis = Dim1Theory(boundary), enumerate1(boundary, 2)
+    forms, ids = theory.glue_table(tuple(basis))
+    pairs = list(itertools.product(range(len(basis)), repeat=2))
+    for _ in range(3):
+        pos, neg = rng.sample(range(j), j), rng.sample(range(j), j)
+        moved = [relabelled(m, pos, neg) for m in basis]
+        assert sorted(map(canonical_key, moved)) == sorted(map(canonical_key, basis))
+        moved_forms, moved_ids = theory.glue_table(tuple(moved))
+        assert [moved_forms[f] for f in moved_ids.flat] == [forms[f] for f in ids.flat]
+        for a, b in rng.sample(pairs, min(len(pairs), 300)):
+            assert glue1(moved[a], moved[b]) == glue1(basis[a], basis[b])
+            assert arc_walk_circles(moved[a], moved[b]) == arc_walk_circles(basis[a], basis[b])
+
+
+def _recording_tables(monkeypatch):
+    """(rows, cols) sizes of every ``Dim1Theory.glue_table`` call, as a list."""
+    calls = []
+    table = Dim1Theory.glue_table
+
+    def recording(self, rows, cols=None):
+        calls.append((len(rows), len(rows if cols is None else cols)))
+        return table(self, rows, cols)
+
+    monkeypatch.setattr(Dim1Theory, "glue_table", recording)
+    return calls
+
+
+@pytest.mark.parametrize("j,max_closed", [(j, m) for j in range(6) for m in range(3)])
+def test_orbit_rows_agree_with_the_loop_lemma(monkeypatch, j, max_closed):
+    boundary = standard_boundary(j)
+    theory, basis = Dim1Theory(boundary), enumerate1(boundary, max_closed)
+    assert theory.orbits(basis) == [b.closed_circles for b in basis]
+    calls = _recording_tables(monkeypatch)
+    assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
+    assert calls == [(max_closed + 1, len(basis))]
+
+
+def test_verify_lemma_glues_one_row_at_j6():
+    """The whole j = 6 basis is one orbit: 720 cells glued, not 720 x 720."""
+    boundary = standard_boundary(6)
+    basis = enumerate1(boundary, 0)
+    table = engine.GramTensor(basis, Dim1Theory(boundary), rows=basis[:1])
+    assert table.ids.shape == (1, 720)
+    assert engine.verify_lemma(basis, Dim1Theory(boundary)).passed
+
+
+@pytest.mark.parametrize("j,max_closed", [(3, 2), (4, 1)])
+def test_a_failing_orbit_row_reruns_the_full_sweep(monkeypatch, j, max_closed):
+    """Circle parity as complexity: the orbit rows fail, and the report is the
+    full sweep's, violations included."""
+    monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
+    boundary = standard_boundary(j)
+    theory, basis = Dim1Theory(boundary), enumerate1(boundary, max_closed)
+    calls = _recording_tables(monkeypatch)
+    report = engine.verify_lemma(basis, theory)
+    assert calls == [(max_closed + 1, len(basis)), (len(basis), len(basis))]
+    assert report.violations and report == loop_lemma(basis, theory)
+
+
+def _partial_bases():
+    """Bases that are not unions of whole orbits, named."""
+    b3, b4 = standard_boundary(3), standard_boundary(4)
+    full = enumerate1(b4, 1)
+    return {
+        "one-matching-dropped": (b4, [m for m in full if m.matching != full[6].matching]),
+        "seeded-subset": (b4, random.Random(4).sample(full, 17)),
+        "duplicate": (b4, full + full[3:4]),
+        "short-of-one-count": (b4, full[:-1]),
+        # The identity and two transpositions, whose composite is a 3-cycle.
+        "three-matchings": (b3, [matching_of(b3, dict(zip(b3.pos, targets))) for targets in
+                                 (("n1", "n2", "n3"), ("n2", "n1", "n3"), ("n3", "n2", "n1"))]),
+    }
+
+
+@pytest.mark.parametrize("parity", [False, True], ids=["circles", "parity"])
+@pytest.mark.parametrize("name", list(_partial_bases()))
+def test_bases_that_are_not_whole_orbits_take_the_full_sweep(monkeypatch, name, parity):
+    boundary, basis = _partial_bases()[name]
+    theory = Dim1Theory(boundary)
+    assert theory.orbits(basis) is None
+    if parity:
+        monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
+    calls = _recording_tables(monkeypatch)
+    assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
+    assert calls == [(len(basis), len(basis))]
+
+
+def test_whole_orbits_need_not_be_every_count():
+    boundary = standard_boundary(3)
+    basis = [m for m in enumerate1(boundary, 2) if m.closed_circles != 1]
+    theory = Dim1Theory(boundary)
+    assert theory.orbits(basis) == [m.closed_circles for m in basis]
+    assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
 
 
 def test_points_encoding():

@@ -168,6 +168,27 @@ def test_oracle_and_additivity_on_enumerated_pairs():
         assert euler_oracle(m, n) == chi
 
 
+def relabelled(m, perm):
+    """g·m for the relabelling g that moves boundary circle c to perm[c],
+    canonicalised again by the constructor."""
+    return Bounded2Manifold(m.boundary_circles,
+                            tuple((tuple(perm[c] for c in circles), genus)
+                                  for circles, genus in m.parts), m.closed_genera)
+
+
+@pytest.mark.parametrize("j,gmax,budget", [(0, 2, 2), (1, 2, 2), (2, 2, 1), (3, 1, 1)])
+def test_permuting_the_boundary_circles_keeps_every_gluing(j, gmax, budget):
+    """glue(g·a, g·b) == glue(a, b) for seeded permutations g of the circles,
+    and g permutes the enumerated basis, so it is a union of whole orbits."""
+    perms = list(itertools.permutations(range(j)))
+    basis = enumerate2(j, gmax, budget)
+    for perm in random.Random(f"relabel2-{j}").sample(perms, min(2, len(perms))):
+        moved = [relabelled(m, perm) for m in basis]
+        assert sorted(map(canonical_key, moved)) == sorted(map(canonical_key, basis))
+        for (a, ga), (b, gb) in itertools.product(zip(basis, moved), repeat=2):
+            assert glue2(ga, gb) == glue2(a, b)
+
+
 def test_component_count_matches_an_independent_graph_count():
     rng = random.Random(20260207)
     basis = enumerate2(4, 2, 2)

@@ -620,8 +620,9 @@ def test_pair_of_two_vectors_after_a_square_matches_a_fresh_theory():
 
 def test_complexity_patched_between_builds_is_honored(monkeypatch):
     theory, basis = _dim1_case(3, 1)
-    before = engine.GramTensor(basis, theory)
     assert engine.verify_lemma(basis, theory).passed
+    # Built after verify_lemma, whose orbit rows are a table of their own.
+    before = engine.GramTensor(basis, theory)
     monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
     after = engine.GramTensor(basis, theory)
     assert after.ids is before.ids
