@@ -244,13 +244,12 @@ def test_orbit_rows_agree_with_the_loop_lemma(monkeypatch, j, max_closed):
     assert calls == [(max_closed + 1, len(basis))]
 
 
-def test_verify_lemma_glues_one_row_at_j6():
+def test_verify_lemma_glues_one_row_at_j6(monkeypatch):
     """The whole j = 6 basis is one orbit: 720 cells glued, not 720 x 720."""
     boundary = standard_boundary(6)
-    basis = enumerate1(boundary, 0)
-    table = engine.GramTensor(basis, Dim1Theory(boundary), rows=basis[:1])
-    assert table.ids.shape == (1, 720)
-    assert engine.verify_lemma(basis, Dim1Theory(boundary)).passed
+    calls = _recording_tables(monkeypatch)
+    assert engine.verify_lemma(enumerate1(boundary, 0), Dim1Theory(boundary)).passed
+    assert calls == [(1, 720)]
 
 
 @pytest.mark.parametrize("j,max_closed", [(3, 2), (4, 1)])

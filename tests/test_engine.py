@@ -606,7 +606,8 @@ def test_gram_tensor_rebuilds_for_another_theory_object_or_basis():
     square = engine.GramTensor(basis, second)
     engine.GramTensor(basis, second, rows=basis[:2])
     assert second.calls == [(basis, basis), basis, (basis[:2], basis)]
-    assert rect.rows == square.rows == basis and (rect.ids == square.ids).all()
+    assert rect.rows == square.rows == basis
+    assert [rect.forms[f] for f in rect.ids.flat] == [square.forms[f] for f in square.ids.flat]
 
 
 def test_pair_of_two_vectors_after_a_square_matches_a_fresh_theory():
