@@ -30,7 +30,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .algebra import UniverseMismatchError, canonical_key, check_bounds, json_int, json_list
+from .algebra import (UniverseMismatchError, build_canonical, canonical_key, check_bounds,
+                      json_int, json_list)
 from .engine import GluingTheory, table_from_codes
 from .monomial import Involution, Monomial
 
@@ -254,10 +255,13 @@ def enumerate1(boundary: Boundary0, max_closed: int = 0) -> list[Bounded1Manifol
     if len(boundary.pos) != len(boundary.neg):
         return []
     out = []
+    # Each matching lists the positive labels in boundary order and hits
+    # every negative label once, so every element is built already canonical.
     for targets in itertools.permutations(boundary.neg):
         matching = tuple(zip(boundary.pos, targets))
         for closed in range(max_closed + 1):
-            out.append(Bounded1Manifold(boundary, matching, closed))
+            out.append(build_canonical(Bounded1Manifold, boundary=boundary,
+                                       matching=matching, closed_circles=closed))
     return out
 
 

@@ -28,14 +28,17 @@ full enumerated basis, in three exact numpy phases.  It must agree with
 engine.verify_lemma (the generic glue-table check) wherever both are feasible;
 the tests enforce that, and check the core table against glue2.
 
-1. Core table.  The components of a gluing of two bounded cores depend only
-   on their two circle partitions, so union-find runs once per partition
-   pair, through the one ``_part_roots`` that glue2 shares; a component's
-   genus is the genus sum of its parts + E - V + 1 (E circles, V parts),
-   computed for every pair of genus assignments at once by an integer
-   matrix product.  The genus rows are deduplicated unsorted; each distinct
-   row is then sorted once, and each core pair gets an id of its genus
-   multiset.
+1. Core table.  Relabelling the circles keeps every gluing, so only the
+   first core of each orbit (``core_orbits``: cores with equal sorted
+   (block size, genus) multisets) is glued against every core.  The
+   components of a gluing of two bounded cores depend only on their two
+   circle partitions, so union-find runs once per pair of a partition
+   holding a representative with any partition, through the one
+   ``_part_roots`` that glue2 shares; a component's genus is the genus sum
+   of its parts + E - V + 1 (E circles, V parts), computed for every pair
+   of genus assignments at once by an integer matrix product.  The genus
+   rows are deduplicated unsorted; each distinct row is then sorted once,
+   and each core pair gets an id of its genus multiset.
 2. Ranks.  complexity2 is called once per distinct merged multiset (core
    genera plus the union of two closed multisets), on a surface built
    already sorted without re-validation, and its values are ranked
@@ -43,16 +46,20 @@ the tests enforce that, and check the core table against glue2.
    values complexity2 returns.
 3. Sweep.  For cores a < b every verdict between their elements depends
    only on the triple of ids (a, b), (a, a), (b, b); each distinct triple is
-   checked once as a block over closed-multiset pairs, and only failing
-   triples are expanded back to basis positions.  a == b is checked on the
-   strict upper triangle of its block.  The sweep runs in one process.
+   checked once as a block over closed-multiset pairs.  a == b is checked on
+   the strict upper triangle of its block.  Every pair of cores is a
+   relabelled pair of a representative row, so those rows are swept first.
+   Any failure there builds the square core table (it holds no multiset the
+   rows lacked, so the ranks serve it unchanged) and sweeps every core pair;
+   only that sweep expands failing triples back to basis positions, so
+   violations come out in one order.  The sweep runs in one process.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -327,38 +334,68 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.reshape(-1)
 
 
-def core_gluing_table(j: int, g_max: int
-                      ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Genus multiset of the gluing of every pair of bounded cores.
+def core_orbits(j: int, g_max: int) -> np.ndarray:
+    """orbit[c]: the orbit of core c under relabelling the j circles.
 
-    The cores are enumerate2(j, g_max, 0), in that order.  Returns (gid,
-    genera) with genera[gid[a, b]] == glue2(cores[a], cores[b]).genera.
-    Union-find runs once per pair of circle partitions; the genera of every
-    pair of genus assignments of those partitions then come from products
-    with the component incidence matrix.  Those rows are deduplicated as
-    they are, and only the distinct rows are sorted into multisets, so
-    rows that differ only in component order share one id.
+    The cores are enumerate2(j, g_max, 0), in that order; orbits are
+    numbered in order of first appearance.  The label of a core is the
+    sorted multiset of (block size, genus) over its parts.  It is a complete
+    invariant: two partitions with the same block sizes are related by a
+    relabelling, which can then match up the blocks of equal (size, genus).
+    """
+    check_bounds({"j": j, "g_max": g_max})
+    slot: dict[tuple[tuple[int, int], ...], int] = {}
+    return np.array([slot.setdefault(tuple(sorted(zip(map(len, partition), genera))),
+                                     len(slot))
+                     for partition in _set_partitions(j)
+                     for genera in itertools.product(range(g_max + 1),
+                                                     repeat=len(partition))],
+                    dtype=np.intp)
+
+
+def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
+                      ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Genus multiset of the gluing of cores, rows by every core.
+
+    The cores are enumerate2(j, g_max, 0), in that order, and ``rows`` are
+    core indices (every core when omitted, giving the square table).
+    Returns (gid, genera) with genera[gid[i, b]] ==
+    glue2(cores[rows[i]], cores[b]).genera.  Union-find runs once per pair
+    of circle partitions with a row on the left; the genera of every pair
+    of genus assignments of those partitions then come from products with
+    the component incidence matrix.  Those rows are deduplicated as they
+    are, and only the distinct rows are sorted into multisets, so rows that
+    differ only in component order share one id.  The square table glues
+    each partition pair once and fills its mirror block by symmetry.
     """
     check_bounds({"j": j, "g_max": g_max})
     partitions = list(_set_partitions(j))
     assignments = [np.array(list(itertools.product(range(g_max + 1), repeat=len(p))),
                             dtype=np.int32) for p in partitions]  # enumerate2's order
     starts = np.cumsum([0] + [len(a) for a in assignments])
-    gid = np.empty((starts[-1], starts[-1]), dtype=np.int32)
+    square = rows is None
+    row_cores = np.arange(starts[-1]) if rows is None else np.asarray(rows, dtype=np.intp)
+    gid = np.empty((len(row_cores), starts[-1]), dtype=np.int32)
     ids: dict[tuple[int, ...], int] = {}
-    for p, q in itertools.combinations_with_replacement(range(len(partitions)), 2):
-        incidence, offset = _components(partitions[p], partitions[q], j)
-        split = len(partitions[p])
-        left = assignments[p] @ incidence[:split]
-        right = assignments[q] @ incidence[split:]
-        rows = (left[:, None, :] + right[None, :, :] + offset).reshape(
-            len(left) * len(right), -1)
-        first, inverse = _unique_rows(rows)
-        global_ids = np.array([ids.setdefault(tuple(sorted(r)), len(ids))
-                               for r in rows[first].tolist()], dtype=np.int32)
-        block_ids = global_ids[inverse].reshape(len(left), len(right))
-        gid[starts[p]:starts[p + 1], starts[q]:starts[q + 1]] = block_ids
-        gid[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = block_ids.T
+    for p in range(len(partitions)):
+        mine = np.flatnonzero((row_cores >= starts[p]) & (row_cores < starts[p + 1]))
+        if not len(mine):
+            continue
+        left_genera = assignments[p][row_cores[mine] - starts[p]]
+        for q in range(p if square else 0, len(partitions)):
+            incidence, offset = _components(partitions[p], partitions[q], j)
+            split = len(partitions[p])
+            left = left_genera @ incidence[:split]
+            right = assignments[q] @ incidence[split:]
+            block = (left[:, None, :] + right[None, :, :] + offset).reshape(
+                len(left) * len(right), -1)
+            first, inverse = _unique_rows(block)
+            global_ids = np.array([ids.setdefault(tuple(sorted(r)), len(ids))
+                                   for r in block[first].tolist()], dtype=np.int32)
+            block_ids = global_ids[inverse].reshape(len(left), len(right))
+            gid[mine, starts[q]:starts[q + 1]] = block_ids
+            if square:
+                gid[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = block_ids.T
     return gid, list(ids)
 
 
@@ -403,12 +440,20 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     depends only on (core pair genera, multiset union).  For cores a < b,
     every verdict between their elements depends only on the triple
     (gid[a, b], gid[a, a], gid[b, b]), so each distinct triple is checked
-    once as an nk x nk block and only failing triples are expanded.
+    once as an nk x nk block.  Relabelling the circles keeps every gluing,
+    so only the rows of the first core of each orbit (``core_orbits``) are
+    glued and swept first.  Any failure there reruns the sweep over every
+    core pair, which alone expands failing triples into violations, so they
+    come out in the same order either way.
     """
     check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
-    gid, genera = core_gluing_table(j, g_max)
+    orbit = core_orbits(j, g_max)
+    # Orbits are numbered in order of first appearance, so this is each
+    # orbit's first core, in increasing order.
+    reps = np.unique(orbit, return_index=True)[1]
+    gid, genera = core_gluing_table(j, g_max, rows=reps)
     closeds = closed_multisets(g_max, closed_budget)
-    nb, nk = len(gid), len(closeds)
+    nb, nk = len(orbit), len(closeds)
     basis_size = nb * nk
 
     union_ids: dict[tuple[int, ...], int] = {}
@@ -417,10 +462,10 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     rank = _rank_table(genera, list(union_ids))
     off_rank = rank[:, kuid]                    # (ng, nk, nk)
     diag_rank = rank[:, kuid.diagonal()]        # (ng, nk)
-    diag = gid.diagonal().astype(np.int64)
     ng = len(genera)
     if ng ** 3 > np.iinfo(np.int64).max:
         raise OverflowError(f"{ng} distinct core gluings overflow the triple codes")
+    strict_upper = np.triu(np.ones((nk, nk), dtype=bool), k=1)
 
     def failing(g_off: np.ndarray, g_left: np.ndarray,
                 g_right: np.ndarray) -> np.ndarray:
@@ -428,40 +473,67 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
         return off_rank[g_off] >= np.maximum(diag_rank[g_left][:, :, None],
                                              diag_rank[g_right][:, None, :])
 
-    def triple_codes(a0: int, a1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Codes of (gid[a, b], gid[a, a], gid[b, b]) for rows a0..a1, and
-        the mask of the pairs with b > a."""
-        codes = (gid[a0:a1].astype(np.int64) * ng + diag[a0:a1, None]) * ng + diag
-        return codes, np.arange(nb) > np.arange(a0, a1)[:, None]
+    def row_chunks(count: int) -> list[slice]:
+        """Slices of table rows of about _CHUNK cells each."""
+        step = max(1, _CHUNK // nb)
+        return [slice(a0, a0 + step) for a0 in range(0, count, step)]
 
-    rows = max(1, _CHUNK // nb)
-    row_chunks = [(a0, min(a0 + rows, nb)) for a0 in range(0, nb, rows)]
-    # return_counts keeps np.unique on its sorting path; the values-only path
-    # imports numpy.ma, about 3 MB more in a fresh process.
-    triples = np.unique(np.concatenate([
-        np.unique(codes[upper], return_counts=True)[0]
-        for codes, upper in (triple_codes(a0, a1) for a0, a1 in row_chunks)]),
-        return_counts=True)[0]
-    step = max(1, _CHUNK // (nk * nk))
-    bad_triples = [triples[:0]]
-    for t0 in range(0, len(triples), step):
-        chunk = triples[t0:t0 + step]
-        g_off, rest = np.divmod(chunk, ng * ng)
-        bad_triples.append(chunk[failing(g_off, *np.divmod(rest, ng)).any(axis=(1, 2))])
-    bad_triples = np.concatenate(bad_triples)
+    def triple_codes(table: np.ndarray, cores: np.ndarray,
+                     diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of (gid[a, b], gid[a, a], gid[b, b]) for the rows of
+        ``table``, those of the cores a, and the mask of the pairs b > a."""
+        codes = (table.astype(np.int64) * ng + diag[cores, None]) * ng + diag
+        return codes, np.arange(nb) > cores[:, None]
 
+    def failing_triples(table: np.ndarray, cores: np.ndarray,
+                        diag: np.ndarray) -> np.ndarray:
+        """The distinct failing triple codes of the rows' pairs b > a."""
+        # return_counts keeps np.unique on its sorting path; the values-only
+        # path imports numpy.ma, about 3 MB more in a fresh process.
+        triples = np.unique(np.concatenate([
+            np.unique(codes[upper], return_counts=True)[0]
+            for codes, upper in (triple_codes(table[rows], cores[rows], diag)
+                                 for rows in row_chunks(len(cores)))]),
+            return_counts=True)[0]
+        step = max(1, _CHUNK // (nk * nk))
+        bad = [triples[:0]]
+        for t0 in range(0, len(triples), step):
+            chunk = triples[t0:t0 + step]
+            g_off, rest = np.divmod(chunk, ng * ng)
+            bad.append(chunk[failing(g_off, *np.divmod(rest, ng)).any(axis=(1, 2))])
+        return np.concatenate(bad)
+
+    # A relabelling g sends the pair {a, b} to {g·a, g·b} with the same three
+    # gluings.  Taking a to be the element whose orbit comes first, g·a is a
+    # representative r and g·b lies after it, so the rows of the
+    # representatives against their later columns meet every pair.  Each
+    # core's diagonal is its representative's own cell, as glue2(g·b, g·b)
+    # == glue2(b, b); the same-core blocks need only the representatives.
+    diag = gid[orbit, reps[orbit]].astype(np.int64)
+    own = diag[reps]
     bad_pairs = []  # (left, right) positions in the enumerate2 order, left < right
-    if len(bad_triples):
-        for a0, a1 in row_chunks:
-            codes, upper = triple_codes(a0, a1)
-            for da, b in np.argwhere(upper & np.isin(codes, bad_triples)).tolist():
-                a = a0 + da
-                block = failing(gid[a, b:b + 1], diag[a:a + 1], diag[b:b + 1])[0]
-                bad_pairs.extend((a * nk + k1, b * nk + k2)
-                                 for k1, k2 in np.argwhere(block).tolist())
-    strict_upper = np.triu(np.ones((nk, nk), dtype=bool), k=1)
-    bad_pairs.extend((a * nk + k1, a * nk + k2) for a, k1, k2 in
-                     np.argwhere(failing(diag, diag, diag) & strict_upper).tolist())
+    if (len(failing_triples(gid, reps, diag))
+            or (failing(own, own, own) & strict_upper).any()):
+        full, full_genera = core_gluing_table(j, g_max)
+        # Every core gluing is some representative's gluing, so the full
+        # table adds no multiset and the rank table serves it unchanged.
+        slot = {g: i for i, g in enumerate(genera)}
+        if set(full_genera) != set(slot):
+            raise AssertionError("a core gluing is missing from the representative rows")
+        gid = np.array([slot[g] for g in full_genera], dtype=np.int32)[full]
+        diag = gid.diagonal().astype(np.int64)
+        every_core = np.arange(nb)
+        bad_triples = failing_triples(gid, every_core, diag)
+        if len(bad_triples):
+            for rows in row_chunks(nb):
+                codes, upper = triple_codes(gid[rows], every_core[rows], diag)
+                for da, b in np.argwhere(upper & np.isin(codes, bad_triples)).tolist():
+                    a = rows.start + da
+                    block = failing(gid[a, b:b + 1], diag[a:a + 1], diag[b:b + 1])[0]
+                    bad_pairs.extend((a * nk + k1, b * nk + k2)
+                                     for k1, k2 in np.argwhere(block).tolist())
+        bad_pairs.extend((a * nk + k1, a * nk + k2) for a, k1, k2 in
+                         np.argwhere(failing(diag, diag, diag) & strict_upper).tolist())
 
     cores = enumerate2(j, g_max, 0) if bad_pairs else []
 

@@ -177,6 +177,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                               "--max-closed", "1"], {}),
     "verify-lemma-dim2": (["verify-lemma", "--theory", "dim2", "--j", "2", "--gmax", "1",
                            "--closed-budget", "1", "--out", "out.json"], {}),
+    "verify-lemma-dim2-j4": (["verify-lemma", "--theory", "dim2", "--j", "4", "--gmax", "2",
+                              "--closed-budget", "2", "--out", "out.json"], {}),
     "verify-lemma-monomial": (["verify-lemma", "--theory", "monomial", *KNOTS,
                                "--degree", "3"], {}),
     "verify-lemma-fourdim-mazur": (["verify-lemma", "--theory", "fourdim",

@@ -64,6 +64,17 @@ def test_enumerate_is_deterministic_and_duplicate_free():
     assert len(set(basis)) == len(basis)
 
 
+@pytest.mark.parametrize("j", range(6))
+def test_enumerate1_equals_a_checked_rebuild(j):
+    # enumerate1 builds its elements without the checked constructor.
+    basis = enumerate1(standard_boundary(j), 2)
+    for fast in basis:
+        checked = Bounded1Manifold(fast.boundary, fast.matching, fast.closed_circles)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert fast.to_json() == checked.to_json()
+        assert canonical_key(fast) == canonical_key(checked)
+
+
 def test_unbalanced_boundary_has_empty_basis():
     boundary = Boundary0(("p1", "p2"), ("n1",))
     assert enumerate1(boundary, 3) == []

@@ -15,7 +15,7 @@ from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
 from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory,
                          _unique_rows, closed_multisets, complexity2,
-                         core_gluing_table, enumerate2, glue2,
+                         core_gluing_table, core_orbits, enumerate2, glue2,
                          verify_lemma_grid)
 
 ANNULUS = Bounded2Manifold(2, (((0, 1), 0),))
@@ -189,6 +189,30 @@ def test_permuting_the_boundary_circles_keeps_every_gluing(j, gmax, budget):
             assert glue2(ga, gb) == glue2(a, b)
 
 
+def brute_force_orbit_numbers(j, gmax):
+    """The orbit of each core of enumerate2(j, gmax, 0) under every
+    permutation of the circles, numbered by its first core."""
+    cores = enumerate2(j, gmax, 0)
+    index = {m: i for i, m in enumerate(cores)}
+    perms = list(itertools.permutations(range(j)))
+    firsts = [min(index[relabelled(m, perm)] for perm in perms) for m in cores]
+    number = {first: k for k, first in enumerate(sorted(set(firsts)))}
+    return [number[first] for first in firsts]
+
+
+@pytest.mark.parametrize("j,gmax", [(j, g) for j in range(5) for g in range(3)])
+def test_core_orbit_labels_are_the_relabelling_orbits(j, gmax):
+    # Equal labels exactly when the cores share an orbit, numbered in order
+    # of first appearance.
+    assert core_orbits(j, gmax).tolist() == brute_force_orbit_numbers(j, gmax)
+
+
+def test_core_orbits_at_the_benchmark_size():
+    orbit = core_orbits(4, 3)
+    assert len(orbit) == 756 and orbit.max() + 1 == 105
+    assert orbit.tolist() == brute_force_orbit_numbers(4, 3)
+
+
 def test_component_count_matches_an_independent_graph_count():
     rng = random.Random(20260207)
     basis = enumerate2(4, 2, 2)
@@ -240,6 +264,104 @@ def test_grid_verifier_matches_generic_verifier(j, gmax, budget):
     assert grid_report.violations == generic.violations == ()
 
 
+def every_core_its_own_orbit(j, g_max):
+    """The trivial orbits: the first pass of the sweep is then the sweep over
+    every core pair, and a square core table is built only on a failure."""
+    return np.arange(len(enumerate2(j, g_max, 0)))
+
+
+@pytest.mark.parametrize("j,gmax,budget", [(0, 2, 2), (1, 3, 2), (2, 2, 2), (3, 2, 2),
+                                           (3, 1, 3), (4, 1, 1), (4, 2, 1)])
+def test_representative_sweep_matches_the_sweep_over_every_core(monkeypatch, j, gmax,
+                                                                budget):
+    import umpair.dim2 as dim2_module
+
+    reduced = verify_lemma_grid(j, gmax, budget)
+    monkeypatch.setattr(dim2_module, "core_orbits", every_core_its_own_orbit)
+    assert reduced == verify_lemma_grid(j, gmax, budget)
+    assert reduced.passed and reduced.basis_size == len(enumerate2(j, gmax, budget))
+
+
+def flat(surface):
+    return (0, 0)
+
+
+def reversed_count(surface):
+    """Components count as lighter, not heavier: some triples of core
+    gluings then fail and others pass."""
+    entries = complexity2(surface)
+    return (9 - entries[0],) + entries[1:]
+
+
+@pytest.mark.parametrize("order,j,gmax,budget", [
+    (flat, 0, 1, 2), (flat, 1, 1, 1), (flat, 2, 1, 1), (flat, 3, 1, 1), (flat, 4, 1, 0),
+    # reversed_count passes over one circle or none.
+    (reversed_count, 2, 1, 1), (reversed_count, 3, 1, 1), (reversed_count, 4, 1, 0)])
+def test_failing_representative_sweep_falls_back_to_every_core(monkeypatch, order, j,
+                                                               gmax, budget):
+    # A failing first pass reruns the sweep over every core pair, whose
+    # report equals the generic pairwise check's and the trivial orbits'.
+    import umpair.dim2 as dim2_module
+
+    tables = []
+
+    def recording(j, g_max, rows=None):
+        tables.append(rows is None)
+        return core_gluing_table(j, g_max, rows)
+
+    monkeypatch.setattr(dim2_module, "complexity2", order)
+    monkeypatch.setattr(dim2_module, "core_gluing_table", recording)
+    reduced = dim2_module.verify_lemma_grid(j, gmax, budget)
+    assert tables == [False, True]
+    generic = engine.verify_lemma(enumerate2(j, gmax, budget), Dim2Theory(j))
+    assert not reduced.passed and reduced == generic
+    monkeypatch.setattr(dim2_module, "core_orbits", every_core_its_own_orbit)
+    assert dim2_module.verify_lemma_grid(j, gmax, budget) == reduced
+
+
+@pytest.mark.parametrize("j,gmax", [(0, 2), (1, 3), (2, 2), (3, 3), (4, 3)])
+def test_representative_core_table_equals_the_square_rows(j, gmax):
+    square, square_genera = core_gluing_table(j, gmax)
+    orbit = core_orbits(j, gmax)
+    reps = np.unique(orbit, return_index=True)[1]
+    # Representatives, then every core in reverse and one repeated: rows in
+    # any order and from any partition.
+    for rows in (reps, np.arange(len(orbit))[::-1], reps[-1:].repeat(2)):
+        table, genera = core_gluing_table(j, gmax, rows=rows)
+        assert table.shape == (len(rows), len(orbit))
+        assert ([[genera[g] for g in row] for row in table.tolist()]
+                == [[square_genera[g] for g in row] for row in square[rows].tolist()])
+    assert set(core_gluing_table(j, gmax, rows=reps)[1]) == set(square_genera)
+
+
+@pytest.mark.parametrize("j,gmax,budget", [(2, 2, 2), (3, 1, 2)])
+def test_failing_run_calls_complexity2_once_per_distinct_merged_multiset(
+        monkeypatch, j, gmax, budget):
+    # The fallback reuses the rank table, so a failing run ranks no multiset
+    # twice.  Violations read their complexities through the theory, which
+    # is patched apart so that only the rank table's calls are counted.
+    import umpair.dim2 as dim2_module
+
+    calls = []
+
+    def counting(surface):
+        calls.append(surface.genera)
+        return reversed_count(surface)
+
+    monkeypatch.setattr(dim2_module, "complexity2", counting)
+    monkeypatch.setattr(Dim2Theory, "complexity",
+                        lambda self, closed: reversed_count(closed))
+    report = dim2_module.verify_lemma_grid(j, gmax, budget)
+    assert not report.passed
+    cores = enumerate2(j, gmax, 0)
+    closeds = closed_multisets(gmax, budget)
+    core_genera = {glue2(m, n).genera for m in cores for n in cores}
+    expected = {tuple(sorted(g + p + q))
+                for g in core_genera for p in closeds for q in closeds}
+    assert len(calls) == len(expected)
+    assert set(calls) == expected
+
+
 @pytest.mark.parametrize("bounds,name", [((-1, 0, 0), "j"), ((1, -1, 0), "g_max"),
                                          ((1, 0, -1), "closed_budget")])
 def test_grid_verifier_rejects_negative_bounds(bounds, name):
@@ -255,7 +377,6 @@ def test_grid_verifier_is_not_vacuous(monkeypatch):
     # grid sweep must agree with the generic pairwise check on the details.
     import umpair.dim2 as dim2_module
 
-    flat = lambda surface: (0, 0)
     monkeypatch.setattr(dim2_module, "complexity2", flat)
     grid_report = dim2_module.verify_lemma_grid(1, 1, 1)
     generic = engine.verify_lemma(enumerate2(1, 1, 1), Dim2Theory(1))
@@ -265,14 +386,9 @@ def test_grid_verifier_is_not_vacuous(monkeypatch):
 
 
 def test_grid_verifier_matches_generic_verifier_on_partial_failures(monkeypatch):
-    # Count components as lighter, not heavier: some triples of core gluings
-    # then fail and others pass, and the failing ones must expand to exactly
-    # the pairs the generic check reports, in the same order.
+    # With components counted lighter, the failing triples must expand to
+    # exactly the pairs the generic check reports, in the same order.
     import umpair.dim2 as dim2_module
-
-    def reversed_count(surface):
-        entries = complexity2(surface)
-        return (9 - entries[0],) + entries[1:]
 
     monkeypatch.setattr(dim2_module, "complexity2", reversed_count)
     grid_report = dim2_module.verify_lemma_grid(2, 2, 2)
@@ -377,10 +493,21 @@ def test_grid_sweep_does_not_import_numpy_ma():
 
 
 @pytest.mark.slow
-def test_dim2_positivity_j5():
-    report = verify_lemma_grid(5, 3, 3)
-    assert report.passed
-    assert report.basis_size == 97704
+def test_dim2_positivity_j5_in_a_fresh_process():
+    """97,704 basis elements, 252 core orbits: under 2.6 s and 150 MB peak RSS."""
+    src = str(Path(umpair.__file__).resolve().parents[1])
+    script = ("import resource, sys, time; sys.path.insert(0, sys.argv[1]); "
+              "from umpair.dim2 import verify_lemma_grid; "
+              "start = time.perf_counter(); "
+              "report = verify_lemma_grid(5, 3, 3); "
+              "seconds = time.perf_counter() - start; "
+              "assert report.passed and report.basis_size == 97704; "
+              "print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+                            capture_output=True, text=True, check=True)
+    seconds, max_rss_kb = result.stdout.split()
+    assert float(seconds) < 2.6
+    assert int(max_rss_kb) < 150 * 1024
 
 
 def test_descriptor_json_round_trip():
