@@ -365,15 +365,13 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     of genus assignments of those partitions then come from products with
     the component incidence matrix.  Those rows are deduplicated as they
     are, and only the distinct rows are sorted into multisets, so rows that
-    differ only in component order share one id.  The square table glues
-    each partition pair once and fills its mirror block by symmetry.
+    differ only in component order share one id.
     """
     check_bounds({"j": j, "g_max": g_max})
     partitions = list(_set_partitions(j))
     assignments = [np.array(list(itertools.product(range(g_max + 1), repeat=len(p))),
                             dtype=np.int32) for p in partitions]  # enumerate2's order
     starts = np.cumsum([0] + [len(a) for a in assignments])
-    square = rows is None
     row_cores = np.arange(starts[-1]) if rows is None else np.asarray(rows, dtype=np.intp)
     gid = np.empty((len(row_cores), starts[-1]), dtype=np.int32)
     ids: dict[tuple[int, ...], int] = {}
@@ -382,7 +380,7 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
         if not len(mine):
             continue
         left_genera = assignments[p][row_cores[mine] - starts[p]]
-        for q in range(p if square else 0, len(partitions)):
+        for q in range(len(partitions)):
             incidence, offset = _components(partitions[p], partitions[q], j)
             split = len(partitions[p])
             left = left_genera @ incidence[:split]
@@ -392,10 +390,8 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
             first, inverse = _unique_rows(block)
             global_ids = np.array([ids.setdefault(tuple(sorted(r)), len(ids))
                                    for r in block[first].tolist()], dtype=np.int32)
-            block_ids = global_ids[inverse].reshape(len(left), len(right))
-            gid[mine, starts[q]:starts[q + 1]] = block_ids
-            if square:
-                gid[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = block_ids.T
+            gid[mine, starts[q]:starts[q + 1]] = global_ids[inverse].reshape(
+                len(left), len(right))
     return gid, list(ids)
 
 
