@@ -67,11 +67,16 @@ class GluingTheory(ABC):
     ``orbits(basis)`` is an optional hook for ``verify_lemma``: one orbit
     label per element of a validated basis, or None (the default).  A theory
     may return labels only when the basis is a union of whole orbits of a
-    group of boundary relabellings g that keep gluing exactly,
+    group of relabellings g, each of which either keeps gluing exactly,
     glue(g·a, g·b) == glue(a, b), so that the claim holds for any
-    complexity.  ``verify_lemma`` then glues one representative row per
-    orbit; its ``pairs_checked`` still counts the n(n-1)/2 pairs the
-    check covers, not the cells it glued.
+    complexity, or keeps it up to a relabelling of closed forms,
+    glue(g·a, g·b) == g·glue(a, b), with the theory's own complexity
+    invariant under that relabelling, complexity(g·c) == complexity(c).
+    In the second case the labels hold only for that complexity, so a theory
+    returns None when its ``complexity`` is not its own.  ``verify_lemma``
+    then glues one representative row per orbit; its ``pairs_checked``
+    still counts the n(n-1)/2 pairs the check covers, not the cells it
+    glued.
     """
 
     @abstractmethod
@@ -127,7 +132,8 @@ def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
     exactly by ``_hermitian_sums``: each nonzero total is divided once by
     La*Lb."""
     same = x.keys() == y.keys()
-    table = GramTensor(y.support(), theory, rows=None if same else x.support())
+    rows = None if same else _validated(theory, x.support())
+    table = GramTensor(_validated(theory, y.support()), theory, rows=rows)
     scale, re, im = _hermitian_sums(len(table.forms), table.ids, [c for _, c in x.items()],
                                     [c for _, c in y.items()])
     return FormalSum((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
@@ -173,6 +179,9 @@ def dense_ranks(values: Sequence[Any]) -> np.ndarray:
 class GramTensor:
     """The glue table of a validated basis; every reader in this module builds one.
 
+    The readers validate each descriptor once (``_validated``) before they
+    build it; the table itself checks nothing.
+
     ``forms`` are the distinct closed forms, and ``ids[i, j]`` is the index
     of glue(rows[i], basis[j]) among them, so the 0/1 Gram matrix T^c of a
     form c is ``matrix(c)``.  ``rows`` is the basis itself unless a row set
@@ -203,8 +212,6 @@ class GramTensor:
         self.basis = tuple(basis)
         row_set = None if rows is None else tuple(rows)
         self.rows = self.basis if row_set is None else row_set
-        for d in self.basis if row_set is None else row_set + self.basis:
-            theory.validate_basis(d)
         last = GramTensor._last
         if (last is None or last[0] is not theory or last[1] != self.basis
                 or last[4] != row_set):
@@ -220,6 +227,14 @@ class GramTensor:
 
     def matrix(self, closed: Any) -> list[list[int]]:
         return (self.ids == self.forms.index(closed)).astype(int).tolist()
+
+
+def _validated(theory: GluingTheory, descriptors: Iterable[Any]) -> tuple[Any, ...]:
+    """``descriptors`` as a tuple, after one ``validate_basis`` call each."""
+    out = tuple(descriptors)
+    for d in out:
+        theory.validate_basis(d)
+    return out
 
 
 def _fit_ids(ids: np.ndarray, count: int) -> np.ndarray:
@@ -357,7 +372,7 @@ def verify_lemma(basis: Sequence[Any], theory: GluingTheory) -> LemmaReport:
     (``_orbit_rows_pass``); any failure there, or no orbits, runs the sweep
     over every pair, so violations always come from that sweep.
     """
-    basis = tuple(basis)
+    basis = _validated(theory, basis)
     violations: tuple[LemmaViolation, ...] = ()
     if not _orbit_rows_pass(basis, theory):
         table = GramTensor(basis, theory)
@@ -371,17 +386,17 @@ def verify_lemma(basis: Sequence[Any], theory: GluingTheory) -> LemmaReport:
 def _orbit_rows_pass(basis: tuple[Any, ...], theory: GluingTheory) -> bool:
     """True when ``theory.orbits`` labels the basis and every pair passes.
 
-    A relabelling g that keeps gluing sends the pair {a, b} to {g·a, g·b}
-    with the same three closed forms.  Moving a to the first element of its
-    orbit turns every pair into a pair of that element's row, so the table
-    of the first element of each orbit against the whole basis meets the
-    dominance test of every pair.  Each element's diagonal is its
-    representative's own cell, since glue(g·b, g·b) == glue(b, b).  Each
-    row is compared with its later columns only: a later orbit starts
-    after every earlier representative, so it lies wholly to their right.
+    ``basis`` is validated already.  A relabelling g of the hook's group
+    sends the pair {a, b} to {g·a, g·b}, whose three closed forms are those
+    of {a, b} or their relabellings by g; either way their complexities are
+    the same.  Moving a to the first element of its orbit turns every pair
+    into a pair of that element's row, so the table of the first element of
+    each orbit against the whole basis meets the dominance test of every
+    pair.  Each element's diagonal rank is its representative's own cell,
+    since glue(g·b, g·b) is glue(b, b) or g·glue(b, b).  Each row is
+    compared with its later columns only: a later orbit starts after every
+    earlier representative, so it lies wholly to their right.
     """
-    for d in basis:
-        theory.validate_basis(d)
     labels = theory.orbits(basis)
     if labels is None:
         return False
@@ -451,7 +466,7 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     """
     if x.is_zero():
         raise ValueError("cannot certify a zero (or empty) vector")
-    table = GramTensor(x.support(), theory)
+    table = GramTensor(_validated(theory, x.support()), theory)
     for i, j in _dominance_failures(table):
         return CertificateFailure.of(theory, table.basis[i], table.basis[j])
     coeffs = [c for _, c in x.items()]
@@ -656,7 +671,7 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
     including the hit, or the whole grid.  ``assignments_skipped`` counts
     those among them that the ray rule (or the all-zero rule) skipped.
     """
-    table = GramTensor(basis, theory)
+    table = GramTensor(_validated(theory, basis), theory)
     grid = _canonical_grid(coeff_set)
     n = len(table.basis)
     if n == 0:

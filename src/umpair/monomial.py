@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
@@ -217,6 +218,39 @@ class MonomialTheory(GluingTheory):
 
         return table_from_codes(len(rows), len(cols), codes, form)
 
+    def orbits(self, basis: Sequence[Monomial]
+               ) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] | None:
+        """Orbit labels under the prime relabellings that commute with the
+        involution, when the basis is a union of whole orbits and
+        ``complexity`` is this class's own; else None.
+
+        Such a relabelling g permutes the swapped pairs, exchanging the two
+        primes of any of them, and permutes the fixed primes: the group
+        (Z2 wr S_k) x S_f for k swaps and f fixed primes.  It commutes with
+        the involution, so glue(g·a, g·b) == g·glue(a, b), and it permutes
+        the orbit pairs that ``complexity_mono`` sorts, so it keeps
+        complexity.  A label, the sorted multiset of sorted exponent pairs
+        over the swaps with the sorted multiset of fixed-prime exponents, is
+        a complete invariant of an orbit.  A ``complexity`` overridden in a
+        subclass or patched in need not be invariant, so it gets None.
+        """
+        if (getattr(self.complexity, "__func__", None) is not _OWN_COMPLEXITY
+                or len(set(basis)) != len(basis)):
+            return None
+        sigma = self.involution
+        labels = []
+        for m in basis:
+            exps = dict(m.exponents)
+            labels.append((tuple(sorted(tuple(sorted((exps.get(a, 0), exps.get(b, 0))))
+                                        for a, b in sigma.swaps)),
+                           tuple(sorted(exps.get(p, 0) for p in sigma.fixed))))
+        for (pairs, fixed), count in Counter(labels).items():
+            size = (_arrangements(pairs) * 2 ** sum(a != b for a, b in pairs)
+                    * _arrangements(fixed))
+            if count != size:
+                return None
+        return labels
+
     def complexity(self, closed: Monomial) -> tuple[tuple[int, int], ...]:
         return complexity_mono(closed, self.involution)
 
@@ -226,6 +260,18 @@ class MonomialTheory(GluingTheory):
         for p in descriptor.primes():
             if p not in self.involution.alphabet:
                 raise UniverseMismatchError(f"prime {p!r} not in alphabet")
+
+
+# The complexity whose invariance ``MonomialTheory.orbits`` relies on.
+_OWN_COMPLEXITY = MonomialTheory.complexity
+
+
+def _arrangements(values: Sequence[Any]) -> int:
+    """The number of distinct orderings of ``values``."""
+    count = math.factorial(len(values))
+    for m in Counter(values).values():
+        count //= math.factorial(m)
+    return count
 
 
 def manifold3_to_monomial(primes: Iterable[str] | Mapping[str, int],
@@ -251,5 +297,7 @@ def enumerate_monomials(alphabet: Iterable[str], max_degree: int) -> list[Monomi
     out = []
     for degree in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(letters, degree):
-            out.append(Monomial(tuple(Counter(combo).items())))
+            # Positive exponents of distinct primes, sorted by prime name.
+            out.append(build_canonical(Monomial,
+                                       exponents=tuple(sorted(Counter(combo).items()))))
     return out

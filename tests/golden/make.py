@@ -181,6 +181,11 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                               "--closed-budget", "2", "--out", "out.json"], {}),
     "verify-lemma-monomial": (["verify-lemma", "--theory", "monomial", *KNOTS,
                                "--degree", "3"], {}),
+    # 70 monomials in 30 orbits of the relabellings that commute with the
+    # swap; recorded by the full pairwise sweep.
+    "verify-lemma-monomial-p4": (["verify-lemma", "--theory", "monomial",
+                                  "--alphabet", "p1,p2,p3,p4", "--swaps", "p1:p2",
+                                  "--degree", "4"], {}),
     "verify-lemma-fourdim-mazur": (["verify-lemma", "--theory", "fourdim",
                                     "--table", "mazur"], {}),
     "verify-lemma-fourdim-in-coinciding": (["verify-lemma", "--theory", "fourdim",

@@ -98,6 +98,13 @@ def test_criterion_2_dim2_positivity():
             assert isinstance(cert, engine.PositivityCertificate)
 
 
+class EveryPairMonomial(MonomialTheory):
+    """The monomial theory without orbit labels: verify_lemma sweeps every pair."""
+
+    def orbits(self, basis):
+        return None
+
+
 def test_criterion_3_monomial_diagonal_dominance():
     with criterion(3, "monomial diagonal dominance"):
         alphabet = ("p1", "p2", "p3", "p4")
@@ -109,6 +116,8 @@ def test_criterion_3_monomial_diagonal_dominance():
         for sigma in shapes:
             report = engine.verify_lemma(basis, MonomialTheory(sigma))
             assert report.passed, f"violations under {sigma}: {report.violations}"
+            # The orbit rows agree with the sweep over every pair.
+            assert report == engine.verify_lemma(basis, EveryPairMonomial(sigma))
 
         rng = random.Random(30301)
         sigma = shapes[1]

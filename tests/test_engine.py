@@ -141,6 +141,57 @@ def test_verify_lemma_passes_on_small_bases():
     assert engine.verify_lemma(dim2_basis, Dim2Theory(1)).passed
 
 
+def _recording(monkeypatch, cls, name):
+    """The positional arguments of every call of method ``name`` of ``cls``."""
+    calls, method = [], getattr(cls, name)
+
+    def recording(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
+def _orbit_case(name):
+    """(theory, basis) of a verify_lemma run whose orbit rows pass."""
+    if name == "dim1":
+        return _dim1_case(6, 0)
+    sigma = Involution(("p1", "p2", "p3", "p4"), swaps=(("p1", "p2"),))
+    return MonomialTheory(sigma), enumerate_monomials(sigma.alphabet, 6)
+
+
+@pytest.mark.parametrize("name", ["dim1", "monomial"])
+def test_verify_lemma_validates_each_element_once(monkeypatch, name):
+    theory, basis = _orbit_case(name)
+    validated = _recording(monkeypatch, type(theory), "validate_basis")
+    tables = _recording(monkeypatch, type(theory), "glue_table")
+    assert engine.verify_lemma(basis, theory).passed
+    assert validated == [(d,) for d in basis]
+    assert len(tables) == 1 and len(tables[0][0]) < len(basis)
+
+
+def test_a_failing_orbit_row_validates_each_element_once(monkeypatch):
+    monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
+    theory, basis = _dim1_case(3, 2)
+    validated = _recording(monkeypatch, Dim1Theory, "validate_basis")
+    tables = _recording(monkeypatch, Dim1Theory, "glue_table")
+    assert not engine.verify_lemma(basis, theory).passed
+    assert validated == [(d,) for d in basis] and len(tables) == 2
+
+
+@pytest.mark.parametrize("name", ["dim1", "monomial"])
+def test_verify_lemma_rejects_a_foreign_element_before_any_glue(monkeypatch, name):
+    theory, basis = _orbit_case(name)
+    foreign = BASIS2[0] if name == "monomial" else Monomial.from_dict({"p1": 1})
+    calls = [_recording(monkeypatch, type(theory), method)
+             for method in ("orbits", "glue_table", "glue")]
+    for at in (0, len(basis) // 2, len(basis)):
+        with pytest.raises(UniverseMismatchError):
+            engine.verify_lemma([*basis[:at], foreign, *basis[at:]], theory)
+    assert calls == [[], [], []]
+
+
 def test_verify_lemma_reports_fourdim_violation():
     report = engine.verify_lemma(list(MAZUR.labels), FOURD)
     assert not report.passed

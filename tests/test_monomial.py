@@ -1,17 +1,18 @@
 """Monomial rings with involution: conjugation, pairing, complexity order."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from umpair import engine
-from umpair.algebra import FormalSum, I
+from umpair.algebra import FormalSum, I, canonical_key
 from umpair.monomial import (Involution, Monomial, MonomialTheory, UNIT,
                              complexity_mono, enumerate_monomials,
                              manifold3_to_monomial, mono_conj)
 
-from oracles import (MonomialComplexity, as_raw, convolution_oracle,
+from oracles import (MonomialComplexity, as_raw, convolution_oracle, loop_lemma,
                      random_poly, raw_terms)
 
 SWAP12 = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
@@ -192,3 +193,194 @@ def test_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Monomial((("p", -1),))
     assert mono(p=0) == UNIT
+
+
+@pytest.mark.parametrize("alphabet", [("T",), ("T", "T~"), ("T", "T~", "P"),
+                                      ("p4", "p1", "p3", "p2")])
+def test_enumerate_monomials_equals_a_checked_rebuild(alphabet):
+    # enumerate_monomials builds its elements without the checked constructor;
+    # the exponents must come out sorted by prime name, not in alphabet order.
+    for fast in enumerate_monomials(alphabet, 4):
+        checked = Monomial(fast.exponents[::-1])
+        assert fast.exponents == checked.exponents
+        assert fast == checked and hash(fast) == hash(checked)
+        assert fast.to_json() == checked.to_json()
+        assert canonical_key(fast) == canonical_key(checked)
+
+
+# ---- relabelling symmetry and the orbit rows of verify_lemma ------------------
+
+def _shapes(max_primes):
+    """One involution of every shape on up to ``max_primes`` primes: k swaps,
+    each pairing p_i with p_{i+k}, and the rest fixed."""
+    for n in range(1, max_primes + 1):
+        alphabet = tuple(f"p{i}" for i in range(1, n + 1))
+        for k in range(n // 2 + 1):
+            yield Involution(alphabet, swaps=tuple(zip(alphabet[:k], alphabet[k:2 * k])))
+
+
+def _commuting_relabellings(sigma):
+    """Every permutation g of the alphabet with g∘sigma == sigma∘g, as a dict."""
+    group = []
+    for image in itertools.permutations(sigma.alphabet):
+        g = dict(zip(sigma.alphabet, image))
+        if all(g[sigma.apply(p)] == sigma.apply(g[p]) for p in sigma.alphabet):
+            group.append(g)
+    return group
+
+
+def _relabel(m, g):
+    return Monomial(tuple((g[p], e) for p, e in m.exponents))
+
+
+def _shape_id(sigma):
+    return f"{len(sigma.alphabet)}-primes-{len(sigma.swaps)}-swaps"
+
+
+@pytest.mark.parametrize("sigma", list(_shapes(5)), ids=_shape_id)
+def test_orbit_labels_partition_the_basis_into_brute_force_orbits(sigma):
+    theory, group = MonomialTheory(sigma), _commuting_relabellings(sigma)
+    k, f = len(sigma.swaps), len(sigma.fixed)
+    assert len(group) == 2 ** k * math.factorial(k) * math.factorial(f)
+    for degree in range(5):
+        basis = enumerate_monomials(sigma.alphabet, degree)
+        labels = theory.orbits(basis)
+        assert labels is not None and len(labels) == len(basis)
+        by_label = {}
+        for m, label in zip(basis, labels):
+            by_label.setdefault(label, set()).add(m)
+        orbits = {frozenset(_relabel(m, g) for g in group) for m in basis}
+        assert set(map(frozenset, by_label.values())) == orbits
+
+
+@pytest.mark.parametrize("sigma", [s for s in _shapes(4) if len(s.alphabet) == 4] + [KNOT],
+                         ids=_shape_id)
+def test_relabelling_commutes_with_gluing_and_keeps_complexity(sigma):
+    """glue(g·a, g·b) == g·glue(a, b) and complexity(g·c) == complexity(c)
+    for seeded relabellings g that commute with the involution."""
+    theory, rng = MonomialTheory(sigma), random.Random(f"relabel-{sigma.swaps}")
+    group, basis = _commuting_relabellings(sigma), enumerate_monomials(sigma.alphabet, 3)
+    pairs = list(itertools.product(basis, repeat=2))
+    for _ in range(4):
+        g = rng.choice(group)
+        for a, b in rng.sample(pairs, min(len(pairs), 200)):
+            closed = theory.glue(a, b)
+            assert theory.glue(_relabel(a, g), _relabel(b, g)) == _relabel(closed, g)
+            assert complexity_mono(_relabel(closed, g), sigma) == complexity_mono(closed, sigma)
+
+
+P4 = ("p1", "p2", "p3", "p4")
+P6 = ("p1", "p2", "p3", "p4", "p5", "p6")
+
+
+def _recording_tables(monkeypatch):
+    """(rows, cols) sizes of every ``MonomialTheory.glue_table`` call, as a list."""
+    calls = []
+    table = MonomialTheory.glue_table
+
+    def recording(self, rows, cols=None):
+        calls.append((len(rows), len(rows if cols is None else cols)))
+        return table(self, rows, cols)
+
+    monkeypatch.setattr(MonomialTheory, "glue_table", recording)
+    return calls
+
+
+# The monomial bases that tier-1 tests and golden cases run verify_lemma on:
+# (involution, degree, orbit rows), the rows asserted where a benchmark
+# workload runs the basis.
+TIER1_BASES = {
+    "knot-4": (KNOT, 4, None),
+    "swap12-3": (SWAP12, 3, None),
+    "knots-3": (Involution(("T", "T~", "P"), (("T", "T~"),)), 3, None),
+    "ab-3": (Involution(("a", "b"), (("a", "b"),)), 3, None),
+    "p4-swap-4": (Involution(P4, (("p1", "p2"),)), 4, None),
+    "p4-none-6": (Involution(P4), 6, 27),
+    "p4-swap-6": (Involution(P4, (("p1", "p2"),)), 6, 80),
+    "p4-two-swaps-6": (Involution(P4, (("p1", "p2"), ("p3", "p4"))), 6, 43),
+}
+
+
+@pytest.mark.parametrize("name", list(TIER1_BASES))
+def test_orbit_rows_agree_with_the_loop_lemma(monkeypatch, name):
+    sigma, degree, rows = TIER1_BASES[name]
+    theory, basis = MonomialTheory(sigma), enumerate_monomials(sigma.alphabet, degree)
+    labels = theory.orbits(basis)
+    assert labels is not None
+    reps = len(set(labels))
+    assert rows is None or reps == rows
+    calls = _recording_tables(monkeypatch)
+    report = engine.verify_lemma(basis, theory)
+    assert report.passed and report == loop_lemma(basis, theory)
+    assert calls == [(reps, len(basis))]
+
+
+@pytest.mark.parametrize("swaps,rows", [((), 30), ((("p1", "p2"), ("p3", "p4")), 147)])
+def test_verify_lemma_glues_one_row_per_orbit_at_six_primes(monkeypatch, swaps, rows):
+    """Degree 6 over six primes: 924 monomials, one glued row per orbit."""
+    sigma = Involution(P6, swaps)
+    basis = enumerate_monomials(P6, 6)
+    calls = _recording_tables(monkeypatch)
+    assert engine.verify_lemma(basis, MonomialTheory(sigma)).passed
+    assert calls == [(rows, 924)]
+
+
+def _partial_bases():
+    """Bases that are not unions of whole orbits, named."""
+    swap = Involution(P4, (("p1", "p2"),))
+    full = enumerate_monomials(P4, 4)
+    return {
+        "one-dropped": (swap, full[:7] + full[8:]),
+        "duplicate": (swap, full + full[5:6]),
+        # Each power of p1 is one of an orbit of 4 under S_4.
+        "single-prime": (Involution(P4), [m for m in full if set(m.primes()) <= {"p1"}]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_partial_bases()))
+def test_bases_that_are_not_whole_orbits_take_the_full_sweep(monkeypatch, name):
+    sigma, basis = _partial_bases()[name]
+    theory = MonomialTheory(sigma)
+    assert theory.orbits(basis) is None
+    calls = _recording_tables(monkeypatch)
+    assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
+    assert calls == [(len(basis), len(basis))]
+
+
+def _ignoring_p4(self, closed):
+    """complexity_mono with p4 left out: not invariant under relabelling."""
+    kept = Monomial(tuple((p, e) for p, e in closed.exponents if p != "p4"))
+    return complexity_mono(kept, self.involution)
+
+
+class IgnoringP4(MonomialTheory):
+    complexity = _ignoring_p4
+
+
+@pytest.mark.parametrize("how", ["patched", "subclass"])
+def test_a_complexity_not_its_own_takes_the_full_sweep(monkeypatch, how):
+    """Such a complexity need not be invariant, so no orbit labels: the
+    report is the full sweep's, violations included."""
+    sigma, basis = Involution(P4), enumerate_monomials(P4, 3)
+    if how == "patched":
+        monkeypatch.setattr(MonomialTheory, "complexity", _ignoring_p4)
+        theory = MonomialTheory(sigma)
+    else:
+        theory = IgnoringP4(sigma)
+    assert theory.orbits(basis) is None
+    calls = _recording_tables(monkeypatch)
+    report = engine.verify_lemma(basis, theory)
+    assert report.violations and report == loop_lemma(basis, theory)
+    assert calls == [(len(basis), len(basis))]
+
+
+def test_orbit_rows_would_pass_a_complexity_that_is_not_invariant(monkeypatch):
+    """Why the hook checks the complexity: given the labels anyway, the
+    orbit rows of a complexity that ignores p4 all pass, while the full
+    sweep finds violations."""
+    sigma, basis = Involution(P4), enumerate_monomials(P4, 3)
+    labels = MonomialTheory(sigma).orbits(basis)
+    monkeypatch.setattr(IgnoringP4, "orbits", lambda self, basis: labels)
+    theory = IgnoringP4(sigma)
+    assert engine.verify_lemma(basis, theory).passed
+    assert not loop_lemma(basis, theory).passed
