@@ -280,7 +280,7 @@ class Dim1Theory(GluingTheory):
 
     def glue_table(self, rows: Sequence[Bounded1Manifold],
                    cols: Sequence[Bounded1Manifold] | None = None
-                   ) -> tuple[tuple[Closed1Manifold, ...], np.ndarray]:
+                   ) -> tuple[Sequence[Closed1Manifold], np.ndarray]:
         """The rows x cols glue table through permutation codes, one chunk of
         rows at a time; ``cols`` defaults to ``rows``.
 

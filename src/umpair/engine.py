@@ -62,7 +62,15 @@ class GluingTheory(ABC):
     glues the pairs i <= j and fills the pairs i > j by conjugate symmetry.
     A theory may override it with a faster kernel, which must equal
     ``glue`` on every cell, list each closed form once and give its ids the
-    narrowest unsigned dtype that holds the form count.
+    narrowest unsigned dtype that holds the form count.  The forms are any
+    read-only sequence that equals the tuple of them: the code kernels return
+    ``CodedForms``, which decode on first read.
+
+    ``complexity_ranks(forms)`` ranks a table's forms by complexity: the
+    dense rank of each, so integer order of ranks is complexity order.  The
+    default calls ``complexity`` once per form; an override must give the
+    same ranks, and falls back to the default whenever ``complexity`` is not
+    the one it was written for.
 
     ``orbits(basis)`` is an optional hook for ``verify_lemma``: one orbit
     label per element of a validated basis, or None (the default).  A theory
@@ -96,7 +104,7 @@ class GluingTheory(ABC):
         """Raise ValueError if ``descriptor`` is not in this theory's universe."""
 
     def glue_table(self, rows: Sequence[Any], cols: Sequence[Any] | None = None
-                   ) -> tuple[tuple[Any, ...], np.ndarray]:
+                   ) -> tuple[Sequence[Any], np.ndarray]:
         """(forms, ids): the distinct closed forms of the table, and the
         rows x cols matrix whose (i, j) entry indexes glue(rows[i], cols[j])
         in them.  ``cols`` defaults to ``rows``.
@@ -120,6 +128,10 @@ class GluingTheory(ABC):
             for i in range(len(rows)):
                 ids[i + 1:, i] = back[ids[i, i + 1:]]
         return tuple(index), ids
+
+    def complexity_ranks(self, forms: Sequence[Any]) -> np.ndarray:
+        """The dense complexity rank of each form: see the class docstring."""
+        return dense_ranks([self.complexity(c) for c in forms])
 
     def orbits(self, basis: Sequence[Any]) -> Sequence[Any] | None:
         """One orbit label per basis element, or None: see the class docstring."""
@@ -189,21 +201,23 @@ class GramTensor:
     ``ranks[f]`` is the dense complexity rank of forms[f]: integer order of
     ranks is complexity order.
 
-    ``forms`` and ``ids`` come from the theory's ``glue_table``; ``ids`` has
-    the narrowest unsigned dtype the form count allows and is read-only.
+    ``forms`` and ``ids`` come from the theory's ``glue_table``; ``forms``
+    is a read-only sequence, and ``ids`` has the narrowest unsigned dtype
+    the form count allows and is read-only.
     The last table built is kept and reused when the same theory object
     (``is``, since a theory need not be hashable) builds an equal basis with
     an equal row set again, so ``pair(x, x)`` followed by
     ``certify_positive(x)`` glues the support of x once.  A square table
     and a rectangular one are never the same entry, whatever their rows.
     Only that one table is kept.  Ranks are never reused: they are computed
-    on first read, every form in one ``dense_ranks`` pass, so a reader that
-    never reads them (``pair``, ``null_search``) never calls ``complexity``.
+    on first read, every form in one ``complexity_ranks`` pass, so a reader
+    that never reads them (``pair``, ``null_search``) never calls
+    ``complexity``.
     """
 
     # (theory, basis, forms, ids, row set or None when square) of the last
     # table built.
-    _last: tuple[GluingTheory, tuple[Any, ...], tuple[Any, ...], np.ndarray,
+    _last: tuple[GluingTheory, tuple[Any, ...], Sequence[Any], np.ndarray,
                  tuple[Any, ...] | None] | None = None
 
     def __init__(self, basis: Iterable[Any], theory: GluingTheory,
@@ -223,7 +237,7 @@ class GramTensor:
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:
-        return dense_ranks([self.theory.complexity(c) for c in self.forms])
+        return self.theory.complexity_ranks(self.forms)
 
     def matrix(self, closed: Any) -> list[list[int]]:
         return (self.ids == self.forms.index(closed)).astype(int).tolist()
@@ -254,27 +268,72 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK // max(1, n))
 
 
+class CodedForms(Sequence[Any]):
+    """The distinct closed forms of a coded glue table, decoded on first read.
+
+    ``codes`` holds one integer code per form in id order, int64 or, past
+    int64, Python ints (dtype object), and is read-only; ``decode`` turns a
+    code into its closed form.  ``len`` reads the codes only.  The first
+    other read (an index or slice, iteration, ``index``, equality) decodes
+    every form once and keeps the tuple.  A ``complexity_ranks`` override
+    may rank the codes instead and never decode.  The sequence equals the
+    tuple of its forms and any ``CodedForms`` of the same forms.
+    """
+
+    def __init__(self, codes: np.ndarray, decode: Callable[[Any], Any]):
+        codes.flags.writeable = False
+        self.codes, self.decode = codes, decode
+        self._forms: tuple[Any, ...] | None = None
+
+    def _decoded(self) -> tuple[Any, ...]:
+        if self._forms is None:
+            self._forms = tuple(map(self.decode, self.codes.tolist()))
+        return self._forms
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k: Any) -> Any:
+        return self._decoded()[k]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._decoded())
+
+    def index(self, value: Any, *bounds: int) -> int:
+        return self._decoded().index(value, *bounds)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CodedForms):
+            other = other._decoded()
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return self._decoded() == other
+
+
 def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarray],
-                     form: Callable[[int], Any]) -> tuple[tuple[Any, ...], np.ndarray]:
+                     decode: Callable[[Any], Any]) -> tuple[CodedForms, np.ndarray]:
     """A ``glue_table`` result of ``rows`` x ``cols`` cells from closed forms
     coded as integers.
 
     ``codes(lo, hi)`` gives the code of each pair of a table row lo..hi-1
     with a column, in row-major order, as int64 or, past int64, Python ints
     (dtype object); codes are equal exactly when their closed forms are,
-    and ``form`` decodes one.  Only one chunk of rows is held at a time.
+    and ``decode`` decodes one.  Only one chunk of rows is held at a time.
+    The forms are ``CodedForms`` of the distinct codes, in the codes' dtype.
     """
     index: dict[int, int] = {}
+    dtype = np.dtype(np.int64)
     ids = np.zeros((rows, cols), dtype=np.uint8)
     step = _chunk_rows(cols)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         distinct, inverse = _relabel(codes(lo, hi))
+        dtype = np.result_type(dtype, distinct.dtype)
         slots = [index.setdefault(code, len(index)) for code in distinct.tolist()]
         ids = _fit_ids(ids, len(index))
         np.take(np.array(slots, dtype=ids.dtype), inverse.reshape(-1),
                 out=ids[lo:hi].reshape(-1))
-    return tuple(form(code) for code in index), ids
+    return CodedForms(np.fromiter(index, dtype=dtype, count=len(index)), decode), ids
 
 
 def _relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import UniverseMismatchError, build_canonical, check_bounds, json_int
-from .engine import GluingTheory, table_from_codes
+from .engine import CodedForms, GluingTheory, table_from_codes
 
 
 @dataclass(frozen=True)
@@ -182,22 +182,22 @@ class MonomialTheory(GluingTheory):
         return mono_conj(closed, self.involution)
 
     def glue_table(self, rows: Sequence[Monomial], cols: Sequence[Monomial] | None = None
-                   ) -> tuple[tuple[Monomial, ...], np.ndarray]:
+                   ) -> tuple[Sequence[Monomial], np.ndarray]:
         """The rows x cols glue table through packed exponent vectors, one
         chunk of rows at a time; ``cols`` defaults to ``rows``.
 
         A monomial is packed as the integer whose digits, base 2m + 1 for m
-        the largest basis exponent, are its exponents in sorted prime order,
-        the order of ``Monomial.exponents``, so a code decodes straight to a
-        canonical monomial.  Packing is linear and no glued exponent reaches
-        the base, so glue(a, b) = a * conj(b) packs to pack(a) +
-        pack(conj(b)).  Codes are int64 while they fit, else Python ints.
+        the largest basis exponent, are its exponents in sorted prime order
+        (``_Packing``).  Packing is linear and no glued exponent reaches the
+        base, so glue(a, b) = a * conj(b) packs to pack(a) + pack(conj(b)).
+        Codes are int64 while they fit, else Python ints.  The forms decode
+        on first read; ``complexity_ranks`` reads their int64 codes instead.
         """
         cols = rows if cols is None else cols
-        letters = sorted(self.involution.alphabet)
         base = 2 * max((e for m in (*rows, *cols) for _, e in m.exponents), default=0) + 1
-        place = {p: base ** k for k, p in enumerate(letters)}
-        dtype = np.int64 if base ** len(letters) <= np.iinfo(np.int64).max else object
+        packing = _Packing(tuple(sorted(self.involution.alphabet)), base)
+        place = {p: base ** k for k, p in enumerate(packing.letters)}
+        dtype = np.int64 if base ** len(place) <= np.iinfo(np.int64).max else object
         left = np.array([sum(e * place[p] for p, e in m.exponents) for m in rows], dtype=dtype)
         right = np.array([sum(e * place[self.involution.apply(p)] for p, e in m.exponents)
                           for m in cols], dtype=dtype)
@@ -205,18 +205,40 @@ class MonomialTheory(GluingTheory):
         def codes(lo: int, hi: int) -> np.ndarray:
             return (left[lo:hi, None] + right).reshape(-1)
 
-        def form(code: int) -> Monomial:
-            exponents = []
-            for p in letters:
-                if not code:
-                    break
-                code, e = divmod(code, base)
-                if e:
-                    exponents.append((p, e))
-            # Positive exponents of distinct primes, in sorted order.
-            return build_canonical(Monomial, exponents=tuple(exponents))
+        return table_from_codes(len(rows), len(cols), codes, packing)
 
-        return table_from_codes(len(rows), len(cols), codes, form)
+    def complexity_ranks(self, forms: Sequence[Monomial]) -> np.ndarray:
+        """The dense complexity rank of each form, read from its packed code
+        when ``complexity`` is this class's own and ``forms`` carry int64
+        codes packed over this alphabet; else one ``complexity`` call each.
+
+        Each orbit's pair (total, smaller exponent), a fixed prime's
+        (exponent, 0), packs to the key total * top + smaller, with top one
+        past the largest smaller exponent, so keys order as pairs do.  An
+        orbit of total 0, which ``complexity_mono`` drops, keys to 0, below
+        every real pair: padding a tuple with a strict minimum keeps its
+        lexicographic order and equality.  So each form's keys, sorted in
+        descending order, rank as its complexity does.  Keys past int64
+        take the per-form path, and so do an empty table and an empty
+        alphabet, which it ranks trivially.
+        """
+        packing = forms.decode if isinstance(forms, CodedForms) else None
+        if not (self._complexity_is_own() and isinstance(packing, _Packing)
+                and packing.letters == tuple(sorted(self.involution.alphabet))
+                and forms.codes.dtype == np.int64 and len(forms) and packing.letters):
+            return super().complexity_ranks(forms)
+        exps = packing.digits(forms.codes)
+        column = {p: k for k, p in enumerate(packing.letters)}
+        totals = [exps[:, column[a]] + exps[:, column[b]] for a, b in self.involution.swaps]
+        smaller = [np.minimum(exps[:, column[a]], exps[:, column[b]])
+                   for a, b in self.involution.swaps]
+        totals += [exps[:, column[p]] for p in self.involution.fixed]
+        smaller += [np.zeros(len(forms), dtype=np.int64)] * len(self.involution.fixed)
+        total, small = np.stack(totals, axis=1), np.stack(smaller, axis=1)
+        top = int(small.max()) + 1
+        if int(total.max()) * top + top - 1 > np.iinfo(np.int64).max:
+            return super().complexity_ranks(forms)
+        return _dense_row_ranks(np.sort(total * top + small, axis=1)[:, ::-1])
 
     def orbits(self, basis: Sequence[Monomial]
                ) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] | None:
@@ -234,8 +256,7 @@ class MonomialTheory(GluingTheory):
         a complete invariant of an orbit.  A ``complexity`` overridden in a
         subclass or patched in need not be invariant, so it gets None.
         """
-        if (getattr(self.complexity, "__func__", None) is not _OWN_COMPLEXITY
-                or len(set(basis)) != len(basis)):
+        if not self._complexity_is_own() or len(set(basis)) != len(basis):
             return None
         sigma = self.involution
         labels = []
@@ -254,6 +275,12 @@ class MonomialTheory(GluingTheory):
     def complexity(self, closed: Monomial) -> tuple[tuple[int, int], ...]:
         return complexity_mono(closed, self.involution)
 
+    def _complexity_is_own(self) -> bool:
+        """Whether ``complexity`` is this class's own: neither overridden in a
+        subclass nor patched in, so ``orbits`` and ``complexity_ranks`` may
+        rely on what they know of it."""
+        return getattr(self.complexity, "__func__", None) is _OWN_COMPLEXITY
+
     def validate_basis(self, descriptor: Any) -> None:
         if not isinstance(descriptor, Monomial):
             raise UniverseMismatchError(f"not a monomial: {descriptor!r}")
@@ -262,8 +289,47 @@ class MonomialTheory(GluingTheory):
                 raise UniverseMismatchError(f"prime {p!r} not in alphabet")
 
 
-# The complexity whose invariance ``MonomialTheory.orbits`` relies on.
+# The complexity that ``MonomialTheory.orbits`` and ``complexity_ranks``
+# rely on.
 _OWN_COMPLEXITY = MonomialTheory.complexity
+
+
+@dataclass(frozen=True)
+class _Packing:
+    """Monomials packed as integers: the digits, base ``base``, are the
+    exponents in ``letters`` order, sorted prime order, the order of
+    ``Monomial.exponents``, so a code decodes straight to a canonical
+    monomial.  Called on a code, it decodes it."""
+
+    letters: tuple[str, ...]
+    base: int
+
+    def __call__(self, code: int) -> Monomial:
+        exponents, base = [], self.base
+        for p in self.letters:
+            if not code:
+                break
+            code, e = divmod(code, base)
+            if e:
+                exponents.append((p, e))
+        # Positive exponents of distinct primes, in sorted order.
+        return build_canonical(Monomial, exponents=tuple(exponents))
+
+    def digits(self, codes: np.ndarray) -> np.ndarray:
+        """The exponent of every letter in each int64 code, one row per code."""
+        out = np.empty((len(codes), len(self.letters)), dtype=np.int64)
+        for k in range(len(self.letters)):
+            codes, out[:, k] = np.divmod(codes, self.base)
+        return out
+
+
+def _dense_row_ranks(rows: np.ndarray) -> np.ndarray:
+    """``engine.dense_ranks`` of the rows of a 2-d integer array, as tuples."""
+    order = np.lexsort(rows.T[::-1])
+    step = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    ranks = np.empty(len(rows), dtype=np.int32)
+    ranks[order] = np.concatenate(([0], np.cumsum(step)))
+    return ranks
 
 
 def _arrangements(values: Sequence[Any]) -> int:

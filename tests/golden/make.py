@@ -114,6 +114,11 @@ TORUS_PIECE = dim2.Bounded2Manifold(2, (((0, 1), 1),), (0,))
 T2, TT, PT = (monomial.Monomial.from_dict(e) for e in
               ({"T": 2}, {"T": 1, "T~": 1}, {"P": 1, "T": 1}))
 KNOTS = ["--alphabet", "T,T~,P", "--swaps", "T:T~"]
+# Exponents at the int64 boundary.  p**(2**40) packs to an int64 code whose
+# complexity key, total * (smaller + 1) + smaller, does not fit int64;
+# a**(10**20) packs past int64, to a Python-int code.
+P_HUGE, P3 = (monomial.Monomial.from_dict({"p": e}) for e in (2**40, 3))
+A_HUGE, AB = (monomial.Monomial.from_dict(e) for e in ({"a": 10**20}, {"a": 1, "b": 1}))
 
 X_DIM1 = _vector((D1[0], _coeff(f"1/{BIG}")), (D1[1], _coeff(-3, f"2/{BIG}")),
                  (D1[2], _coeff(5)), (D1[2], _coeff(-5)), (D1[3], _coeff("7/3", -1)))
@@ -198,6 +203,13 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                      {"x.json": X_DIM2}),
     "certify-monomial": (["certify", "--theory", "monomial", *KNOTS, "--x", "x.json"],
                          {"x.json": GRANNY}),
+    "certify-monomial-p-2-40": (["certify", "--theory", "monomial", "--alphabet", "p",
+                                 "--x", "x.json"],
+                                {"x.json": _vector((P_HUGE, _coeff(1)), (P3, _coeff(2)))}),
+    "certify-monomial-a-b-10-20": (["certify", "--theory", "monomial", "--alphabet", "a,b",
+                                    "--swaps", "a:b", "--x", "x.json"],
+                                   {"x.json": _vector((A_HUGE, _coeff(1)),
+                                                      (AB, _coeff(1, -1)))}),
     "certify-fourdim-mazur-fails": (["certify", "--theory", "fourdim", "--table", "mazur",
                                      "--x", "x.json"], {"x.json": M_MINUS_M}),
     "certify-fourdim-scob-one-term": (["certify", "--theory", "fourdim", "--table", "scob",

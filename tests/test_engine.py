@@ -428,6 +428,72 @@ def test_glue_table_widens_its_ids_past_256_forms():
             assert table.forms[table.ids[i, j]] == theory.glue(basis[i], basis[j])
 
 
+def _first_cells(ids, count):
+    """The first (i, j) cell, row-major, of each of ``count`` form ids."""
+    flat = ids.reshape(-1)
+    first = {}
+    for k, f in enumerate(flat.tolist()):
+        first.setdefault(f, divmod(k, ids.shape[1]))
+    return [first[f] for f in range(count)]
+
+
+# Reads of a form sequence, given a form that is in it.
+READS = {
+    "int": lambda forms, form: forms[0],
+    "slice": lambda forms, form: forms[1:3],
+    "iteration": lambda forms, form: next(iter(forms)),
+    "index": lambda forms, form: forms.index(form),
+    "equality": lambda forms, form: forms == (form,),
+}
+
+
+@pytest.mark.parametrize("case", ["dim1-j3-mc2", "dim1-j16", "p1-p4-degree4-swap12",
+                                  "letters41-degree1", "monomial-huge"])
+@pytest.mark.parametrize("read", READS)
+def test_coded_forms_decode_every_form_once_on_first_read(case, read):
+    """``len`` reads the codes only; any other read decodes every form once,
+    in id order, and the sequence equals the default table's forms."""
+    theory, basis = TABLE_CASES[case]
+    coded, ids = theory.glue_table(tuple(basis))
+    assert isinstance(coded, engine.CodedForms) and not coded.codes.flags.writeable
+    decoded = []
+
+    def decode(code):
+        decoded.append(code)
+        return coded.decode(code)
+
+    forms = engine.CodedForms(coded.codes, decode)
+    assert len(forms) == len(coded.codes) > 2 and decoded == []
+    READS[read](forms, coded.decode(coded.codes.tolist()[-1]))
+    assert decoded == coded.codes.tolist()
+    ref_forms, ref_ids = engine.GluingTheory.glue_table(theory, tuple(basis))
+    expected = tuple(ref_forms[ref_ids[i, j]] for i, j in _first_cells(ids, len(forms)))
+    assert forms == expected and expected == forms and forms == coded
+    assert forms != expected[::-1] and forms != list(expected)
+    assert list(forms) == list(expected) and forms[1:3] == expected[1:3]
+    assert all(forms.index(c) == k for k, c in enumerate(expected))
+    assert expected[-1] in forms and forms.count(expected[0]) == 1
+    assert len(decoded) == len(forms)
+
+
+@pytest.mark.parametrize("name", ["dim1", "dim2", "mazur"])
+def test_ranks_call_complexity_once_per_form(monkeypatch, name):
+    theory, basis = _agreement_case(name)
+    calls, complexity = [], type(theory).complexity
+
+    def counting(self, closed):
+        calls.append(closed)
+        return complexity(self, closed)
+
+    monkeypatch.setattr(type(theory), "complexity", counting)
+    table = engine.GramTensor(basis, theory)
+    assert calls == []
+    ranks = table.ranks
+    assert calls == list(table.forms)
+    assert ranks.tolist() == engine.dense_ranks([complexity(theory, c)
+                                                 for c in table.forms]).tolist()
+
+
 @pytest.mark.parametrize("codes", [
     np.array([3, 1, 2, 1, 3, 3], dtype=np.int64),          # dense span
     np.array([5, 2**40, 5, -7, 2**40], dtype=np.int64),    # sparse span

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from umpair import engine
@@ -12,8 +13,12 @@ from umpair.monomial import (Involution, Monomial, MonomialTheory, UNIT,
                              complexity_mono, enumerate_monomials,
                              manifold3_to_monomial, mono_conj)
 
+from umpair import monomial
+from umpair.monomial import _Packing
+
 from oracles import (MonomialComplexity, as_raw, convolution_oracle, loop_lemma,
                      random_poly, raw_terms)
+from test_engine import TABLE_CASES
 
 SWAP12 = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
 KNOT = Involution(("T", "T~"), swaps=(("T", "T~"),))
@@ -384,3 +389,142 @@ def test_orbit_rows_would_pass_a_complexity_that_is_not_invariant(monkeypatch):
     theory = IgnoringP4(sigma)
     assert engine.verify_lemma(basis, theory).passed
     assert not loop_lemma(basis, theory).passed
+
+
+# ---- complexity ranks read from packed codes -----------------------------------
+
+def _rank_cases():
+    """name -> (involution, rows, cols or None, whether the ranks are read
+    from the codes), for ``complexity_ranks`` against the per-form ranks."""
+    cases = {}
+    for name, (theory, basis) in TABLE_CASES.items():
+        if isinstance(theory, MonomialTheory):
+            sigma, fast = theory.involution, name not in (
+                "letters41-degree1", "monomial-huge", "empty-monomial")
+            cases[f"{name}-square"] = (sigma, basis, None, fast)
+            cases[f"{name}-rectangular"] = (sigma, basis[::-2], basis, fast and bool(basis))
+    for shape, swaps in (("none", ()), ("swap", (("p1", "p2"),)),
+                         ("two-swaps", (("p1", "p2"), ("p3", "p4")))):
+        for degree in range(7):
+            cases[f"p4-{shape}-{degree}"] = (Involution(P4, swaps),
+                                             enumerate_monomials(P4, degree), None, True)
+    knots = Involution(("T", "T~", "P"), (("T", "T~"),))
+    five = Involution(("p5", "p3", "p1", "p4", "p2"), (("p1", "p4"), ("p2", "p5")))
+    a, b, m = "a", "b", 2**30
+    cases.update({
+        "T-T~-P-4": (knots, enumerate_monomials(knots.alphabet, 4), None, True),
+        "five-letters-two-swaps-4": (five, enumerate_monomials(five.alphabet, 4), None, True),
+        "empty": (SWAP12, [], None, False),
+        "unit-only": (SWAP12, [UNIT], None, True),
+        # Base 2**41 + 1: a fixed prime's key is its exponent, top being 1.
+        "p-2-40": (Involution(("p",)), [mono(p=2**40), mono(p=3), UNIT], None, True),
+        # int64 codes whose keys, total * top + smaller, pass 2**63.
+        "a-b-swapped-2-30": (Involution((a, b), ((a, b),)),
+                             [mono(a=m), mono(b=m), mono(a=m, b=m), mono(a=m - 1, b=1), UNIT],
+                             None, False),
+        # The same without a^m b^m: every key fits int64.
+        "a-b-swapped-2-30-fits": (Involution((a, b), ((a, b),)),
+                                  [mono(a=m), mono(b=m), mono(a=m - 1, b=1), UNIT],
+                                  None, True),
+        "codes-past-int64": (Involution((a, b), ((a, b),)),
+                             [mono(a=10**20), mono(a=1, b=1), UNIT], None, False),
+    })
+    return cases
+
+
+RANK_CASES = _rank_cases()
+
+
+def _counting_complexity_mono(monkeypatch):
+    """The arguments of every ``complexity_mono`` call, as a list."""
+    calls = []
+
+    def counting(m, sigma):
+        calls.append(m)
+        return complexity_mono(m, sigma)
+
+    monkeypatch.setattr(monomial, "complexity_mono", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(RANK_CASES))
+def test_complexity_ranks_equal_the_per_form_ranks(monkeypatch, name):
+    """The ranks read from the codes against ``dense_ranks`` of
+    ``complexity_mono``, the reference; the per-form path where codes are
+    Python ints or keys pass int64."""
+    sigma, rows, cols, fast = RANK_CASES[name]
+    theory = MonomialTheory(sigma)
+    forms, _ = theory.glue_table(rows, cols)
+    calls = _counting_complexity_mono(monkeypatch)
+    ranks = theory.complexity_ranks(forms)
+    path_calls = len(calls)
+    assert ranks.tolist() == engine.dense_ranks([complexity_mono(c, sigma)
+                                                 for c in forms]).tolist()
+    assert ranks.dtype == np.int32 and path_calls == (0 if fast else len(forms))
+
+
+def _counting_decodes(monkeypatch):
+    """The codes of every packed monomial decoded, as a list."""
+    calls = []
+    decode = _Packing.__call__
+
+    def counting(self, code):
+        calls.append(code)
+        return decode(self, code)
+
+    monkeypatch.setattr(_Packing, "__call__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["p4-none-6", "p4-swap-6", "p4-two-swaps-6"])
+def test_a_passing_verify_lemma_decodes_no_form(monkeypatch, name):
+    sigma, degree, _ = TIER1_BASES[name]
+    basis = enumerate_monomials(sigma.alphabet, degree)
+    decoded, calls = _counting_decodes(monkeypatch), _counting_complexity_mono(monkeypatch)
+    assert engine.verify_lemma(basis, MonomialTheory(sigma)).passed
+    assert decoded == [] and calls == []
+
+
+@pytest.mark.parametrize("how", ["patched", "subclass", "foreign-forms"])
+def test_ranks_not_read_from_codes_call_complexity_once_per_form(monkeypatch, how):
+    """A complexity not its own, or forms not packed over the theory's own
+    alphabet, rank through one ``complexity`` call per form."""
+    sigma, basis = Involution(P4), enumerate_monomials(P4, 3)
+    theory = MonomialTheory(sigma)
+    if how == "patched":
+        monkeypatch.setattr(MonomialTheory, "complexity", _ignoring_p4)
+        theory = MonomialTheory(sigma)
+    elif how == "subclass":
+        theory = IgnoringP4(sigma)
+    forms, _ = theory.glue_table(basis)
+    if how == "foreign-forms":
+        wider = Involution((*P4, "p5"))
+        forms, _ = MonomialTheory(wider).glue_table(basis)
+    complexity, calls = type(theory).complexity, []
+
+    def counting(self, closed):
+        calls.append(closed)
+        return complexity(self, closed)
+
+    monkeypatch.setattr(type(theory), "complexity", counting)
+    ranks = theory.complexity_ranks(forms)
+    assert calls == list(forms)
+    assert ranks.tolist() == engine.dense_ranks([complexity(theory, c)
+                                                 for c in forms]).tolist()
+
+
+def test_complexity_patched_between_builds_is_honored(monkeypatch):
+    """Ranks are read afresh from the reused table: a complexity patched in
+    after a build ranks its forms, one call each."""
+    sigma, basis = Involution(P4), enumerate_monomials(P4, 3)
+    theory = MonomialTheory(sigma)
+    assert engine.verify_lemma(basis, theory).passed
+    # Built after verify_lemma, whose orbit rows are a table of their own.
+    before = engine.GramTensor(basis, theory)
+    own = before.ranks
+    monkeypatch.setattr(MonomialTheory, "complexity", _ignoring_p4)
+    after = engine.GramTensor(basis, theory)
+    assert after.ids is before.ids and after.forms is before.forms
+    expected = engine.dense_ranks([_ignoring_p4(theory, c) for c in after.forms])
+    assert after.ranks.tolist() == expected.tolist() != own.tolist()
+    assert not engine.verify_lemma(basis, theory).passed
