@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 
@@ -194,14 +195,27 @@ def descriptor_to_json(descriptor: Any) -> Any:
     return to_json()
 
 
-# The encoder json.dumps(sort_keys=True, separators=(",", ":")) would build
-# afresh on every call.
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps(sort_keys=True, separators=(",", ":")) builds a C encoder
+# afresh on every call.  This one is built once with the same settings
+# (ASCII escaping, sorted keys, NaN allowed), but keeps no circular-reference
+# markers.
+_ENCODE_KEY = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                             None, ":", ",", True, False, True)
 
 
 def canonical_key(descriptor: Any) -> str:
-    """Canonical sort key: the serialized descriptor, lexicographically."""
-    return _KEY_ENCODER.encode(descriptor_to_json(descriptor))
+    """Canonical sort key: the serialized descriptor, lexicographically.
+
+    Byte-equal to ``json.dumps(descriptor_to_json(descriptor),
+    sort_keys=True, separators=(",", ":"))``, except that the encoder keeps
+    no circular-reference markers: a circular ``to_json`` value raises
+    RecursionError where json.dumps raises ValueError.  Parsed JSON is never
+    circular.
+    """
+    value = descriptor_to_json(descriptor)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "".join(_ENCODE_KEY(value, 0))
 
 
 def _universe_signature(descriptor: Any) -> tuple[str, Any]:
@@ -214,6 +228,10 @@ class FormalSum:
 
     Zero coefficients are dropped on every construction, so two sums are
     equal exactly when they have the same normalized term maps.
+    ``FormalSum(terms)`` is the checked constructor and the only one outside
+    input reaches: it merges repeated descriptors, drops zeros and checks
+    that the terms share one universe.  ``_from_distinct`` builds a sum from
+    terms the package already knows to be canonical and skips those checks.
     """
 
     __slots__ = ("_terms",)
@@ -233,6 +251,20 @@ class FormalSum:
         if len(universes) > 1:
             raise UniverseMismatchError(
                 f"terms span incompatible descriptor universes: {sorted(map(str, universes))}")
+
+    @classmethod
+    def _from_distinct(cls, terms: Iterable[tuple[Any, Scalar]]) -> FormalSum:
+        """The sum of ``terms`` whose descriptors are distinct closed forms of
+        one universe and whose coefficients are nonzero ``Scalar``s.
+
+        Only for terms the package built itself (a glue table's forms): one
+        ``canonical_key`` per form and a sort, with no merge, zero filter or
+        universe check.
+        """
+        entries = {canonical_key(d): (d, c) for d, c in terms}
+        obj = object.__new__(cls)
+        obj._terms = {key: entries[key] for key in sorted(entries)}
+        return obj
 
     @classmethod
     def zero(cls) -> FormalSum:

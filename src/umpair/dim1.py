@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import (UniverseMismatchError, build_canonical, canonical_key, check_bounds,
                       json_int, json_list)
-from .engine import GluingTheory, table_from_codes
+from .engine import INT64_MAX, GluingTheory, table_from_codes
 from .monomial import Involution, Monomial
 
 
@@ -219,7 +219,7 @@ def _cycle_counter(j: int) -> Callable[[np.ndarray], np.ndarray]:
     # Codes met so far, sorted, and their cycle counts; the identity's
     # (on every diagonal) keeps the lookup array from ever being empty.
     known = np.array([sum(k * j ** k for k in range(j))],
-                     dtype=np.int64 if j ** j <= np.iinfo(np.int64).max else object)
+                     dtype=np.int64 if j ** j <= INT64_MAX else object)
     cycles = np.array([j], dtype=np.int64)
 
     def count(block: np.ndarray) -> np.ndarray:
@@ -291,7 +291,7 @@ class Dim1Theory(GluingTheory):
         circle counts are int64 while they fit, else Python ints.
         """
         cols = rows if cols is None else cols
-        j, limit = len(self.boundary.pos), np.iinfo(np.int64).max
+        j, limit = len(self.boundary.pos), INT64_MAX
         neg = {label: v for v, label in enumerate(self.boundary.neg)}
 
         def arrays(side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, np.ndarray]:

@@ -32,9 +32,9 @@ the tests enforce that, and check the core table against glue2.
    first core of each orbit (``core_orbits``: cores with equal sorted
    (block size, genus) multisets) is glued against every core.  The
    components of a gluing of two bounded cores depend only on their two
-   circle partitions, so union-find runs once per pair of a partition
-   holding a representative with any partition, through the one
-   ``_part_roots`` that glue2 shares; a component's genus is the genus sum
+   circle partitions, so components are found once per pair of a
+   partition holding a representative with any partition, by the one
+   bitmask ``_merge`` that glue2 shares; a component's genus is the genus sum
    of its parts + E - V + 1 (E circles, V parts), computed for every pair
    of genus assignments at once by an integer matrix product.  The genus
    rows are deduplicated unsorted; each distinct row is then sorted once,
@@ -65,7 +65,7 @@ import numpy as np
 
 from .algebra import (UniverseMismatchError, build_canonical, check_bounds, json_int,
                       json_list)
-from .engine import GluingTheory, LemmaReport, LemmaViolation, dense_ranks
+from .engine import INT64_MAX, GluingTheory, LemmaReport, LemmaViolation, dense_ranks
 
 
 @dataclass(frozen=True)
@@ -170,51 +170,57 @@ def complexity2(c: ClosedSurface) -> tuple[int, ...]:
 
 
 def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
-    """Glue m to the reversal of n along their j shared boundary circles."""
+    """Glue m to the reversal of n along their j shared boundary circles.
+
+    The components come from ``_merge`` of the parts as (circle bitmask,
+    chi) pairs: a merged component's chi is the sum of its parts'.
+    """
     if m.boundary_circles != n.boundary_circles:
         raise UniverseMismatchError(
             f"boundary mismatch: {m.boundary_circles} vs {n.boundary_circles} circles")
-    roots = _part_roots(tuple(circles for circles, _ in m.parts),
-                        tuple(circles for circles, _ in n.parts), m.boundary_circles)
-    chi_of: dict[int, int] = {}
-    for root, (circles, genus) in zip(roots, m.parts + n.parts):
-        chi_of[root] = chi_of.get(root, 0) + 2 - 2 * genus - len(circles)
-    genera = []
-    for chi in chi_of.values():
+    genera = [*m.closed_genera, *n.closed_genera]
+    for _, chi in _merge(_masked(m), _masked(n)):
         if chi % 2 != 0 or chi > 2:
             raise AssertionError(f"impossible component chi {chi} in gluing")
         genera.append((2 - chi) // 2)
-    genera.extend(m.closed_genera)
-    genera.extend(n.closed_genera)
+    genera.sort()
     # The chi check above keeps every core genus nonnegative, and the closed
     # genera were checked when m and n were built.
-    return build_canonical(ClosedSurface, genera=tuple(sorted(genera)))
+    return build_canonical(ClosedSurface, genera=tuple(genera))
 
 
-def _part_roots(left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...],
-                j: int) -> list[int]:
-    """The component root of each part of a gluing, by union-find.
-
-    Parts are the circle label tuples of ``left`` and then of ``right``;
-    gluing joins the two parts holding each of the j circles.  Two parts
-    share a root exactly when they lie in one component.
-    """
-    owner = [0] * (2 * j)  # part holding each circle, per side
-    for idx, circles in enumerate(left + right):
-        side = j if idx >= len(left) else 0
+def _masked(m: Bounded2Manifold) -> list[tuple[int, int]]:
+    """(circle bitmask, chi) of each part of m; chi = 2 - 2g - circles."""
+    out = []
+    for circles, genus in m.parts:
+        mask = 0  # a plain loop: a sum over a generator nearly doubles glue2's time
         for c in circles:
-            owner[side + c] = idx
-    parent = list(range(len(left) + len(right)))
+            mask |= 1 << c
+        out.append((mask, 2 - 2 * genus - len(circles)))
+    return out
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for c in range(j):
-        parent[find(owner[c])] = find(owner[j + c])
-    return [find(v) for v in range(len(parent))]
+def _merge(left: list[tuple[int, int]], right: list[tuple[int, int]]
+           ) -> list[tuple[int, int]]:
+    """The components of a gluing as (circle bitmask, weight) pairs.
+
+    ``left`` and ``right`` are the parts of the two sides as (circle bitmask,
+    weight); the masks of each side are disjoint.  Gluing joins the two
+    parts holding each circle, so each part of ``right`` absorbs every
+    component it meets, and a component's weight is the sum of its parts'.
+    """
+    components = left
+    for mask, weight in right:
+        kept = []
+        for component in components:
+            if component[0] & mask:
+                mask |= component[0]
+                weight += component[1]
+            else:
+                kept.append(component)
+        kept.append((mask, weight))
+        components = kept
+    return components
 
 
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -300,21 +306,24 @@ class Dim2Theory(GluingTheory):
 
 
 def _components(left: tuple[tuple[int, ...], ...],
-                right: tuple[tuple[int, ...], ...],
-                j: int) -> tuple[np.ndarray, np.ndarray]:
+                right: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Components of the gluing of two circle partitions, genera aside.
 
     Returns (incidence, offset): incidence[v, c] is 1 when part v (the parts
     of ``left``, then those of ``right``) lies in component c, and offset[c]
     is E - V + 1 for its E circles and V parts.  A component's genus is the
-    genus sum of its parts plus its offset.
+    genus sum of its parts plus its offset.  The components are those of
+    ``_merge``, weighted by their part count.
     """
-    roots = _part_roots(left, right, j)
-    label = {r: i for i, r in enumerate(dict.fromkeys(roots))}
-    incidence = np.zeros((len(roots), len(label)), dtype=np.int32)
-    incidence[np.arange(len(roots)), [label[r] for r in roots]] = 1
-    edges = np.array([len(c) for c in left], dtype=np.int32) @ incidence[:len(left)]
-    return incidence, edges + 1 - incidence.sum(axis=0, dtype=np.int32)
+    masks = [sum(1 << c for c in circles) for circles in left + right]
+    split = len(left)
+    components = _merge([(mask, 1) for mask in masks[:split]],
+                        [(mask, 1) for mask in masks[split:]])
+    incidence = np.array([[part & mask != 0 for mask, _ in components] for part in masks],
+                         dtype=np.int32).reshape(len(masks), len(components))
+    offset = np.array([mask.bit_count() - parts + 1 for mask, parts in components],
+                      dtype=np.int32)
+    return incidence, offset
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +334,7 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     than whole rows; past the int64 range the rows are sorted as rows.
     """
     base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] > np.iinfo(np.int64).max:
+    if base ** rows.shape[1] > INT64_MAX:
         _, first, inverse = np.unique(rows, axis=0, return_index=True,
                                       return_inverse=True)
     else:
@@ -360,8 +369,8 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     The cores are enumerate2(j, g_max, 0), in that order, and ``rows`` are
     core indices (every core when omitted, giving the square table).
     Returns (gid, genera) with genera[gid[i, b]] ==
-    glue2(cores[rows[i]], cores[b]).genera.  Union-find runs once per pair
-    of circle partitions with a row on the left; the genera of every pair
+    glue2(cores[rows[i]], cores[b]).genera.  Components are found once per
+    pair of circle partitions with a row on the left; the genera of every pair
     of genus assignments of those partitions then come from products with
     the component incidence matrix.  Those rows are deduplicated as they
     are, and only the distinct rows are sorted into multisets, so rows that
@@ -381,7 +390,7 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
             continue
         left_genera = assignments[p][row_cores[mine] - starts[p]]
         for q in range(len(partitions)):
-            incidence, offset = _components(partitions[p], partitions[q], j)
+            incidence, offset = _components(partitions[p], partitions[q])
             split = len(partitions[p])
             left = left_genera @ incidence[:split]
             right = assignments[q] @ incidence[split:]
@@ -459,7 +468,7 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     off_rank = rank[:, kuid]                    # (ng, nk, nk)
     diag_rank = rank[:, kuid.diagonal()]        # (ng, nk)
     ng = len(genera)
-    if ng ** 3 > np.iinfo(np.int64).max:
+    if ng ** 3 > INT64_MAX:
         raise OverflowError(f"{ng} distinct core gluings overflow the triple codes")
     strict_upper = np.triu(np.ones((nk, nk), dtype=bool), k=1)
 

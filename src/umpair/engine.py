@@ -142,14 +142,15 @@ def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
     """<x, y> as a formal sum of closed forms, read off the ``GramTensor`` of
     supp x by supp y (square when both supports are the same) and summed
     exactly by ``_hermitian_sums``: each nonzero total is divided once by
-    La*Lb."""
+    La*Lb.  The table's forms are distinct, so the sum is built canonical
+    from them (``FormalSum._from_distinct``), with no merge or re-check."""
     same = x.keys() == y.keys()
     rows = None if same else _validated(theory, x.support())
     table = GramTensor(_validated(theory, y.support()), theory, rows=rows)
     scale, re, im = _hermitian_sums(len(table.forms), table.ids, [c for _, c in x.items()],
                                     [c for _, c in y.items()])
-    return FormalSum((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
-                     for c, r, i in zip(table.forms, re, im) if r or i)
+    return FormalSum._from_distinct((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
+                                    for c, r, i in zip(table.forms, re, im) if r or i)
 
 
 def _gaussian_integers(scalars: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
@@ -251,9 +252,13 @@ def _validated(theory: GluingTheory, descriptors: Iterable[Any]) -> tuple[Any, .
     return out
 
 
+# The largest int64, for the code kernels' fits-in-int64 checks.
+INT64_MAX = np.iinfo(np.int64).max
+
+
 def _fit_ids(ids: np.ndarray, count: int) -> np.ndarray:
     """``ids``, widened if ``count`` forms overflow its unsigned dtype."""
-    if count - 1 <= np.iinfo(ids.dtype).max:
+    if count <= 1 << 8 * ids.itemsize:
         return ids
     return ids.astype(np.min_scalar_type(count - 1))
 
@@ -530,10 +535,11 @@ def certify_positive(x: FormalSum, theory: GluingTheory
         return CertificateFailure.of(theory, table.basis[i], table.basis[j])
     coeffs = [c for _, c in x.items()]
     diag = table.ids.diagonal().tolist()
-    top = max(table.ranks[diag])
+    ranks = table.ranks.tolist()
+    top = max(ranks[f] for f in diag)
     scale, re, im = _hermitian_sums(len(table.forms), table.ids, coeffs, coeffs)
     certified = []
-    for f in sorted({f for f in diag if table.ranks[f] == top},
+    for f in sorted({f for f in diag if ranks[f] == top},
                     key=lambda f: canonical_key(table.forms[f])):
         closed, idx = table.forms[f], [i for i, g in enumerate(diag) if g == f]
         mass = sum((coeffs[i].norm2() for i in idx), Fraction(0))

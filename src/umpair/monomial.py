@@ -34,7 +34,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import UniverseMismatchError, build_canonical, check_bounds, json_int
-from .engine import CodedForms, GluingTheory, table_from_codes
+from .engine import INT64_MAX, CodedForms, GluingTheory, table_from_codes
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ class MonomialTheory(GluingTheory):
         base = 2 * max((e for m in (*rows, *cols) for _, e in m.exponents), default=0) + 1
         packing = _Packing(tuple(sorted(self.involution.alphabet)), base)
         place = {p: base ** k for k, p in enumerate(packing.letters)}
-        dtype = np.int64 if base ** len(place) <= np.iinfo(np.int64).max else object
+        dtype = np.int64 if base ** len(place) <= INT64_MAX else object
         left = np.array([sum(e * place[p] for p, e in m.exponents) for m in rows], dtype=dtype)
         right = np.array([sum(e * place[self.involution.apply(p)] for p, e in m.exponents)
                           for m in cols], dtype=dtype)
@@ -236,7 +236,7 @@ class MonomialTheory(GluingTheory):
         smaller += [np.zeros(len(forms), dtype=np.int64)] * len(self.involution.fixed)
         total, small = np.stack(totals, axis=1), np.stack(smaller, axis=1)
         top = int(small.max()) + 1
-        if int(total.max()) * top + top - 1 > np.iinfo(np.int64).max:
+        if int(total.max()) * top + top - 1 > INT64_MAX:
             return super().complexity_ranks(forms)
         return _dense_row_ranks(np.sort(total * top + small, axis=1)[:, ::-1])
 

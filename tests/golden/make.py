@@ -7,7 +7,9 @@
 and the exit code, stdout, stderr and ``--out`` bytes it produced, every
 output kept as a list of lines so that a diff points at the changed line.
 ``library.jsonl`` holds one seeded ``pair(x, x)``, ``pair(x, y)`` or
-``certify_positive(x)`` record a line, with the raw term lists it decoded.
+``certify_positive(x)`` record a line, with the raw term lists it decoded;
+the last ones use the theories of the certify-batch benchmark with supports
+of 6 and 12 distinct terms.
 ``tests/test_golden.py`` replays both in-process through ``umpair.cli.main``
 and the library.  Input errors, usage errors from the argument parser
 included, are recorded like any other run: one ``error:`` line and exit 1.
@@ -286,18 +288,34 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
 # ---- library records ----------------------------------------------------------
 
 def _theories() -> dict[str, tuple[engine.GluingTheory, list[Any]]]:
+    """Theory name -> (theory, basis); a name up to its first "-" names its
+    decoder in ``cli.DECODERS``.
+
+    ``SMALL`` give the records of small raw term lists; ``BATCH`` are the
+    certify-batch benchmark's shapes, with supports of ``BATCH_SUPPORTS``
+    distinct terms.
+    """
     knots = monomial.Involution(("T", "T~", "P"), (("T", "T~"),))
     scob = fourdim.build_scob_table(2)
+    p4 = monomial.Involution(("p1", "p2", "p3", "p4"), (("p1", "p2"),))
+    five = dim1.standard_boundary(5)
     return {
         "dim1": (dim1.Dim1Theory(dim1.standard_boundary(2)), D1),
         "dim2": (dim2.Dim2Theory(2), dim2.enumerate2(2, 1, 1)),
         "monomial": (monomial.MonomialTheory(knots),
                      monomial.enumerate_monomials(knots.alphabet, 2)),
         "fourdim": (scob, list(scob.labels)),
+        "dim2-j4": (dim2.Dim2Theory(4), dim2.enumerate2(4, 3, 3)),
+        "dim1-j5": (dim1.Dim1Theory(five), dim1.enumerate1(five, 2)),
+        "monomial-p4": (monomial.MonomialTheory(p4),
+                        monomial.enumerate_monomials(p4.alphabet, 6)),
     }
 
 
 THEORIES = _theories()
+SMALL = ("dim1", "dim2", "monomial", "fourdim")
+BATCH = ("dim2-j4", "dim1-j5", "monomial-p4")
+BATCH_SUPPORTS = (6, 12)
 
 
 def _draw_terms(rng: random.Random, basis: list[Any]) -> list[dict[str, Any]]:
@@ -313,10 +331,21 @@ def _draw_terms(rng: random.Random, basis: list[Any]) -> list[dict[str, Any]]:
     return json.loads(_vector(*terms))
 
 
+def _draw_support(rng: random.Random, basis: list[Any], size: int) -> list[dict[str, Any]]:
+    """``size`` distinct descriptors with nonzero Gaussian rationals of
+    denominators up to 4, as the certify-batch benchmark draws them."""
+    def coeff() -> dict[str, str]:
+        while True:
+            re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+            if re or im:
+                return _coeff(re, im)
+    return json.loads(_vector(*((d, coeff()) for d in rng.sample(basis, size))))
+
+
 def library_result(record: dict[str, Any]) -> Any:
     """What the library gives today for a record's operation and inputs."""
     theory, _ = THEORIES[record["theory"]]
-    decode = cli.DECODERS[record["theory"]]
+    decode = cli.DECODERS[record["theory"].partition("-")[0]]
     x = FormalSum.from_json(record["x"], decode)
     if record["op"] == "pair":
         result = engine.pair(x, FormalSum.from_json(record["y"], decode), theory)
@@ -328,13 +357,22 @@ def library_result(record: dict[str, Any]) -> Any:
 def _library_records() -> list[dict[str, Any]]:
     rng = random.Random(SEED)
     records = []
-    for name, (_, basis) in THEORIES.items():
+    for name in SMALL:
+        basis = THEORIES[name][1]
         for _ in range(4):
             x, y = _draw_terms(rng, basis), _draw_terms(rng, basis)
             records += [{"theory": name, "op": "pair", "x": x, "y": x},
                         {"theory": name, "op": "pair", "x": x, "y": y}]
             if not FormalSum.from_json(x, cli.DECODERS[name]).is_zero():
                 records.append({"theory": name, "op": "certify", "x": x})
+    # Drawn after the small records, so adding these left those unchanged.
+    for name in BATCH:
+        basis = THEORIES[name][1]
+        for size in BATCH_SUPPORTS:
+            x, y = _draw_support(rng, basis, size), _draw_support(rng, basis, size)
+            records += [{"theory": name, "op": "pair", "x": x, "y": x},
+                        {"theory": name, "op": "pair", "x": x, "y": y},
+                        {"theory": name, "op": "certify", "x": x}]
     for record in records:
         record["result"] = library_result(record)
     return records

@@ -9,7 +9,9 @@ compared on its own, is the reference for ``verify_lemma``'s orbit rows and
 its full sweep.  The Fraction null search is the
 one-assignment-at-a-time reference for the engine's integer null-search
 kernel.  The Euler oracle recounts a surface gluing cell by cell, sharing
-no code with ``glue2``, and the arc walk recounts a 1-manifold gluing
+no code with ``glue2``, as does ``glued_genera``, which finds the glued
+components by a breadth-first search over the parts and sums chi over
+each; the arc walk recounts a 1-manifold gluing
 without the permutation route of ``glue1``.  ``sorted_chi_complexity``
 recomputes the dim2 complexity by sorting the component chis, never
 relying on the order of the genera.  ``ComplexityTuple`` and
@@ -21,6 +23,7 @@ them.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable
@@ -197,6 +200,41 @@ def euler_oracle(m: Bounded2Manifold, n: Bounded2Manifold) -> int:
                 edges.add((side, "closed", cdx, "loop", t))
             faces.add((side, "closed", cdx, "face"))
     return len(vertices) - len(edges) + len(faces)
+
+
+def glued_genera(m: Bounded2Manifold, n: Bounded2Manifold) -> tuple[int, ...]:
+    """The sorted genus multiset of the gluing of m and n, by a
+    breadth-first search over the parts.
+
+    Two parts are adjacent when they meet a common circle.  Each component
+    found has chi the sum of 2 - 2g - b over its parts, hence genus
+    (2 - chi) / 2; the closed genera of both sides are carried along.
+    """
+    if m.boundary_circles != n.boundary_circles:
+        raise UniverseMismatchError("boundary mismatch")
+    parts = list(m.parts) + list(n.parts)
+    holders: dict[int, list[int]] = {}
+    for v, (circles, _) in enumerate(parts):
+        for c in circles:
+            holders.setdefault(c, []).append(v)
+    seen: set[int] = set()
+    genera = list(m.closed_genera) + list(n.closed_genera)
+    for start in range(len(parts)):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, chi = deque([start]), 0
+        while queue:
+            circles, genus = parts[queue.popleft()]
+            chi += 2 - 2 * genus - len(circles)
+            for c in circles:
+                for w in holders[c]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        assert chi % 2 == 0 and chi <= 2, chi
+        genera.append((2 - chi) // 2)
+    return tuple(sorted(genera))
 
 
 def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:

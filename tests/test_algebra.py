@@ -1,8 +1,10 @@
 """Scalar arithmetic and formal-sum normalization."""
 
 import json
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,34 @@ def test_canonical_key_is_the_sorted_compact_json_dump():
     assert seen > 100
     for text in ("M'", "S\u00b2\u00d7S\u00b2", 'quote"', "\u2603"):
         assert canonical_key(text) == json.dumps(text)
+    # Values a user's to_json may return but package descriptors never do.
+    escapes = 'q"b\\c\x00\x1f\n\t\u00e9\u2603\U0001d11e'
+    for value in (2**64 + 1, -2**70, 2**64, True, False, None, [], {}, [[]], [{}],
+                  {"b": [1, {"d": None, "c": [True, False]}], "a": {}},
+                  {"z": 0, "a": [2**80, -1], escapes: escapes}, [escapes, {escapes: []}],
+                  escapes, "", 0.5, -0.0):
+        assert canonical_key(_Raw(value)) == json.dumps(value, sort_keys=True,
+                                                        separators=(",", ":"))
+
+
+@dataclass(frozen=True)
+class _Raw:
+    """A descriptor whose JSON form is any given value."""
+
+    value: Any
+
+    def to_json(self) -> Any:
+        return self.value
+
+
+def test_canonical_key_of_a_circular_to_json_raises():
+    loop: list = []
+    loop.append(loop)
+    cycle: dict = {"a": []}
+    cycle["a"].append(cycle)
+    for value in (loop, cycle):
+        with pytest.raises(RecursionError):
+            canonical_key(_Raw(value))
 
 
 def test_sum_combine_examples():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import ComplexityTuple, euler_oracle, sorted_chi_complexity
+from oracles import ComplexityTuple, euler_oracle, glued_genera, sorted_chi_complexity
 
 import umpair
 from umpair import engine
@@ -166,6 +166,19 @@ def test_oracle_and_additivity_on_enumerated_pairs():
         chi = glued.euler_characteristic()
         assert chi == chi_bounded(m) + chi_bounded(n)
         assert euler_oracle(m, n) == chi
+
+
+def test_glue2_genera_match_the_search_oracle():
+    """Every pair at j = 3, and seeded pairs at j = 5, where merges chain
+    through several parts."""
+    small = enumerate2(3, 2, 1)
+    for m, n in itertools.product(small, repeat=2):
+        assert glue2(m, n).genera == glued_genera(m, n)
+    large = enumerate2(5, 2, 1)
+    rng = random.Random("glued-genera-5")
+    for _ in range(2000):
+        m, n = rng.choice(large), rng.choice(large)
+        assert glue2(m, n).genera == glued_genera(m, n)
 
 
 def relabelled(m, perm):

@@ -15,7 +15,8 @@ import numpy as np
 from oracles import fraction_null_search, loop_pair
 
 from umpair import engine
-from umpair.algebra import FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO
+from umpair.algebra import (FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO,
+                            canonical_key)
 from umpair.dim1 import Bounded1Manifold, Dim1Theory, enumerate1, standard_boundary
 from umpair.dim2 import Bounded2Manifold, Dim2Theory, enumerate2
 from umpair.fourdim import (FourDimTheory, _constant_table, build_mazur_table,
@@ -428,6 +429,19 @@ def test_glue_table_widens_its_ids_past_256_forms():
             assert table.forms[table.ids[i, j]] == theory.glue(basis[i], basis[j])
 
 
+@pytest.mark.parametrize("dtype,count,widened", [
+    (np.uint8, 1, np.uint8), (np.uint8, 256, np.uint8), (np.uint8, 257, np.uint16),
+    (np.uint16, 65_536, np.uint16), (np.uint16, 65_537, np.uint32),
+    (np.uint8, 65_537, np.uint32), (np.uint32, 2**32, np.uint32),
+    (np.uint32, 2**32 + 1, np.uint64)])
+def test_fit_ids_widens_exactly_where_the_dtype_overflows(dtype, count, widened):
+    ids = engine._fit_ids(np.zeros((1, 1), dtype=dtype), count)
+    assert ids.dtype == widened
+    # The np.iinfo rule: widen when count - 1 ids overflow the dtype.
+    expected = dtype if count - 1 <= np.iinfo(dtype).max else np.min_scalar_type(count - 1)
+    assert ids.dtype == expected
+
+
 def _first_cells(ids, count):
     """The first (i, j) cell, row-major, of each of ``count`` form ids."""
     flat = ids.reshape(-1)
@@ -624,6 +638,39 @@ def test_pair_agrees_with_the_loop_oracle(name):
                                 (x, zero), (zero, x), (zero, zero)):
                 assert engine.pair(left, right, theory).to_json() == \
                     loop_pair(left, right, theory).to_json()
+
+
+@pytest.mark.parametrize("name", ["dim1", "dim2", "monomial", "knot", "mazur", "scob"])
+def test_pair_builds_its_result_canonical_without_the_checked_constructor(
+        monkeypatch, name):
+    """pair's result comes from the table's distinct forms: no
+    ``FormalSum.__init__``, keys ascending and each the key of its form."""
+    theory, basis = _agreement_case(name)
+    rng = random.Random(f"pair-canonical-{name}")
+    init = FormalSum.__init__
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    for _ in range(10):
+        k = rng.randint(1, min(6, len(basis) // 2))
+        picked = rng.sample(basis, 2 * k)
+        x = FormalSum((d, _gaussian_rational(rng, 6)) for d in picked[:k])
+        y = FormalSum((d, _gaussian_rational(rng, 6)) for d in picked[k // 2:k + k // 2 + 1])
+        for left, right in ((x, x), (x, y)):
+            expected = loop_pair(left, right, theory)
+            monkeypatch.setattr(FormalSum, "__init__", counting)
+            result = engine.pair(left, right, theory)
+            monkeypatch.setattr(FormalSum, "__init__", init)
+            assert not calls
+            keys = result.keys()
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert list(keys) == [canonical_key(c) for c in result.support()]
+            assert result.to_json() == expected.to_json() and result == expected
+            for closed in {*result.support(), *expected.support()}:
+                assert result.coefficient(closed) == expected.coefficient(closed)
 
 
 @pytest.mark.parametrize("n,cells", [(1, 1), (3, 9), (12, 144)])
