@@ -13,7 +13,7 @@ from oracles import ComplexityTuple, euler_oracle, glued_genera, sorted_chi_comp
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
-from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory,
+from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _rank_table,
                          _unique_rows, closed_multisets, complexity2,
                          core_gluing_table, core_orbits, enumerate2, glue2,
                          verify_lemma_grid)
@@ -471,6 +471,62 @@ def test_rank_table_calls_complexity2_once_per_distinct_merged_multiset(
     assert set(calls) == expected
 
 
+def per_multiset_ranks(genera, unions):
+    """The rank table through one complexity2 call per merged multiset."""
+    values = [complexity2(ClosedSurface(g + u)) for g in genera for u in unions]
+    return engine.dense_ranks(values).reshape(len(genera), len(unions))
+
+
+@pytest.mark.parametrize("j,gmax", itertools.product(range(5), range(4)))
+def test_rank_table_matches_the_per_multiset_ranks(j, gmax):
+    # The histogram ranks, on every grid's core genera and closed unions.
+    _, genera = core_gluing_table(j, gmax, rows=np.unique(core_orbits(j, gmax),
+                                                          return_index=True)[1])
+    for budget in range(4):
+        closeds = closed_multisets(gmax, budget)
+        unions = list(dict.fromkeys(tuple(sorted(p + q)) for p in closeds for q in closeds))
+        ranks = _rank_table(genera, unions)
+        assert ranks.shape == (len(genera), len(unions))
+        assert (ranks == per_multiset_ranks(genera, unions)).all()
+
+
+@pytest.mark.parametrize("genera,unions", [
+    ([()], [()]), ([(2,)], [()]), ([(0, 3)], [(1,), (0, 0), (2,)]),
+    # Merged counts past 255 and 65,535, reached only by adding the two
+    # sides, must widen the histogram dtype rather than wrap.
+    ([(0,) * 128, (), (1,) * 3], [(0,) * 128, (), (0,) * 127]),
+    ([(0,) * 40_000, (1,) * 2], [(0,) * 30_000, (), (0,) * 25_536])])
+def test_rank_table_matches_the_per_multiset_ranks_at_the_edges(genera, unions):
+    assert (_rank_table(genera, unions) == per_multiset_ranks(genera, unions)).all()
+
+
+def test_unpatched_grid_sweep_never_calls_complexity2(monkeypatch):
+    # The profiler sees every call of complexity2's code, however it is
+    # reached, without rebinding any name of the module.
+    import umpair.dim2 as dim2_module
+
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is complexity2.__code__:
+            calls.append(frame.f_locals["c"].genera)
+
+    def profiled_sweep():
+        calls.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return verify_lemma_grid(2, 2, 2)
+        finally:
+            sys.setprofile(previous)
+
+    assert profiled_sweep().passed and calls == []
+    # With the guard failed, the per-multiset path calls the same code once
+    # per distinct merged multiset, so the profiler would have seen it.
+    monkeypatch.setattr(dim2_module, "_OWN_COMPLEXITY2", None)
+    assert profiled_sweep().passed and len(calls) == len(set(calls)) > 0
+
+
 @pytest.mark.parametrize("j", range(5))
 def test_core_table_matches_glue2_on_every_core_pair(j):
     gmax = 3 if j < 4 else 1  # j = 4 has 15 partitions; g_max 1 keeps 94 cores
@@ -507,7 +563,7 @@ def test_grid_sweep_does_not_import_numpy_ma():
 
 @pytest.mark.slow
 def test_dim2_positivity_j5_in_a_fresh_process():
-    """97,704 basis elements, 252 core orbits: under 2.6 s and 150 MB peak RSS."""
+    """97,704 basis elements, 252 core orbits: under 2.6 s and 90 MB peak RSS."""
     src = str(Path(umpair.__file__).resolve().parents[1])
     script = ("import resource, sys, time; sys.path.insert(0, sys.argv[1]); "
               "from umpair.dim2 import verify_lemma_grid; "
@@ -520,7 +576,7 @@ def test_dim2_positivity_j5_in_a_fresh_process():
                             capture_output=True, text=True, check=True)
     seconds, max_rss_kb = result.stdout.split()
     assert float(seconds) < 2.6
-    assert int(max_rss_kb) < 150 * 1024
+    assert int(max_rss_kb) < 90 * 1024
 
 
 def test_descriptor_json_round_trip():
