@@ -26,7 +26,7 @@ class UniverseMismatchError(ValueError):
     """Operands live over incompatible descriptor universes."""
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,10 @@ class Scalar:
     def from_json(cls, data: Any) -> Scalar:
         if not isinstance(data, dict) or set(data) != {"re", "im"}:
             raise ValueError(f"malformed scalar {data!r}, expected {{'re':..., 'im':...}}")
-        # A JSON float is a binary approximation and a bool is not a number;
-        # only exact forms are accepted: integers and "p" or "p/q" strings.
-        # Fraction alone would also take "1e400000" and compute 10**400000.
-        # A string the pattern accepts is split at "/" and read by int().
-        parts = []
-        for part in (data["re"], data["im"]):
-            if isinstance(part, int) and not isinstance(part, bool):
-                parts.append((part, 1))
-            elif isinstance(part, str) and _RATIONAL.fullmatch(part) is not None:
-                num, _, den = part.partition("/")
-                parts.append((int(num), int(den) if den else 1))
-            else:
-                raise ValueError(f"scalar part {part!r} must be a 'p' or 'p/q' string "
-                                 "or an integer")
+        # Both parts are read first: a bad part is reported before a zero denominator.
+        re_part, im_part = _rational_part(data["re"]), _rational_part(data["im"])
         try:
-            return cls(Fraction(*parts[0]), Fraction(*parts[1]))
+            return cls(Fraction(*re_part), Fraction(*im_part))
         except ZeroDivisionError:
             raise ValueError(f"scalar {data!r} has a zero denominator") from None
 
@@ -128,6 +116,21 @@ class Scalar:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def _rational_part(part: Any) -> tuple[int, int | None]:
+    """(numerator, denominator or None for 1) of a JSON scalar part, for Fraction().
+
+    A JSON float is a binary approximation and a bool is not a number; only
+    exact forms are accepted: integers and "p" or "p/q" strings, read by
+    int().  Fraction alone would also take "1e400000" and compute 10**400000.
+    """
+    if isinstance(part, str) and (match := _RATIONAL.fullmatch(part)) is not None:
+        num, den = match.groups()
+        return int(num), None if den is None else int(den)
+    if isinstance(part, int) and not isinstance(part, bool):
+        return part, None
+    raise ValueError(f"scalar part {part!r} must be a 'p' or 'p/q' string or an integer")
 
 
 ZERO = Scalar(Fraction(0), Fraction(0))
@@ -210,8 +213,12 @@ def canonical_key(descriptor: Any) -> str:
     sort_keys=True, separators=(",", ":"))``, except that the encoder keeps
     no circular-reference markers: a circular ``to_json`` value raises
     RecursionError where json.dumps raises ValueError.  Parsed JSON is never
-    circular.
+    circular.  A descriptor may write that text itself, faster, in a
+    ``json_key()`` method; the tests check each against the encoder.
     """
+    json_key = getattr(descriptor, "json_key", None)
+    if json_key is not None:
+        return json_key()
     value = descriptor_to_json(descriptor)
     if isinstance(value, str):
         return encode_basestring_ascii(value)

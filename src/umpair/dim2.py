@@ -59,6 +59,7 @@ the tests enforce that, and check the core table against glue2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
@@ -108,6 +109,11 @@ class Bounded2Manifold:
     def universe_key(self) -> int:
         return self.boundary_circles
 
+    @functools.cached_property
+    def masked(self) -> tuple[tuple[int, int], ...]:
+        """``_masked(self)``, computed on first read by glue2 and kept."""
+        return tuple(_masked(self))
+
     def to_json(self) -> dict[str, Any]:
         return {
             "dim": 2,
@@ -154,6 +160,9 @@ class ClosedSurface:
     def to_json(self) -> dict[str, Any]:
         return {"dim": 2, "genera": list(self.genera)}
 
+    def json_key(self) -> str:
+        return '{"dim":2,"genera":[%s]}' % ",".join(map(str, self.genera))
+
     @classmethod
     def from_json(cls, data: Any) -> ClosedSurface:
         if not isinstance(data, dict) or data.get("dim") != 2 or "genera" not in data:
@@ -179,13 +188,13 @@ def glue2(m: Bounded2Manifold, n: Bounded2Manifold) -> ClosedSurface:
     """Glue m to the reversal of n along their j shared boundary circles.
 
     The components come from ``_merge`` of the parts as (circle bitmask,
-    chi) pairs: a merged component's chi is the sum of its parts'.
+    chi) pairs, ``Bounded2Manifold.masked``: a component's chi is its parts' sum.
     """
     if m.boundary_circles != n.boundary_circles:
         raise UniverseMismatchError(
             f"boundary mismatch: {m.boundary_circles} vs {n.boundary_circles} circles")
     genera = [*m.closed_genera, *n.closed_genera]
-    for _, chi in _merge(_masked(m), _masked(n)):
+    for _, chi in _merge(m.masked, n.masked):
         if chi % 2 != 0 or chi > 2:
             raise AssertionError(f"impossible component chi {chi} in gluing")
         genera.append((2 - chi) // 2)
@@ -206,8 +215,8 @@ def _masked(m: Bounded2Manifold) -> list[tuple[int, int]]:
     return out
 
 
-def _merge(left: list[tuple[int, int]], right: list[tuple[int, int]]
-           ) -> list[tuple[int, int]]:
+def _merge(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]
+           ) -> Sequence[tuple[int, int]]:
     """The components of a gluing as (circle bitmask, weight) pairs.
 
     ``left`` and ``right`` are the parts of the two sides as (circle bitmask,

@@ -110,23 +110,22 @@ class GluingTheory(ABC):
         in them.  ``cols`` defaults to ``rows``.
 
         A square table glues the pairs i <= j; the pairs i > j take one
-        ``reverse`` call per distinct form of that half.
+        ``reverse`` call per distinct form of that half and one gather,
+        back[ids.T] under the strict lower triangle.
         """
         square = cols is None
         cols = rows if cols is None else cols
         index: dict[Any, int] = {}
-        ids = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-        for i, a in enumerate(rows):
-            start = i if square else 0
-            row = [index.setdefault(self.glue(a, b), len(index)) for b in cols[start:]]
-            ids = _fit_ids(ids, len(index))
-            ids[i, start:] = row
-        if square:
-            back = [index.setdefault(self.reverse(c), len(index)) for c in list(index)]
-            ids = _fit_ids(ids, len(index))
-            back = np.array(back, dtype=ids.dtype)
-            for i in range(len(rows)):
-                ids[i + 1:, i] = back[ids[i, i + 1:]]
+        glued = [index.setdefault(self.glue(a, b), len(index))
+                 for i, a in enumerate(rows) for b in cols[i if square else 0:]]
+        back = [index.setdefault(self.reverse(c), len(index)) for c in list(index) if square]
+        dtype = np.min_scalar_type(max(len(index) - 1, 0))
+        if not square:
+            return tuple(index), np.array(glued, dtype=dtype).reshape(len(rows), len(cols))
+        ids = np.zeros((len(rows), len(rows)), dtype=dtype)
+        lower = np.tri(len(rows), k=-1, dtype=bool)
+        ids[~lower] = glued
+        ids[lower] = np.array(back, dtype=dtype)[ids.T[lower]]
         return tuple(index), ids
 
     def complexity_ranks(self, forms: Sequence[Any]) -> np.ndarray:
@@ -142,15 +141,17 @@ def pair(x: FormalSum, y: FormalSum, theory: GluingTheory) -> FormalSum:
     """<x, y> as a formal sum of closed forms, read off the ``GramTensor`` of
     supp x by supp y (square when both supports are the same) and summed
     exactly by ``_hermitian_sums``: each nonzero total is divided once by
-    La*Lb.  The table's forms are distinct, so the sum is built canonical
-    from them (``FormalSum._from_distinct``), with no merge or re-check."""
+    La*Lb, zero parts share one ``Fraction(0)``, and only ``pair`` keeps its
+    sums (``GramTensor.sums``).  The table's forms are distinct, so the sum is
+    built canonical from them (``FormalSum._from_distinct``), unchecked."""
     same = x.keys() == y.keys()
     rows = None if same else _validated(theory, x.support())
     table = GramTensor(_validated(theory, y.support()), theory, rows=rows)
-    scale, re, im = _hermitian_sums(len(table.forms), table.ids, [c for _, c in x.items()],
-                                    [c for _, c in y.items()])
-    return FormalSum._from_distinct((c, Scalar(Fraction(r, scale), Fraction(i, scale)))
-                                    for c, r, i in zip(table.forms, re, im) if r or i)
+    a = [c for _, c in x.items()]
+    scale, re, im = table.sums(a, a if y is x else [c for _, c in y.items()], keep=True)
+    return FormalSum._from_distinct(
+        (c, Scalar(Fraction(r, scale) if r else ZERO.re, Fraction(i, scale) if i else ZERO.re))
+        for c, r, i in zip(table.forms, re, im) if r or i)
 
 
 def _gaussian_integers(scalars: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
@@ -167,7 +168,7 @@ def _hermitian_sums(count: int, ids: np.ndarray, a: Sequence[Scalar],
     bi i) / Lb, cell (i, j) adds ar*br + ai*bi to re and ai*br - ar*bi to im
     at its form id; form f's value is (re[f] + im[f] i) / (La*Lb)."""
     la, ar, ai = _gaussian_integers(a)
-    lb, br, bi = _gaussian_integers(b)
+    lb, br, bi = (la, ar, ai) if b is a else _gaussian_integers(b)
     re, im = [0] * count, [0] * count
     for row, xr, xi in zip(ids.tolist(), ar, ai):
         for f, yr, yi in zip(row, br, bi):
@@ -210,16 +211,17 @@ class GramTensor:
     an equal row set again, so ``pair(x, x)`` followed by
     ``certify_positive(x)`` glues the support of x once.  A square table
     and a rectangular one are never the same entry, whatever their rows.
-    Only that one table is kept.  Ranks are never reused: they are computed
-    on first read, every form in one ``complexity_ranks`` pass, so a reader
-    that never reads them (``pair``, ``null_search``) never calls
-    ``complexity``.
+    Only that one table is kept, with the integer sums ``pair`` last made on
+    it (``sums``), which ``certify_positive(x)`` then reads.  Ranks are never
+    reused: they are computed on first read, every form in one
+    ``complexity_ranks`` pass, so a reader that never reads them (``pair``,
+    ``null_search``) never calls ``complexity``.
     """
 
-    # (theory, basis, forms, ids, row set or None when square) of the last
-    # table built.
+    # (theory, basis, forms, ids, row set or None when square, (a, b, sums)
+    # of the last pair on it or None) of the last table built.
     _last: tuple[GluingTheory, tuple[Any, ...], Sequence[Any], np.ndarray,
-                 tuple[Any, ...] | None] | None = None
+                 tuple[Any, ...] | None, tuple[Any, ...] | None] | None = None
 
     def __init__(self, basis: Iterable[Any], theory: GluingTheory,
                  rows: Iterable[Any] | None = None):
@@ -233,8 +235,20 @@ class GramTensor:
             forms, ids = (theory.glue_table(self.basis) if row_set is None
                           else theory.glue_table(row_set, self.basis))
             ids.flags.writeable = False
-            last = GramTensor._last = (theory, self.basis, forms, ids, row_set)
+            last = GramTensor._last = (theory, self.basis, forms, ids, row_set, None)
         self.forms, self.ids = last[2], last[3]
+
+    def sums(self, a: list[Scalar], b: list[Scalar], keep: bool = False
+             ) -> tuple[int, list[int], list[int]]:
+        """``_hermitian_sums`` of a by b: kept ones if this table is the entry
+        and a and b equal their lists, else summed afresh (and kept if ``keep``)."""
+        last = GramTensor._last
+        if last[3] is self.ids and last[5] is not None and last[5][:2] == (a, b):
+            return last[5][2]
+        sums = _hermitian_sums(len(self.forms), self.ids, a, b)
+        if keep and last[3] is self.ids:
+            GramTensor._last = (*last[:5], (a, b, sums))
+        return sums
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:
@@ -324,12 +338,17 @@ def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarra
     with a column, in row-major order, as int64 or, past int64, Python ints
     (dtype object); codes are equal exactly when their closed forms are,
     and ``decode`` decodes one.  Only one chunk of rows is held at a time.
-    The forms are ``CodedForms`` of the distinct codes, in the codes' dtype.
+    The forms are ``CodedForms`` of the distinct codes, in the codes' dtype;
+    a table of one chunk lists them in ascending order, as ``_relabel`` does.
     """
+    step = _chunk_rows(cols)
+    if rows <= step:
+        distinct, inverse = _relabel(codes(0, rows))
+        dtype = np.min_scalar_type(max(len(distinct) - 1, 0))
+        return CodedForms(distinct, decode), inverse.astype(dtype).reshape(rows, cols)
     index: dict[int, int] = {}
     dtype = np.dtype(np.int64)
     ids = np.zeros((rows, cols), dtype=np.uint8)
-    step = _chunk_rows(cols)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         distinct, inverse = _relabel(codes(lo, hi))
@@ -524,9 +543,9 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     among the diagonal gluings, with mass sum(|a_i|^2) over the coefficients
     gluing to it.  Each mass is cross-checked against the integer sums of
     <x, x> over the same table, the ones ``pair`` divides into its formal
-    sum: the form's value there must be real and equal to the mass, and any
-    disagreement raises (that would be a soundness defect, not a property of
-    the input).
+    sum, kept with the table by ``pair(x, x)`` or summed afresh: the form's
+    value there must be real and equal to the mass, and any disagreement
+    raises (that would be a soundness defect, not a property of the input).
     """
     if x.is_zero():
         raise ValueError("cannot certify a zero (or empty) vector")
@@ -537,7 +556,7 @@ def certify_positive(x: FormalSum, theory: GluingTheory
     diag = table.ids.diagonal().tolist()
     ranks = table.ranks.tolist()
     top = max(ranks[f] for f in diag)
-    scale, re, im = _hermitian_sums(len(table.forms), table.ids, coeffs, coeffs)
+    scale, re, im = table.sums(coeffs, coeffs)
     certified = []
     for f in sorted({f for f in diag if ranks[f] == top},
                     key=lambda f: canonical_key(table.forms[f])):

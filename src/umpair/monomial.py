@@ -29,6 +29,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -130,6 +131,9 @@ class Monomial:
     def to_json(self) -> dict[str, Any]:
         return {"exponents": dict(self.exponents)}
 
+    def json_key(self) -> str:
+        return '{"exponents":{%s}}' % ",".join(f"{_ascii(p)}:{e}" for p, e in self.exponents)
+
     @classmethod
     def from_json(cls, data: Any) -> Monomial:
         if not isinstance(data, dict) or not isinstance(data.get("exponents"), dict):
@@ -197,10 +201,10 @@ class MonomialTheory(GluingTheory):
         base = 2 * max((e for m in (*rows, *cols) for _, e in m.exponents), default=0) + 1
         packing = _Packing(tuple(sorted(self.involution.alphabet)), base)
         place = {p: base ** k for k, p in enumerate(packing.letters)}
+        mirror = {p: place[self.involution.apply(p)] for p in place}
         dtype = np.int64 if base ** len(place) <= INT64_MAX else object
         left = np.array([sum(e * place[p] for p, e in m.exponents) for m in rows], dtype=dtype)
-        right = np.array([sum(e * place[self.involution.apply(p)] for p, e in m.exponents)
-                          for m in cols], dtype=dtype)
+        right = np.array([sum(e * mirror[p] for p, e in m.exponents) for m in cols], dtype=dtype)
 
         def codes(lo: int, hi: int) -> np.ndarray:
             return (left[lo:hi, None] + right).reshape(-1)

@@ -94,6 +94,17 @@ def test_scalar_json_rejects_zero_denominators():
             Scalar.from_json(data)
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"re": "1/0", "im": "x"}, "scalar part 'x' must be a 'p' or 'p/q' string or an integer"),
+    ({"re": "x", "im": "1/0"}, "scalar part 'x' must be a 'p' or 'p/q' string or an integer"),
+    ({"re": "1/0", "im": "1"}, "scalar {'re': '1/0', 'im': '1'} has a zero denominator"),
+])
+def test_scalar_json_reports_a_bad_part_before_a_zero_denominator(data, message):
+    with pytest.raises(ValueError) as error:
+        Scalar.from_json(data)
+    assert str(error.value) == message
+
+
 @pytest.mark.parametrize("data", [
     {"re": 0.1, "im": "0"}, {"re": "1", "im": 1.0}, {"re": True, "im": "0"},
     {"re": "0", "im": False}, {"re": None, "im": "0"}, {"re": ["1"], "im": "0"},
@@ -164,6 +175,23 @@ def test_canonical_key_is_the_sorted_compact_json_dump():
                   escapes, "", 0.5, -0.0):
         assert canonical_key(_Raw(value)) == json.dumps(value, sort_keys=True,
                                                         separators=(",", ":"))
+
+
+def test_json_keys_equal_the_encoder():
+    """Descriptors that write their canonical key themselves (``json_key``)
+    write the encoder's bytes, escapes and wide integers included."""
+    from umpair.dim2 import ClosedSurface
+    from umpair.monomial import Monomial
+
+    names = ("p1", "p2", 'q"b', "back\\slash", "S\u00b2", "\u2603", "\U0001d11e", "\n", "")
+    descriptors = [ClosedSurface(()), ClosedSurface((0,)), ClosedSurface((3, 0, 2**70, 1, 1)),
+                   Monomial(()), Monomial(tuple((p, 1 + k) for k, p in enumerate(names))),
+                   Monomial((("a", 2**64 + 1), ("b", 1)))]
+    descriptors += [d for d in _descriptors() if hasattr(d, "json_key")]
+    assert len(descriptors) > 50
+    for d in descriptors:
+        expected = json.dumps(d.to_json(), sort_keys=True, separators=(",", ":"))
+        assert d.json_key() == expected == canonical_key(d)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,43 @@ def test_glue2_genera_match_the_search_oracle():
         assert glue2(m, n).genera == glued_genera(m, n)
 
 
+@pytest.mark.parametrize("j,gmax,budget", [(0, 1, 1), (2, 2, 1), (3, 1, 1), (4, 1, 0)])
+def test_glue_table_masks_each_element_once(monkeypatch, j, gmax, budget):
+    """The default glue_table over fresh elements builds each element's
+    part masks once, not twice per glued cell, and every cell still equals
+    glue2 and the search oracle."""
+    import umpair.dim2 as dim2_module
+
+    masked, calls = dim2_module._masked, []
+
+    def counting(m):
+        calls.append(m)
+        return masked(m)
+
+    monkeypatch.setattr(dim2_module, "_masked", counting)
+    rng = random.Random(f"masks-{j}")
+    basis = enumerate2(j, gmax, budget)
+    support = tuple(Bounded2Manifold.from_json(m.to_json())
+                    for m in rng.sample(basis, min(12, len(basis))))
+    forms, ids = Dim2Theory(j).glue_table(support)
+    assert len(calls) == len(support) and set(map(id, calls)) == set(map(id, support))
+    for i, m in enumerate(support):
+        for k, n in enumerate(support):
+            assert forms[ids[i, k]] == glue2(m, n)
+            assert forms[ids[i, k]].genera == glued_genera(m, n)
+    assert len(calls) == len(support)
+
+
+@pytest.mark.parametrize("j,gmax,budget", [(0, 2, 2), (2, 2, 1), (3, 1, 1)])
+def test_read_masks_keep_descriptors_equal(j, gmax, budget):
+    """Reading the kept masks changes neither a build_canonical element nor
+    its checked rebuild as a descriptor."""
+    for fast in enumerate2(j, gmax, budget):
+        checked = checked_rebuild(fast)
+        assert fast.masked == checked.masked
+        assert_same_descriptor(fast, checked)
+
+
 def relabelled(m, perm):
     """g·m for the relabelling g that moves boundary circle c to perm[c],
     canonicalised again by the constructor."""

@@ -365,6 +365,38 @@ def test_glue_table_agrees_with_the_default(case):
     assert (ids == relabel[ref_ids]).all()
 
 
+def _ascending(forms, ids):
+    """(codes, ids) of a coded table with its forms relabelled in ascending
+    code order, the order of a table of one chunk."""
+    order = np.argsort(forms.codes, kind="stable")
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.arange(len(order))
+    return forms.codes[order], slot[ids].astype(ids.dtype)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_one_chunk_tables_agree_with_the_chunked_loop(monkeypatch, case):
+    """A table of one chunk skips the chunk loop; one row per chunk takes it
+    for every table of two rows or more.  Both list the same codes, give
+    each cell the same form and the same ids dtype.  The loop lists forms
+    chunk by chunk, so they are compared in ascending code order."""
+    theory, basis = TABLE_CASES[case]
+    for rows in (tuple(basis), tuple(basis[::-2])):
+        monkeypatch.setattr(engine, "_CHUNK", 1 << 40)
+        forms, ids = theory.glue_table(rows, tuple(basis))
+        if not isinstance(forms, engine.CodedForms):
+            return
+        monkeypatch.setattr(engine, "_CHUNK", 1)
+        chunked_forms, chunked_ids = theory.glue_table(rows, tuple(basis))
+        codes, relabelled = _ascending(chunked_forms, chunked_ids)
+        assert (forms.codes[1:] > forms.codes[:-1]).all()
+        assert forms.codes.dtype == chunked_forms.codes.dtype
+        assert forms.codes.tolist() == codes.tolist()
+        assert ids.dtype == chunked_ids.dtype and (ids == relabelled).all()
+        if len(rows) <= 1:
+            assert chunked_forms.codes.tolist() == forms.codes.tolist()
+
+
 @pytest.mark.parametrize("case", TABLE_CASES)
 def test_rectangular_glue_table_agrees_with_glue(case):
     """A row subset, in another order, against every column."""
@@ -822,6 +854,67 @@ def test_gram_tensor_keeps_only_the_last_table():
     del first
     gc.collect()
     assert freed() is None and second.ids.shape == (2, 2)
+
+
+def _counting_sums(monkeypatch):
+    """Patch engine._hermitian_sums with a wrapper; returns its call list."""
+    calls, sums = [], engine._hermitian_sums
+
+    def counted(count, ids, a, b):
+        calls.append((list(a), list(b)))
+        return sums(count, ids, a, b)
+
+    monkeypatch.setattr(engine, "_hermitian_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["dim1", "dim2", "monomial", "knot"])
+def test_certify_after_pair_sums_the_table_once(monkeypatch, name):
+    theory, basis = _agreement_case(name)
+    x = FormalSum((d, _gaussian_rational(random.Random(name), 6))
+                  for d in basis[:min(5, len(basis))])
+    calls = _counting_sums(monkeypatch)
+    squared = engine.pair(x, x, theory)
+    cert = engine.certify_positive(x, theory)
+    assert len(calls) == 1
+    assert isinstance(cert, engine.PositivityCertificate)
+    # Pairing again reads the kept sums too; a new table sums afresh.
+    assert engine.pair(x, x, theory) == squared and len(calls) == 1
+    engine.GramTensor(basis[:1], theory)
+    assert engine.certify_positive(x, theory) == cert and len(calls) == 2
+
+
+def _fresh_theory(theory):
+    """An equal theory object that no kept table belongs to."""
+    return type(theory)(*(getattr(theory, f) for f in theory.__dataclass_fields__))
+
+
+@pytest.mark.parametrize("name", ["dim1", "dim2", "monomial", "knot"])
+def test_kept_sums_are_never_served_to_other_coefficients(monkeypatch, name):
+    """certify_positive(y), y on the support of x with other coefficients,
+    after pair(x, x), pair(x, y) and a rectangular pair(wide, y), sums y
+    itself and equals the certificate of a fresh theory object."""
+    theory, basis = _agreement_case(name)
+    rng = random.Random(f"kept-{name}")
+    support = rng.sample(basis, min(4, len(basis)))
+    other = rng.sample([d for d in basis if d not in support], min(2, len(basis) - 4))
+    calls = _counting_sums(monkeypatch)
+    for _ in range(6):
+        x = FormalSum((d, _gaussian_rational(rng, 6)) for d in support)
+        y = FormalSum((d, _gaussian_rational(rng, 6)) for d in support)
+        wide = FormalSum((d, _gaussian_rational(rng, 6)) for d in support + other)
+        if x == y or len(x) != len(support) or len(y) != len(support):
+            continue
+        y_coeffs = [c for _, c in y.items()]
+        for before in (lambda: engine.pair(x, x, theory),
+                       lambda: engine.pair(x, y, theory),
+                       lambda: engine.pair(wide, y, theory)):
+            before()
+            calls.clear()
+            cert = engine.certify_positive(y, theory)
+            assert calls == [(y_coeffs, y_coeffs)]
+            assert cert == engine.certify_positive(y, _fresh_theory(theory))
+            assert engine.pair(y, y, theory) == engine.pair(y, y, _fresh_theory(theory))
 
 
 def test_null_search_finds_the_fourdim_vector():
