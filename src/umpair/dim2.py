@@ -36,25 +36,31 @@ the tests enforce that, and check the core table against glue2.
    partition holding a representative with any partition, by the one
    bitmask ``_merge`` that glue2 shares; a component's genus is the genus sum
    of its parts + E - V + 1 (E circles, V parts), computed for every pair
-   of genus assignments at once by an integer matrix product.  The genus
-   rows are deduplicated unsorted; each distinct row is then sorted once,
-   and each core pair gets an id of its genus multiset.
-2. Ranks.  Each distinct merged multiset (core genera plus the union of
-   two closed multisets) is a genus histogram, and while complexity2 is
-   this module's own the histograms are ranked in one numpy lexsort on
-   (n, total genus, counts from the top genus down), which is exactly the
-   complexity order.  A patched complexity2 is instead called once per
-   distinct merged multiset and its values ranked densely, so integer rank
-   order is their order whatever totally ordered values it returns.
+   of genus assignments at once by an integer matrix product.  Each cell's
+   genera are sorted and packed into one integer code, and each core pair
+   gets an id of its code, that is of its genus multiset.
+2. Ranks.  Each merged multiset (core genera plus the union of two closed
+   multisets) is coded by its (n, total genus, genus histogram from the top
+   genus down) in mixed radix, so that the code of a union is the sum of
+   its two sides' codes and code order is exactly the complexity order
+   while complexity2 is this module's own.  The rank of a merged multiset
+   is the slot of its code among the distinct codes.  A patched complexity2
+   is instead called once per distinct code and its values ranked densely,
+   so integer rank order is their order whatever totally ordered values it
+   returns.
 3. Sweep.  For cores a < b every verdict between their elements depends
    only on the triple of ids (a, b), (a, a), (b, b); each distinct triple is
-   checked once as a block over closed-multiset pairs.  a == b is checked on
-   the strict upper triangle of its block.  Every pair of cores is a
-   relabelled pair of a representative row, so those rows are swept first.
-   Any failure there builds the square core table (it holds no multiset the
-   rows lacked, so the ranks serve it unchanged) and sweeps every core pair;
-   only that sweep expands failing triples back to basis positions, so
-   violations come out in one order.  The sweep runs in one process.
+   checked once as a block over closed-multiset pairs, except that, while
+   complexity2 is this module's own, a triple whose off gluing has fewer
+   components than the mean of its two diagonals passes unchecked (closed
+   parts add to the off count the mean of what they add to the diagonals).
+   a == b is checked on the strict upper triangle of its block.  Every
+   pair of cores is a relabelled pair of a representative row, so those
+   rows are swept first.  Any failure there builds the square core table
+   (it holds no multiset the rows lacked, so the ranks serve it unchanged)
+   and sweeps every core pair; only that sweep expands failing triples back
+   to basis positions, so violations come out in one order.  The sweep runs
+   in one process.
 """
 
 from __future__ import annotations
@@ -341,21 +347,22 @@ def _components(left: tuple[tuple[int, ...], ...],
     return incidence, offset
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse): one row index per distinct row, and each row's slot.
+def _packed(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
+    """Each row of ``digits`` as one mixed-radix integer, its first digit most
+    significant and digit i below radix[i].
 
-    rows[first][inverse] == rows for a nonnegative integer matrix.  Each row
-    is packed into one int64 (digits base max + 1), which sorts far faster
-    than whole rows; past the int64 range the rows are sorted as rows.
+    Integer order of the codes is then lexicographic order of the rows, and
+    rows whose digit-wise sums stay below the radices add as their codes do.
+    The codes are int64 while every row fits it (the radix product is at most
+    2**63), and Python ints (dtype object) past that.
     """
-    base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] > INT64_MAX:
-        _, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-    else:
-        codes = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    weights = []
+    product = 1
+    for r in reversed(radix):
+        weights.append(product)
+        product *= r
+    dtype = np.int64 if product - 1 <= INT64_MAX else object
+    return digits.astype(dtype) @ np.array(weights[::-1], dtype=dtype)
 
 
 def core_orbits(j: int, g_max: int) -> np.ndarray:
@@ -387,9 +394,14 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     glue2(cores[rows[i]], cores[b]).genera.  Components are found once per
     pair of circle partitions with a row on the left; the genera of every pair
     of genus assignments of those partitions then come from products with
-    the component incidence matrix.  Those rows are deduplicated as they
-    are, and only the distinct rows are sorted into multisets, so rows that
-    differ only in component order share one id.
+    the component incidence matrix.  Each cell's genera, sorted and each
+    raised by 1, pack into one ``_packed`` code of base 2 j g_max + j + 2:
+    a component has at most 2j parts, each of genus at most g_max, and
+    E - V + 1 < j, so every digit lies in 1..base - 1.  No digit is 0, so
+    multisets of different lengths never share a code.  Each block of cells
+    is deduplicated on its own codes (one np.unique over the whole table
+    would hold every code at once), and its distinct codes take global ids
+    through one dict; the multisets are unpacked from the codes at the end.
     """
     check_bounds({"j": j, "g_max": g_max})
     partitions = list(_set_partitions(j))
@@ -398,7 +410,8 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     starts = np.cumsum([0] + [len(a) for a in assignments])
     row_cores = np.arange(starts[-1]) if rows is None else np.asarray(rows, dtype=np.intp)
     gid = np.empty((len(row_cores), starts[-1]), dtype=np.int32)
-    ids: dict[tuple[int, ...], int] = {}
+    base = 2 * j * g_max + j + 2
+    ids: dict[int, int] = {}
     for p in range(len(partitions)):
         mine = np.flatnonzero((row_cores >= starts[p]) & (row_cores < starts[p + 1]))
         if not len(mine):
@@ -409,14 +422,22 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
             split = len(partitions[p])
             left = left_genera @ incidence[:split]
             right = assignments[q] @ incidence[split:]
-            block = (left[:, None, :] + right[None, :, :] + offset).reshape(
-                len(left) * len(right), -1)
-            first, inverse = _unique_rows(block)
-            global_ids = np.array([ids.setdefault(tuple(sorted(r)), len(ids))
-                                   for r in block[first].tolist()], dtype=np.int32)
+            digits = np.sort(left[:, None, :] + right[None, :, :] + (offset + 1), axis=2)
+            codes = _packed(digits.reshape(len(left) * len(right), -1), [base] * len(offset))
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            global_ids = np.array([ids.setdefault(code, len(ids))
+                                   for code in distinct.tolist()], dtype=np.int32)
             gid[mine, starts[q]:starts[q + 1]] = global_ids[inverse].reshape(
                 len(left), len(right))
-    return gid, list(ids)
+
+    def unpacked(code: int) -> tuple[int, ...]:
+        genera = []
+        while code:
+            code, digit = divmod(code, base)
+            genera.append(digit - 1)
+        return tuple(genera[::-1])
+
+    return gid, [unpacked(code) for code in ids]
 
 
 def _rank_table(genera: list[tuple[int, ...]],
@@ -424,53 +445,76 @@ def _rank_table(genera: list[tuple[int, ...]],
     """rank[g, u]: dense complexity rank of core genera g plus closed union u.
 
     Equal complexities share a rank, so integer order of ranks is the
-    complexity order.  The merged multisets are deduplicated as genus
-    histograms h, whose counts are stored in the smallest dtype that holds
-    the longest merged multiset, so they never wrap and stay small.
+    complexity order.  Each multiset m is read as its digits (n, G, h[top],
+    ..., h[0]): its length, total genus and genus histogram.  Every digit
+    of a merged multiset is the sum of its two sides' digits, so with each
+    digit's radix one more than the sum of the two sides' largest values,
+    the ``_packed`` codes add: code(g + u) == code(g) + code(u).  The table
+    is one broadcast add of the two sides' codes, deduplicated by np.unique.
 
     While complexity2 is this module's own (``_OWN_COMPLEXITY2``), it is
     never called.  For n components of total genus G, complexity2 is
     (n, 2G - 2n, 2g - 2 for the genera in descending order), and descending
     sequences of equal length compare as their histograms read from the
-    top genus down; so the lexsort of (n, G, h[top], ..., h[0]) is the
-    complexity order, and as a histogram and its complexity determine each
-    other, distinct histograms take consecutive ranks.  The benchmark's
-    tracer rebinds the alias along with complexity2, so a traced pass takes
-    this path too and counts no complexity2 call.
+    top genus down; so code order is the complexity order, and as a
+    histogram and its complexity determine each other, the slot of each
+    code among the distinct codes is its rank.  The benchmark's tracer
+    rebinds the alias along with complexity2, so a traced pass takes this
+    path too and counts no complexity2 call.
 
-    A patched complexity2 runs once per distinct merged multiset instead,
-    on a ClosedSurface built already sorted, without the checks of its
+    A patched complexity2 runs once per distinct code instead, on the first
+    (g, u) with that code, and its values are ranked densely.  Its
+    ClosedSurface is built already sorted, without the checks of its
     constructor: core genera and closed unions are nonnegative by
     construction.
     """
     width = 1 + max(max(m, default=0) for m in genera + unions)
-    longest = max(map(len, genera), default=0) + max(map(len, unions), default=0)
 
-    def histograms(multisets: list[tuple[int, ...]]) -> np.ndarray:
-        counts = np.zeros((len(multisets), width), dtype=np.min_scalar_type(longest))
-        for row, multiset in enumerate(multisets):
-            for g in multiset:
-                counts[row, g] += 1
-        return counts
+    def digits(multisets: list[tuple[int, ...]]) -> np.ndarray:
+        lengths = np.fromiter(map(len, multisets), np.int64, len(multisets))
+        row = np.repeat(np.arange(len(multisets)), lengths)
+        flat = np.fromiter(itertools.chain.from_iterable(multisets), np.int64)
+        counts = np.bincount(row * width + flat, minlength=len(multisets) * width
+                             ).reshape(len(multisets), width)
+        return np.column_stack([lengths, counts @ np.arange(width), counts[:, ::-1]])
 
-    merged = histograms(genera)[:, None, :] + histograms(unions)[None, :, :]
-    first, inverse = _unique_rows(merged.reshape(-1, width))
+    sides = digits(genera), digits(unions)
+    radix = (sides[0].max(axis=0, initial=0) + sides[1].max(axis=0, initial=0) + 1).tolist()
+    codes = _packed(sides[0], radix)[:, None] + _packed(sides[1], radix)[None, :]
     if complexity2 is _OWN_COMPLEXITY2:
-        # The counts stay narrow, which numpy sorts by radix; n and G widen.
-        counts = merged.reshape(-1, width)[first]
-        order = np.lexsort((*counts.T, counts @ np.arange(width), counts.sum(axis=1)))
-        ranks = np.empty(len(order), dtype=np.int32)
-        ranks[order] = np.arange(len(order), dtype=np.int32)
+        ranks = np.unique(codes.reshape(-1), return_inverse=True)[1]
     else:
+        _, first, inverse = np.unique(codes.reshape(-1), return_index=True,
+                                      return_inverse=True)
         g_first, u_first = np.divmod(first, len(unions))
         ranks = dense_ranks([
             complexity2(build_canonical(ClosedSurface,
                                         genera=tuple(sorted(genera[g] + unions[u]))))
-            for g, u in zip(g_first.tolist(), u_first.tolist())])
-    return ranks[inverse].reshape(len(genera), len(unions))
+            for g, u in zip(g_first.tolist(), u_first.tolist())])[inverse]
+    return ranks.astype(np.int32).reshape(len(genera), len(unions))
 
 
-_CHUNK = 1 << 18  # array elements per vectorized step of the sweep
+def _passes_by_count(components: np.ndarray, g_off: np.ndarray, g_left: np.ndarray,
+                     g_right: np.ndarray) -> np.ndarray:
+    """Mask of the core gluing triples that pass under complexity2 for every
+    pair of carried closed multisets, by their component counts alone.
+
+    components[g] is the component count of core gluing g.  A triple with
+    2 n_off < n_left + n_right passes: closed multisets k1 and k2 add
+    |k1| + |k2| components to the off gluing and 2|k1|, 2|k2| to the two
+    diagonals, so twice the off count, 2 n_off + 2|k1| + 2|k2|, is below
+    the sum of the diagonal counts, hence below twice their maximum.  The
+    off gluing then has fewer components than the larger diagonal, and the
+    component count is complexity2's first entry.
+    """
+    return 2 * components[g_off] < components[g_left] + components[g_right]
+
+
+# Array elements per vectorized step of the sweep.  At 1 << 15 every int32
+# temporary of a step is at most 128 kB, glibc's default mmap threshold, so
+# the steps reuse heap memory; at 1 << 18 (1 MB) each one was a fresh mmap
+# unless an earlier free had happened to raise that threshold.
+_CHUNK = 1 << 15
 
 
 def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
@@ -482,11 +526,12 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     depends only on (core pair genera, multiset union).  For cores a < b,
     every verdict between their elements depends only on the triple
     (gid[a, b], gid[a, a], gid[b, b]), so each distinct triple is checked
-    once as an nk x nk block.  Relabelling the circles keeps every gluing,
-    so only the rows of the first core of each orbit (``core_orbits``) are
-    glued and swept first.  Any failure there reruns the sweep over every
-    core pair, which alone expands failing triples into violations, so they
-    come out in the same order either way.
+    once as an nk x nk block, unless its component counts alone prove that
+    it passes (``_passes_by_count``).  Relabelling the circles keeps every
+    gluing, so only the rows of the first core of each orbit
+    (``core_orbits``) are glued and swept first.  Any failure there reruns
+    the sweep over every core pair, which alone expands failing triples into
+    violations, so they come out in the same order either way.
     """
     check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
     orbit = core_orbits(j, g_max)
@@ -505,6 +550,7 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     off_rank = rank[:, kuid]                    # (ng, nk, nk)
     diag_rank = rank[:, kuid.diagonal()]        # (ng, nk)
     ng = len(genera)
+    components = np.array([len(g) for g in genera])
     if ng ** 3 > INT64_MAX:
         raise OverflowError(f"{ng} distinct core gluings overflow the triple codes")
     strict_upper = np.triu(np.ones((nk, nk), dtype=bool), k=1)
@@ -527,9 +573,18 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
         codes = (table.astype(np.int64) * ng + diag[cores, None]) * ng + diag
         return codes, np.arange(nb) > cores[:, None]
 
+    def split(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (off, left, right) core gluing ids of triple codes."""
+        g_off, rest = np.divmod(triples, ng * ng)
+        return (g_off, *np.divmod(rest, ng))
+
     def failing_triples(table: np.ndarray, cores: np.ndarray,
                         diag: np.ndarray) -> np.ndarray:
-        """The distinct failing triple codes of the rows' pairs b > a."""
+        """The distinct failing triple codes of the rows' pairs b > a.
+
+        While complexity2 is this module's own, the triples that
+        ``_passes_by_count`` clears are not checked.
+        """
         # return_counts keeps np.unique on its sorting path; the values-only
         # path imports numpy.ma, about 3 MB more in a fresh process.
         triples = np.unique(np.concatenate([
@@ -537,12 +592,13 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
             for codes, upper in (triple_codes(table[rows], cores[rows], diag)
                                  for rows in row_chunks(len(cores)))]),
             return_counts=True)[0]
+        if complexity2 is _OWN_COMPLEXITY2:
+            triples = triples[~_passes_by_count(components, *split(triples))]
         step = max(1, _CHUNK // (nk * nk))
         bad = [triples[:0]]
         for t0 in range(0, len(triples), step):
             chunk = triples[t0:t0 + step]
-            g_off, rest = np.divmod(chunk, ng * ng)
-            bad.append(chunk[failing(g_off, *np.divmod(rest, ng)).any(axis=(1, 2))])
+            bad.append(chunk[failing(*split(chunk)).any(axis=(1, 2))])
         return np.concatenate(bad)
 
     # A relabelling g sends the pair {a, b} to {g·a, g·b} with the same three

@@ -13,8 +13,8 @@ from oracles import ComplexityTuple, euler_oracle, glued_genera, sorted_chi_comp
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
-from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _rank_table,
-                         _unique_rows, closed_multisets, complexity2,
+from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _packed,
+                         _passes_by_count, _rank_table, closed_multisets, complexity2,
                          core_gluing_table, core_orbits, enumerate2, glue2,
                          verify_lemma_grid)
 
@@ -508,9 +508,9 @@ def test_rank_table_calls_complexity2_once_per_distinct_merged_multiset(
     assert set(calls) == expected
 
 
-def per_multiset_ranks(genera, unions):
-    """The rank table through one complexity2 call per merged multiset."""
-    values = [complexity2(ClosedSurface(g + u)) for g in genera for u in unions]
+def per_multiset_ranks(genera, unions, order=complexity2):
+    """The rank table through one ``order`` call per merged multiset."""
+    values = [order(ClosedSurface(g + u)) for g in genera for u in unions]
     return engine.dense_ranks(values).reshape(len(genera), len(unions))
 
 
@@ -575,14 +575,126 @@ def test_core_table_matches_glue2_on_every_core_pair(j):
             assert genera[gid[a, b]] == glue2(m, n).genera
 
 
-def test_unique_rows_agrees_with_numpy_when_packed_and_when_not():
-    rng = np.random.default_rng(20503)
-    for high in (6, 2**40):  # packs into int64; 3 digits base 2**40 do not
-        rows = rng.integers(0, high, size=(400, 3))
-        rows[::5] = rows[1]
-        first, inverse = _unique_rows(rows)
-        assert (rows[first][inverse] == rows).all()
-        assert len(first) == len(np.unique(rows, axis=0))
+def representative_triples(j, gmax):
+    """(off, left, right, genera): the distinct core gluing id triples
+    (gid[a, b], gid[a, a], gid[b, b]) of the sweep's first pass, b > a."""
+    orbit = core_orbits(j, gmax)
+    reps = np.unique(orbit, return_index=True)[1]
+    gid, genera = core_gluing_table(j, gmax, rows=reps)
+    diag = gid[orbit, reps[orbit]]
+    upper = np.arange(len(orbit)) > reps[:, None]
+    triples = np.stack([gid[upper], np.broadcast_to(diag[reps][:, None], gid.shape)[upper],
+                        np.broadcast_to(diag, gid.shape)[upper]])
+    return (*np.unique(triples, axis=1).reshape(3, -1), genera)
+
+
+def count_then_reversed(surface):
+    """Components count heaviest, as in complexity2, and its other entries
+    are reversed: the component-count bound still holds, and triples that
+    it leaves fail."""
+    entries = complexity2(surface)
+    return (entries[0], *(-e for e in entries[1:]))
+
+
+def block_failures(off, left, right, genera, gmax, budget, order):
+    """Whether the full block of each triple over the budget's closed
+    multisets has a failing cell, with ranks read from ``order`` itself."""
+    closeds = closed_multisets(gmax, budget)
+    unions = list(dict.fromkeys(tuple(sorted(p + q)) for p in closeds for q in closeds))
+    kuid = np.array([[unions.index(tuple(sorted(p + q))) for q in closeds] for p in closeds])
+    ranks = per_multiset_ranks(genera, unions, order)
+    diag_rank = ranks[:, kuid.diagonal()]
+    return np.concatenate([np.zeros(0, dtype=bool)] + [
+        (ranks[off[t:t + 1000]][:, kuid]
+         >= np.maximum(diag_rank[left[t:t + 1000]][:, :, None],
+                       diag_rank[right[t:t + 1000]][:, None, :])).any(axis=(1, 2))
+        for t in range(0, len(off), 1000)])
+
+
+@pytest.mark.parametrize("j,gmax", itertools.product(range(5), range(4)))
+def test_component_count_bound_clears_only_passing_triples(j, gmax):
+    # Every triple the sweep's component-count bound clears passes its full
+    # block on every budget, under complexity2 and under another order that
+    # counts components first.
+    off, left, right, genera = representative_triples(j, gmax)
+    cleared = _passes_by_count(np.array([len(g) for g in genera]), off, left, right)
+    if (j, gmax) == (4, 3):
+        assert (cleared.sum(), len(cleared)) == (14_795, 19_132)
+    for order, budget in itertools.product((complexity2, count_then_reversed), range(4)):
+        failing = block_failures(off, left, right, genera, gmax, budget, order)
+        assert not failing[cleared].any()
+        if (j, gmax, budget, order) == (4, 3, 3, count_then_reversed):
+            assert failing.any()
+
+
+def test_component_count_bound_fails_when_components_count_lighter():
+    # The sweep applies the bound only while complexity2 is the module's own.
+    off, left, right, genera = representative_triples(2, 2)
+    cleared = _passes_by_count(np.array([len(g) for g in genera]), off, left, right)
+    assert block_failures(off, left, right, genera, 2, 2, reversed_count)[cleared].any()
+
+
+def horner(row, base):
+    code = 0
+    for digit in row:
+        code = code * base + int(digit)
+    return code
+
+
+def test_packed_codes_past_int64_are_exact_and_in_row_order():
+    # 13 digits at base 30, the core base at j = 4, g_max = 3, pass 2**63.
+    rows = np.sort(np.random.default_rng(20503).integers(1, 30, size=(300, 13)), axis=1)
+    rows[::7] = rows[3]
+    rows[-1] = 29  # the largest code, 30**13 - 1
+    codes = _packed(rows, [30] * 13)
+    assert codes.dtype == object and max(codes) > 2**63
+    assert codes.tolist() == [horner(row, 30) for row in rows.tolist()]
+    assert (sorted(range(len(rows)), key=codes.__getitem__)
+            == sorted(range(len(rows)), key=lambda i: rows[i].tolist()))
+    fits = _packed(rows[:, :12], [30] * 12)  # 30**12 < 2**63
+    assert fits.dtype == np.int64
+    assert fits.tolist() == [horner(row, 30) for row in rows[:, :12].tolist()]
+
+
+@pytest.mark.parametrize("j,gmax", [(2, 2), (3, 2), (4, 1)])
+def test_core_table_on_object_codes_matches_glue2(monkeypatch, j, gmax):
+    # No enumerable grid packs core codes past int64 (j = 5, g_max = 3 needs
+    # under 2**27), so the bound is lowered until every code is a Python int.
+    import umpair.dim2 as dim2_module
+
+    packed = []
+
+    def recording(digits, radix):
+        packed.append(_packed(digits, radix))
+        return packed[-1]
+
+    int64_table, int64_genera = core_gluing_table(j, gmax)
+    monkeypatch.setattr(dim2_module, "INT64_MAX", 0)
+    monkeypatch.setattr(dim2_module, "_packed", recording)
+    cores = enumerate2(j, gmax, 0)
+    gid, genera = core_gluing_table(j, gmax)
+    assert all(codes.dtype == object for codes in packed if codes.size)
+    assert [[genera[g] for g in row] for row in gid.tolist()] == [
+        [glue2(m, n).genera for n in cores] for m in cores]
+    assert (gid == int64_table).all() and genera == int64_genera
+
+
+def test_rank_table_past_int64_matches_the_per_multiset_ranks(monkeypatch):
+    # 24 genera held up to 4 and 3 times give histogram radices of 8: the
+    # radix product passes 2**63 and the codes are Python ints.
+    import umpair.dim2 as dim2_module
+
+    packed = []
+
+    def recording(digits, radix):
+        packed.append(_packed(digits, radix))
+        return packed[-1]
+
+    monkeypatch.setattr(dim2_module, "_packed", recording)
+    genera = [tuple(sorted(list(range(24)) * 4)), (0,), (), (3, 23)]
+    unions = [tuple(sorted(list(range(24)) * 3)), (), (5, 5, 23), tuple(range(24))]
+    assert (_rank_table(genera, unions) == per_multiset_ranks(genera, unions)).all()
+    assert [codes.dtype for codes in packed] == [object, object]
 
 
 def test_grid_sweep_does_not_import_numpy_ma():
