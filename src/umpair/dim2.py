@@ -55,12 +55,10 @@ the tests enforce that, and check the core table against glue2.
    components than the mean of its two diagonals passes unchecked (closed
    parts add to the off count the mean of what they add to the diagonals).
    a == b is checked on the strict upper triangle of its block.  Every
-   pair of cores is a relabelled pair of a representative row, so those
-   rows are swept first.  Any failure there builds the square core table
-   (it holds no multiset the rows lacked, so the ranks serve it unchanged)
-   and sweeps every core pair; only that sweep expands failing triples back
-   to basis positions, so violations come out in one order.  The sweep runs
-   in one process.
+   pair of cores is a relabelled pair of a representative row, so only
+   those rows are swept, in one process.  The sweep only decides: any
+   failure returns engine.verify_lemma's report, which lists the
+   violations, and a pass there would be a soundness defect and raises.
 """
 
 from __future__ import annotations
@@ -74,7 +72,8 @@ import numpy as np
 
 from .algebra import (UniverseMismatchError, build_canonical, check_bounds, json_int,
                       json_list)
-from .engine import INT64_MAX, GluingTheory, LemmaReport, LemmaViolation, dense_ranks
+from .engine import (INT64_MAX, GluingTheory, LemmaReport, _packed, dense_ranks,
+                     verify_lemma)
 
 
 @dataclass(frozen=True)
@@ -347,24 +346,6 @@ def _components(left: tuple[tuple[int, ...], ...],
     return incidence, offset
 
 
-def _packed(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
-    """Each row of ``digits`` as one mixed-radix integer, its first digit most
-    significant and digit i below radix[i].
-
-    Integer order of the codes is then lexicographic order of the rows, and
-    rows whose digit-wise sums stay below the radices add as their codes do.
-    The codes are int64 while every row fits it (the radix product is at most
-    2**63), and Python ints (dtype object) past that.
-    """
-    weights = []
-    product = 1
-    for r in reversed(radix):
-        weights.append(product)
-        product *= r
-    dtype = np.int64 if product - 1 <= INT64_MAX else object
-    return digits.astype(dtype) @ np.array(weights[::-1], dtype=dtype)
-
-
 def core_orbits(j: int, g_max: int) -> np.ndarray:
     """orbit[c]: the orbit of core c under relabelling the j circles.
 
@@ -529,9 +510,9 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     once as an nk x nk block, unless its component counts alone prove that
     it passes (``_passes_by_count``).  Relabelling the circles keeps every
     gluing, so only the rows of the first core of each orbit
-    (``core_orbits``) are glued and swept first.  Any failure there reruns
-    the sweep over every core pair, which alone expands failing triples into
-    violations, so they come out in the same order either way.
+    (``core_orbits``) are glued and swept.  Any failure returns
+    engine.verify_lemma's report instead, which lists the violations; if
+    that report passes, the two checks disagree and AssertionError is raised.
     """
     check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
     orbit = core_orbits(j, g_max)
@@ -561,46 +542,6 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
         return off_rank[g_off] >= np.maximum(diag_rank[g_left][:, :, None],
                                              diag_rank[g_right][:, None, :])
 
-    def row_chunks(count: int) -> list[slice]:
-        """Slices of table rows of about _CHUNK cells each."""
-        step = max(1, _CHUNK // nb)
-        return [slice(a0, a0 + step) for a0 in range(0, count, step)]
-
-    def triple_codes(table: np.ndarray, cores: np.ndarray,
-                     diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Codes of (gid[a, b], gid[a, a], gid[b, b]) for the rows of
-        ``table``, those of the cores a, and the mask of the pairs b > a."""
-        codes = (table.astype(np.int64) * ng + diag[cores, None]) * ng + diag
-        return codes, np.arange(nb) > cores[:, None]
-
-    def split(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (off, left, right) core gluing ids of triple codes."""
-        g_off, rest = np.divmod(triples, ng * ng)
-        return (g_off, *np.divmod(rest, ng))
-
-    def failing_triples(table: np.ndarray, cores: np.ndarray,
-                        diag: np.ndarray) -> np.ndarray:
-        """The distinct failing triple codes of the rows' pairs b > a.
-
-        While complexity2 is this module's own, the triples that
-        ``_passes_by_count`` clears are not checked.
-        """
-        # return_counts keeps np.unique on its sorting path; the values-only
-        # path imports numpy.ma, about 3 MB more in a fresh process.
-        triples = np.unique(np.concatenate([
-            np.unique(codes[upper], return_counts=True)[0]
-            for codes, upper in (triple_codes(table[rows], cores[rows], diag)
-                                 for rows in row_chunks(len(cores)))]),
-            return_counts=True)[0]
-        if complexity2 is _OWN_COMPLEXITY2:
-            triples = triples[~_passes_by_count(components, *split(triples))]
-        step = max(1, _CHUNK // (nk * nk))
-        bad = [triples[:0]]
-        for t0 in range(0, len(triples), step):
-            chunk = triples[t0:t0 + step]
-            bad.append(chunk[failing(*split(chunk)).any(axis=(1, 2))])
-        return np.concatenate(bad)
-
     # A relabelling g sends the pair {a, b} to {g·a, g·b} with the same three
     # gluings.  Taking a to be the element whose orbit comes first, g·a is a
     # representative r and g·b lies after it, so the rows of the
@@ -609,39 +550,25 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     # == glue2(b, b); the same-core blocks need only the representatives.
     diag = gid[orbit, reps[orbit]].astype(np.int64)
     own = diag[reps]
-    bad_pairs = []  # (left, right) positions in the enumerate2 order, left < right
-    if (len(failing_triples(gid, reps, diag))
-            or (failing(own, own, own) & strict_upper).any()):
-        full, full_genera = core_gluing_table(j, g_max)
-        # Every core gluing is some representative's gluing, so the full
-        # table adds no multiset and the rank table serves it unchanged.
-        slot = {g: i for i, g in enumerate(genera)}
-        if set(full_genera) != set(slot):
-            raise AssertionError("a core gluing is missing from the representative rows")
-        gid = np.array([slot[g] for g in full_genera], dtype=np.int32)[full]
-        diag = gid.diagonal().astype(np.int64)
-        every_core = np.arange(nb)
-        bad_triples = failing_triples(gid, every_core, diag)
-        if len(bad_triples):
-            for rows in row_chunks(nb):
-                codes, upper = triple_codes(gid[rows], every_core[rows], diag)
-                for da, b in np.argwhere(upper & np.isin(codes, bad_triples)).tolist():
-                    a = rows.start + da
-                    block = failing(gid[a, b:b + 1], diag[a:a + 1], diag[b:b + 1])[0]
-                    bad_pairs.extend((a * nk + k1, b * nk + k2)
-                                     for k1, k2 in np.argwhere(block).tolist())
-        bad_pairs.extend((a * nk + k1, a * nk + k2) for a, k1, k2 in
-                         np.argwhere(failing(diag, diag, diag) & strict_upper).tolist())
-
-    cores = enumerate2(j, g_max, 0) if bad_pairs else []
-
-    def element(index: int) -> Bounded2Manifold:
-        return build_canonical(Bounded2Manifold, boundary_circles=j,
-                               parts=cores[index // nk].parts,
-                               closed_genera=closeds[index % nk])
-
-    violations = tuple(LemmaViolation.of(Dim2Theory(j), element(a), element(b))
-                       for a, b in sorted(bad_pairs))
-    return LemmaReport(passed=not violations, basis_size=basis_size,
-                       pairs_checked=basis_size * (basis_size - 1) // 2,
-                       violations=violations)
+    # The distinct (gid[r, b], gid[r, r], gid[b, b]) of the pairs b > r,
+    # coded base ng.  return_counts keeps np.unique on its sorting path; the
+    # values-only path imports numpy.ma, about 3 MB more in a fresh process.
+    step = max(1, _CHUNK // nb)
+    codes = np.unique(np.concatenate([
+        np.unique(((gid[rows].astype(np.int64) * ng + own[rows, None]) * ng + diag)
+                  [np.arange(nb) > reps[rows, None]], return_counts=True)[0]
+        for rows in (slice(r0, r0 + step) for r0 in range(0, len(reps), step))]),
+        return_counts=True)[0]
+    triples = np.stack([codes // (ng * ng), codes // ng % ng, codes % ng])
+    if complexity2 is _OWN_COMPLEXITY2:
+        triples = triples[:, ~_passes_by_count(components, *triples)]
+    step = max(1, _CHUNK // (nk * nk))
+    if not ((failing(own, own, own) & strict_upper).any()
+            or any(failing(*triples[:, t0:t0 + step]).any()
+                   for t0 in range(0, triples.shape[1], step))):
+        return LemmaReport(passed=True, basis_size=basis_size,
+                           pairs_checked=basis_size * (basis_size - 1) // 2, violations=())
+    report = verify_lemma(enumerate2(j, g_max, closed_budget), Dim2Theory(j))
+    if report.passed:
+        raise AssertionError("the grid sweep fails where the pairwise check passes")
+    return report

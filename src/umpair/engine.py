@@ -198,8 +198,9 @@ class GramTensor:
 
     ``forms`` are the distinct closed forms, and ``ids[i, j]`` is the index
     of glue(rows[i], basis[j]) among them, so the 0/1 Gram matrix T^c of a
-    form c is ``matrix(c)``.  ``rows`` is the basis itself unless a row set
-    is given: the table is then rectangular, len(rows) x len(basis).
+    form c is ``ids == forms.index(c)``.  ``rows`` is the basis itself
+    unless a row set is given: the table is then rectangular,
+    len(rows) x len(basis).
     ``ranks[f]`` is the dense complexity rank of forms[f]: integer order of
     ranks is complexity order.
 
@@ -254,9 +255,6 @@ class GramTensor:
     def ranks(self) -> np.ndarray:
         return self.theory.complexity_ranks(self.forms)
 
-    def matrix(self, closed: Any) -> list[list[int]]:
-        return (self.ids == self.forms.index(closed)).astype(int).tolist()
-
 
 def _validated(theory: GluingTheory, descriptors: Iterable[Any]) -> tuple[Any, ...]:
     """``descriptors`` as a tuple, after one ``validate_basis`` call each."""
@@ -268,6 +266,24 @@ def _validated(theory: GluingTheory, descriptors: Iterable[Any]) -> tuple[Any, .
 
 # The largest int64, for the code kernels' fits-in-int64 checks.
 INT64_MAX = np.iinfo(np.int64).max
+
+
+def _packed(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
+    """Each row of ``digits`` as one mixed-radix integer, its first digit most
+    significant and digit i below radix[i].
+
+    Integer order of the codes is then lexicographic order of the rows, and
+    rows whose digit-wise sums stay below the radices add as their codes do.
+    The codes are int64 while every row fits it (the radix product is at most
+    2**63), and Python ints (dtype object) past that.
+    """
+    weights = []
+    product = 1
+    for r in reversed(radix):
+        weights.append(product)
+        product *= r
+    dtype = np.int64 if product - 1 <= INT64_MAX else object
+    return digits.astype(dtype) @ np.array(weights[::-1], dtype=dtype)
 
 
 def _fit_ids(ids: np.ndarray, count: int) -> np.ndarray:
@@ -318,9 +334,6 @@ class CodedForms(Sequence[Any]):
     def __iter__(self) -> Iterator[Any]:
         return iter(self._decoded())
 
-    def index(self, value: Any, *bounds: int) -> int:
-        return self._decoded().index(value, *bounds)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CodedForms):
             other = other._decoded()
@@ -339,11 +352,11 @@ def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarra
     (dtype object); codes are equal exactly when their closed forms are,
     and ``decode`` decodes one.  Only one chunk of rows is held at a time.
     The forms are ``CodedForms`` of the distinct codes, in the codes' dtype;
-    a table of one chunk lists them in ascending order, as ``_relabel`` does.
+    a table of one chunk lists them in ascending order, as ``np.unique`` does.
     """
     step = _chunk_rows(cols)
     if rows <= step:
-        distinct, inverse = _relabel(codes(0, rows))
+        distinct, inverse = np.unique(codes(0, rows), return_inverse=True)
         dtype = np.min_scalar_type(max(len(distinct) - 1, 0))
         return CodedForms(distinct, decode), inverse.astype(dtype).reshape(rows, cols)
     index: dict[int, int] = {}
@@ -351,33 +364,13 @@ def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarra
     ids = np.zeros((rows, cols), dtype=np.uint8)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        distinct, inverse = _relabel(codes(lo, hi))
+        distinct, inverse = np.unique(codes(lo, hi), return_inverse=True)
         dtype = np.result_type(dtype, distinct.dtype)
         slots = [index.setdefault(code, len(index)) for code in distinct.tolist()]
         ids = _fit_ids(ids, len(index))
         np.take(np.array(slots, dtype=ids.dtype), inverse.reshape(-1),
                 out=ids[lo:hi].reshape(-1))
     return CodedForms(np.fromiter(index, dtype=dtype, count=len(index)), decode), ids
-
-
-def _relabel(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(codes, return_inverse=True)`` for a 1-d array.
-
-    int64 codes that span no more values than there are codes are
-    relabelled through a presence mask instead of a sort; the distinct
-    values come out in the same ascending order.  Any other dtype is
-    sorted by ``np.unique``.
-    """
-    if codes.dtype == np.int64 and codes.size:
-        low = codes.min()
-        span = int(codes.max()) - int(low) + 1
-        if span <= codes.size:
-            offset = codes - low
-            seen = np.zeros(span, dtype=bool)
-            seen[offset] = True
-            return (np.flatnonzero(seen).astype(codes.dtype) + low,
-                    (np.cumsum(seen) - 1)[offset])
-    return np.unique(codes, return_inverse=True)
 
 
 def _dominance_failures(table: GramTensor, at: np.ndarray | None = None,

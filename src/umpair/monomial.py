@@ -35,7 +35,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import UniverseMismatchError, build_canonical, check_bounds, json_int
-from .engine import INT64_MAX, CodedForms, GluingTheory, table_from_codes
+from .engine import INT64_MAX, CodedForms, GluingTheory, _packed, table_from_codes
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,11 @@ class MonomialTheory(GluingTheory):
         orbit of total 0, which ``complexity_mono`` drops, keys to 0, below
         every real pair: padding a tuple with a strict minimum keeps its
         lexicographic order and equality.  So each form's keys, sorted in
-        descending order, rank as its complexity does.  Keys past int64
-        take the per-form path, and so do an empty table and an empty
-        alphabet, which it ranks trivially.
+        descending order, rank as its complexity does: they are ``_packed``
+        into one code per form, each column's radix one past its largest
+        key, and ranked by ``np.unique``.  Keys past int64 take the per-form
+        path, and so do an empty table and an empty alphabet, which it ranks
+        trivially.
         """
         packing = forms.decode if isinstance(forms, CodedForms) else None
         if not (self._complexity_is_own() and isinstance(packing, _Packing)
@@ -242,7 +244,9 @@ class MonomialTheory(GluingTheory):
         top = int(small.max()) + 1
         if int(total.max()) * top + top - 1 > INT64_MAX:
             return super().complexity_ranks(forms)
-        return _dense_row_ranks(np.sort(total * top + small, axis=1)[:, ::-1])
+        keys = np.sort(total * top + small, axis=1)[:, ::-1]
+        codes = _packed(keys, (keys.max(axis=0) + 1).tolist())
+        return np.unique(codes, return_inverse=True)[1].astype(np.int32)
 
     def orbits(self, basis: Sequence[Monomial]
                ) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] | None:
@@ -325,15 +329,6 @@ class _Packing:
         for k in range(len(self.letters)):
             codes, out[:, k] = np.divmod(codes, self.base)
         return out
-
-
-def _dense_row_ranks(rows: np.ndarray) -> np.ndarray:
-    """``engine.dense_ranks`` of the rows of a 2-d integer array, as tuples."""
-    order = np.lexsort(rows.T[::-1])
-    step = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
-    ranks = np.empty(len(rows), dtype=np.int32)
-    ranks[order] = np.concatenate(([0], np.cumsum(step)))
-    return ranks
 
 
 def _arrangements(values: Sequence[Any]) -> int:

@@ -13,10 +13,10 @@ from oracles import ComplexityTuple, euler_oracle, glued_genera, sorted_chi_comp
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
-from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _packed,
-                         _passes_by_count, _rank_table, closed_multisets, complexity2,
-                         core_gluing_table, core_orbits, enumerate2, glue2,
-                         verify_lemma_grid)
+from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _passes_by_count,
+                         _rank_table, closed_multisets, complexity2, core_gluing_table,
+                         core_orbits, enumerate2, glue2, verify_lemma_grid)
+from umpair.engine import _packed
 
 ANNULUS = Bounded2Manifold(2, (((0, 1), 0),))
 DISK = Bounded2Manifold(1, (((0,), 0),))
@@ -315,8 +315,8 @@ def test_grid_verifier_matches_generic_verifier(j, gmax, budget):
 
 
 def every_core_its_own_orbit(j, g_max):
-    """The trivial orbits: the first pass of the sweep is then the sweep over
-    every core pair, and a square core table is built only on a failure."""
+    """The trivial orbits: the representative rows are then every core, and
+    the sweep is the sweep over every core pair."""
     return np.arange(len(enumerate2(j, g_max, 0)))
 
 
@@ -349,8 +349,9 @@ def reversed_count(surface):
     (reversed_count, 2, 1, 1), (reversed_count, 3, 1, 1), (reversed_count, 4, 1, 0)])
 def test_failing_representative_sweep_falls_back_to_every_core(monkeypatch, order, j,
                                                                gmax, budget):
-    # A failing first pass reruns the sweep over every core pair, whose
-    # report equals the generic pairwise check's and the trivial orbits'.
+    # A failing sweep builds no core table past the representative rows and
+    # falls back to the generic check over every pair of basis elements,
+    # whose report the trivial orbits give too.
     import umpair.dim2 as dim2_module
 
     tables = []
@@ -362,7 +363,7 @@ def test_failing_representative_sweep_falls_back_to_every_core(monkeypatch, orde
     monkeypatch.setattr(dim2_module, "complexity2", order)
     monkeypatch.setattr(dim2_module, "core_gluing_table", recording)
     reduced = dim2_module.verify_lemma_grid(j, gmax, budget)
-    assert tables == [False, True]
+    assert tables == [False]
     generic = engine.verify_lemma(enumerate2(j, gmax, budget), Dim2Theory(j))
     assert not reduced.passed and reduced == generic
     monkeypatch.setattr(dim2_module, "core_orbits", every_core_its_own_orbit)
@@ -387,9 +388,9 @@ def test_representative_core_table_equals_the_square_rows(j, gmax):
 @pytest.mark.parametrize("j,gmax,budget", [(2, 2, 2), (3, 1, 2)])
 def test_failing_run_calls_complexity2_once_per_distinct_merged_multiset(
         monkeypatch, j, gmax, budget):
-    # The fallback reuses the rank table, so a failing run ranks no multiset
-    # twice.  Violations read their complexities through the theory, which
-    # is patched apart so that only the rank table's calls are counted.
+    # A failing run ranks no multiset twice.  The generic report reads its
+    # complexities through the theory, which is patched apart so that only
+    # the rank table's calls are counted.
     import umpair.dim2 as dim2_module
 
     calls = []
@@ -435,9 +436,20 @@ def test_grid_verifier_is_not_vacuous(monkeypatch):
     assert grid_report.violations == generic.violations
 
 
+def test_grid_verifier_raises_when_the_generic_verifier_passes(monkeypatch):
+    # A flat order fails the grid sweep, while the theory keeps complexity2:
+    # the two checks then disagree, which is a soundness defect.
+    import umpair.dim2 as dim2_module
+
+    monkeypatch.setattr(dim2_module, "complexity2", flat)
+    monkeypatch.setattr(Dim2Theory, "complexity", lambda self, closed: complexity2(closed))
+    with pytest.raises(AssertionError, match="pairwise check passes"):
+        dim2_module.verify_lemma_grid(2, 1, 1)
+
+
 def test_grid_verifier_matches_generic_verifier_on_partial_failures(monkeypatch):
-    # With components counted lighter, the failing triples must expand to
-    # exactly the pairs the generic check reports, in the same order.
+    # With components counted lighter, some pairs fail and others pass; the
+    # grid must report exactly the pairs the generic check reports, in order.
     import umpair.dim2 as dim2_module
 
     monkeypatch.setattr(dim2_module, "complexity2", reversed_count)
@@ -669,7 +681,7 @@ def test_core_table_on_object_codes_matches_glue2(monkeypatch, j, gmax):
         return packed[-1]
 
     int64_table, int64_genera = core_gluing_table(j, gmax)
-    monkeypatch.setattr(dim2_module, "INT64_MAX", 0)
+    monkeypatch.setattr(engine, "INT64_MAX", 0)
     monkeypatch.setattr(dim2_module, "_packed", recording)
     cores = enumerate2(j, gmax, 0)
     gid, genera = core_gluing_table(j, gmax)

@@ -463,6 +463,32 @@ def test_complexity_ranks_equal_the_per_form_ranks(monkeypatch, name):
     assert ranks.dtype == np.int32 and path_calls == (0 if fast else len(forms))
 
 
+def test_complexity_ranks_past_int64_packing_equal_the_per_form_ranks(monkeypatch):
+    # Nine primes with one swap give eight keys per form.  Exponents up to 25
+    # keep the codes int64 (51**9 < 2**63), but the keys reach 1,000-4,000
+    # per column, so the radix product of their packing passes 2**63 and
+    # the packed keys are Python ints.
+    sigma = Involution(tuple(f"p{k}" for k in range(9)), (("p0", "p1"),))
+    rng = np.random.default_rng(20524)
+    rows = [Monomial(tuple(zip(sigma.alphabet, rng.integers(0, 26, size=9).tolist())))
+            for _ in range(12)]
+    theory = MonomialTheory(sigma)
+    forms, _ = theory.glue_table(rows)
+    packed = []
+
+    def recording(digits, radix):
+        packed.append(engine._packed(digits, radix))
+        return packed[-1]
+
+    monkeypatch.setattr(monomial, "_packed", recording)
+    ranks = theory.complexity_ranks(forms)
+    assert forms.codes.dtype == np.int64
+    assert [codes.dtype for codes in packed] == [object] and max(packed[0]) > 2**63
+    assert ranks.tolist() == engine.dense_ranks([complexity_mono(c, sigma)
+                                                 for c in forms]).tolist()
+    assert ranks.dtype == np.int32
+
+
 def _counting_decodes(monkeypatch):
     """The codes of every packed monomial decoded, as a list."""
     calls = []
