@@ -54,6 +54,8 @@ def _read_json(path: str) -> Any:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _write_output(args: argparse.Namespace, payload: Any) -> None:

@@ -26,12 +26,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .algebra import (UniverseMismatchError, build_canonical, canonical_key, check_bounds,
-                      json_int, json_list)
+from .algebra import UniverseMismatchError, build_canonical, check_bounds, json_int, json_list
 from .engine import INT64_MAX, GluingTheory, table_from_codes
 from .monomial import Involution, Monomial
 
@@ -95,8 +94,8 @@ class Bounded1Manifold:
         """Matched negative labels, aligned with boundary.pos."""
         return tuple(n for _, n in self.matching)
 
-    def universe_key(self) -> str:
-        return canonical_key(self.boundary)
+    def universe_key(self) -> Boundary0:
+        return self.boundary
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -148,7 +147,8 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
     (m's matching composed with the inverse of n's matching) on the positive
     points; cycles are counted by explicit visited-marking traversal.
     ``Dim1Theory.glue_table`` counts the same cycles for a whole basis,
-    reading them from ``_cycle_table`` up to j = 8.
+    reading them from ``_cycle_table`` up to j = 8 and by ``_cycle_counts``
+    past it.
     """
     if m.boundary != n.boundary:
         raise UniverseMismatchError(
@@ -175,8 +175,8 @@ def _cycles(perm: Sequence[int]) -> int:
 
 
 # Largest boundary size whose cycle table (j**j int8 entries: 0.8 MB at
-# j = 7, 16.8 MB at j = 8) is built; past it cycles are counted per distinct
-# code.
+# j = 7, 16.8 MB at j = 8) is built; past it cycles are counted by
+# ``_cycle_counts`` on the permutations themselves.
 _MAX_CODED_J = 8
 
 
@@ -206,36 +206,17 @@ def _cycle_table(j: int) -> np.ndarray:
     return table
 
 
-def _cycle_counter(j: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A function giving the cycle count at each code of an array of
-    permutation codes of range(j) (int64 while j**j fits, else Python ints).
-
-    Up to ``_MAX_CODED_J`` it reads ``_cycle_table(j)``.  Past it cycles are
-    counted once per distinct code and found again by binary search in the
-    codes met so far, over every array the function is given.
-    """
-    if j <= _MAX_CODED_J:
-        return _cycle_table(j).__getitem__
-    # Codes met so far, sorted, and their cycle counts; the identity's
-    # (on every diagonal) keeps the lookup array from ever being empty.
-    known = np.array([sum(k * j ** k for k in range(j))],
-                     dtype=np.int64 if j ** j <= INT64_MAX else object)
-    cycles = np.array([j], dtype=np.int64)
-
-    def count(block: np.ndarray) -> np.ndarray:
-        nonlocal known, cycles
-        codes, slot = np.unique(block, return_inverse=True)
-        at = np.searchsorted(known, codes)
-        new = codes[np.take(known, at, mode="clip") != codes]
-        if len(new):
-            counts = [_cycles([code // j ** k % j for k in range(j)]) for code in new.tolist()]
-            order = np.argsort(np.concatenate((known, new)), kind="stable")
-            known = np.concatenate((known, new))[order]
-            cycles = np.concatenate((cycles, counts))[order]
-            at = np.searchsorted(known, codes)
-        return cycles[at[slot]].reshape(block.shape)
-
-    return count
+def _cycle_counts(perms: np.ndarray) -> np.ndarray:
+    """Cycle count of each permutation of range(j) along the last axis, by
+    pointer doubling over flat indices: ``low`` is the smallest point on the
+    path of w points from each point and ``step`` the point w steps on.  Once
+    w >= j each path is a whole cycle, so one point per cycle is its own low."""
+    points = np.arange(perms.size).reshape(perms.shape)  # the flat index of each point
+    low, step, w = points, perms + points[..., :1], 1
+    while w < perms.shape[-1]:
+        low = np.minimum(low, low.take(step))
+        step, w = step.take(step), 2 * w
+    return np.count_nonzero(low == points, axis=-1)
 
 
 def complexity1(c: Closed1Manifold) -> int:
@@ -281,37 +262,39 @@ class Dim1Theory(GluingTheory):
     def glue_table(self, rows: Sequence[Bounded1Manifold],
                    cols: Sequence[Bounded1Manifold] | None = None
                    ) -> tuple[Sequence[Closed1Manifold], np.ndarray]:
-        """The rows x cols glue table through permutation codes, one chunk of
-        rows at a time; ``cols`` defaults to ``rows``.
+        """The rows x cols glue table, one chunk of rows at a time; ``cols``
+        defaults to ``rows``.
 
         With inv[r, v] the positive point that element r matches to negative
         point v, and W[r, v] = j**inv[r, v], (W[rows] @ inv[cols].T)[r, s] is
         the mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
-        cycles ``glue1`` counts; ``_cycle_counter(j)`` reads them.  Codes and
-        circle counts are int64 while they fit, else Python ints.
+        cycles ``glue1`` counts; ``_cycle_table(j)`` reads them.  Past j = 8,
+        ``_cycle_counts`` counts its conjugate v -> sigma_r(inv[s, v]) instead.
+        Circle counts are int64 while they fit, else Python ints.
         """
         cols = rows if cols is None else cols
-        j, limit = len(self.boundary.pos), INT64_MAX
+        j = len(self.boundary.pos)
         neg = {label: v for v, label in enumerate(self.boundary.neg)}
 
         def arrays(side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, np.ndarray]:
             closed = [b.closed_circles for b in side]
-            carried = np.array(closed, dtype=np.int64 if 2 * max(closed, default=0) + j <= limit
-                               else object)
+            top = 2 * max(closed, default=0) + j  # the largest circle count of a cell
+            carried = np.array(closed, dtype=np.int64 if top <= INT64_MAX else object)
             targets = np.array([neg[t] for b in side for _, t in b.matching],
-                               dtype=np.intp).reshape(len(side), j)
-            inv = np.empty((len(side), j), dtype=np.int64 if j ** j <= limit else object)
+                               dtype=np.int64).reshape(len(side), j)
+            inv = np.empty_like(targets)
             inv[np.arange(len(side))[:, None], targets] = np.arange(j)
             return inv, carried
 
         inv, carried = arrays(cols)
         row_inv, row_carried = (inv, carried) if cols is rows else arrays(rows)
-        weights = j ** row_inv
-        count = _cycle_counter(j)
 
         def circles(lo: int, hi: int) -> np.ndarray:
-            pairs = count(weights[lo:hi] @ inv.T) + row_carried[lo:hi, None] + carried
-            return pairs.reshape(-1)
+            if j <= _MAX_CODED_J:
+                cycles = _cycle_table(j)[j ** row_inv[lo:hi] @ inv.T]
+            else:  # sigma_r is the inverse of inv[r], an argsort
+                cycles = _cycle_counts(np.argsort(row_inv[lo:hi], axis=1)[:, inv])
+            return (cycles + row_carried[lo:hi, None] + carried).reshape(-1)
 
         return table_from_codes(len(rows), len(cols), circles, Closed1Manifold)
 

@@ -183,6 +183,18 @@ def test_wrong_shape_descriptors_exit_1_without_traceback(tmp_path, capsys, theo
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--theory", "dim1", "--x"],
+    ["fourdim-demo", "--in"],
+])
+def test_deeply_nested_json_exits_1_without_traceback(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 GOOD_TABLE = {"labels": ["A"], "table": {"A,A": "X"}, "reverse": {"X": "X"}}
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import arc_walk_circles, loop_lemma
 
@@ -146,6 +147,54 @@ def test_glue_table_past_the_coded_bound_builds_no_cycle_table(monkeypatch):
              for _ in range(6)]
     forms, ids = Dim1Theory(boundary).glue_table(tuple(basis))
     assert [[forms[ids[r, s]] for s in range(6)] for r in range(6)] == [
+        [glue1(a, b) for b in basis] for a in basis]
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_cycle_counts_equal_the_scalar_count_on_every_permutation(j):
+    perms = list(itertools.permutations(range(j)))
+    counts = dim1._cycle_counts(np.array(perms, dtype=np.int64).reshape(len(perms), j))
+    assert counts.tolist() == [dim1._cycles(perm) for perm in perms]
+
+
+@pytest.mark.parametrize("j", [8, 9, 12, 15, 16, 17, 20])
+def test_cycle_counts_equal_the_scalar_count_on_random_permutations(j):
+    rng = random.Random(f"cycles-{j}")
+    perms = [rng.sample(range(j), j) for _ in range(300)]
+    # Long cycles need every doubling round: one j-cycle and one (j-1)-cycle.
+    perms += [list(range(1, j)) + [0], [0] + list(range(2, j)) + [1]]
+    counts = dim1._cycle_counts(np.array(perms, dtype=np.int64))
+    assert counts.tolist() == [dim1._cycles(perm) for perm in perms]
+
+
+@pytest.mark.parametrize("chunk", [engine._CHUNK, 40])
+@pytest.mark.parametrize("j", [9, 12, 16, 20])
+def test_glue_table_past_the_coded_bound_equals_glue1(monkeypatch, j, chunk):
+    # A 40-cell chunk splits the 11-column table into chunks of 3 rows.
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    boundary, rng = standard_boundary(j), random.Random(f"wide-{j}")
+    basis = [Bounded1Manifold(boundary, tuple(zip(boundary.pos, rng.sample(boundary.neg, j))),
+                              rng.randrange(3)) for _ in range(10)]
+    basis.append(basis[0])  # a repeated element glues to its own reversal
+    theory = Dim1Theory(boundary)
+    for rows in (basis, basis[:5]):
+        forms, ids = theory.glue_table(tuple(rows), tuple(basis))
+        assert forms.codes.dtype == np.int64
+        assert [[forms[ids[r, s]] for s in range(len(basis))] for r in range(len(rows))] == [
+            [glue1(a, b) for b in basis] for a in rows]
+    forms, ids = theory.glue_table(tuple(basis))
+    assert [[forms[ids[r, s]] for s in range(len(basis))] for r in range(len(basis))] == [
+        [glue1(a, b) for b in basis] for a in basis]
+
+
+def test_glue_table_past_the_coded_bound_carries_counts_past_int64():
+    j, big = 10, 2 ** 63
+    boundary, rng = standard_boundary(j), random.Random("wide-carried")
+    basis = [Bounded1Manifold(boundary, tuple(zip(boundary.pos, rng.sample(boundary.neg, j))),
+                              closed) for closed in (0, 1, big, big + 5)]
+    forms, ids = Dim1Theory(boundary).glue_table(tuple(basis))
+    assert forms.codes.dtype == object
+    assert [[forms[ids[r, s]] for s in range(4)] for r in range(4)] == [
         [glue1(a, b) for b in basis] for a in basis]
 
 
