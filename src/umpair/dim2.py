@@ -35,10 +35,14 @@ the tests enforce that, and check the core table against glue2.
    circle partitions, so components are found once per pair of a
    partition holding a representative with any partition, by the one
    bitmask ``_merge`` that glue2 shares; a component's genus is the genus sum
-   of its parts + E - V + 1 (E circles, V parts), computed for every pair
-   of genus assignments at once by an integer matrix product.  Each cell's
-   genera are sorted and packed into one integer code, and each core pair
-   gets an id of its code, that is of its genus multiset.
+   of its parts + E - V + 1 (E circles, V parts).  The table takes one pass
+   per partition holding a row: its components against every partition
+   sit side by side, each gluing's right-aligned in j columns padded with
+   0, so one integer matrix product and one gather give every cell's
+   genera, each plus 1.  A network of column compare-exchanges sorts them,
+   0s first, and they pack into one integer code, equal to the code of the
+   unpadded digits as each real digit is at least 1.  Each core pair gets
+   an id of its code, that is of its genus multiset.
 2. Ranks.  Each merged multiset (core genera plus the union of two closed
    multisets) is coded by its (n, total genus, genus histogram from the top
    genus down) in mixed radix, so that the code of a union is the sum of
@@ -280,6 +284,16 @@ def closed_multisets(g_max: int, budget: int) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda t: (len(t), t))
 
 
+def _core_blocks(j: int, g_max: int) -> list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]:
+    """(partition, genera) for each partition of the j circles, in
+    enumerate2's order: genera[i] lists the block genera of the partition's
+    i-th core, the genus assignments in itertools.product order."""
+    return [(partition,
+             np.array(list(itertools.product(range(g_max + 1), repeat=len(partition))),
+                      dtype=np.int32))
+            for partition in _set_partitions(j)]
+
+
 def enumerate2(j: int, g_max: int, closed_budget: int = 0) -> list[Bounded2Manifold]:
     """Every canonical bounded surface over j circles within the bounds.
 
@@ -291,8 +305,8 @@ def enumerate2(j: int, g_max: int, closed_budget: int = 0) -> list[Bounded2Manif
     closeds = closed_multisets(g_max, closed_budget)
     # Blocks come sorted and ordered by smallest element, and each closed
     # multiset sorted, so every element is built already canonical.
-    for partition in _set_partitions(j):
-        for genera in itertools.product(range(g_max + 1), repeat=len(partition)):
+    for partition, assignments in _core_blocks(j, g_max):
+        for genera in assignments.tolist():
             parts = tuple(zip(partition, genera))
             for closed in closeds:
                 out.append(build_canonical(Bounded2Manifold, boundary_circles=j,
@@ -325,25 +339,38 @@ class Dim2Theory(GluingTheory):
                 f"{self.boundary_circles} circles")
 
 
-def _components(left: tuple[tuple[int, ...], ...],
-                right: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Components of the gluing of two circle partitions, genera aside.
+def _components(masks: list[list[int]], p: int, j: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Components of the gluing of circle partition p with every partition q,
+    genera aside, each gluing's laid out right-aligned in j columns.
 
-    Returns (incidence, offset): incidence[v, c] is 1 when part v (the parts
-    of ``left``, then those of ``right``) lies in component c, and offset[c]
-    is E - V + 1 for its E circles and V parts.  A component's genus is the
-    genus sum of its parts plus its offset.  The components are those of
-    ``_merge``, weighted by their part count.
+    masks[q] lists the circle bitmasks of the blocks of partition q; the
+    components are those of ``_merge``, weighted by their part count, and a
+    gluing has at most j of them.  Returns (left, right, offset):
+    left[v, k, q] is 1 when block v of p lies in the component in column k
+    of the gluing with q, right[u, k] likewise for the u-th block of the
+    partitions taken in turn, and offset[q, k] is that component's
+    E - V + 2 for its E circles and V parts.  A component's genus is the
+    genus sum of its parts plus E - V + 1, so its genus plus 1 is offset
+    plus the genera summed through left and right.  Unused columns are 0
+    in all three.
     """
-    masks = [sum(1 << c for c in circles) for circles in left + right]
-    split = len(left)
-    components = _merge([(mask, 1) for mask in masks[:split]],
-                        [(mask, 1) for mask in masks[split:]])
-    incidence = np.array([[part & mask != 0 for mask, _ in components] for part in masks],
-                         dtype=np.int32).reshape(len(masks), len(components))
-    offset = np.array([mask.bit_count() - parts + 1 for mask, parts in components],
-                      dtype=np.int32)
-    return incidence, offset
+    left = np.zeros((len(masks[p]), j, len(masks)), dtype=np.int32)
+    right = np.zeros((sum(map(len, masks)), j), dtype=np.int32)
+    offset = np.zeros((len(masks), j), dtype=np.int32)
+    u = 0
+    for q, other in enumerate(masks):
+        components = _merge([(mask, 1) for mask in masks[p]], [(mask, 1) for mask in other])
+        for k, (component, parts) in enumerate(components, j - len(components)):
+            offset[q, k] = component.bit_count() - parts + 2
+            for v, mask in enumerate(masks[p]):
+                if mask & component:
+                    left[v, k, q] = 1
+            for i, mask in enumerate(other):
+                if mask & component:
+                    right[u + i, k] = 1
+        u += len(other)
+    return left, right, offset
 
 
 def core_orbits(j: int, g_max: int) -> np.ndarray:
@@ -354,15 +381,30 @@ def core_orbits(j: int, g_max: int) -> np.ndarray:
     sorted multiset of (block size, genus) over its parts.  It is a complete
     invariant: two partitions with the same block sizes are related by a
     relabelling, which can then match up the blocks of equal (size, genus).
+    Each part is keyed by size (g_max + 1) + genus, at least 1, and a core's
+    keys, padded with 0 to width j and sorted, pack into one code.
     """
     check_bounds({"j": j, "g_max": g_max})
-    slot: dict[tuple[tuple[int, int], ...], int] = {}
-    return np.array([slot.setdefault(tuple(sorted(zip(map(len, partition), genera))),
-                                     len(slot))
-                     for partition in _set_partitions(j)
-                     for genera in itertools.product(range(g_max + 1),
-                                                     repeat=len(partition))],
-                    dtype=np.intp)
+    blocks = _core_blocks(j, g_max)
+    keys = np.zeros((sum(len(genera) for _, genera in blocks), j), dtype=np.int32)
+    start = 0
+    for partition, genera in blocks:
+        sizes = np.array([len(block) for block in partition], dtype=np.int32)
+        keys[start:start + len(genera), :len(partition)] = sizes * (g_max + 1) + genera
+        start += len(genera)
+    keys.sort(axis=1)
+    _, first, inverse = np.unique(_packed(keys, [(j + 1) * (g_max + 1)] * j),
+                                  return_index=True, return_inverse=True)
+    number = np.empty(len(first), dtype=np.intp)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[inverse]
+
+
+# Cells per chunk of rows in core_gluing_table.  At 1 << 13 a chunk's int32
+# digits stay within 128 kB at j <= 4 and every temporary within a few
+# hundred kB whatever the table's size; 1 << 14 took the same time and left
+# about 0.5 MB more peak RSS after 300 verify-dim2 passes in one process.
+_TABLE_CHUNK = 1 << 13
 
 
 def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
@@ -372,44 +414,68 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     The cores are enumerate2(j, g_max, 0), in that order, and ``rows`` are
     core indices (every core when omitted, giving the square table).
     Returns (gid, genera) with genera[gid[i, b]] ==
-    glue2(cores[rows[i]], cores[b]).genera.  Components are found once per
-    pair of circle partitions with a row on the left; the genera of every pair
-    of genus assignments of those partitions then come from products with
-    the component incidence matrix.  Each cell's genera, sorted and each
-    raised by 1, pack into one ``_packed`` code of base 2 j g_max + j + 2:
-    a component has at most 2j parts, each of genus at most g_max, and
-    E - V + 1 < j, so every digit lies in 1..base - 1.  No digit is 0, so
-    multisets of different lengths never share a code.  Each block of cells
-    is deduplicated on its own codes (one np.unique over the whole table
-    would hold every code at once), and its distinct codes take global ids
-    through one dict; the multisets are unpacked from the codes at the end.
+    glue2(cores[rows[i]], cores[b]).genera.  Each cell's genera, sorted and
+    each raised by 1, pack into one ``_packed`` code of base
+    2 j g_max + j + 2: a component has at most 2j parts, each of genus at
+    most g_max, and E - V + 1 < j, so every digit lies in 1..base - 1.
+
+    The table is built in one pass per partition p that holds a row.  The
+    components of p glued with each partition q (``_components``) are laid
+    side by side, each gluing's right-aligned in j columns, so that one
+    matrix product of the rows' genera and one gather by each core's
+    partition give every cell's j digits, with the columns a gluing leaves
+    unused at 0.  A network of j(j - 1)/2 column compare-exchanges sorts
+    them, the 0s first; as every real digit is at least 1, a cell's padded
+    code equals the code of its digits alone, and multisets of different
+    lengths never share a code.  Each chunk of rows is deduplicated on its
+    own codes (one np.unique over the whole table would hold every code at
+    once), and its distinct codes take global ids through one dict; the
+    multisets are unpacked from the codes at the end.
     """
     check_bounds({"j": j, "g_max": g_max})
-    partitions = list(_set_partitions(j))
-    assignments = [np.array(list(itertools.product(range(g_max + 1), repeat=len(p))),
-                            dtype=np.int32) for p in partitions]  # enumerate2's order
-    starts = np.cumsum([0] + [len(a) for a in assignments])
-    row_cores = np.arange(starts[-1]) if rows is None else np.asarray(rows, dtype=np.intp)
-    gid = np.empty((len(row_cores), starts[-1]), dtype=np.int32)
+    blocks = _core_blocks(j, g_max)
+    sizes = [len(genera) for _, genera in blocks]
+    starts = np.cumsum([0] + sizes)
+    n = int(starts[-1])
+    row_cores = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    if ((row_cores < 0) | (row_cores >= n)).any():
+        raise IndexError(f"core rows must lie in 0..{n - 1}")
+    row_part = np.searchsorted(starts, row_cores, side="right") - 1
+    core_part = np.repeat(np.arange(len(blocks)), sizes)
+    masks = [[sum(1 << c for c in block) for block in partition] for partition, _ in blocks]
+    # genera_by_part[b] holds core b's genera in its partition's block
+    # columns, so a product with it sums, per core, one row per block.
+    part_starts = np.cumsum([0] + [len(partition) for partition, _ in blocks])
+    genera_by_part = np.zeros((n, part_starts[-1]), dtype=np.int32)
+    for q, (_, genera) in enumerate(blocks):
+        genera_by_part[starts[q]:starts[q + 1], part_starts[q]:part_starts[q + 1]] = genera
+    gid = np.empty((len(row_cores), n), dtype=np.int32)
     base = 2 * j * g_max + j + 2
     ids: dict[int, int] = {}
-    for p in range(len(partitions)):
-        mine = np.flatnonzero((row_cores >= starts[p]) & (row_cores < starts[p + 1]))
-        if not len(mine):
-            continue
-        left_genera = assignments[p][row_cores[mine] - starts[p]]
-        for q in range(len(partitions)):
-            incidence, offset = _components(partitions[p], partitions[q])
-            split = len(partitions[p])
-            left = left_genera @ incidence[:split]
-            right = assignments[q] @ incidence[split:]
-            digits = np.sort(left[:, None, :] + right[None, :, :] + (offset + 1), axis=2)
-            codes = _packed(digits.reshape(len(left) * len(right), -1), [base] * len(offset))
+    step = max(1, _TABLE_CHUNK // n)
+    # sorted(set(...)): a values-only np.unique would import numpy.ma.
+    for p in sorted(set(row_part.tolist())):
+        left, right, offset = _components(masks, p, j)
+        left = left.reshape(len(left), j * len(blocks))
+        # right_digits[k, b]: what core b adds to the digit in column k.
+        right_digits = np.ascontiguousarray((genera_by_part @ right + offset[core_part]).T)
+        mine = np.flatnonzero(row_part == p)
+        for r0 in range(0, len(mine), step):
+            chunk = mine[r0:r0 + step]
+            digits = (blocks[p][1][row_cores[chunk] - starts[p]] @ left).reshape(
+                len(chunk), j, len(blocks))[:, :, core_part] + right_digits
+            columns = list(digits.transpose(1, 0, 2))
+            for end in range(j - 1, 0, -1):
+                for k in range(end):
+                    columns[k], columns[k + 1] = (np.minimum(columns[k], columns[k + 1]),
+                                                  np.maximum(columns[k], columns[k + 1]))
+            for k, column in enumerate(columns):
+                digits[:, k] = column
+            codes = _packed(digits.transpose(0, 2, 1), [base] * j)
             distinct, inverse = np.unique(codes, return_inverse=True)
             global_ids = np.array([ids.setdefault(code, len(ids))
                                    for code in distinct.tolist()], dtype=np.int32)
-            gid[mine, starts[q]:starts[q + 1]] = global_ids[inverse].reshape(
-                len(left), len(right))
+            gid[chunk] = global_ids[inverse].reshape(len(chunk), n)
 
     def unpacked(code: int) -> tuple[int, ...]:
         genera = []

@@ -250,7 +250,8 @@ def brute_force_orbit_numbers(j, gmax):
     return [number[first] for first in firsts]
 
 
-@pytest.mark.parametrize("j,gmax", [(j, g) for j in range(5) for g in range(3)])
+@pytest.mark.parametrize("j,gmax", [(j, g) for j in range(5) for g in range(3)]
+                         + [(5, 0), (5, 1)])
 def test_core_orbit_labels_are_the_relabelling_orbits(j, gmax):
     # Equal labels exactly when the cores share an orbit, numbered in order
     # of first appearance.
@@ -383,6 +384,34 @@ def test_representative_core_table_equals_the_square_rows(j, gmax):
         assert ([[genera[g] for g in row] for row in table.tolist()]
                 == [[square_genera[g] for g in row] for row in square[rows].tolist()])
     assert set(core_gluing_table(j, gmax, rows=reps)[1]) == set(square_genera)
+
+
+@pytest.mark.parametrize("j,gmax", [(0, 2), (1, 3), (2, 2), (3, 2)])
+def test_core_table_is_the_same_one_row_per_chunk(monkeypatch, j, gmax):
+    # With one row per chunk every row is deduplicated on its own, and the
+    # ids its codes take must still name one multiset each across chunks.
+    # Every core in reverse, then repeats: rows of every partition, out of
+    # order and twice over.
+    import umpair.dim2 as dim2_module
+
+    cores = enumerate2(j, gmax, 0)
+    rows = [*reversed(range(len(cores))), len(cores) // 2, len(cores) // 2, 0]
+
+    def labels():
+        gid, genera = core_gluing_table(j, gmax, rows=rows)
+        assert len(set(genera)) == len(genera)
+        return [[genera[g] for g in row] for row in gid.tolist()]
+
+    default = labels()
+    monkeypatch.setattr(dim2_module, "_TABLE_CHUNK", 1)
+    assert labels() == default == [[glue2(cores[a], n).genera for n in cores]
+                                   for a in rows]
+
+
+@pytest.mark.parametrize("rows", [[-1], [0, 2]])
+def test_core_table_rejects_rows_past_the_cores(rows):
+    with pytest.raises(IndexError, match=r"core rows must lie in 0\.\.1"):
+        core_gluing_table(2, 0, rows=rows)
 
 
 @pytest.mark.parametrize("j,gmax,budget", [(2, 2, 2), (3, 1, 2)])
@@ -576,9 +605,11 @@ def test_unpatched_grid_sweep_never_calls_complexity2(monkeypatch):
     assert profiled_sweep().passed and len(calls) == len(set(calls)) > 0
 
 
-@pytest.mark.parametrize("j", range(5))
+@pytest.mark.parametrize("j", range(6))
 def test_core_table_matches_glue2_on_every_core_pair(j):
-    gmax = 3 if j < 4 else 1  # j = 4 has 15 partitions; g_max 1 keeps 94 cores
+    # j = 4 has 15 partitions, and g_max 1 keeps 94 cores; j = 5 sorts up to
+    # five genera per cell, and g_max 0 keeps its 52 cores.
+    gmax = {4: 1, 5: 0}.get(j, 3)
     cores = enumerate2(j, gmax, 0)
     gid, genera = core_gluing_table(j, gmax)
     assert gid.shape == (len(cores), len(cores))
@@ -685,6 +716,7 @@ def test_core_table_on_object_codes_matches_glue2(monkeypatch, j, gmax):
     monkeypatch.setattr(dim2_module, "_packed", recording)
     cores = enumerate2(j, gmax, 0)
     gid, genera = core_gluing_table(j, gmax)
+    assert any(codes.size for codes in packed)
     assert all(codes.dtype == object for codes in packed if codes.size)
     assert [[genera[g] for g in row] for row in gid.tolist()] == [
         [glue2(m, n).genera for n in cores] for m in cores]
@@ -709,15 +741,17 @@ def test_rank_table_past_int64_matches_the_per_multiset_ranks(monkeypatch):
     assert [codes.dtype for codes in packed] == [object, object]
 
 
-def test_grid_sweep_does_not_import_numpy_ma():
-    # np.unique's values-only path imports numpy.ma, about 3 MB of peak RSS
-    # in a fresh process; the sweep must not take it.
+@pytest.mark.parametrize("bounds", [(2, 1, 1), (4, 3, 3)], ids=["2-1-1", "4-3-3"])
+def test_grid_sweep_does_not_import_numpy_ma(bounds):
+    # np.unique's values-only path imports numpy.ma, about 2-3 MB of peak
+    # RSS in a fresh process; the sweep must not take it, at a toy size or
+    # at the benchmark's.
     src = str(Path(umpair.__file__).resolve().parents[1])
     script = ("import sys; sys.path.insert(0, sys.argv[1]); "
               "from umpair.dim2 import verify_lemma_grid; "
-              "assert verify_lemma_grid(2, 1, 1).passed; "
+              "assert verify_lemma_grid(*map(int, sys.argv[2:])).passed; "
               "print('numpy.ma' in sys.modules)")
-    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+    result = subprocess.run([sys.executable, "-I", "-c", script, src, *map(str, bounds)],
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
