@@ -71,28 +71,22 @@ def standard_boundary(j: int) -> Boundary0:
 class Bounded1Manifold:
     """Arcs as a matching pos -> neg, plus closed circles carried along.
 
-    ``matching`` is stored as (pos, neg) pairs aligned with the order of
-    ``boundary.pos``; equality of the stored data is exactly equivalence of
-    the manifolds rel boundary.
+    ``targets[k]`` is the index in ``boundary.neg`` of the point matched to
+    ``boundary.pos[k]``, so ``targets`` is a permutation of
+    range(len(boundary.neg)); equality of the stored data is exactly
+    equivalence of the manifolds rel boundary.
     """
 
     boundary: Boundary0
-    matching: tuple[tuple[str, str], ...]
+    targets: tuple[int, ...]
     closed_circles: int = 0
 
     def __post_init__(self) -> None:
         if self.closed_circles < 0:
             raise ValueError("closed_circles must be nonnegative")
-        if tuple(p for p, _ in self.matching) != self.boundary.pos:
-            raise ValueError("matching must list every positive label once, in boundary order")
-        targets = [n for _, n in self.matching]
-        if sorted(targets) != sorted(self.boundary.neg):
+        if (len(self.targets) != len(self.boundary.pos)
+                or sorted(self.targets) != list(range(len(self.boundary.neg)))):
             raise ValueError("matching must hit every negative label exactly once")
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        """Matched negative labels, aligned with boundary.pos."""
-        return tuple(n for _, n in self.matching)
 
     def universe_key(self) -> Boundary0:
         return self.boundary
@@ -101,7 +95,8 @@ class Bounded1Manifold:
         return {
             "dim": 1,
             "boundary": self.boundary.to_json(),
-            "matching": dict(self.matching),
+            "matching": {p: self.boundary.neg[t]
+                         for p, t in zip(self.boundary.pos, self.targets)},
             "closed_circles": self.closed_circles,
         }
 
@@ -115,8 +110,9 @@ class Bounded1Manifold:
                 or not all(isinstance(n, str) for n in mapping.values())):
             raise ValueError(
                 f"matching must map each positive label to a label, got {mapping!r}")
-        matching = tuple((p, mapping[p]) for p in boundary.pos)
-        return cls(boundary, matching,
+        neg = {label: t for t, label in enumerate(boundary.neg)}
+        targets = tuple(neg.get(mapping[p], -1) for p in boundary.pos)  # -1: unknown label
+        return cls(boundary, targets,
                    json_int(data.get("closed_circles", 0), "closed_circles"))
 
 
@@ -144,7 +140,7 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
     """Glue m to the orientation reversal of n along their shared boundary.
 
     Circles of the glued manifold correspond to cycles of the permutation
-    (m's matching composed with the inverse of n's matching) on the positive
+    (m.targets composed with the inverse of n.targets) on the positive
     points; cycles are counted by explicit visited-marking traversal.
     ``Dim1Theory.glue_table`` counts the same cycles for a whole basis,
     reading them from ``_cycle_table`` up to j = 8 and by ``_cycle_counts``
@@ -153,9 +149,8 @@ def glue1(m: Bounded1Manifold, n: Bounded1Manifold) -> Closed1Manifold:
     if m.boundary != n.boundary:
         raise UniverseMismatchError(
             f"boundary mismatch: {m.boundary} vs {n.boundary}")
-    pos_index = {p: i for i, p in enumerate(m.boundary.pos)}
-    through_n = {neg: pos_index[p] for p, neg in n.matching}
-    perm = [through_n[neg] for neg in m.targets]
+    through_n = sorted(range(len(n.targets)), key=n.targets.__getitem__)  # n's inverse
+    perm = [through_n[t] for t in m.targets]
     return Closed1Manifold(_cycles(perm) + m.closed_circles + n.closed_circles)
 
 
@@ -227,8 +222,8 @@ def complexity1(c: Closed1Manifold) -> int:
 def enumerate1(boundary: Boundary0, max_closed: int = 0) -> list[Bounded1Manifold]:
     """Every canonical bounded 1-manifold over ``boundary``.
 
-    Yields all j! matchings (permutations of the negative labels in
-    lexicographic order) with each closed-circle count from 0 to max_closed.
+    Yields all j! matchings (the permutations of range(j) in lexicographic
+    order) with each closed-circle count from 0 to max_closed.
     When the boundary has unequal positive and negative counts no oriented
     bounded 1-manifold exists and the basis is empty.
     """
@@ -236,13 +231,12 @@ def enumerate1(boundary: Boundary0, max_closed: int = 0) -> list[Bounded1Manifol
     if len(boundary.pos) != len(boundary.neg):
         return []
     out = []
-    # Each matching lists the positive labels in boundary order and hits
-    # every negative label once, so every element is built already canonical.
-    for targets in itertools.permutations(boundary.neg):
-        matching = tuple(zip(boundary.pos, targets))
+    # Each permutation hits every negative point once, so every element is
+    # built already canonical.
+    for targets in itertools.permutations(range(len(boundary.neg))):
         for closed in range(max_closed + 1):
             out.append(build_canonical(Bounded1Manifold, boundary=boundary,
-                                       matching=matching, closed_circles=closed))
+                                       targets=targets, closed_circles=closed))
     return out
 
 
@@ -265,35 +259,34 @@ class Dim1Theory(GluingTheory):
         """The rows x cols glue table, one chunk of rows at a time; ``cols``
         defaults to ``rows``.
 
-        With inv[r, v] the positive point that element r matches to negative
-        point v, and W[r, v] = j**inv[r, v], (W[rows] @ inv[cols].T)[r, s] is
-        the mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
+        With sigma_r = targets[r], inv its inverse row by row, and
+        W[r, v] = j**inv[r, v], (W[rows] @ inv[cols].T)[r, s] is the
+        mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
         cycles ``glue1`` counts; ``_cycle_table(j)`` reads them.  Past j = 8,
         ``_cycle_counts`` counts its conjugate v -> sigma_r(inv[s, v]) instead.
         Circle counts are int64 while they fit, else Python ints.
         """
         cols = rows if cols is None else cols
         j = len(self.boundary.pos)
-        neg = {label: v for v, label in enumerate(self.boundary.neg)}
 
-        def arrays(side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, np.ndarray]:
+        def arrays(side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, ...]:
             closed = [b.closed_circles for b in side]
             top = 2 * max(closed, default=0) + j  # the largest circle count of a cell
             carried = np.array(closed, dtype=np.int64 if top <= INT64_MAX else object)
-            targets = np.array([neg[t] for b in side for _, t in b.matching],
-                               dtype=np.int64).reshape(len(side), j)
+            targets = np.array([b.targets for b in side], dtype=np.int64).reshape(len(side), j)
             inv = np.empty_like(targets)
             inv[np.arange(len(side))[:, None], targets] = np.arange(j)
-            return inv, carried
+            return targets, inv, carried
 
-        inv, carried = arrays(cols)
-        row_inv, row_carried = (inv, carried) if cols is rows else arrays(rows)
+        targets, inv, carried = arrays(cols)
+        row_targets, row_inv, row_carried = ((targets, inv, carried) if cols is rows
+                                             else arrays(rows))
 
         def circles(lo: int, hi: int) -> np.ndarray:
             if j <= _MAX_CODED_J:
                 cycles = _cycle_table(j)[j ** row_inv[lo:hi] @ inv.T]
-            else:  # sigma_r is the inverse of inv[r], an argsort
-                cycles = _cycle_counts(np.argsort(row_inv[lo:hi], axis=1)[:, inv])
+            else:
+                cycles = _cycle_counts(row_targets[lo:hi][:, inv])
             return (cycles + row_carried[lo:hi, None] + carried).reshape(-1)
 
         return table_from_codes(len(rows), len(cols), circles, Closed1Manifold)
@@ -307,9 +300,9 @@ class Dim1Theory(GluingTheory):
         counts unchanged, so it keeps every gluing; it moves the j!
         matchings of one carried count through a single orbit.
         """
-        matchings: dict[int, set[tuple[tuple[str, str], ...]]] = {}
+        matchings: dict[int, set[tuple[int, ...]]] = {}
         for b in basis:
-            matchings.setdefault(b.closed_circles, set()).add(b.matching)
+            matchings.setdefault(b.closed_circles, set()).add(b.targets)
         full = math.factorial(len(self.boundary.pos))
         if (len(basis) != full * len(matchings)
                 or any(len(m) != full for m in matchings.values())):

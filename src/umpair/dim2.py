@@ -561,7 +561,7 @@ def _passes_by_count(components: np.ndarray, g_off: np.ndarray, g_left: np.ndarr
 # temporary of a step is at most 128 kB, glibc's default mmap threshold, so
 # the steps reuse heap memory; at 1 << 18 (1 MB) each one was a fresh mmap
 # unless an earlier free had happened to raise that threshold.
-_CHUNK = 1 << 15
+_SWEEP_CHUNK = 1 << 15
 
 
 def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
@@ -619,7 +619,7 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     # The distinct (gid[r, b], gid[r, r], gid[b, b]) of the pairs b > r,
     # coded base ng.  return_counts keeps np.unique on its sorting path; the
     # values-only path imports numpy.ma, about 3 MB more in a fresh process.
-    step = max(1, _CHUNK // nb)
+    step = max(1, _SWEEP_CHUNK // nb)
     codes = np.unique(np.concatenate([
         np.unique(((gid[rows].astype(np.int64) * ng + own[rows, None]) * ng + diag)
                   [np.arange(nb) > reps[rows, None]], return_counts=True)[0]
@@ -628,7 +628,7 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     triples = np.stack([codes // (ng * ng), codes // ng % ng, codes % ng])
     if complexity2 is _OWN_COMPLEXITY2:
         triples = triples[:, ~_passes_by_count(components, *triples)]
-    step = max(1, _CHUNK // (nk * nk))
+    step = max(1, _SWEEP_CHUNK // (nk * nk))
     if not ((failing(own, own, own) & strict_upper).any()
             or any(failing(*triples[:, t0:t0 + step]).any()
                    for t0 in range(0, triples.shape[1], step))):

@@ -80,16 +80,6 @@ class Involution:
                 return a
         return prime
 
-    def to_json(self) -> dict[str, Any]:
-        return {"swaps": [list(s) for s in self.swaps], "fixed": list(self.fixed)}
-
-    @classmethod
-    def from_json(cls, data: Any) -> Involution:
-        swaps = tuple(tuple(s) for s in data.get("swaps", []))
-        fixed = tuple(data.get("fixed", []))
-        alphabet = tuple(sorted({p for s in swaps for p in s} | set(fixed)))
-        return cls(alphabet, swaps)
-
 
 @dataclass(frozen=True)
 class Monomial:

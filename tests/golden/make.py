@@ -136,6 +136,12 @@ def _bad_coeff(coeff: dict[str, Any]) -> dict[str, str]:
     return {"x.json": json.dumps([{"basis": D1[0].to_json(), "coeff": coeff}])}
 
 
+def _bad_matching(pos: list[str], neg: list[str], matching: dict[str, str]) -> dict[str, str]:
+    basis = {"dim": 1, "boundary": {"pos": pos, "neg": neg}, "matching": matching,
+             "closed_circles": 0}
+    return {"x.json": json.dumps([{"basis": basis, "coeff": _coeff(1)}])}
+
+
 # name -> (argv, input files)
 CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "enumerate-dim1": (["enumerate", "--theory", "dim1", "--j", "2", "--max-closed", "1"], {}),
@@ -265,6 +271,14 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                                _bad_coeff({"re": "1/0", "im": "0"})),
     "error-wrong-shape": (["certify", "--theory", "dim2", "--x", "x.json"],
                           {"x.json": json.dumps([{"basis": [0], "coeff": _coeff(1)}])}),
+    **{f"error-matching-{name}": (["certify", "--theory", "dim1", "--x", "x.json"],
+                                  _bad_matching(*inputs))
+       for name, inputs in {
+           "unknown-negative": (["p1", "p2"], ["n1", "n2"], {"p1": "n9", "p2": "n2"}),
+           "repeated-negative": (["p1", "p2"], ["n1", "n2"], {"p1": "n1", "p2": "n1"}),
+           "more-positive": (["p1", "p2"], ["n1"], {"p1": "n1", "p2": "n1"}),
+           "more-negative": (["p1"], ["n1", "n2"], {"p1": "n1"}),
+       }.items()},
     "error-negative-bound": (["enumerate", "--theory", "dim1", "--j", "-2"], {}),
     "error-negative-dim2-bound": (["verify-lemma", "--theory", "dim2", "--j", "2",
                                    "--gmax", "-1"], {}),

@@ -249,7 +249,8 @@ def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:
         raise UniverseMismatchError("boundary mismatch")
     adjacency: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for mani in (m, n):
-        for p, neg in mani.matching:
+        for p, t in zip(mani.boundary.pos, mani.targets):
+            neg = mani.boundary.neg[t]
             adjacency.setdefault(("pos", p), []).append(("neg", neg))
             adjacency.setdefault(("neg", neg), []).append(("pos", p))
     seen: set[tuple[str, str]] = set()

@@ -1,6 +1,7 @@
 """Bounded and closed 1-manifolds: gluing, complexity, enumeration."""
 
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -21,8 +22,9 @@ from umpair.monomial import Monomial, mono_conj
 
 
 def matching_of(boundary, mapping, closed=0):
-    return Bounded1Manifold(boundary, tuple((p, mapping[p]) for p in boundary.pos),
-                            closed)
+    """The bounded 1-manifold sending each positive label p to mapping[p]."""
+    return Bounded1Manifold.from_json({"dim": 1, "boundary": boundary.to_json(),
+                                       "matching": mapping, "closed_circles": closed})
 
 
 def test_glue_identity_with_itself_gives_one_circle_per_pair():
@@ -70,10 +72,25 @@ def test_enumerate1_equals_a_checked_rebuild(j):
     # enumerate1 builds its elements without the checked constructor.
     basis = enumerate1(standard_boundary(j), 2)
     for fast in basis:
-        checked = Bounded1Manifold(fast.boundary, fast.matching, fast.closed_circles)
+        checked = Bounded1Manifold(fast.boundary, fast.targets, fast.closed_circles)
         assert fast == checked and hash(fast) == hash(checked)
         assert fast.to_json() == checked.to_json()
         assert canonical_key(fast) == canonical_key(checked)
+
+
+@pytest.mark.parametrize("j,max_closed", [(j, m) for j in range(5) for m in range(3)])
+def test_enumerate1_keeps_the_label_order(j, max_closed):
+    """The order and JSON of a basis built from the negative labels: violation
+    order is part of every report."""
+    boundary = standard_boundary(j)
+    basis = enumerate1(boundary, max_closed)
+    expected = [{"dim": 1, "boundary": boundary.to_json(),
+                 "matching": dict(zip(boundary.pos, negs)), "closed_circles": closed}
+                for negs in itertools.permutations(boundary.neg)
+                for closed in range(max_closed + 1)]
+    assert [json.dumps(b.to_json()) for b in basis] == list(map(json.dumps, expected))
+    assert [Bounded1Manifold.from_json(e) for e in expected] == basis
+    assert all(Bounded1Manifold.from_json(b.to_json()) == b for b in basis)
 
 
 def test_unbalanced_boundary_has_empty_basis():
@@ -90,10 +107,9 @@ def test_boundary_mismatch_raises():
 
 def test_matching_must_be_a_bijection():
     b = standard_boundary(2)
-    with pytest.raises(ValueError):
-        Bounded1Manifold(b, (("p1", "n1"), ("p2", "n1")))
-    with pytest.raises(ValueError):
-        Bounded1Manifold(b, (("p2", "n1"), ("p1", "n2")))
+    for targets in ((0, 0), (0,), (0, 1, 2), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="exactly once"):
+            Bounded1Manifold(b, targets)
 
 
 @pytest.mark.parametrize("j,max_closed", [(0, 2), (1, 2), (2, 2), (3, 1), (4, 1)])
@@ -143,7 +159,7 @@ def test_glue_table_past_the_coded_bound_builds_no_cycle_table(monkeypatch):
     monkeypatch.setattr(dim1, "_cycle_table", refuse)
     j = dim1._MAX_CODED_J + 1
     boundary, rng = standard_boundary(j), random.Random(j)
-    basis = [Bounded1Manifold(boundary, tuple(zip(boundary.pos, rng.sample(boundary.neg, j))))
+    basis = [Bounded1Manifold(boundary, tuple(rng.sample(range(j), j)))
              for _ in range(6)]
     forms, ids = Dim1Theory(boundary).glue_table(tuple(basis))
     assert [[forms[ids[r, s]] for s in range(6)] for r in range(6)] == [
@@ -173,7 +189,7 @@ def test_glue_table_past_the_coded_bound_equals_glue1(monkeypatch, j, chunk):
     # A 40-cell chunk splits the 11-column table into chunks of 3 rows.
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     boundary, rng = standard_boundary(j), random.Random(f"wide-{j}")
-    basis = [Bounded1Manifold(boundary, tuple(zip(boundary.pos, rng.sample(boundary.neg, j))),
+    basis = [Bounded1Manifold(boundary, tuple(rng.sample(range(j), j)),
                               rng.randrange(3)) for _ in range(10)]
     basis.append(basis[0])  # a repeated element glues to its own reversal
     theory = Dim1Theory(boundary)
@@ -190,7 +206,7 @@ def test_glue_table_past_the_coded_bound_equals_glue1(monkeypatch, j, chunk):
 def test_glue_table_past_the_coded_bound_carries_counts_past_int64():
     j, big = 10, 2 ** 63
     boundary, rng = standard_boundary(j), random.Random("wide-carried")
-    basis = [Bounded1Manifold(boundary, tuple(zip(boundary.pos, rng.sample(boundary.neg, j))),
+    basis = [Bounded1Manifold(boundary, tuple(rng.sample(range(j), j)),
                               closed) for closed in (0, 1, big, big + 5)]
     forms, ids = Dim1Theory(boundary).glue_table(tuple(basis))
     assert forms.codes.dtype == object
@@ -233,7 +249,7 @@ def test_dim1_positivity_j7_max_closed_2():
 
 @pytest.mark.slow
 def test_dim1_positivity_j8_in_a_fresh_process():
-    """40,320 matchings, one orbit: under 1 s and 100 MB peak RSS."""
+    """40,320 matchings, one orbit: under 1 s and 75 MB peak RSS."""
     src = str(Path(umpair.__file__).resolve().parents[1])
     script = ("import resource, sys, time; sys.path.insert(0, sys.argv[1]); "
               "from umpair import engine; "
@@ -248,18 +264,16 @@ def test_dim1_positivity_j8_in_a_fresh_process():
                             capture_output=True, text=True, check=True)
     seconds, max_rss_kb = result.stdout.split()
     assert float(seconds) < 1.0
-    assert int(max_rss_kb) < 100 * 1024
+    assert int(max_rss_kb) < 75 * 1024
 
 
 def relabelled(m, pos_perm, neg_perm):
     """g·m for the boundary relabelling g that moves positive point k to
     pos_perm[k] and negative point k to neg_perm[k]."""
-    boundary = m.boundary
-    neg_index = {label: k for k, label in enumerate(boundary.neg)}
-    targets = [""] * len(boundary.pos)
-    for k, (_, t) in enumerate(m.matching):
-        targets[pos_perm[k]] = boundary.neg[neg_perm[neg_index[t]]]
-    return Bounded1Manifold(boundary, tuple(zip(boundary.pos, targets)), m.closed_circles)
+    targets = [0] * len(m.targets)
+    for k, t in enumerate(m.targets):
+        targets[pos_perm[k]] = neg_perm[t]
+    return Bounded1Manifold(m.boundary, tuple(targets), m.closed_circles)
 
 
 @pytest.mark.parametrize("j", range(6))
@@ -330,7 +344,7 @@ def _partial_bases():
     b3, b4 = standard_boundary(3), standard_boundary(4)
     full = enumerate1(b4, 1)
     return {
-        "one-matching-dropped": (b4, [m for m in full if m.matching != full[6].matching]),
+        "one-matching-dropped": (b4, [m for m in full if m.targets != full[6].targets]),
         "seeded-subset": (b4, random.Random(4).sample(full, 17)),
         "duplicate": (b4, full + full[3:4]),
         "short-of-one-count": (b4, full[:-1]),

@@ -308,8 +308,7 @@ def _shapes(letters):
 
 def _matching(boundary, perm, closed=0):
     """The bounded 1-manifold sending pos[k] to neg[perm[k]]."""
-    return Bounded1Manifold(boundary, tuple((p, boundary.neg[k])
-                                            for p, k in zip(boundary.pos, perm)), closed)
+    return Bounded1Manifold(boundary, tuple(perm), closed)
 
 
 def _sampled_dim1(j, n):

@@ -38,14 +38,12 @@ def test_involution_validation():
     assert SWAP12.fixed == ("p3",)
 
 
-def test_involution_fixed_is_kept_out_of_equality_and_json():
+def test_involution_fixed_is_kept_out_of_equality():
     computed = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
     fresh = Involution(("p1", "p2", "p3"), swaps=(("p2", "p1"),))
     assert computed.fixed is computed.fixed
     assert computed == fresh and hash(computed) == hash(fresh)
     assert repr(computed) == repr(fresh)
-    assert computed.to_json() == {"swaps": [["p1", "p2"]], "fixed": ["p3"]}
-    assert Involution.from_json(computed.to_json()) == fresh
 
 
 def test_conj_examples():
@@ -189,9 +187,6 @@ def test_pair_poly_matches_convolution_oracle():
 def test_monomial_json_round_trip():
     m = mono(p1=2, p3=7)
     assert Monomial.from_json(m.to_json()) == m
-    sigma = Involution.from_json(SWAP12.to_json())
-    assert sigma.swaps == SWAP12.swaps
-    assert set(sigma.alphabet) == set(SWAP12.alphabet)
 
 
 def test_monomial_rejects_negative_exponents():
