@@ -26,12 +26,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
 from .algebra import UniverseMismatchError, build_canonical, check_bounds, json_int, json_list
-from .engine import INT64_MAX, GluingTheory, table_from_codes
+from .engine import INT64_MAX, CodedBasis, GluingTheory, table_from_codes
 from .monomial import Involution, Monomial
 
 
@@ -100,11 +100,20 @@ class Bounded1Manifold:
             "closed_circles": self.closed_circles,
         }
 
+    # (JSON, boundary) of the last boundary ``from_json`` parsed: the terms of
+    # one vector share theirs, which is then parsed once.
+    _last_boundary: ClassVar[tuple[dict[str, Any], Boundary0] | None] = None
+
     @classmethod
     def from_json(cls, data: Any) -> Bounded1Manifold:
         if not isinstance(data, dict) or data.get("dim") != 1:
             raise ValueError(f"not a bounded 1-manifold descriptor: {data!r}")
-        boundary = Boundary0.from_json(data.get("boundary"))
+        last = Bounded1Manifold._last_boundary
+        if last is not None and data.get("boundary") == last[0]:
+            boundary = last[1]
+        else:
+            boundary = Boundary0.from_json(data.get("boundary"))
+            Bounded1Manifold._last_boundary = (boundary.to_json(), boundary)
         mapping = data.get("matching")
         if (not isinstance(mapping, dict) or set(mapping) != set(boundary.pos)
                 or not all(isinstance(n, str) for n in mapping.values())):
@@ -171,8 +180,10 @@ def _cycles(perm: Sequence[int]) -> int:
 
 # Largest boundary size whose cycle table (j**j int8 entries: 0.8 MB at
 # j = 7, 16.8 MB at j = 8) is built; past it cycles are counted by
-# ``_cycle_counts`` on the permutations themselves.
+# ``_cycle_counts`` on the permutations themselves, in blocks of this many
+# columns (about 2.4 MB per int32 working array at j = 9).
 _MAX_CODED_J = 8
+_COLUMNS = 1 << 16
 
 
 @functools.cache
@@ -205,8 +216,10 @@ def _cycle_counts(perms: np.ndarray) -> np.ndarray:
     """Cycle count of each permutation of range(j) along the last axis, by
     pointer doubling over flat indices: ``low`` is the smallest point on the
     path of w points from each point and ``step`` the point w steps on.  Once
-    w >= j each path is a whole cycle, so one point per cycle is its own low."""
-    points = np.arange(perms.size).reshape(perms.shape)  # the flat index of each point
+    w >= j each path is a whole cycle, so one point per cycle is its own low.
+    Flat indices are int32 while they fit."""
+    points = np.arange(perms.size, dtype=np.int32 if perms.size < 2**31 else np.int64
+                       ).reshape(perms.shape)  # the flat index of each point
     low, step, w = points, perms + points[..., :1], 1
     while w < perms.shape[-1]:
         low = np.minimum(low, low.take(step))
@@ -219,25 +232,38 @@ def complexity1(c: Closed1Manifold) -> int:
     return c.circles
 
 
-def enumerate1(boundary: Boundary0, max_closed: int = 0) -> list[Bounded1Manifold]:
-    """Every canonical bounded 1-manifold over ``boundary``.
+def enumerate1(boundary: Boundary0, max_closed: int = 0) -> CodedBasis:
+    """Every canonical bounded 1-manifold over ``boundary``, coded.
 
-    Yields all j! matchings (the permutations of range(j) in lexicographic
-    order) with each closed-circle count from 0 to max_closed.
-    When the boundary has unequal positive and negative counts no oriented
-    bounded 1-manifold exists and the basis is empty.
+    All j! matchings (the permutations of range(j) in lexicographic order),
+    each with every closed-circle count from 0 to max_closed.  The basis is
+    held as int8 ``targets`` rows and int64 carried counts, decoded by
+    ``_Matchings(boundary)`` when read.  When the boundary has unequal
+    positive and negative counts no oriented bounded 1-manifold exists and
+    the basis is empty.
     """
     check_bounds({"max_closed": max_closed})
-    if len(boundary.pos) != len(boundary.neg):
-        return []
-    out = []
-    # Each permutation hits every negative point once, so every element is
-    # built already canonical.
-    for targets in itertools.permutations(range(len(boundary.neg))):
-        for closed in range(max_closed + 1):
-            out.append(build_canonical(Bounded1Manifold, boundary=boundary,
-                                       targets=targets, closed_circles=closed))
-    return out
+    j = len(boundary.pos)
+    if j != len(boundary.neg):
+        perms = np.zeros((0, j), dtype=np.int8)
+    else:
+        count = math.factorial(j)
+        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(j))),
+                            dtype=np.int8, count=j * count).reshape(count, j)
+    return CodedBasis((np.repeat(perms, max_closed + 1, axis=0),
+                       np.tile(np.arange(max_closed + 1), len(perms))), _Matchings(boundary))
+
+
+@dataclass(frozen=True)
+class _Matchings:
+    """Decodes a row of ``enumerate1``'s coded basis over ``boundary``."""
+
+    boundary: Boundary0
+
+    def __call__(self, targets: list[int], closed: int) -> Bounded1Manifold:
+        # Each row is a permutation of range(j): built already canonical.
+        return build_canonical(Bounded1Manifold, boundary=self.boundary,
+                               targets=tuple(targets), closed_circles=closed)
 
 
 @dataclass(frozen=True)
@@ -257,57 +283,78 @@ class Dim1Theory(GluingTheory):
                    cols: Sequence[Bounded1Manifold] | None = None
                    ) -> tuple[Sequence[Closed1Manifold], np.ndarray]:
         """The rows x cols glue table, one chunk of rows at a time; ``cols``
-        defaults to ``rows``.
+        defaults to ``rows``.  Either side is read as arrays (``_arrays``).
 
         With sigma_r = targets[r], inv its inverse row by row, and
         W[r, v] = j**inv[r, v], (W[rows] @ inv[cols].T)[r, s] is the
         mixed-radix code of k -> inv[s, sigma_r(k)], the permutation whose
         cycles ``glue1`` counts; ``_cycle_table(j)`` reads them.  Past j = 8,
-        ``_cycle_counts`` counts its conjugate v -> sigma_r(inv[s, v]) instead.
-        Circle counts are int64 while they fit, else Python ints.
+        ``_cycle_counts`` counts its conjugate v -> sigma_r(inv[s, v]) instead,
+        ``_COLUMNS`` columns at a time.  Circle counts are int64 while they
+        fit, else Python ints.
         """
         cols = rows if cols is None else cols
         j = len(self.boundary.pos)
 
-        def arrays(side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, ...]:
-            closed = [b.closed_circles for b in side]
-            top = 2 * max(closed, default=0) + j  # the largest circle count of a cell
-            carried = np.array(closed, dtype=np.int64 if top <= INT64_MAX else object)
-            targets = np.array([b.targets for b in side], dtype=np.int64).reshape(len(side), j)
+        def inverse(targets: np.ndarray) -> np.ndarray:
             inv = np.empty_like(targets)
-            inv[np.arange(len(side))[:, None], targets] = np.arange(j)
-            return targets, inv, carried
+            inv[np.arange(len(targets))[:, None], targets] = np.arange(j)
+            return inv
 
-        targets, inv, carried = arrays(cols)
-        row_targets, row_inv, row_carried = ((targets, inv, carried) if cols is rows
-                                             else arrays(rows))
+        targets, carried = self._arrays(cols)
+        row_targets, row_carried = (targets, carried) if cols is rows else self._arrays(rows)
+        inv = inverse(targets)
+        if j <= _MAX_CODED_J:
+            table, inv_t = _cycle_table(j), inv.T.astype(np.int64)
+            weights = j ** (inv if cols is rows else inverse(row_targets)).astype(np.int64)
+
+            def cycles(lo: int, hi: int) -> np.ndarray:
+                return table[weights[lo:hi] @ inv_t]
+        else:
+            def cycles(lo: int, hi: int) -> np.ndarray:
+                return np.concatenate([_cycle_counts(row_targets[lo:hi][:, inv[c:c + _COLUMNS]])
+                                       for c in range(0, max(len(inv), 1), _COLUMNS)], axis=1)
 
         def circles(lo: int, hi: int) -> np.ndarray:
-            if j <= _MAX_CODED_J:
-                cycles = _cycle_table(j)[j ** row_inv[lo:hi] @ inv.T]
-            else:
-                cycles = _cycle_counts(row_targets[lo:hi][:, inv])
-            return (cycles + row_carried[lo:hi, None] + carried).reshape(-1)
+            return (cycles(lo, hi) + row_carried[lo:hi, None] + carried).reshape(-1)
 
         return table_from_codes(len(rows), len(cols), circles, Closed1Manifold)
 
-    def orbits(self, basis: Sequence[Bounded1Manifold]) -> list[int] | None:
-        """Carried-circle counts, when each count that occurs carries all j!
-        matchings exactly once; else None.
+    def _arrays(self, side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, np.ndarray]:
+        """(targets, carried): each element's ``targets`` as a row, and its
+        carried circles, int64 while twice the largest plus j fits it (the
+        largest count of a glued cell), else Python ints.  A ``CodedBasis``
+        of ``enumerate1`` over this boundary gives its own arrays; any other
+        side is read off its descriptors."""
+        j = len(self.boundary.pos)
+        if isinstance(side, CodedBasis) and side.decode == _Matchings(self.boundary):
+            targets, carried = side.arrays
+        else:
+            targets = np.array([b.targets for b in side], dtype=np.int64).reshape(len(side), j)
+            carried = np.array([b.closed_circles for b in side], dtype=object)
+        top = 2 * int(carried.max(initial=0)) + j
+        return targets, carried.astype(np.int64 if top <= INT64_MAX else object, copy=False)
+
+    def orbits(self, basis: Sequence[Bounded1Manifold]) -> np.ndarray | None:
+        """The carried-circle counts, when each count that occurs carries all
+        j! matchings exactly once; else None.
 
         Relabelling the negative points by rho sends a matching sigma to
         rho∘sigma and leaves every composed permutation that ``glue1``
         counts unchanged, so it keeps every gluing; it moves the j!
         matchings of one carried count through a single orbit.
         """
-        matchings: dict[int, set[tuple[int, ...]]] = {}
-        for b in basis:
-            matchings.setdefault(b.closed_circles, set()).add(b.targets)
-        full = math.factorial(len(self.boundary.pos))
-        if (len(basis) != full * len(matchings)
-                or any(len(m) != full for m in matchings.values())):
+        targets, carried = self._arrays(basis)
+        j = len(self.boundary.pos)
+        _, label, counts = np.unique(carried, return_inverse=True, return_counts=True)
+        if any(count != math.factorial(j) for count in counts.tolist()):
             return None
-        return [b.closed_circles for b in basis]
+        if not len(basis):
+            return carried
+        # A basis of whole orbits has at least j! elements, so j <= 12 and the
+        # code of each (label, matching) pair fits int64.
+        codes = np.sort(label * j ** j + targets.astype(np.int64) @ j ** np.arange(j))
+        return carried if (codes[1:] != codes[:-1]).all() else None
 
     def complexity(self, closed: Closed1Manifold) -> int:
         return complexity1(closed)
@@ -318,6 +365,12 @@ class Dim1Theory(GluingTheory):
         if descriptor.boundary != self.boundary:
             raise UniverseMismatchError(
                 f"boundary mismatch: {descriptor.boundary} vs {self.boundary}")
+
+    def validate_coded(self, basis: CodedBasis) -> None:
+        """A basis coded over this boundary holds matchings of it only; any
+        other is validated element by element, so it raises at its first."""
+        if basis.decode != _Matchings(self.boundary):
+            super().validate_coded(basis)
 
 
 ZERO_DIM_ALPHABET = ("u", "v")

@@ -64,7 +64,10 @@ class GluingTheory(ABC):
     ``glue`` on every cell, list each closed form once and give its ids the
     narrowest unsigned dtype that holds the form count.  The forms are any
     read-only sequence that equals the tuple of them: the code kernels return
-    ``CodedForms``, which decode on first read.
+    ``CodedForms``, which decode on first read.  Rows and columns may be a
+    ``CodedBasis``, whose arrays a kernel may read in place of its elements;
+    dim1 and monomial read their own, and read descriptors into the same
+    arrays otherwise.
 
     ``complexity_ranks(forms)`` ranks a table's forms by complexity: the
     dense rank of each, so integer order of ranks is complexity order.  The
@@ -72,8 +75,9 @@ class GluingTheory(ABC):
     same ranks, and falls back to the default whenever ``complexity`` is not
     the one it was written for.
 
-    ``orbits(basis)`` is an optional hook for ``verify_lemma``: one orbit
-    label per element of a validated basis, or None (the default).  A theory
+    ``orbits(basis)`` is an optional hook for ``verify_lemma``: a numpy array
+    of one orbit label per element of a validated basis, equal labels for one
+    orbit, of a dtype ``np.unique`` sorts, or None (the default).  A theory
     may return labels only when the basis is a union of whole orbits of a
     group of relabellings g, each of which either keeps gluing exactly,
     glue(g·a, g·b) == glue(a, b), so that the claim holds for any
@@ -102,6 +106,14 @@ class GluingTheory(ABC):
     @abstractmethod
     def validate_basis(self, descriptor: Any) -> None:
         """Raise ValueError if ``descriptor`` is not in this theory's universe."""
+
+    def validate_coded(self, basis: CodedBasis) -> None:
+        """Raise what ``validate_basis`` raises on the first element of ``basis``
+        outside this theory's universe.  The default decodes and validates
+        each element; a theory that knows the coding may check the arrays, or
+        the universe they were coded over, once instead."""
+        for d in basis:
+            self.validate_basis(d)
 
     def glue_table(self, rows: Sequence[Any], cols: Sequence[Any] | None = None
                    ) -> tuple[Sequence[Any], np.ndarray]:
@@ -200,7 +212,8 @@ class GramTensor:
     of glue(rows[i], basis[j]) among them, so the 0/1 Gram matrix T^c of a
     form c is ``ids == forms.index(c)``.  ``rows`` is the basis itself
     unless a row set is given: the table is then rectangular,
-    len(rows) x len(basis).
+    len(rows) x len(basis).  A ``CodedBasis`` basis or row set is kept as it
+    is, and any other as a tuple.
     ``ranks[f]`` is the dense complexity rank of forms[f]: integer order of
     ranks is complexity order.
 
@@ -210,7 +223,9 @@ class GramTensor:
     The last table built is kept and reused when the same theory object
     (``is``, since a theory need not be hashable) builds an equal basis with
     an equal row set again, so ``pair(x, x)`` followed by
-    ``certify_positive(x)`` glues the support of x once.  A square table
+    ``certify_positive(x)`` glues the support of x once.  Coded bases are
+    compared by their arrays, and a coded basis never matches a tuple, so
+    the comparison decodes nothing.  A square table
     and a rectangular one are never the same entry, whatever their rows.
     Only that one table is kept, with the integer sums ``pair`` last made on
     it (``sums``), which ``certify_positive(x)`` then reads.  Ranks are never
@@ -221,18 +236,18 @@ class GramTensor:
 
     # (theory, basis, forms, ids, row set or None when square, (a, b, sums)
     # of the last pair on it or None) of the last table built.
-    _last: tuple[GluingTheory, tuple[Any, ...], Sequence[Any], np.ndarray,
-                 tuple[Any, ...] | None, tuple[Any, ...] | None] | None = None
+    _last: tuple[GluingTheory, Sequence[Any], Sequence[Any], np.ndarray,
+                 Sequence[Any] | None, tuple[Any, ...] | None] | None = None
 
     def __init__(self, basis: Iterable[Any], theory: GluingTheory,
                  rows: Iterable[Any] | None = None):
         self.theory = theory
-        self.basis = tuple(basis)
-        row_set = None if rows is None else tuple(rows)
+        self.basis = _held(basis)
+        row_set = None if rows is None else _held(rows)
         self.rows = self.basis if row_set is None else row_set
         last = GramTensor._last
-        if (last is None or last[0] is not theory or last[1] != self.basis
-                or last[4] != row_set):
+        if (last is None or last[0] is not theory or not _same(last[1], self.basis)
+                or not _same(last[4], row_set)):
             forms, ids = (theory.glue_table(self.basis) if row_set is None
                           else theory.glue_table(row_set, self.basis))
             ids.flags.writeable = False
@@ -256,8 +271,26 @@ class GramTensor:
         return self.theory.complexity_ranks(self.forms)
 
 
-def _validated(theory: GluingTheory, descriptors: Iterable[Any]) -> tuple[Any, ...]:
-    """``descriptors`` as a tuple, after one ``validate_basis`` call each."""
+def _held(descriptors: Iterable[Any]) -> Sequence[Any]:
+    """A ``CodedBasis`` as it is, anything else as a tuple."""
+    return descriptors if isinstance(descriptors, CodedBasis) else tuple(descriptors)
+
+
+def _same(a: Sequence[Any] | None, b: Sequence[Any] | None) -> bool:
+    """Whether two held bases (or row sets, or None) are equal, read without
+    decoding: a coded basis is only ever the same as a coded one."""
+    return type(a) is type(b) and a == b
+
+
+def _validated(theory: GluingTheory, descriptors: Iterable[Any]) -> Sequence[Any]:
+    """``descriptors`` held (``_held``) once the theory accepts them: a
+    ``CodedBasis`` after one ``validate_coded`` call, whose dim1 and monomial
+    overrides check the basis's boundary or alphabet once and decode at most
+    the element they reject; anything else after one ``validate_basis`` call
+    per element."""
+    if isinstance(descriptors, CodedBasis):
+        theory.validate_coded(descriptors)
+        return descriptors
     out = tuple(descriptors)
     for d in out:
         theory.validate_basis(d)
@@ -303,30 +336,49 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK // max(1, n))
 
 
-class CodedForms(Sequence[Any]):
+class _Coded(Sequence[Any]):
+    """A read-only sequence held as integer arrays, one row per element.
+
+    Element k is ``decode(*rows)``, its row of each array as Python values
+    (an int, or a list for a row of a 2-d array); ``len`` and the arrays
+    read no element.  The arrays hold integers, past int64 as Python ints
+    (dtype object), and are read-only.
+    """
+
+    def __init__(self, arrays: tuple[np.ndarray, ...], decode: Callable[..., Any]):
+        for a in arrays:
+            a.flags.writeable = False
+        self.arrays, self.decode = arrays, decode
+
+    def __len__(self) -> int:
+        return len(self.arrays[0])
+
+    def _decode_all(self) -> Iterator[Any]:
+        return map(self.decode, *(a.tolist() for a in self.arrays))
+
+
+class CodedForms(_Coded):
     """The distinct closed forms of a coded glue table, decoded on first read.
 
-    ``codes`` holds one integer code per form in id order, int64 or, past
-    int64, Python ints (dtype object), and is read-only; ``decode`` turns a
+    ``codes`` holds one integer code per form in id order; ``decode`` turns a
     code into its closed form.  ``len`` reads the codes only.  The first
     other read (an index or slice, iteration, ``index``, equality) decodes
     every form once and keeps the tuple.  A ``complexity_ranks`` override
     may rank the codes instead and never decode.  The sequence equals the
-    tuple of its forms and any ``CodedForms`` of the same forms.
+    tuple of its forms and any ``CodedForms`` of the same forms.  Its codes
+    are its one array, ``arrays[0]``, and ``CodedBasis`` decodes its rows
+    the same way (``_Coded``), one element per read.
     """
 
     def __init__(self, codes: np.ndarray, decode: Callable[[Any], Any]):
-        codes.flags.writeable = False
-        self.codes, self.decode = codes, decode
+        super().__init__((codes,), decode)
+        self.codes = codes
         self._forms: tuple[Any, ...] | None = None
 
     def _decoded(self) -> tuple[Any, ...]:
         if self._forms is None:
-            self._forms = tuple(map(self.decode, self.codes.tolist()))
+            self._forms = tuple(self._decode_all())
         return self._forms
-
-    def __len__(self) -> int:
-        return len(self.codes)
 
     def __getitem__(self, k: Any) -> Any:
         return self._decoded()[k]
@@ -342,6 +394,41 @@ class CodedForms(Sequence[Any]):
         return self._decoded() == other
 
 
+class CodedBasis(_Coded):
+    """Basis elements held as integer arrays, each decoded when it is read.
+
+    A theory module builds one (``dim1.enumerate1``,
+    ``monomial.enumerate_monomials``) with a ``decode`` that knows its
+    coding and compares equal exactly for the same coding and universe.
+    An int index decodes that element afresh, with no check: the module
+    codes only elements in canonical form.  Iteration decodes every element
+    in order.  A slice or an index array selects rows and gives a
+    ``CodedBasis`` again, decoding nothing.  The sequence equals a list or
+    tuple of its elements, and a ``CodedBasis`` of the same ``decode`` and
+    equal arrays; ``basis + other`` is the list of both.
+    """
+
+    def __getitem__(self, k: Any) -> Any:
+        if isinstance(k, (int, np.integer)):
+            k = range(len(self))[k]
+            return self.decode(*(a[k:k + 1].tolist()[0] for a in self.arrays))
+        return CodedBasis(tuple(a[k] for a in self.arrays), self.decode)
+
+    def __iter__(self) -> Iterator[Any]:
+        return self._decode_all()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CodedBasis) and other.decode == self.decode:
+            return len(self) == len(other) and all(
+                np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
+        if not isinstance(other, (CodedBasis, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __add__(self, other: Iterable[Any]) -> list[Any]:
+        return [*self, *other]
+
+
 def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarray],
                      decode: Callable[[Any], Any]) -> tuple[CodedForms, np.ndarray]:
     """A ``glue_table`` result of ``rows`` x ``cols`` cells from closed forms
@@ -350,27 +437,33 @@ def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarra
     ``codes(lo, hi)`` gives the code of each pair of a table row lo..hi-1
     with a column, in row-major order, as int64 or, past int64, Python ints
     (dtype object); codes are equal exactly when their closed forms are,
-    and ``decode`` decodes one.  Only one chunk of rows is held at a time.
-    The forms are ``CodedForms`` of the distinct codes, in the codes' dtype;
-    a table of one chunk lists them in ascending order, as ``np.unique`` does.
+    and ``decode`` decodes one.  Only one chunk of codes is held at a time.
+    The forms are ``CodedForms`` of the distinct codes, in the codes' dtype
+    and ascending order, as ``np.unique`` gives them.  A table of more than
+    one chunk keeps each chunk's ids into its own distinct codes, then ranks
+    all of those codes in one ``np.unique`` and remaps each chunk by a gather.
     """
     step = _chunk_rows(cols)
     if rows <= step:
         distinct, inverse = np.unique(codes(0, rows), return_inverse=True)
         dtype = np.min_scalar_type(max(len(distinct) - 1, 0))
         return CodedForms(distinct, decode), inverse.astype(dtype).reshape(rows, cols)
-    index: dict[int, int] = {}
-    dtype = np.dtype(np.int64)
     ids = np.zeros((rows, cols), dtype=np.uint8)
+    chunks = []
     for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        distinct, inverse = np.unique(codes(lo, hi), return_inverse=True)
-        dtype = np.result_type(dtype, distinct.dtype)
-        slots = [index.setdefault(code, len(index)) for code in distinct.tolist()]
-        ids = _fit_ids(ids, len(index))
-        np.take(np.array(slots, dtype=ids.dtype), inverse.reshape(-1),
-                out=ids[lo:hi].reshape(-1))
-    return CodedForms(np.fromiter(index, dtype=dtype, count=len(index)), decode), ids
+        distinct, inverse = np.unique(codes(lo, min(lo + step, rows)), return_inverse=True)
+        ids = _fit_ids(ids, len(distinct))
+        ids[lo:lo + step] = inverse.reshape(-1, cols)
+        chunks.append(distinct)
+    forms, slots = np.unique(np.concatenate(chunks), return_inverse=True)
+    ids = _fit_ids(ids, len(forms))
+    slots = slots.astype(ids.dtype)
+    start = 0
+    for lo, distinct in zip(range(0, rows, step), chunks):
+        block = ids[lo:lo + step]
+        np.take(slots[start:start + len(distinct)], block, out=block)
+        start += len(distinct)
+    return CodedForms(forms, decode), ids
 
 
 def _dominance_failures(table: GramTensor, at: np.ndarray | None = None,
@@ -446,7 +539,9 @@ def verify_lemma(basis: Sequence[Any], theory: GluingTheory) -> LemmaReport:
     the three complexities involved.  When the theory's ``orbits`` hook
     splits the basis into orbits, the representative rows are checked first
     (``_orbit_rows_pass``); any failure there, or no orbits, runs the sweep
-    over every pair, so violations always come from that sweep.
+    over every pair, so violations always come from that sweep.  Of a
+    ``CodedBasis`` whose theory reads its arrays (dim1, monomial), only the
+    elements of the violations are decoded.
     """
     basis = _validated(theory, basis)
     violations: tuple[LemmaViolation, ...] = ()
@@ -459,7 +554,7 @@ def verify_lemma(basis: Sequence[Any], theory: GluingTheory) -> LemmaReport:
                        pairs_checked=n * (n - 1) // 2, violations=violations)
 
 
-def _orbit_rows_pass(basis: tuple[Any, ...], theory: GluingTheory) -> bool:
+def _orbit_rows_pass(basis: Sequence[Any], theory: GluingTheory) -> bool:
     """True when ``theory.orbits`` labels the basis and every pair passes.
 
     ``basis`` is validated already.  A relabelling g of the hook's group
@@ -476,12 +571,11 @@ def _orbit_rows_pass(basis: tuple[Any, ...], theory: GluingTheory) -> bool:
     labels = theory.orbits(basis)
     if labels is None:
         return False
-    slot: dict[Any, int] = {}
-    orbit = np.array([slot.setdefault(label, len(slot)) for label in labels], dtype=np.intp)
-    # Labels are numbered in order of first appearance, so this is each
-    # orbit's first element, in increasing order.
-    first = np.unique(orbit, return_index=True)[1]
-    table = GramTensor(basis, theory, rows=[basis[k] for k in first])
+    # Each orbit's first element, orbits in label order, and each element's orbit.
+    _, first, orbit = np.unique(labels, return_index=True, return_inverse=True)
+    rows = (basis[first] if isinstance(basis, CodedBasis)
+            else tuple(basis[k] for k in first.tolist()))
+    table = GramTensor(basis, theory, rows=rows)
     own = table.ranks[table.ids[np.arange(len(first)), first]]
     return next(_dominance_failures(table, first, own[orbit]), None) is None
 
@@ -761,7 +855,8 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
         hit, skipped, digits = _scan_in_pool(kernel, total, jobs)
     if hit is None:
         return NullSearchResult(None, n, grid, total, skipped)
-    vector = FormalSum(zip(table.basis, (grid[d] for d in digits)))
+    vector = FormalSum((table.basis[k], grid[d]) for k, d in enumerate(digits)
+                       if d != kernel.zero)
     return NullSearchResult(vector, n, grid, hit + 1, skipped)
 
 

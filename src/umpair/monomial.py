@@ -35,7 +35,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import UniverseMismatchError, build_canonical, check_bounds, json_int
-from .engine import INT64_MAX, CodedForms, GluingTheory, _packed, table_from_codes
+from .engine import INT64_MAX, CodedBasis, CodedForms, GluingTheory, _packed, table_from_codes
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,8 @@ class MonomialTheory(GluingTheory):
     def glue_table(self, rows: Sequence[Monomial], cols: Sequence[Monomial] | None = None
                    ) -> tuple[Sequence[Monomial], np.ndarray]:
         """The rows x cols glue table through packed exponent vectors, one
-        chunk of rows at a time; ``cols`` defaults to ``rows``.
+        chunk of rows at a time; ``cols`` defaults to ``rows``.  Either side
+        is read as exponent rows (``_exponent_rows``).
 
         A monomial is packed as the integer whose digits, base 2m + 1 for m
         the largest basis exponent, are its exponents in sorted prime order
@@ -188,18 +189,44 @@ class MonomialTheory(GluingTheory):
         on first read; ``complexity_ranks`` reads their int64 codes instead.
         """
         cols = rows if cols is None else cols
-        base = 2 * max((e for m in (*rows, *cols) for _, e in m.exponents), default=0) + 1
-        packing = _Packing(tuple(sorted(self.involution.alphabet)), base)
-        place = {p: base ** k for k, p in enumerate(packing.letters)}
-        mirror = {p: place[self.involution.apply(p)] for p in place}
-        dtype = np.int64 if base ** len(place) <= INT64_MAX else object
-        left = np.array([sum(e * place[p] for p, e in m.exponents) for m in rows], dtype=dtype)
-        right = np.array([sum(e * mirror[p] for p, e in m.exponents) for m in cols], dtype=dtype)
+        exps = self._exponent_rows(cols)
+        row_exps = exps if cols is rows else self._exponent_rows(rows)
+        base = 2 * int(max(exps.max(initial=0), row_exps.max(initial=0))) + 1
+        packing = _Packing(self._letters, base)
+        dtype = np.int64 if base ** len(packing.letters) <= INT64_MAX else object
+        place = [base ** k for k in range(len(packing.letters))]
+        mirror = [place[packing.letters.index(self.involution.apply(p))] for p in packing.letters]
+        left = row_exps.astype(dtype, copy=False) @ np.array(place, dtype=dtype)
+        right = exps.astype(dtype, copy=False) @ np.array(mirror, dtype=dtype)
 
         def codes(lo: int, hi: int) -> np.ndarray:
             return (left[lo:hi, None] + right).reshape(-1)
 
         return table_from_codes(len(rows), len(cols), codes, packing)
+
+    @functools.cached_property
+    def _letters(self) -> tuple[str, ...]:
+        """The alphabet in sorted prime order, the order of ``Monomial.exponents``."""
+        return tuple(sorted(self.involution.alphabet))
+
+    def _exponent_rows(self, side: Sequence[Monomial]) -> np.ndarray:
+        """The exponent of each letter of ``_letters`` in every monomial of
+        ``side``, one row per monomial: the digits of a ``CodedBasis`` of
+        ``enumerate_monomials``, moved to that letter order, else read off
+        the descriptors as Python ints (dtype object).  A prime outside the
+        alphabet raises KeyError."""
+        column = {p: k for k, p in enumerate(self._letters)}
+        if isinstance(side, CodedBasis) and isinstance(side.decode, _Digits):
+            digits = side.arrays[0]
+            out = np.zeros((len(side), len(column)), dtype=digits.dtype)
+            for c in np.flatnonzero(digits.any(axis=0)).tolist():
+                out[:, column[side.decode.letters[c]]] = digits[:, c]
+            return out
+        out = np.zeros((len(side), len(column)), dtype=object)
+        for row, m in zip(out, side):
+            for p, e in m.exponents:
+                row[column[p]] = e
+        return out
 
     def complexity_ranks(self, forms: Sequence[Monomial]) -> np.ndarray:
         """The dense complexity rank of each form, read from its packed code
@@ -238,10 +265,9 @@ class MonomialTheory(GluingTheory):
         codes = _packed(keys, (keys.max(axis=0) + 1).tolist())
         return np.unique(codes, return_inverse=True)[1].astype(np.int32)
 
-    def orbits(self, basis: Sequence[Monomial]
-               ) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] | None:
+    def orbits(self, basis: Sequence[Monomial]) -> np.ndarray | None:
         """Orbit labels under the prime relabellings that commute with the
-        involution, when the basis is a union of whole orbits and
+        involution, when the basis is distinct, a union of whole orbits and
         ``complexity`` is this class's own; else None.
 
         Such a relabelling g permutes the swapped pairs, exchanging the two
@@ -251,21 +277,33 @@ class MonomialTheory(GluingTheory):
         the orbit pairs that ``complexity_mono`` sorts, so it keeps
         complexity.  A label, the sorted multiset of sorted exponent pairs
         over the swaps with the sorted multiset of fixed-prime exponents, is
-        a complete invariant of an orbit.  A ``complexity`` overridden in a
-        subclass or patched in need not be invariant, so it gets None.
+        a complete invariant of an orbit; it is packed into one integer per
+        monomial, and each distinct label's count is checked against its
+        orbit's size.  A ``complexity`` overridden in a subclass or patched
+        in need not be invariant, so it gets None.
         """
-        if not self._complexity_is_own() or len(set(basis)) != len(basis):
+        if not self._complexity_is_own():
             return None
-        sigma = self.involution
-        labels = []
-        for m in basis:
-            exps = dict(m.exponents)
-            labels.append((tuple(sorted(tuple(sorted((exps.get(a, 0), exps.get(b, 0))))
-                                        for a, b in sigma.swaps)),
-                           tuple(sorted(exps.get(p, 0) for p in sigma.fixed))))
-        for (pairs, fixed), count in Counter(labels).items():
-            size = (_arrangements(pairs) * 2 ** sum(a != b for a, b in pairs)
-                    * _arrangements(fixed))
+        sigma, column = self.involution, {p: k for k, p in enumerate(self._letters)}
+        exps = self._exponent_rows(basis)
+        top = int(exps.max(initial=0)) + 1
+        k, f = len(sigma.swaps), len(sigma.fixed)
+        exps = exps.astype(np.int64 if top ** (2 * k + f) <= INT64_MAX else object, copy=False)
+        codes = np.sort(_packed(exps, [top] * len(column)))
+        if not (codes[1:] != codes[:-1]).all():
+            return None
+        # Each swap's sorted pair (a, b) as a * top + b, then the fixed
+        # exponents, each group sorted, packed into one label per monomial.
+        ea = exps[:, [column[a] for a, _ in sigma.swaps]]
+        eb = exps[:, [column[b] for _, b in sigma.swaps]]
+        pairs = np.sort(np.minimum(ea, eb) * top + np.maximum(ea, eb), axis=1)
+        fixed = np.sort(exps[:, [column[p] for p in sigma.fixed]], axis=1)
+        labels = _packed(np.hstack((pairs, fixed)), [top * top] * k + [top] * f)
+        _, first, counts = np.unique(labels, return_index=True, return_counts=True)
+        for row, count in zip(exps[first].tolist(), counts.tolist()):
+            swapped = [tuple(sorted((row[column[a]], row[column[b]]))) for a, b in sigma.swaps]
+            size = (_arrangements(swapped) * 2 ** sum(a != b for a, b in swapped)
+                    * _arrangements([row[column[p]] for p in sigma.fixed]))
             if count != size:
                 return None
         return labels
@@ -285,6 +323,20 @@ class MonomialTheory(GluingTheory):
         for p in descriptor.primes():
             if p not in self.involution.alphabet:
                 raise UniverseMismatchError(f"prime {p!r} not in alphabet")
+
+    def validate_coded(self, basis: CodedBasis) -> None:
+        """A basis of ``enumerate_monomials`` is checked by its digits: the
+        first element with a nonzero exponent of a letter outside the alphabet
+        is decoded and raises as ``validate_basis`` does.  Any other basis is
+        validated element by element."""
+        if not isinstance(basis.decode, _Digits):
+            super().validate_coded(basis)
+            return
+        outside = [c for c, p in enumerate(basis.decode.letters)
+                   if p not in self.involution.alphabet]
+        hits = np.flatnonzero(basis.arrays[0][:, outside].any(axis=1))
+        if len(hits):
+            self.validate_basis(basis[hits[0]])
 
 
 # The complexity that ``MonomialTheory.orbits`` and ``complexity_ranks``
@@ -345,14 +397,36 @@ def manifold3_to_monomial(primes: Iterable[str] | Mapping[str, int],
     return Monomial.from_dict(counts)
 
 
-def enumerate_monomials(alphabet: Iterable[str], max_degree: int) -> list[Monomial]:
-    """All monomials of total degree <= max_degree, by degree then lexicographically."""
+def enumerate_monomials(alphabet: Iterable[str], max_degree: int) -> CodedBasis:
+    """All monomials of total degree <= max_degree, by degree, then
+    lexicographically in alphabet order (the order of
+    ``itertools.combinations_with_replacement``), coded: one row of
+    exponent digits per monomial, in the alphabet's given order, decoded by
+    ``_Digits(letters)`` when read."""
     check_bounds({"max_degree": max_degree})
     letters = tuple(alphabet)
-    out = []
+    if len(set(letters)) != len(letters):
+        raise ValueError("alphabet letters must be distinct")
+    blocks = []
     for degree in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(letters, degree):
-            # Positive exponents of distinct primes, sorted by prime name.
-            out.append(build_canonical(Monomial,
-                                       exponents=tuple(sorted(Counter(combo).items()))))
-    return out
+        combos = list(itertools.combinations_with_replacement(range(len(letters)), degree))
+        picks = np.array(combos, dtype=np.intp).reshape(len(combos), degree)
+        blocks.append((picks[:, :, None] == np.arange(len(letters))).sum(axis=1))
+    return CodedBasis((np.concatenate(blocks),), _Digits(letters))
+
+
+@dataclass(frozen=True)
+class _Digits:
+    """Decodes a row of ``enumerate_monomials``' coded basis: the exponent of
+    each of ``letters``, in the alphabet's given order."""
+
+    letters: tuple[str, ...]
+
+    @functools.cached_property
+    def _order(self) -> tuple[int, ...]:
+        return tuple(sorted(range(len(self.letters)), key=self.letters.__getitem__))
+
+    def __call__(self, digits: list[int]) -> Monomial:
+        # Positive exponents of distinct primes, in sorted order.
+        return build_canonical(Monomial, exponents=tuple(
+            (self.letters[k], digits[k]) for k in self._order if digits[k]))

@@ -13,7 +13,7 @@ from oracles import arc_walk_circles, loop_lemma
 
 import umpair
 from umpair import dim1, engine
-from umpair.algebra import UniverseMismatchError, canonical_key
+from umpair.algebra import FormalSum, UniverseMismatchError, canonical_key
 from umpair.dim1 import (Boundary0, Bounded1Manifold, Closed1Manifold,
                          Dim1Theory, complexity1, enumerate1, glue1,
                          points_to_monomial0, standard_boundary,
@@ -96,6 +96,89 @@ def test_enumerate1_keeps_the_label_order(j, max_closed):
 def test_unbalanced_boundary_has_empty_basis():
     boundary = Boundary0(("p1", "p2"), ("n1",))
     assert enumerate1(boundary, 3) == []
+
+
+def _descriptor_basis(boundary, max_closed):
+    """The reference enumeration: checked descriptors from the labels."""
+    if len(boundary.pos) != len(boundary.neg):
+        return []
+    return [matching_of(boundary, dict(zip(boundary.pos, negs)), closed)
+            for negs in itertools.permutations(boundary.neg)
+            for closed in range(max_closed + 1)]
+
+
+CODED_CASES = {**{f"j{j}-mc{m}": (standard_boundary(j), m) for j in range(5) for m in range(3)},
+               "unequal": (Boundary0(("p1", "p2"), ("n1",)), 2)}
+
+
+@pytest.mark.parametrize("name", list(CODED_CASES))
+def test_coded_basis_decodes_every_element_in_order(name):
+    boundary, max_closed = CODED_CASES[name]
+    basis, expected = enumerate1(boundary, max_closed), _descriptor_basis(boundary, max_closed)
+    assert isinstance(basis, engine.CodedBasis) and len(basis) == len(expected)
+    assert [basis[k] for k in range(len(basis))] == expected
+    assert [basis[k - len(basis)] for k in range(len(basis))] == expected
+    assert list(basis) == expected and basis == expected and basis == tuple(expected)
+    assert basis[1::2] == expected[1::2] and isinstance(basis[1::2], engine.CodedBasis)
+    assert basis[np.arange(len(basis))[::-1]] == expected[::-1]
+    with pytest.raises(IndexError):
+        basis[len(basis)]
+
+
+def test_coded_bases_compare_by_their_arrays():
+    boundary = standard_boundary(3)
+    basis = enumerate1(boundary, 1)
+    assert basis == enumerate1(boundary, 1) and basis != enumerate1(boundary, 0)
+    assert basis != enumerate1(Boundary0(boundary.pos, ("m1", "m2", "m3")), 1)
+    assert basis[::-1] != basis and basis[:0] == [] and basis + basis[:1] == [*basis, basis[0]]
+
+
+def _foreign_boundary_case():
+    """A theory over one boundary and a coded basis over another of the same size."""
+    theory = Dim1Theory(Boundary0(("a", "b", "c"), ("x", "y", "z")))
+    return theory, enumerate1(standard_boundary(3), 1)
+
+
+def test_a_coded_basis_over_another_boundary_raises_the_element_message():
+    theory, basis = _foreign_boundary_case()
+    with pytest.raises(UniverseMismatchError) as listed:
+        engine.verify_lemma(list(basis), theory)
+    with pytest.raises(UniverseMismatchError) as coded:
+        engine.verify_lemma(basis, theory)
+    assert str(coded.value) == str(listed.value)
+    assert str(coded.value).startswith("boundary mismatch: Boundary0(pos=('p1', ")
+
+
+def test_a_coded_basis_over_another_boundary_passes_without_the_universe_check(monkeypatch):
+    """Why ``validate_coded`` compares the boundary: the kernels read the
+    arrays, which carry no labels, so the foreign basis would pass."""
+    theory, basis = _foreign_boundary_case()
+    monkeypatch.setattr(Dim1Theory, "validate_coded", lambda self, basis: None)
+    assert engine.verify_lemma(basis, theory).passed
+
+
+@pytest.mark.parametrize("rows", [slice(1, None), slice(None, -1), slice(None, None, 3)])
+def test_a_sliced_coded_basis_is_not_whole_orbits(rows):
+    boundary = standard_boundary(4)
+    theory, basis = Dim1Theory(boundary), enumerate1(boundary, 1)[rows]
+    assert isinstance(basis, engine.CodedBasis) and theory.orbits(basis) is None
+    assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
+
+
+@pytest.mark.parametrize("j,max_closed", [(3, 2), (4, 1)])
+def test_a_coded_basis_reports_as_its_plain_list(monkeypatch, j, max_closed):
+    """Circle parity as complexity: the same violations, in the same order,
+    with only their own elements decoded."""
+    monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
+    boundary = standard_boundary(j)
+    theory, basis = Dim1Theory(boundary), enumerate1(boundary, max_closed)
+    plain = engine.verify_lemma(list(basis), theory)
+    decoded, decode = [], dim1._Matchings.__call__
+    monkeypatch.setattr(dim1._Matchings, "__call__",
+                        lambda self, *row: decoded.append(row) or decode(self, *row))
+    report = engine.verify_lemma(basis, theory)
+    assert report.violations and report == plain
+    assert len(decoded) == 2 * len(report.violations)
 
 
 def test_boundary_mismatch_raises():
@@ -247,24 +330,47 @@ def test_dim1_positivity_j7_max_closed_2():
     assert report.pairs_checked == 15120 * 15119 // 2
 
 
-@pytest.mark.slow
-def test_dim1_positivity_j8_in_a_fresh_process():
-    """40,320 matchings, one orbit: under 1 s and 75 MB peak RSS."""
+def _fresh_dim1_lemma(j):
+    """(seconds, peak RSS in kB) of ``verify_lemma`` on the dim1 basis over j
+    points with no carried circles, in a fresh interpreter; the time covers
+    the lemma, the RSS the whole process.  The RSS is the interpreter's own
+    VmHWM: Linux carries ``ru_maxrss`` across exec, so there it would read
+    at least the RSS of the test process that started it."""
     src = str(Path(umpair.__file__).resolve().parents[1])
-    script = ("import resource, sys, time; sys.path.insert(0, sys.argv[1]); "
+    script = ("import math, resource, sys, time; sys.path.insert(0, sys.argv[1]); "
               "from umpair import engine; "
               "from umpair.dim1 import Dim1Theory, enumerate1, standard_boundary; "
-              "b = standard_boundary(8); basis = enumerate1(b, 0); "
+              "j = int(sys.argv[2]); n = math.factorial(j); "
+              "b = standard_boundary(j); basis = enumerate1(b, 0); "
               "start = time.perf_counter(); "
               "report = engine.verify_lemma(basis, Dim1Theory(b)); "
               "seconds = time.perf_counter() - start; "
-              "assert report.passed and report.pairs_checked == 40320 * 40319 // 2; "
-              "print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+              "assert report.passed and report.pairs_checked == n * (n - 1) // 2; "
+              "from pathlib import Path; status = Path('/proc/self/status'); "
+              "print(seconds, status.read_text().split('VmHWM:')[1].split()[0] "
+              "if status.exists() else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    result = subprocess.run([sys.executable, "-I", "-c", script, src, str(j)],
                             capture_output=True, text=True, check=True)
     seconds, max_rss_kb = result.stdout.split()
-    assert float(seconds) < 1.0
-    assert int(max_rss_kb) < 75 * 1024
+    return float(seconds), int(max_rss_kb)
+
+
+@pytest.mark.slow
+def test_dim1_positivity_j8_in_a_fresh_process():
+    """40,320 matchings, one orbit: under 1 s and 59 MB peak RSS (53 MB
+    measured on a 2-vCPU VM)."""
+    seconds, max_rss_kb = _fresh_dim1_lemma(8)
+    assert seconds < 1.0
+    assert max_rss_kb < 59 * 1024
+
+
+@pytest.mark.slow
+def test_dim1_positivity_j9_in_a_fresh_process():
+    """362,880 matchings, one orbit row counted in column blocks: under 5 s
+    and 150 MB peak RSS (0.15-0.2 s and 79 MB measured on a 2-vCPU VM)."""
+    seconds, max_rss_kb = _fresh_dim1_lemma(9)
+    assert seconds < 5.0
+    assert max_rss_kb < 150 * 1024
 
 
 def relabelled(m, pos_perm, neg_perm):
@@ -312,7 +418,7 @@ def _recording_tables(monkeypatch):
 def test_orbit_rows_agree_with_the_loop_lemma(monkeypatch, j, max_closed):
     boundary = standard_boundary(j)
     theory, basis = Dim1Theory(boundary), enumerate1(boundary, max_closed)
-    assert theory.orbits(basis) == [b.closed_circles for b in basis]
+    assert theory.orbits(basis).tolist() == [b.closed_circles for b in basis]
     calls = _recording_tables(monkeypatch)
     assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
     assert calls == [(max_closed + 1, len(basis))]
@@ -371,7 +477,7 @@ def test_whole_orbits_need_not_be_every_count():
     boundary = standard_boundary(3)
     basis = [m for m in enumerate1(boundary, 2) if m.closed_circles != 1]
     theory = Dim1Theory(boundary)
-    assert theory.orbits(basis) == [m.closed_circles for m in basis]
+    assert theory.orbits(basis).tolist() == [m.closed_circles for m in basis]
     assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
 
 
@@ -408,6 +514,40 @@ def test_descriptor_json_round_trip():
     assert Bounded1Manifold.from_json(m.to_json()) == m
     closed = Closed1Manifold(4)
     assert Closed1Manifold.from_json(closed.to_json()) == closed
+
+
+def _terms(*descriptors):
+    return [{"basis": d.to_json(), "coeff": {"re": str(k + 1), "im": "0"}}
+            for k, d in enumerate(descriptors)]
+
+
+def test_decoded_terms_share_one_parsed_boundary():
+    basis = enumerate1(standard_boundary(3), 1)
+    x = FormalSum.from_json(_terms(*basis), Bounded1Manifold.from_json)
+    assert list(x.support()) == sorted(basis, key=canonical_key)
+    assert len({id(d.boundary) for d in x.support()}) == 1
+
+
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_a_boundary_that_changes_mid_vector_still_raises_the_mismatch(at):
+    basis = list(enumerate1(standard_boundary(2), 1))
+    other = Boundary0(("p1", "p2"), ("n2", "n1"))
+    terms = _terms(*basis[:at], Bounded1Manifold(other, (0, 1)), *basis[at:])
+    with pytest.raises(UniverseMismatchError, match="incompatible descriptor universes"):
+        FormalSum.from_json(terms, Bounded1Manifold.from_json)
+
+
+def test_a_reused_boundary_keeps_the_checks_of_each_term():
+    """Each term is checked against the boundary it shares with the last:
+    the matching messages are those of a fresh parse, and a bad boundary
+    after a good one is still refused."""
+    good = _terms(*enumerate1(standard_boundary(2), 0))
+    bad_matching = {**good[0]["basis"], "matching": {"p1": "n1", "p2": "n1"}}
+    bad_boundary = {**good[0]["basis"], "boundary": {"pos": ["p1", "p1"], "neg": ["n1", "n2"]}}
+    for data, message in ((bad_matching, "exactly once"), (bad_boundary, "distinct")):
+        Bounded1Manifold.from_json(good[0]["basis"])
+        with pytest.raises(ValueError, match=message):
+            Bounded1Manifold.from_json(data)
 
 
 def test_bounded_json_rejects_wrong_dimension():

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import numpy as np
 from oracles import fraction_null_search, loop_pair
 
-from umpair import engine
+from umpair import dim1, engine, monomial
 from umpair.algebra import (FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO,
                             canonical_key)
-from umpair.dim1 import Bounded1Manifold, Dim1Theory, enumerate1, standard_boundary
+from umpair.dim1 import (Bounded1Manifold, Closed1Manifold, Dim1Theory, enumerate1,
+                         standard_boundary)
 from umpair.dim2 import Bounded2Manifold, Dim2Theory, enumerate2
 from umpair.fourdim import (FourDimTheory, _constant_table, build_mazur_table,
                             build_scob_table)
@@ -164,7 +165,10 @@ def _orbit_case(name):
 
 @pytest.mark.parametrize("name", ["dim1", "monomial"])
 def test_verify_lemma_validates_each_element_once(monkeypatch, name):
-    theory, basis = _orbit_case(name)
+    """A plain list is validated element by element (a coded basis once as
+    a whole: ``test_a_coded_basis_is_validated_once_and_decodes_nothing``)."""
+    theory, coded = _orbit_case(name)
+    basis = list(coded)
     validated = _recording(monkeypatch, type(theory), "validate_basis")
     tables = _recording(monkeypatch, type(theory), "glue_table")
     assert engine.verify_lemma(basis, theory).passed
@@ -174,7 +178,8 @@ def test_verify_lemma_validates_each_element_once(monkeypatch, name):
 
 def test_a_failing_orbit_row_validates_each_element_once(monkeypatch):
     monkeypatch.setattr(Dim1Theory, "complexity", lambda self, c: c.circles % 2)
-    theory, basis = _dim1_case(3, 2)
+    theory, coded = _dim1_case(3, 2)
+    basis = list(coded)
     validated = _recording(monkeypatch, Dim1Theory, "validate_basis")
     tables = _recording(monkeypatch, Dim1Theory, "glue_table")
     assert not engine.verify_lemma(basis, theory).passed
@@ -519,6 +524,97 @@ def test_coded_forms_decode_every_form_once_on_first_read(case, read):
     assert all(forms.index(c) == k for k, c in enumerate(expected))
     assert expected[-1] in forms and forms.count(expected[0]) == 1
     assert len(decoded) == len(forms)
+
+
+def _recording_decodes(monkeypatch):
+    """The rows decoded by the dim1 and monomial basis decoders, as a list."""
+    decoded = []
+    for cls in (dim1._Matchings, monomial._Digits):
+        def recording(self, *row, decode=cls.__call__):
+            decoded.append(row)
+            return decode(self, *row)
+
+        monkeypatch.setattr(cls, "__call__", recording)
+    return decoded
+
+
+@pytest.mark.parametrize("name", ["dim1", "monomial"])
+def test_a_coded_basis_is_validated_once_and_decodes_nothing(monkeypatch, name):
+    theory, basis = _orbit_case(name)
+    decoded = _recording_decodes(monkeypatch)
+    validated = _recording(monkeypatch, type(theory), "validate_basis")
+    coded = _recording(monkeypatch, type(theory), "validate_coded")
+    assert engine.verify_lemma(basis, theory).passed
+    assert validated == [] and coded == [(basis,)] and decoded == []
+
+
+CODED_TABLE_CASES = [case for case, (_, basis) in TABLE_CASES.items()
+                     if isinstance(basis, engine.CodedBasis)]
+
+
+@pytest.mark.parametrize("case", CODED_TABLE_CASES)
+def test_coded_and_listed_glue_tables_agree(case):
+    """The kernels read a coded basis's arrays and a tuple's descriptors into
+    the same arrays: the same forms and ids, square and rectangular."""
+    theory, basis = TABLE_CASES[case]
+    for rows, cols in ((basis, None), (basis[::-2], basis), (basis, basis[1::3])):
+        listed = (tuple(rows), None if cols is None else tuple(cols))
+        forms, ids = theory.glue_table(rows, cols)
+        ref_forms, ref_ids = theory.glue_table(*listed)
+        assert forms.codes.tolist() == ref_forms.codes.tolist()
+        assert ids.dtype == ref_ids.dtype and (ids == ref_ids).all()
+
+
+def test_gram_tensor_compares_coded_bases_by_their_arrays(monkeypatch):
+    boundary = standard_boundary(3)
+    theory = CountingDim1(boundary)
+    first = engine.GramTensor(enumerate1(boundary, 1), theory)
+    decoded = _recording_decodes(monkeypatch)
+    again = engine.GramTensor(enumerate1(boundary, 1), theory)
+    assert again.ids is first.ids and len(theory.calls) == 1 and decoded == []
+    listed = engine.GramTensor(list(enumerate1(boundary, 1)), theory)
+    assert listed.ids is not first.ids and (listed.ids == first.ids).all()
+    assert len(theory.calls) == 2 and isinstance(theory.calls[1], tuple)
+
+
+def _circle_table_case(columns):
+    """A dim1 theory over one point and rows carrying 0 and 1 circles against
+    columns carrying 0..columns-1: columns + 1 forms, each row of one chunk
+    a different slice of them."""
+    boundary = standard_boundary(1)
+    return (Dim1Theory(boundary), [_matching(boundary, [0], c) for c in (0, 1)],
+            [_matching(boundary, [0], c) for c in range(columns)])
+
+
+@pytest.mark.parametrize("columns,dtype", [(254, np.uint8), (255, np.uint8), (256, np.uint16),
+                                           (65_535, np.uint16), (65_536, np.uint32)])
+def test_chunked_tables_widen_their_ids_past_each_dtype(monkeypatch, columns, dtype):
+    monkeypatch.setattr(engine, "_CHUNK", 1)
+    theory, rows, cols = _circle_table_case(columns)
+    forms, ids = theory.glue_table(rows, cols)
+    # glue(rows[r], cols[c]) has 1 + r + c circles: the form of id r + c.
+    assert forms.codes.tolist() == list(range(1, columns + 2)) and ids.dtype == dtype
+    assert ids.tolist() == [list(range(columns)), list(range(1, columns + 1))]
+    assert forms[ids[1, -1]] == theory.glue(rows[1], cols[-1]) == Closed1Manifold(columns + 1)
+
+
+@pytest.mark.parametrize("name", ["dim1", "monomial", "mazur", "scob"])
+def test_tables_of_many_chunks_ascend_and_equal_glue(monkeypatch, name):
+    """With 64-cell chunks every table of more than 64 cells spans several.
+    The code kernels list their forms in ascending code order; the default
+    table, which fourdim uses, does not chunk."""
+    theory, basis = {"dim1": _dim1_case(4, 2), "monomial": _orbit_case("monomial"),
+                     "mazur": (FOURD, list(MAZUR.labels)),
+                     "scob": (build_scob_table(3), list(build_scob_table(3).labels))}[name]
+    monkeypatch.setattr(engine, "_CHUNK", 64)
+    for rows, cols in ((basis, None), (basis[::-3], basis)):
+        forms, ids = theory.glue_table(rows, cols)
+        cols = rows if cols is None else cols
+        if isinstance(forms, engine.CodedForms):
+            assert (forms.codes[1:] > forms.codes[:-1]).all()
+        assert ids.dtype == np.min_scalar_type(max(len(forms) - 1, 0))
+        assert [[forms[f] for f in row] for row in ids.tolist()] == [
+            [theory.glue(a, b) for b in cols] for a in rows]
 
 
 @pytest.mark.parametrize("name", ["dim1", "dim2", "mazur"])

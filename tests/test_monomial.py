@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from umpair import engine
-from umpair.algebra import FormalSum, I, canonical_key
+from umpair.algebra import FormalSum, I, UniverseMismatchError, canonical_key
 from umpair.monomial import (Involution, Monomial, MonomialTheory, UNIT,
                              complexity_mono, enumerate_monomials,
                              manifold3_to_monomial, mono_conj)
@@ -172,6 +173,73 @@ def test_enumerate_monomials_counts_and_order():
 def test_enumerate_monomials_rejects_a_negative_degree():
     with pytest.raises(ValueError, match="bound max_degree must be nonnegative"):
         enumerate_monomials(("a",), -1)
+
+
+def test_enumerate_monomials_rejects_a_repeated_letter():
+    with pytest.raises(ValueError, match="alphabet letters must be distinct"):
+        enumerate_monomials(("a", "b", "a"), 2)
+
+
+def _descriptor_monomials(alphabet, max_degree):
+    """The reference enumeration: checked monomials in
+    ``combinations_with_replacement`` order, degree by degree."""
+    return [Monomial(tuple(Counter(combo).items())) for degree in range(max_degree + 1)
+            for combo in itertools.combinations_with_replacement(alphabet, degree)]
+
+
+@pytest.mark.parametrize("alphabet", [("a", "b", "c"), ("T", "T~", "P"), ("b", "a"), ()],
+                         ids=["sorted", "T-T~-P", "b-a", "empty"])
+@pytest.mark.parametrize("degree", range(4))
+def test_coded_basis_decodes_every_element_in_order(alphabet, degree):
+    basis, expected = enumerate_monomials(alphabet, degree), _descriptor_monomials(alphabet, degree)
+    assert isinstance(basis, engine.CodedBasis) and len(basis) == len(expected)
+    assert [basis[k] for k in range(len(basis))] == expected
+    assert list(basis) == expected and basis == expected
+    assert [canonical_key(m) for m in basis] == [canonical_key(m) for m in expected]
+    assert basis[::-2] == expected[::-2] and isinstance(basis[::-2], engine.CodedBasis)
+
+
+def _foreign_letter_case():
+    """A theory over a, b and a coded basis that also uses c."""
+    return MonomialTheory(Involution(("a", "b"), (("a", "b"),))), enumerate_monomials(
+        ("c", "b", "a"), 2)
+
+
+def test_a_coded_basis_with_a_foreign_letter_raises_the_element_message():
+    theory, basis = _foreign_letter_case()
+    with pytest.raises(UniverseMismatchError) as listed:
+        engine.verify_lemma(list(basis), theory)
+    with pytest.raises(UniverseMismatchError) as coded:
+        engine.verify_lemma(basis, theory)
+    assert str(coded.value) == str(listed.value) == "prime 'c' not in alphabet"
+    # A basis whose rows never use c is inside the theory's universe.
+    assert engine.verify_lemma(basis[np.array([0, 2, 3, 7, 8, 9])], theory).passed
+
+
+def test_a_coded_basis_with_a_foreign_letter_is_caught_only_by_name_without_the_check(
+        monkeypatch):
+    """Without ``validate_coded`` the foreign letter is not a universe error:
+    the exponent rows look it up by name and raise KeyError."""
+    theory, basis = _foreign_letter_case()
+    monkeypatch.setattr(MonomialTheory, "validate_coded", lambda self, basis: None)
+    with pytest.raises(KeyError):
+        engine.verify_lemma(basis, theory)
+
+
+@pytest.mark.parametrize("rows", [slice(2, None), slice(None, -1), slice(None, None, 2)])
+def test_a_sliced_coded_basis_is_not_whole_orbits(rows):
+    # The unit alone is a whole orbit, so the slices drop more than it.
+    sigma = Involution(P4, (("p1", "p2"),))
+    theory, basis = MonomialTheory(sigma), enumerate_monomials(P4, 3)[rows]
+    assert isinstance(basis, engine.CodedBasis) and theory.orbits(basis) is None
+    assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
+
+
+def test_a_coded_basis_reports_as_its_plain_list(monkeypatch):
+    monkeypatch.setattr(MonomialTheory, "complexity", _ignoring_p4)
+    theory, basis = MonomialTheory(Involution(P4)), enumerate_monomials(P4, 3)
+    report = engine.verify_lemma(basis, theory)
+    assert report.violations and report == engine.verify_lemma(list(basis), theory)
 
 
 def test_pair_poly_matches_convolution_oracle():
