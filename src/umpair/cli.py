@@ -212,7 +212,8 @@ def _add_common(parser: argparse.ArgumentParser, theory: bool = True) -> None:
     parser.add_argument("--in", dest="in_path", default=None,
                         help="fourdim: user-supplied gluing table JSON")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="null-search: worker processes for large grids")
+                        help="null-search: worker processes for the assignments "
+                             "left to scan past the first 2^23")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -281,8 +282,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit:  # --help, after printing the usage
         return 0
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
+        # A bare MemoryError has no message; the line still says what failed.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

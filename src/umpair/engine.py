@@ -693,11 +693,15 @@ def _canonical_grid(coeff_set: Iterable[Scalar | int]) -> tuple[Scalar, ...]:
 
 
 # Assignments per numpy batch; the working arrays take about 8 kB per basis
-# coordinate.
+# coordinate.  A subtree of the search that holds at most this many is
+# scanned, not walked.
 _BATCH = 1024
-# Grids smaller than this are scanned serially.  Starting a spawned pool of
-# two workers costs about 0.5 s and the kernel scans 0.2-0.5 us per
-# assignment, so a second worker only pays off past a few million.
+# Assignments per run of adjacent scanned subtrees, and the least work (each
+# run counted as one batch more) per pool task: about 20 ms of scanning.
+_TASK = 1 << 16
+# Searches that scan fewer assignments than this stay serial.  Starting a
+# spawned pool of two workers costs about 0.5 s and the kernel scans 0.2-0.5
+# us per assignment, so a second worker only pays off past a few million.
 _PARALLEL_THRESHOLD = 1 << 23
 
 
@@ -717,8 +721,9 @@ class _NullKernel:
     value is grid[f]: it is tested when rescaling coefficient c by
     lead / grid[f] leaves the grid (every c when grid[f] is the lead, no c
     when grid[f] is 0, which only the all-zero assignment has).  ``groups``
-    are the basis index pairs of each ``GramTensor`` form, smallest first,
-    so most assignments are dropped after the fewest lookups.
+    are the basis index pairs of each ``GramTensor`` form in row-major
+    order, smallest group first, so most assignments are dropped after the
+    fewest lookups; ``last`` is each group's largest basis index.
     """
 
     n: int
@@ -727,27 +732,50 @@ class _NullKernel:
     im: np.ndarray
     keep: np.ndarray
     groups: tuple[tuple[tuple[int, int], ...], ...]
+    last: tuple[int, ...]
 
-    def scan(self, start: int, stop: int) -> tuple[int | None, int, list[int] | None]:
+    @functools.cached_property
+    def depth(self) -> int:
+        """The depth of ``walk``'s leaves: the fewest leading coordinates that
+        leave at most ``_BATCH`` assignments below them."""
+        depth = 0
+        while len(self.keep) ** (self.n - depth) > _BATCH:
+            depth += 1
+        return depth
+
+    @functools.cached_property
+    def open_groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The groups with an index at ``depth`` or past it.  Every other group
+        sums to zero on every assignment that ``walk`` leaves to ``scan``."""
+        return tuple(g for g, last in zip(self.groups, self.last) if last >= self.depth)
+
+    def scan(self, start: int, stop: int,
+             groups: Sequence[tuple[tuple[int, int], ...]] | None = None
+             ) -> tuple[int | None, int, list[int] | None]:
         """First null index in [start, stop), the assignments skipped up to it
         and the hit's digits, its grid index per basis coordinate.
 
-        Without a hit: None, the skips of the whole range, None.  Indices
-        are int64: a scan that reaches 2**63 would not finish anyway.
+        Without a hit: None, the skips of the whole range, None.  The bounds
+        are Python ints of any size: each batch adds its offsets to the digits
+        of its first index, carrying from the last coordinate up.  Only
+        ``groups`` (all of them by default) are summed.
         """
         radix = len(self.keep)
         skipped = 0
         for lo in range(start, stop, _BATCH):
-            index = np.arange(lo, min(lo + _BATCH, stop), dtype=np.int64)
-            digits = np.empty((self.n, len(index)), dtype=np.intp)
+            count = min(_BATCH, stop - lo)
+            digits = np.empty((self.n, count), dtype=np.intp)
+            carry = np.arange(count, dtype=np.intp)
+            rest = lo
             for k in range(self.n - 1, -1, -1):
-                digits[k] = index % radix
-                index //= radix
-            first = digits[(digits != self.zero).argmax(axis=0), np.arange(len(index))]
+                rest, d = divmod(rest, radix)
+                carry += d
+                np.divmod(carry, radix, out=(carry, digits[k]))
+            first = digits[(digits != self.zero).argmax(axis=0), np.arange(count)]
             kept = self.keep[first, digits].any(axis=0)
             rows = np.flatnonzero(kept)
             cand = digits[:, rows]
-            for group in self.groups:
+            for group in self.groups if groups is None else groups:
                 offset = cand * radix
                 re = np.zeros(len(rows), dtype=self.re.dtype)
                 im = np.zeros(len(rows), dtype=self.im.dtype)
@@ -763,7 +791,95 @@ class _NullKernel:
                 hit = int(rows[0])
                 skipped += hit - int(np.count_nonzero(kept[:hit]))
                 return lo + hit, skipped, cand[:, 0].tolist()
-            skipped += len(kept) - int(np.count_nonzero(kept))
+            skipped += count - int(np.count_nonzero(kept))
+        return None, skipped, None
+
+    def walk(self) -> Iterator[tuple[int, int, int]]:
+        """The index ranges that survive two prunes, as (skipped, start, stop)
+        runs in index order; ``skipped`` counts the ray-rule skips of the
+        subtrees pruned since the previous run.
+
+        The walk assigns coordinates 0, 1, ... in turn, each digit in order,
+        down to the depth where a subtree holds at most ``_BATCH``
+        assignments; those subtrees are left to ``scan``.  A node dies when
+        the coordinate just assigned is the last index of a group whose sum
+        is then nonzero, or is nonzero in a diagonal-only group (whose sum
+        is a sum of |L a_i|^2).  A dead subtree holds no null assignment, so
+        the first hit and both counts are those of ``scan(0, G**n)``.
+        An all-zero prefix never dies (each of its closed groups sums to 0),
+        so a dead subtree with r free coordinates has a first nonzero value
+        f: it skips s_f^r assignments, s_f = #{c : not keep[f, c]}, or none
+        once a fixed coordinate is kept.
+        Adjacent surviving subtrees merge into runs of at most about
+        ``_TASK`` assignments; the last run is empty and carries the skips
+        after the last survivor.
+        """
+        radix, n, zero, depth = len(self.keep), self.n, self.zero, self.depth
+        block = radix ** (n - depth)
+        if depth == 0:
+            yield 0, 0, block
+            return
+        keep = self.keep.tolist()
+        re, im = self.re.tolist(), self.im.tolist()
+        spare = [row.count(False) for row in keep]
+        diagonal = [False] * depth
+        closing: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(depth)]
+        for group, last in zip(self.groups, self.last):
+            if all(i == j for i, j in group):
+                for i, _ in group:
+                    if i < depth:
+                        diagonal[i] = True
+            elif last < depth:
+                closing[last].append(group)
+        # Per depth k: the digit of coordinate k, and before it is assigned the
+        # first nonzero digit (-1 if none), whether a coordinate is kept and
+        # the prefix as a mixed-radix number.
+        digit, first, kept, value = [-1] * depth, [-1] * depth, [False] * depth, [0] * depth
+        part = lo = hi = pending = 0
+        k = 0
+        while k >= 0:
+            d = digit[k] = digit[k] + 1
+            if d == radix:
+                k -= 1
+                continue
+            f, is_kept = first[k], kept[k]
+            if f >= 0:
+                is_kept = is_kept or keep[f][d]
+            elif d != zero:
+                f, is_kept = d, keep[d][d]
+            dead = d != zero and diagonal[k]
+            if not dead:
+                for group in closing[k]:
+                    at = [digit[i] * radix + digit[j] for i, j in group]
+                    if sum(map(re.__getitem__, at)) or sum(map(im.__getitem__, at)):
+                        dead = True
+                        break
+            if dead:
+                pending += 0 if is_kept else spare[f] ** (n - 1 - k)
+            elif k + 1 < depth:
+                k += 1
+                digit[k], first[k], kept[k], value[k] = -1, f, is_kept, value[k - 1] * radix + d
+            else:
+                start = (value[k] * radix + d) * block
+                if start == hi and hi - lo < _TASK:
+                    hi += block
+                else:
+                    if hi > lo:
+                        yield part, lo, hi
+                    part, lo, hi, pending = pending, start, start + block, 0
+        yield part, lo, hi
+        yield pending, hi, hi
+
+    def scan_runs(self, runs: Iterable[tuple[int, int, int]]
+                  ) -> tuple[int | None, int, list[int] | None]:
+        """``scan`` of ``open_groups`` over ``walk`` runs in order: the first
+        hit, the skips up to it (the runs' own included) and its digits."""
+        skipped = 0
+        for part, start, stop in runs:
+            hit, scan_skipped, digits = self.scan(start, stop, self.open_groups)
+            skipped += part + scan_skipped
+            if hit is not None:
+                return hit, skipped, digits
         return None, skipped, None
 
 
@@ -776,8 +892,15 @@ def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
     """
     g = len(grid)
     _, re, im = _hermitian_sums(g * g, np.arange(g * g).reshape(g, g), grid, grid)
-    groups = tuple(sorted((tuple(map(tuple, np.argwhere(table.ids == f).tolist()))
-                           for f in range(len(table.forms))), key=len))
+    n = len(table.basis)
+    order = np.argsort(table.ids.ravel(), kind="stable")
+    rows, cols = np.divmod(order, n)
+    starts = np.searchsorted(table.ids.ravel()[order], np.arange(len(table.forms)))
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    bounds = [*starts.tolist(), n * n]
+    last = np.maximum.reduceat(np.maximum(rows, cols), starts).tolist()
+    by_size = sorted(range(len(starts)), key=lambda f: bounds[f + 1] - bounds[f])
+    groups = tuple(tuple(cells[bounds[f]:bounds[f + 1]]) for f in by_size)
     dtype = np.int64 if len(groups[-1]) * max(map(abs, re + im)) < 2**63 else object
 
     lead = ONE if ONE in grid else next(c for c in grid if not c.is_zero())
@@ -792,55 +915,98 @@ def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
         return [factor * c not in on_grid for c in grid]
 
     keep = np.array([ray_row(f) for f in grid], dtype=bool)
-    return _NullKernel(len(table.basis), grid.index(ZERO), np.array(re, dtype=dtype),
-                       np.array(im, dtype=dtype), keep, groups)
+    return _NullKernel(n, grid.index(ZERO), np.array(re, dtype=dtype),
+                       np.array(im, dtype=dtype), keep, groups,
+                       tuple(last[f] for f in by_size))
 
 
-def _scan_in_pool(kernel: _NullKernel, total: int, jobs: int
+def _tasks(runs: Iterable[tuple[int, int, int]]) -> Iterator[list[tuple[int, int, int]]]:
+    """Consecutive runs grouped into pool tasks of about ``_TASK`` work each."""
+    task, work = [], 0
+    for run in runs:
+        task.append(run)
+        work += run[2] - run[1] + _BATCH
+        if work >= _TASK:
+            yield task
+            task, work = [], 0
+    if task:
+        yield task
+
+
+def _scan_in_pool(kernel: _NullKernel, runs: Iterator[tuple[int, int, int]], jobs: int
                   ) -> tuple[int | None, int, list[int] | None]:
-    """``kernel.scan`` over contiguous ranges, in at most one worker per CPU.
+    """``kernel.scan_runs`` over the rest of ``runs`` in at most one worker per
+    CPU.
 
-    Results are read in range order and the pending ranges are cancelled
-    after the first hit, so the hit and the skip count are those of a
-    serial scan whatever the number of jobs.
+    Tasks are read in order, at most four per worker in flight, and the
+    pending ones are cancelled after the first hit, so the hit and the skip
+    count are those of a serial scan whatever the number of jobs.
     """
     # Imported here, not at module level: loading the pool modules costs a
     # serial run about 2 MB of memory and 20 ms.
+    import collections
+    import itertools
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     jobs = min(jobs, os.cpu_count() or 1)
-    chunk = -(-total // (jobs * 8))
+    tasks = _tasks(runs)
+    futures: collections.deque[Any] = collections.deque()
     skipped = 0
     pool = ProcessPoolExecutor(max_workers=jobs,
                                mp_context=multiprocessing.get_context("spawn"))
     try:
-        futures = [pool.submit(kernel.scan, lo, min(lo + chunk, total))
-                   for lo in range(0, total, chunk)]
-        for future in futures:
-            hit, part, digits = future.result()
+        while True:
+            for task in itertools.islice(tasks, 4 * jobs - len(futures)):
+                futures.append(pool.submit(kernel.scan_runs, task))
+            if not futures:
+                return None, skipped, None
+            hit, part, digits = futures.popleft().result()
             skipped += part
             if hit is not None:
                 return hit, skipped, digits
-        return None, skipped, None
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _search(kernel: _NullKernel, jobs: int) -> tuple[int | None, int, list[int] | None]:
+    """``kernel.scan_runs(kernel.walk())``; with more than one job, the runs
+    left once ``_PARALLEL_THRESHOLD`` assignments were scanned go to a pool."""
+    runs = kernel.walk()
+    skipped = scanned = 0
+    for run in runs:
+        hit, part, digits = kernel.scan_runs((run,))
+        skipped += part
+        if hit is not None:
+            return hit, skipped, digits
+        scanned += run[2] - run[1]
+        if jobs > 1 and scanned >= _PARALLEL_THRESHOLD:
+            hit, part, digits = _scan_in_pool(kernel, runs, jobs)
+            return hit, skipped + part, digits
+    return None, skipped, None
 
 
 def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
                 theory: GluingTheory, jobs: int = 1) -> NullSearchResult:
     """Exhaustive search of the coefficient grid for a vector with <x,x> = 0.
 
-    Assignments are scanned in a fixed order (grid sorted by (re, im), basis
+    Assignments are searched in a fixed order (grid sorted by (re, im), basis
     coordinates as mixed-radix digits).  An assignment is skipped only when
     its rescaling to the designated lead coefficient lies entirely on the
     grid, so every scalar ray that meets the grid is tested exactly where it
     meets it and no duplicates of on-grid representatives are reported.  A
     "none" result means no null vector exists on this grid only.
 
-    ``assignments_tested`` counts the assignments scanned: up to and
-    including the hit, or the whole grid.  ``assignments_skipped`` counts
-    those among them that the ray rule (or the all-zero rule) skipped.
+    The search walks digit prefixes depth first (``_NullKernel.walk``),
+    drops the subtrees that a nonzero closed or diagonal-only group already
+    rules out, counts them in closed form, and scans only the surviving
+    leaf subtrees.  It reports what a scan of every assignment would:
+    ``assignments_tested`` counts the assignments up to and including the
+    hit, or the whole grid, and ``assignments_skipped`` those among them
+    that the ray rule (or the all-zero rule) skips.  Both are Python ints,
+    past 2**63 if need be.  With ``jobs`` > 1 the surviving runs past the
+    first ``_PARALLEL_THRESHOLD`` assignments are scanned in a pool and read
+    in order, so the report is the same for every ``jobs``.
     """
     table = GramTensor(_validated(theory, basis), theory)
     grid = _canonical_grid(coeff_set)
@@ -848,13 +1014,9 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
     if n == 0:
         return NullSearchResult(None, 0, grid, 0, 0)
     kernel = _null_kernel(table, grid)
-    total = len(grid) ** n
-    if jobs <= 1 or total < _PARALLEL_THRESHOLD:
-        hit, skipped, digits = kernel.scan(0, total)
-    else:
-        hit, skipped, digits = _scan_in_pool(kernel, total, jobs)
+    hit, skipped, digits = _search(kernel, jobs)
     if hit is None:
-        return NullSearchResult(None, n, grid, total, skipped)
+        return NullSearchResult(None, n, grid, len(grid) ** n, skipped)
     vector = FormalSum((table.basis[k], grid[d]) for k, d in enumerate(digits)
                        if d != kernel.zero)
     return NullSearchResult(vector, n, grid, hit + 1, skipped)

@@ -235,6 +235,10 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "null-search-dim1-pm1": (["null-search", "--theory", "dim1", "--j", "2"], {}),
     "null-search-dim1-gauss1": (["null-search", "--theory", "dim1", "--j", "3",
                                  "--coeff-grid", "gauss1"], {}),
+    "null-search-dim1-max-closed-pm1": (["null-search", "--theory", "dim1", "--j", "3",
+                                         "--max-closed", "1", "--coeff-grid", "pm1"], {}),
+    "null-search-dim1-j4-gauss1": (["null-search", "--theory", "dim1", "--j", "4",
+                                    "--coeff-grid", "gauss1"], {}),
     "null-search-dim2": (["null-search", "--theory", "dim2", "--j", "1", "--gmax", "1",
                           "--coeff-grid", "pm1", "--out", "out.json"], {}),
     "null-search-monomial": (["null-search", "--theory", "monomial", "--alphabet", "a,b",

@@ -177,7 +177,8 @@ def test_criterion_6_null_search_negative_controls():
         for grid in (engine.PM_ONE_GRID, engine.gaussian_integer_grid(2)):
             assert engine.null_search(d1_basis, grid, d1).vector is None
             assert engine.null_search(d2_basis, grid, d2).vector is None
-        # dim1 j=3: 15,625 assignments on gauss1 and 4,826,809 on gauss2.
+        # dim1 j=3: 15,625 assignments on gauss1 and 4,826,809 on gauss2, of
+        # which the pruned search scans one leaf subtree of 625 and of 169.
         boundary = standard_boundary(3)
         d1_basis = enumerate1(boundary, 0)
         d1 = Dim1Theory(boundary)

@@ -287,6 +287,24 @@ def test_null_search_rejects_bad_grid(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_oversized_dim1_basis_exits_1_without_traceback(capsys):
+    """21! matchings overflow the array size before any allocation."""
+    assert main(["verify-lemma", "--theory", "dim1", "--j", "21"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_1_with_a_named_error(capsys, monkeypatch):
+    """A MemoryError, even one with no message, is one non-empty error line."""
+    def exhausted(boundary, max_closed):
+        raise MemoryError()
+
+    monkeypatch.setattr(dim1, "enumerate1", exhausted)
+    assert main(["verify-lemma", "--theory", "dim1", "--j", "13"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_enumerate_monomials(tmp_path):
     out = tmp_path / "basis.json"
     code = main(["enumerate", "--theory", "monomial", "--alphabet", "a,b",
@@ -427,6 +445,42 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path):
         capture_output=True, text=True, check=False)
     assert result.returncode == 0
     assert json.loads(result.stdout)["search"]["status"] == "none"
+
+
+@pytest.mark.slow
+def test_null_search_dim1_j5_in_a_fresh_process():
+    """dim1 j = 5 on gauss1, 5**120 assignments, found null-free by the pruned
+    search: under 1 s and 48 MB peak RSS (0.01 s and 33 MB measured on a
+    2-vCPU VM).  The RSS is the child's own VmHWM: Linux carries
+    ``ru_maxrss`` across exec, so there it would read at least the RSS of
+    the test process."""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    script = "\n".join([
+        "import io, json, resource, sys, time",
+        "from contextlib import redirect_stdout",
+        "from pathlib import Path",
+        "sys.path.insert(0, sys.argv[1])",
+        "from umpair import cli",
+        "out = io.StringIO()",
+        "start = time.perf_counter()",
+        "with redirect_stdout(out):",
+        "    rc = cli.main(['null-search', '--theory', 'dim1', '--j', '5',",
+        "                   '--coeff-grid', 'gauss1'])",
+        "seconds = time.perf_counter() - start",
+        "assert rc == 0, rc",
+        "search = json.loads(out.getvalue())['search']",
+        "status = Path('/proc/self/status')",
+        "print(seconds, search['status'], search['assignments_tested'],",
+        "      status.read_text().split('VmHWM:')[1].split()[0] if status.exists()",
+        "      else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+    ])
+    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+                            capture_output=True, text=True, check=True)
+    seconds, status, tested, max_rss_kb = result.stdout.split()
+    assert status == "none"
+    assert int(tested) == 5**120
+    assert float(seconds) < 1.0
+    assert int(max_rss_kb) < 48 * 1024
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

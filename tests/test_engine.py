@@ -1,6 +1,7 @@
 """The pairing engine across all four gluing theories."""
 
 import gc
+import itertools
 import os
 import random
 import weakref
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
-from oracles import fraction_null_search, loop_pair
+from oracles import _is_canonical_nonzero, fraction_null_search, loop_pair
 
 from umpair import dim1, engine, monomial
 from umpair.algebra import (FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO,
@@ -1039,8 +1040,10 @@ def test_scalar_division_supports_the_ray_check():
 
 def test_null_search_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-    labels = ["A", "B", "M", "M'"]
-    hit = (_constant_table(tuple(labels), "S4"), labels)
+    # The pool starts after the first run: 3**11 assignments in three runs,
+    # the hit in the second; and dim1 j = 3, whose one run precedes it.
+    labels = [f"A{k}" for k in range(11)]
+    hit = (_constant_table(tuple(labels), "S"), labels)
     none = _dim1_case(3, 0)
     for (theory, basis), found in ((hit, True), (none, False)):
         serial = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=1)
@@ -1050,27 +1053,41 @@ def test_null_search_parallel_matches_serial(monkeypatch):
         assert serial.to_json() == parallel.to_json()
 
 
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that runs each task on submit;
+    ``workers`` holds the max_workers of each pool started."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers, mp_context=None):
+        _InlinePool.workers.append(max_workers)
+
+    def submit(self, fn, *args):
+        import concurrent.futures
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def _inline_pool(monkeypatch):
+    """Patch in ``_InlinePool``; the list its pools' worker counts go to."""
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "workers", [])
+    return _InlinePool.workers
+
+
 def test_null_search_caps_workers_at_the_cpu_count(monkeypatch):
     """--jobs above the CPU count starts no more workers than there are CPUs."""
-    import concurrent.futures
-    workers = []
-
-    class InlinePool:
-        def __init__(self, max_workers, mp_context=None):
-            workers.append(max_workers)
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    workers = _inline_pool(monkeypatch)
     monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-    labels = ["A", "B", "M", "M'"]
-    theory = _constant_table(tuple(labels), "S4")
+    # 3**11 assignments in three runs, the hit in the second: the pool
+    # starts after the first.
+    labels = [f"A{k}" for k in range(11)]
+    theory = _constant_table(tuple(labels), "S")
     serial = engine.null_search(labels, engine.PM_ONE_GRID, theory)
     assert engine.null_search(labels, engine.PM_ONE_GRID, theory, jobs=10_000) == serial
     assert workers and max(workers) <= os.cpu_count()
@@ -1170,3 +1187,177 @@ def test_null_kernel_falls_back_to_python_ints():
     assert engine._null_kernel(table, huge).re.dtype == object
     result = engine.null_search(labels, huge, FOURD)
     assert result.vector == FormalSum([("M", 1), ("M'", -1)])
+
+
+def _scanned(basis, grid, theory):
+    """The report of ``_NullKernel.scan`` over every assignment, the search
+    with no walk and no prune."""
+    table = engine.GramTensor(basis, theory)
+    grid = engine._canonical_grid(grid)
+    kernel = engine._null_kernel(table, grid)
+    total = len(grid) ** len(basis)
+    hit, skipped, digits = kernel.scan(0, total)
+    if hit is None:
+        return engine.NullSearchResult(None, len(basis), grid, total, skipped)
+    vector = FormalSum((table.basis[k], grid[d]) for k, d in enumerate(digits)
+                       if d != kernel.zero)
+    return engine.NullSearchResult(vector, len(basis), grid, hit + 1, skipped)
+
+
+def _random_grid(rng):
+    """0 and two to five more Gaussian rationals with small parts."""
+    parts = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(10)]
+    return (ZERO, *(Scalar(parts[2 * k], parts[2 * k + 1]) for k in range(rng.randint(2, 5))))
+
+
+def _planted_table(rng, size):
+    """A random symmetric label table on ``size`` labels whose last two rows
+    coincide (so L{size-2} - L{size-1} is null), or, one time in four, none."""
+    labels = [f"L{k}" for k in range(size)]
+    names = [f"N{k}" for k in range(rng.randint(2, size * size))]
+    table = {}
+    for a in range(size):
+        for b in range(a, size):
+            table[labels[a], labels[b]] = table[labels[b], labels[a]] = rng.choice(names)
+    if rng.random() < 0.75:
+        p, q = labels[-2], labels[-1]
+        for x in labels:
+            table[q, x] = table[x, q] = table[p, x if x != q else p]
+    return FourDimTheory(labels, table, {name: name for name in names}), labels
+
+
+WALK_CASES = {
+    **NULL_CASES,
+    "monomial-ab": (MonomialTheory(Involution(("a", "b"))),
+                    enumerate_monomials(("a", "b"), 2)),
+    "monomial-abc-swap": (MonomialTheory(Involution(("a", "b", "c"), swaps=(("a", "b"),))),
+                          enumerate_monomials(("a", "b", "c"), 2)),
+    **{f"fourdim-seed{seed}": _planted_table(random.Random(seed), 3 + seed % 6)
+       for seed in range(12)},
+}
+# Assignments per case the brute-force scan may take, about 0.2 s; with
+# leaves of 4 assignments, the walk of every coordinate may take a few ms.
+SCAN_BUDGET = 600_000
+DEEP_BUDGET = 5_000
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_null_walk_agrees_with_the_full_scan(case, monkeypatch):
+    """The pruned search reports what a scan of every assignment does: the
+    same hit, assignments_tested and assignments_skipped, on fixed and
+    seeded grids; small grids again with leaves of at most 4 assignments,
+    so that the walk, not the scan, decides nearly every coordinate."""
+    theory, basis = WALK_CASES[case]
+    rng = random.Random(case)
+    grids = [*NULL_GRIDS.values(), _random_grid(rng), _random_grid(rng)]
+    scanned = {}
+    for grid in grids:
+        if len(set(grid)) ** len(basis) <= SCAN_BUDGET:
+            scanned[grid] = _scanned(basis, grid, theory)
+            walked = engine.null_search(basis, grid, theory)
+            assert walked == scanned[grid]
+            assert walked.to_json() == scanned[grid].to_json()
+    assert scanned
+    monkeypatch.setattr(engine, "_BATCH", 4)
+    for grid, expected in scanned.items():
+        if len(set(grid)) ** len(basis) <= DEEP_BUDGET:
+            walked = engine.null_search(basis, grid, theory)
+            assert walked == expected and walked.to_json() == expected.to_json()
+
+
+def test_null_walk_prunes_far_below_the_grid(monkeypatch):
+    """dim1 j = 4 on gauss1: 5**24 assignments, of which the walk scans one
+    leaf subtree of 5**4, so jobs=2 starts no pool."""
+    theory, basis = _dim1_case(4, 0)
+    kernel = engine._null_kernel(engine.GramTensor(basis, theory),
+                                 engine.gaussian_integer_grid(1))
+    runs = list(kernel.walk())
+    assert sum(stop - start for _, start, stop in runs) == 5**4
+    result = engine.null_search(basis, NULL_GRIDS["gauss1"], theory)
+    assert result.vector is None
+    assert result.assignments_tested == 5**24
+    workers = _inline_pool(monkeypatch)
+    assert engine.null_search(basis, NULL_GRIDS["gauss1"], theory, jobs=2) == result
+    assert workers == []
+
+
+def _brute_ray_skips(grid, n):
+    """Assignments of n coordinates that the ray rule skips, one at a time."""
+    grid = engine._canonical_grid(grid)
+    lead = ONE if ONE in grid else next(c for c in grid if not c.is_zero())
+    on_grid = frozenset(grid)
+    return sum(not _is_canonical_nonzero(coeffs, lead, on_grid)
+               for coeffs in itertools.product(grid, repeat=n))
+
+
+def _closed_form_ray_skips(grid, n):
+    """The same count in closed form: the all-zero assignment, plus, for each
+    first nonzero position t and value f other than the lead, the s_f**(n-1-t)
+    completions that rescale by lead / f onto the grid."""
+    grid = engine._canonical_grid(grid)
+    lead = ONE if ONE in grid else next(c for c in grid if not c.is_zero())
+    on_grid = frozenset(grid)
+    skips = 1
+    for f in grid:
+        if not f.is_zero() and f != lead:
+            spare = sum(lead / f * c in on_grid for c in grid)
+            skips += sum(spare ** (n - 1 - t) for t in range(n))
+    return skips
+
+
+@pytest.mark.parametrize("grid", ["pm1", "gauss1", "m2-0-1-2", "rational"])
+def test_null_none_skips_every_off_ray_assignment(grid):
+    """A "none" search skips exactly the assignments the ray rule skips, a
+    count of the grid and n alone: checked one assignment at a time for
+    n <= 4 on label tables with no null vector, and in closed form at n = 24
+    on dim1 j = 4."""
+    values = NULL_GRIDS[grid]
+    for n in range(1, 5):
+        labels = [f"L{k}" for k in range(n)]
+        theory = FourDimTheory(labels, {(a, b): "+".join(sorted((a, b)))
+                                        for a in labels for b in labels},
+                               {"+".join(sorted((a, b))): "+".join(sorted((a, b)))
+                                for a in labels for b in labels})
+        result = engine.null_search(labels, values, theory)
+        assert result.vector is None
+        assert result.assignments_skipped == _brute_ray_skips(values, n)
+        assert _closed_form_ray_skips(values, n) == _brute_ray_skips(values, n)
+    if grid == "gauss1":
+        theory, basis = _dim1_case(4, 0)
+        result = engine.null_search(basis, values, theory)
+        assert result.vector is None
+        assert result.assignments_skipped == _closed_form_ray_skips(values, 24)
+
+
+def test_null_hit_past_int64():
+    """43 labels on pm1: the hit, M - M', is assignment 1.64e20, past 2**63."""
+    labels = [f"L{k}" for k in range(41)] + ["M", "M'"]
+    closed = {label: "M" if label == "M'" else label for label in labels}
+    names = {(a, b): "+".join(sorted((closed[a], closed[b])))
+             for a in labels for b in labels}
+    theory = FourDimTheory(labels, names, {name: name for name in names.values()})
+    result = engine.null_search(labels, engine.PM_ONE_GRID, theory)
+    assert result.vector == FormalSum([("M", 1), ("M'", -1)])
+    # Digits on (-1, 0, 1): every L at 0, M at 1 and M' at -1.
+    index = 0
+    for digit in [1] * 41 + [2, 0]:
+        index = index * 3 + digit
+    assert result.assignments_tested == index + 1 > 2**63
+    # Before it, only (0, ..., 0, 1) has the lead 1 as its first nonzero value.
+    assert result.assignments_skipped == index - 1
+
+
+@pytest.mark.parametrize("case", ["constant11", "dim1-j3-mc1", "fourdim-seed5"])
+def test_null_walk_pooled_runs_match_serial(case, monkeypatch):
+    """Runs handed to a pool after the first are read in order: the report
+    equals the serial one, found or not."""
+    labels = [f"A{k}" for k in range(11)]
+    theory, basis = ((_constant_table(tuple(labels), "S"), labels) if case == "constant11"
+                     else WALK_CASES[case])
+    serial = engine.null_search(basis, engine.PM_ONE_GRID, theory)
+    workers = _inline_pool(monkeypatch)
+    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(engine, "_TASK", 2 * engine._BATCH)
+    pooled = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=2)
+    assert pooled == serial and pooled.to_json() == serial.to_json()
+    assert len(workers) == 1
