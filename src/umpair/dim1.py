@@ -240,7 +240,9 @@ def enumerate1(boundary: Boundary0, max_closed: int = 0) -> CodedBasis:
     held as int8 ``targets`` rows and int64 carried counts, decoded by
     ``_Matchings(boundary)`` when read.  When the boundary has unequal
     positive and negative counts no oriented bounded 1-manifold exists and
-    the basis is empty.
+    the basis is empty.  A basis too large for numpy to index, whose int8
+    rows hold j * j! * (max_closed + 1) entries past int64 (from j = 20),
+    raises ValueError naming j and its element count.
     """
     check_bounds({"max_closed": max_closed})
     j = len(boundary.pos)
@@ -248,6 +250,9 @@ def enumerate1(boundary: Boundary0, max_closed: int = 0) -> CodedBasis:
         perms = np.zeros((0, j), dtype=np.int8)
     else:
         count = math.factorial(j)
+        if j * count * (max_closed + 1) > INT64_MAX:
+            raise ValueError(f"dim1 basis over j = {j} points has {count * (max_closed + 1):,} "
+                             f"elements (j! x (max_closed + 1)), too many to hold")
         perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(j))),
                             dtype=np.int8, count=j * count).reshape(count, j)
     return CodedBasis((np.repeat(perms, max_closed + 1, axis=0),
@@ -291,7 +296,9 @@ class Dim1Theory(GluingTheory):
         cycles ``glue1`` counts; ``_cycle_table(j)`` reads them.  Past j = 8,
         ``_cycle_counts`` counts its conjugate v -> sigma_r(inv[s, v]) instead,
         ``_COLUMNS`` columns at a time.  Circle counts are int64 while they
-        fit, else Python ints.
+        fit, else Python ints; a cell counts at most j cycles, so they lie in
+        [0, j + the largest carried count of a row and of a column], the
+        bound ``table_from_codes`` may rank them by.
         """
         cols = rows if cols is None else cols
         j = len(self.boundary.pos)
@@ -318,7 +325,12 @@ class Dim1Theory(GluingTheory):
         def circles(lo: int, hi: int) -> np.ndarray:
             return (cycles(lo, hi) + row_carried[lo:hi, None] + carried).reshape(-1)
 
-        return table_from_codes(len(rows), len(cols), circles, Closed1Manifold)
+        def bound() -> tuple[int, int]:
+            return 0, j + int(row_carried.max()) + int(carried.max()) + 1
+
+        bounded = carried.dtype == row_carried.dtype == np.int64 and len(carried)
+        return table_from_codes(len(rows), len(cols), circles, Closed1Manifold,
+                                bound if bounded else None)
 
     def _arrays(self, side: Sequence[Bounded1Manifold]) -> tuple[np.ndarray, np.ndarray]:
         """(targets, carried): each element's ``targets`` as a row, and its

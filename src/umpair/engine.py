@@ -430,7 +430,9 @@ class CodedBasis(_Coded):
 
 
 def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarray],
-                     decode: Callable[[Any], Any]) -> tuple[CodedForms, np.ndarray]:
+                     decode: Callable[[Any], Any],
+                     bound: Callable[[], tuple[int, int]] | None = None
+                     ) -> tuple[CodedForms, np.ndarray]:
     """A ``glue_table`` result of ``rows`` x ``cols`` cells from closed forms
     coded as integers.
 
@@ -439,21 +441,71 @@ def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarra
     (dtype object); codes are equal exactly when their closed forms are,
     and ``decode`` decodes one.  Only one chunk of codes is held at a time.
     The forms are ``CodedForms`` of the distinct codes, in the codes' dtype
-    and ascending order, as ``np.unique`` gives them.  A table of more than
-    one chunk keeps each chunk's ids into its own distinct codes, then ranks
-    all of those codes in one ``np.unique`` and remaps each chunk by a gather.
+    and ascending order, as ``np.unique`` gives them.  A table of one chunk
+    takes them from one ``np.unique``.  A larger table takes them from a
+    presence mask (``_masked_table``) when ``bound`` is given and the span
+    it returns is at most ``_MASK_SPAN`` times the cell count, else from the
+    chunks' own distinct codes (``_merged_table``).  ``bound()``, called
+    only for a table of more than one chunk, returns a half-open range
+    [low, high) of Python ints that holds every code; a kernel passes one
+    only for int64 codes.
     """
     step = _chunk_rows(cols)
     if rows <= step:
         distinct, inverse = np.unique(codes(0, rows), return_inverse=True)
         dtype = np.min_scalar_type(max(len(distinct) - 1, 0))
         return CodedForms(distinct, decode), inverse.astype(dtype).reshape(rows, cols)
+    if bound is not None:
+        low, high = bound()
+        if high - low <= _MASK_SPAN * rows * cols:
+            forms, ids = _masked_table(rows, cols, codes, low, high)
+            return CodedForms(forms, decode), ids
+    forms, ids = _merged_table(rows, cols, codes)
+    return CodedForms(forms, decode), ids
+
+
+# Widest span of codes, per cell, that ``table_from_codes`` ranks by a mask.
+_MASK_SPAN = 4
+
+
+def _masked_table(rows: int, cols: int, codes: Callable[[int, int], np.ndarray],
+                  low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """(forms, ids) of a table whose int64 codes lie in [low, high): each
+    chunk's codes, computed once, are marked in one boolean mask over the
+    span and held as code - low in the ids.  The forms are the marked codes,
+    ascending as ``np.unique``'s do, and the ids are remapped in place to
+    the rank of their code among them: 0, 1, ... scattered at the marked
+    offsets."""
+    step = _chunk_rows(cols)
+    mask = np.zeros(high - low, dtype=bool)
+    ids = np.empty((rows, cols), dtype=np.min_scalar_type(max(high - low - 1, 0)))
+    for lo in range(0, rows, step):
+        block = ids[lo:lo + step]
+        offsets = codes(lo, lo + len(block))
+        if low:
+            offsets = offsets - low
+        mask[offsets] = True
+        block[...] = offsets.reshape(block.shape)
+    marked = np.flatnonzero(mask)
+    rank = np.empty(len(mask), dtype=ids.dtype)
+    rank[marked] = np.arange(len(marked), dtype=ids.dtype)
+    np.take(rank, ids, out=ids)
+    return marked + low, ids.astype(np.min_scalar_type(max(len(marked) - 1, 0)), copy=False)
+
+
+def _merged_table(rows: int, cols: int, codes: Callable[[int, int], np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(forms, ids) of a table of several chunks: each chunk's ids index that
+    chunk's distinct codes, all of which are then ranked in one ``np.unique``
+    and each chunk remapped by a gather."""
+    step = _chunk_rows(cols)
     ids = np.zeros((rows, cols), dtype=np.uint8)
     chunks = []
     for lo in range(0, rows, step):
-        distinct, inverse = np.unique(codes(lo, min(lo + step, rows)), return_inverse=True)
+        hi = min(lo + step, rows)
+        distinct, inverse = np.unique(codes(lo, hi), return_inverse=True)
         ids = _fit_ids(ids, len(distinct))
-        ids[lo:lo + step] = inverse.reshape(-1, cols)
+        ids[lo:hi] = inverse.reshape(hi - lo, cols)
         chunks.append(distinct)
     forms, slots = np.unique(np.concatenate(chunks), return_inverse=True)
     ids = _fit_ids(ids, len(forms))
@@ -463,7 +515,7 @@ def table_from_codes(rows: int, cols: int, codes: Callable[[int, int], np.ndarra
         block = ids[lo:lo + step]
         np.take(slots[start:start + len(distinct)], block, out=block)
         start += len(distinct)
-    return CodedForms(forms, decode), ids
+    return forms, ids
 
 
 def _dominance_failures(table: GramTensor, at: np.ndarray | None = None,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _ascii
@@ -185,8 +184,10 @@ class MonomialTheory(GluingTheory):
         the largest basis exponent, are its exponents in sorted prime order
         (``_Packing``).  Packing is linear and no glued exponent reaches the
         base, so glue(a, b) = a * conj(b) packs to pack(a) + pack(conj(b)).
-        Codes are int64 while they fit, else Python ints.  The forms decode
-        on first read; ``complexity_ranks`` reads their int64 codes instead.
+        Codes are int64 while they fit, else Python ints; int64 codes lie
+        between the sums of the two sides' smallest and largest codes, the
+        bound ``table_from_codes`` may rank them by.  The forms decode on
+        first read; ``complexity_ranks`` reads their int64 codes instead.
         """
         cols = rows if cols is None else cols
         exps = self._exponent_rows(cols)
@@ -202,7 +203,12 @@ class MonomialTheory(GluingTheory):
         def codes(lo: int, hi: int) -> np.ndarray:
             return (left[lo:hi, None] + right).reshape(-1)
 
-        return table_from_codes(len(rows), len(cols), codes, packing)
+        def bound() -> tuple[int, int]:
+            return (int(left.min()) + int(right.min()),
+                    int(left.max()) + int(right.max()) + 1)
+
+        return table_from_codes(len(rows), len(cols), codes, packing,
+                                bound if dtype == np.int64 and len(right) else None)
 
     @functools.cached_property
     def _letters(self) -> tuple[str, ...]:
@@ -275,12 +281,15 @@ class MonomialTheory(GluingTheory):
         (Z2 wr S_k) x S_f for k swaps and f fixed primes.  It commutes with
         the involution, so glue(g·a, g·b) == g·glue(a, b), and it permutes
         the orbit pairs that ``complexity_mono`` sorts, so it keeps
-        complexity.  A label, the sorted multiset of sorted exponent pairs
-        over the swaps with the sorted multiset of fixed-prime exponents, is
-        a complete invariant of an orbit; it is packed into one integer per
-        monomial, and each distinct label's count is checked against its
-        orbit's size.  A ``complexity`` overridden in a subclass or patched
-        in need not be invariant, so it gets None.
+        complexity.  The group is finite, so a set closed under its
+        generators (``_generators``) is a union of whole orbits: each
+        generator permutes the exponent columns, and every permuted row's
+        packed code must be among the basis's sorted codes.  A label, the
+        sorted multiset of sorted exponent pairs over the swaps with the
+        sorted multiset of fixed-prime exponents, is a complete invariant of
+        an orbit; it is packed into one integer per monomial.  Codes and
+        labels past int64 are Python ints.  A ``complexity`` overridden in a
+        subclass or patched in need not be invariant, so it gets None.
         """
         if not self._complexity_is_own():
             return None
@@ -289,24 +298,41 @@ class MonomialTheory(GluingTheory):
         top = int(exps.max(initial=0)) + 1
         k, f = len(sigma.swaps), len(sigma.fixed)
         exps = exps.astype(np.int64 if top ** (2 * k + f) <= INT64_MAX else object, copy=False)
-        codes = np.sort(_packed(exps, [top] * len(column)))
+        radix = [top] * len(column)
+        codes = np.sort(_packed(exps, radix))
         if not (codes[1:] != codes[:-1]).all():
             return None
+        for perm in self._generators:
+            image = _packed(exps[:, perm], radix)
+            at = np.searchsorted(codes, image)
+            if not ((at < len(codes)).all() and (codes[at] == image).all()):
+                return None
         # Each swap's sorted pair (a, b) as a * top + b, then the fixed
         # exponents, each group sorted, packed into one label per monomial.
         ea = exps[:, [column[a] for a, _ in sigma.swaps]]
         eb = exps[:, [column[b] for _, b in sigma.swaps]]
         pairs = np.sort(np.minimum(ea, eb) * top + np.maximum(ea, eb), axis=1)
         fixed = np.sort(exps[:, [column[p] for p in sigma.fixed]], axis=1)
-        labels = _packed(np.hstack((pairs, fixed)), [top * top] * k + [top] * f)
-        _, first, counts = np.unique(labels, return_index=True, return_counts=True)
-        for row, count in zip(exps[first].tolist(), counts.tolist()):
-            swapped = [tuple(sorted((row[column[a]], row[column[b]]))) for a, b in sigma.swaps]
-            size = (_arrangements(swapped) * 2 ** sum(a != b for a, b in swapped)
-                    * _arrangements([row[column[p]] for p in sigma.fixed]))
-            if count != size:
-                return None
-        return labels
+        return _packed(np.hstack((pairs, fixed)), [top * top] * k + [top] * f)
+
+    @functools.cached_property
+    def _generators(self) -> tuple[list[int], ...]:
+        """Generators of the relabelling group ``orbits`` uses, each a
+        permutation of the columns of ``_letters``: the exchange of the two
+        primes of each swap, of adjacent swaps (first with first, second
+        with second), and of adjacent fixed primes."""
+        sigma, column = self.involution, {p: k for k, p in enumerate(self._letters)}
+
+        def exchanging(*pairs: tuple[str, str]) -> list[int]:
+            perm = list(range(len(column)))
+            for a, b in pairs:
+                perm[column[a]], perm[column[b]] = column[b], column[a]
+            return perm
+
+        swaps, fixed = sigma.swaps, sigma.fixed
+        return (*(exchanging(s) for s in swaps),
+                *(exchanging((a, c), (b, d)) for (a, b), (c, d) in zip(swaps, swaps[1:])),
+                *(exchanging(pq) for pq in zip(fixed, fixed[1:])))
 
     def complexity(self, closed: Monomial) -> tuple[tuple[int, int], ...]:
         return complexity_mono(closed, self.involution)
@@ -371,14 +397,6 @@ class _Packing:
         for k in range(len(self.letters)):
             codes, out[:, k] = np.divmod(codes, self.base)
         return out
-
-
-def _arrangements(values: Sequence[Any]) -> int:
-    """The number of distinct orderings of ``values``."""
-    count = math.factorial(len(values))
-    for m in Counter(values).values():
-        count //= math.factorial(m)
-    return count
 
 
 def manifold3_to_monomial(primes: Iterable[str] | Mapping[str, int],

@@ -14,7 +14,11 @@ components by a breadth-first search over the parts and sums chi over
 each; the arc walk recounts a 1-manifold gluing
 without the permutation route of ``glue1``.  ``sorted_chi_complexity``
 recomputes the dim2 complexity by sorting the component chis, never
-relying on the order of the genera.  ``ComplexityTuple`` and
+relying on the order of the genera.  ``counted_whole_orbits`` decides
+whether a monomial basis is a union of whole relabelling orbits by counting
+each orbit label's members against the orbit's size, the check
+``MonomialTheory.orbits`` once made before it tested closure under the
+group's generators.  ``ComplexityTuple`` and
 ``MonomialComplexity`` are the padded comparators the dim2 and monomial
 complexities once used; the tests check that plain tuple order agrees with
 them.
@@ -23,7 +27,8 @@ them.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import math
+from collections import Counter, deque
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable
@@ -33,7 +38,7 @@ from umpair.algebra import (ONE, ZERO, FormalSum, Scalar, UniverseMismatchError,
 from umpair.dim1 import Bounded1Manifold
 from umpair.dim2 import Bounded2Manifold
 from umpair.engine import LemmaReport, LemmaViolation, NullSearchResult
-from umpair.monomial import Monomial
+from umpair.monomial import Involution, Monomial
 
 
 def loop_pair(x, y, theory):
@@ -45,6 +50,34 @@ def loop_pair(x, y, theory):
         for b, cb in y.items():
             terms.append((theory.glue(a, b), ca * cb.conj()))
     return FormalSum(terms)
+
+
+def _arrangements(values):
+    """The number of distinct orderings of ``values``."""
+    count = math.factorial(len(values))
+    for m in Counter(values).values():
+        count //= math.factorial(m)
+    return count
+
+
+def counted_whole_orbits(basis: Iterable[Monomial], sigma: Involution) -> bool:
+    """Whether the monomials of ``basis`` are distinct and a union of whole
+    orbits of the prime relabellings that commute with ``sigma``: each
+    orbit label (the sorted exponent pairs of the swaps, the sorted
+    fixed-prime exponents) must occur as often as its orbit is large, the
+    ways to arrange the pairs times 2 per unequal pair times the ways to
+    arrange the fixed exponents."""
+    basis = list(basis)
+    if len(set(basis)) != len(basis):
+        return False
+    counts = Counter()
+    for m in basis:
+        exps = dict(m.exponents)
+        pairs = tuple(sorted(tuple(sorted((exps.get(a, 0), exps.get(b, 0))))
+                             for a, b in sigma.swaps))
+        counts[pairs, tuple(sorted(exps.get(p, 0) for p in sigma.fixed))] += 1
+    return all(count == _arrangements(pairs) * 2 ** sum(a != b for a, b in pairs)
+               * _arrangements(fixed) for (pairs, fixed), count in counts.items())
 
 
 def loop_lemma(basis, theory):

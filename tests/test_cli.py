@@ -288,11 +288,13 @@ def test_null_search_rejects_bad_grid(capsys):
 
 
 def test_oversized_dim1_basis_exits_1_without_traceback(capsys):
-    """21! matchings overflow the array size before any allocation."""
-    assert main(["verify-lemma", "--theory", "dim1", "--j", "21"]) == 1
+    """21! matchings overflow the array size before any allocation; the
+    error names j and the element count, 21! x (max_closed + 1)."""
+    assert main(["verify-lemma", "--theory", "dim1", "--j", "21", "--max-closed", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert "j = 21 points has 102,181,884,343,418,880,000 elements" in err
 
 
 def test_out_of_memory_exits_1_with_a_named_error(capsys, monkeypatch):

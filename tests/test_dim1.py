@@ -93,6 +93,12 @@ def test_enumerate1_keeps_the_label_order(j, max_closed):
     assert all(Bounded1Manifold.from_json(b.to_json()) == b for b in basis)
 
 
+def test_a_basis_too_large_to_index_names_j_and_its_size():
+    """21 * 21! int8 entries pass int64: refused before numpy is asked."""
+    with pytest.raises(ValueError, match=r"j = 21 points has 51,090,942,171,709,440,000 "):
+        enumerate1(standard_boundary(21), 0)
+
+
 def test_unbalanced_boundary_has_empty_basis():
     boundary = Boundary0(("p1", "p2"), ("n1",))
     assert enumerate1(boundary, 3) == []

@@ -618,6 +618,161 @@ def test_tables_of_many_chunks_ascend_and_equal_glue(monkeypatch, name):
             [theory.glue(a, b) for b in cols] for a in rows]
 
 
+def _bounded_code_tables():
+    """name -> (int64 code table, low, high) with every code in [low, high),
+    seeded.  With 64-cell chunks every table but 3 x 7 and 0 x 5 spans
+    several chunks and takes the mask path when given its bound."""
+    rng = np.random.default_rng(20530)
+    cases = {}
+    for rows, cols in ((2, 40), (3, 7), (10, 7), (40, 3), (130, 1), (5, 64)):
+        low = int(rng.integers(-2**40, 2**40))
+        high = low + int(rng.integers(1, 4 * rows * cols + 1))
+        table = rng.integers(low, high, size=(rows, cols))
+        table.flat[0], table.flat[-1] = low, high - 1
+        cases[f"random-{rows}x{cols}"] = (table, low, high)
+    cases["all-equal"] = (np.full((9, 20), 7), 7, 8)
+    for count in (256, 257):
+        # count distinct codes, both ends of the bound among them.
+        values = np.concatenate(([0, 599], rng.choice(np.arange(1, 599), count - 2,
+                                                       replace=False))) + 10**12
+        table = rng.permutation(np.resize(values, 400)).reshape(20, 20)
+        cases[f"{count}-forms"] = (table, 10**12, 10**12 + 600)
+    cases["no-rows"] = (np.zeros((0, 5), dtype=np.int64), 3, 3)
+    cases["no-columns"] = (np.zeros((100, 0), dtype=np.int64), 3, 3)
+    return cases
+
+
+BOUNDED_CODE_TABLES = _bounded_code_tables()
+
+
+def _recording_helpers(monkeypatch):
+    """The ``table_from_codes`` helper each table of several chunks calls,
+    "masked" or "merged", as a list."""
+    taken = []
+    for name in ("masked", "merged"):
+        def helper(*args, _name=name, _helper=getattr(engine, f"_{name}_table")):
+            taken.append(_name)
+            return _helper(*args)
+        monkeypatch.setattr(engine, f"_{name}_table", helper)
+    return taken
+
+
+def _recording_branches(monkeypatch):
+    """The branch of every ``table_from_codes`` call that dim1 and monomial
+    make, as a list of ((rows, cols), branch): "masked", "merged", or
+    "one-chunk" when it calls neither helper."""
+    branches, taken = [], _recording_helpers(monkeypatch)
+    for module in (dim1, monomial):
+        def recording(rows, cols, *args, _table=module.table_from_codes):
+            taken.clear()
+            result = _table(rows, cols, *args)
+            branches.append(((rows, cols), taken[0] if taken else "one-chunk"))
+            return result
+        monkeypatch.setattr(module, "table_from_codes", recording)
+    return branches
+
+
+@pytest.mark.parametrize("case", BOUNDED_CODE_TABLES)
+def test_masked_tables_equal_the_unique_tables(monkeypatch, case):
+    """Ranked by a presence mask over their bound or by ``np.unique``, a
+    table of bounded int64 codes has the same forms, ids and ids dtype: one
+    ``np.unique`` of the whole table, with the narrowest unsigned ids.  A
+    table of one chunk never asks for its bound."""
+    table, low, high = BOUNDED_CODE_TABLES[case]
+    monkeypatch.setattr(engine, "_CHUNK", 64)
+    rows, cols = table.shape
+
+    def codes(lo, hi):
+        return table[lo:hi].reshape(-1)
+
+    def bound():
+        bounds.append((low, high))
+        return low, high
+
+    taken, bounds = _recording_helpers(monkeypatch), []
+    masked, masked_ids = engine.table_from_codes(rows, cols, codes, int, bound)
+    plain, plain_ids = engine.table_from_codes(rows, cols, codes, int)
+    one_chunk = rows <= engine._chunk_rows(cols)
+    assert taken == ([] if one_chunk else ["masked", "merged"])
+    assert len(bounds) == (0 if one_chunk else 1)
+    forms, inverse = np.unique(table, return_inverse=True)
+    dtype = np.min_scalar_type(max(len(forms) - 1, 0))
+    for result, ids in ((masked, masked_ids), (plain, plain_ids)):
+        assert result.codes.dtype == np.int64 and result.codes.tolist() == forms.tolist()
+        assert ids.dtype == dtype and ids.shape == table.shape
+        assert ids.tolist() == inverse.reshape(table.shape).tolist()
+
+
+@pytest.mark.parametrize("count,dtype", [(256, np.uint8), (257, np.uint16)])
+def test_masked_tables_widen_their_ids_past_256_forms(count, dtype):
+    table, low, high = BOUNDED_CODE_TABLES[f"{count}-forms"]
+    forms, ids = engine._masked_table(20, 20, lambda lo, hi: table[lo:hi].reshape(-1),
+                                      low, high)
+    assert len(forms) == count and ids.dtype == dtype
+    assert forms[0] == low and forms[-1] == high - 1
+
+
+def test_a_span_past_the_mask_width_takes_the_merged_path(monkeypatch):
+    """Four codes per cell of span are the widest the mask covers."""
+    monkeypatch.setattr(engine, "_CHUNK", 64)
+    table = np.arange(0, 2 * 130, 2).reshape(130, 1)
+    taken = _recording_helpers(monkeypatch)
+    for high in (4 * 130, 4 * 130 + 1):
+        forms, ids = engine.table_from_codes(130, 1, lambda lo, hi: table[lo:hi].reshape(-1),
+                                             int, lambda: (0, high))
+        assert forms.codes.tolist() == table.ravel().tolist()
+        assert ids.ravel().tolist() == list(range(130))
+    assert taken == ["masked", "merged"]
+
+
+def _path_cases():
+    """name -> (run, the ((rows, cols), branch) of each table it builds)."""
+    p4 = ("p1", "p2", "p3", "p4")
+    d5, swap = standard_boundary(5), Involution(p4, (("p1", "p2"),))
+    dim1_basis, monomial_basis = enumerate1(d5, 2), enumerate_monomials(p4, 6)
+
+    def certify(theory, basis):
+        rng = random.Random(len(basis))
+        x = FormalSum((b, Scalar(rng.randint(1, 9), rng.randint(-9, 9)))
+                      for b in rng.sample(list(basis), 12))
+        engine.pair(x, x, theory)
+        assert isinstance(engine.certify_positive(x, theory), engine.PositivityCertificate)
+
+    cases = {
+        f"verify-lemma-p1-p4-degree-6-{len(swaps)}-swaps": (
+            lambda swaps=swaps: engine.verify_lemma(enumerate_monomials(p4, 6),
+                                                    MonomialTheory(Involution(p4, swaps))),
+            [((rows, 210), "masked")])
+        for swaps, rows in (((), 27), ((("p1", "p2"),), 80),
+                            ((("p1", "p2"), ("p3", "p4")), 43))}
+    cases["verify-lemma-dim1-j8-max-closed-2"] = (
+        lambda: engine.verify_lemma(enumerate1(standard_boundary(8), 2),
+                                    Dim1Theory(standard_boundary(8))),
+        [((3, 120_960), "masked")])
+    cases["certify-dim1-12"] = (lambda: certify(Dim1Theory(d5), dim1_basis),
+                                [((12, 12), "one-chunk")])
+    cases["certify-monomial-12"] = (lambda: certify(MonomialTheory(swap), monomial_basis),
+                                    [((12, 12), "one-chunk")])
+    cases["null-search-dim1-j3"] = (
+        lambda: engine.null_search(enumerate1(standard_boundary(3)), [0, 1],
+                                   Dim1Theory(standard_boundary(3))),
+        [((6, 6), "one-chunk")])
+    return cases
+
+
+PATH_CASES = _path_cases()
+
+
+@pytest.mark.parametrize("case", PATH_CASES)
+def test_each_workload_table_keeps_its_branch(monkeypatch, case):
+    """The degree-6 orbit-row tables and the dim1 j = 8 rows rank by the
+    presence mask; certify-size and null-search tables stay in one chunk."""
+    run, expected = PATH_CASES[case]
+    branches = _recording_branches(monkeypatch)
+    run()
+    assert branches == expected
+
+
 @pytest.mark.parametrize("name", ["dim1", "dim2", "mazur"])
 def test_ranks_call_complexity_once_per_form(monkeypatch, name):
     theory, basis = _agreement_case(name)

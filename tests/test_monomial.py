@@ -17,8 +17,8 @@ from umpair.monomial import (Involution, Monomial, MonomialTheory, UNIT,
 from umpair import monomial
 from umpair.monomial import _Packing
 
-from oracles import (MonomialComplexity, as_raw, convolution_oracle, loop_lemma,
-                     random_poly, raw_terms)
+from oracles import (MonomialComplexity, as_raw, convolution_oracle, counted_whole_orbits,
+                     loop_lemma, random_poly, raw_terms)
 from test_engine import TABLE_CASES
 
 SWAP12 = Involution(("p1", "p2", "p3"), swaps=(("p1", "p2"),))
@@ -321,6 +321,101 @@ def test_orbit_labels_partition_the_basis_into_brute_force_orbits(sigma):
         assert set(map(frozenset, by_label.values())) == orbits
 
 
+def _group(sigma):
+    """The relabellings that commute with sigma, built from their shape:
+    a permutation of the swaps, each kept or flipped, and a permutation of
+    the fixed primes, as dicts."""
+    swaps, fixed = sigma.swaps, sigma.fixed
+    group = []
+    for order in itertools.permutations(range(len(swaps))):
+        for flips in itertools.product((False, True), repeat=len(swaps)):
+            for image in itertools.permutations(fixed):
+                g = dict(zip(fixed, image))
+                for (a, b), k, flip in zip(swaps, order, flips):
+                    c, d = swaps[k][::-1] if flip else swaps[k]
+                    g[a], g[b] = c, d
+                group.append(g)
+    return group
+
+
+@pytest.mark.parametrize("sigma", list(_shapes(5)), ids=_shape_id)
+def test_the_group_built_from_its_shape_is_the_commuting_relabellings(sigma):
+    def key(g):
+        return tuple(sorted(g.items()))
+
+    assert sorted(map(key, _group(sigma))) == sorted(map(key, _commuting_relabellings(sigma)))
+
+
+def _orbit_partition(basis, labels):
+    """The basis split by equal labels, as a set of frozensets."""
+    by_label = {}
+    for m, label in zip(basis, labels):
+        by_label.setdefault(label, set()).add(m)
+    return set(map(frozenset, by_label.values()))
+
+
+@pytest.mark.parametrize("sigma", list(_shapes(5)), ids=_shape_id)
+def test_closure_agrees_with_the_orbit_count_on_drop_one_bases(sigma):
+    """Every basis of degree <= 3, whole and with each element dropped in
+    turn: the generators' closure gives labels exactly when counting each
+    label against its orbit size finds whole orbits."""
+    theory = MonomialTheory(sigma)
+    for degree in range(4):
+        full = enumerate_monomials(sigma.alphabet, degree)
+        outcomes = set()
+        for drop in range(-1, len(full)):
+            basis = full if drop < 0 else full[np.arange(len(full)) != drop]
+            whole = counted_whole_orbits(basis, sigma)
+            assert (theory.orbits(basis) is not None) == whole
+            outcomes.add(whole)
+        # The whole basis is whole; past one prime and degree 0 some
+        # element lies in a larger orbit, and dropping it is not.
+        assert outcomes == ({True, False} if len(sigma.alphabet) > 1 and degree else {True})
+
+
+@pytest.mark.parametrize("sigma", [s for s in _shapes(5) if len(s.alphabet) >= 3],
+                         ids=_shape_id)
+def test_closure_accepts_seeded_unions_of_brute_force_orbits(sigma):
+    """Unions of orbits found by applying the whole group, shuffled: labels
+    that split them into those orbits.  Without one element of a larger
+    orbit the union is not whole."""
+    theory, group, rng = MonomialTheory(sigma), _group(sigma), random.Random(_shape_id(sigma))
+    full = enumerate_monomials(sigma.alphabet, 4)
+    orbits = sorted({frozenset(_relabel(m, g) for g in group) for m in full},
+                    key=lambda orbit: min(map(str, orbit)))
+    for _ in range(6):
+        chosen = rng.sample(orbits, rng.randint(1, len(orbits)))
+        basis = sorted((m for orbit in chosen for m in orbit), key=str)
+        rng.shuffle(basis)
+        labels = theory.orbits(basis)
+        assert labels is not None and counted_whole_orbits(basis, sigma)
+        assert _orbit_partition(basis, labels) == set(chosen)
+        larger = [m for m in basis if any(m in orbit and len(orbit) > 1 for orbit in chosen)]
+        if larger:
+            cut = [m for m in basis if m != larger[0]]
+            assert theory.orbits(cut) is None and not counted_whole_orbits(cut, sigma)
+
+
+def test_closure_on_nine_primes_past_int64():
+    """Exponents below 300 over nine primes pack past int64 (300**9 > 2**63),
+    so the codes and labels are Python ints: three seeded orbits are whole,
+    and are not with any one element dropped."""
+    alphabet = tuple(f"p{k}" for k in range(9))
+    sigma = Involution(alphabet, (("p0", "p1"), ("p2", "p3"), ("p4", "p5")))
+    theory, group = MonomialTheory(sigma), _group(sigma)
+    rng = np.random.default_rng(20530)
+    seeds = [Monomial(tuple(zip(alphabet, rng.integers(0, 300, size=9).tolist())))
+             for _ in range(3)]
+    orbits = {frozenset(_relabel(m, g) for g in group) for m in seeds}
+    basis = sorted((m for orbit in orbits for m in orbit), key=str)
+    labels = theory.orbits(basis)
+    assert labels is not None and labels.dtype == object and max(labels) > 2**63
+    assert counted_whole_orbits(basis, sigma) and _orbit_partition(basis, labels) == orbits
+    for drop in rng.choice(len(basis), size=8, replace=False).tolist():
+        cut = basis[:drop] + basis[drop + 1:]
+        assert theory.orbits(cut) is None and not counted_whole_orbits(cut, sigma)
+
+
 @pytest.mark.parametrize("sigma", [s for s in _shapes(4) if len(s.alphabet) == 4] + [KNOT],
                          ids=_shape_id)
 def test_relabelling_commutes_with_gluing_and_keeps_complexity(sigma):
@@ -413,6 +508,19 @@ def test_bases_that_are_not_whole_orbits_take_the_full_sweep(monkeypatch, name):
     calls = _recording_tables(monkeypatch)
     assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
     assert calls == [(len(basis), len(basis))]
+
+
+def test_a_basis_closed_within_each_swap_but_not_across_them_takes_the_full_sweep(
+        monkeypatch):
+    """1, p1, p2, p1*p2 and p3*p4 are closed under p1 <-> p2 and p3 <-> p4,
+    but exchanging the swap p1:p2 with p3:p4 sends p1 to p3."""
+    sigma = Involution(P4, (("p1", "p2"), ("p3", "p4")))
+    theory = MonomialTheory(sigma)
+    basis = [UNIT, mono(p1=1), mono(p2=1), mono(p1=1, p2=1), mono(p3=1, p4=1)]
+    assert theory.orbits(basis) is None and not counted_whole_orbits(basis, sigma)
+    calls = _recording_tables(monkeypatch)
+    assert engine.verify_lemma(basis, theory) == loop_lemma(basis, theory)
+    assert calls == [(5, 5)]
 
 
 def _ignoring_p4(self, closed):
