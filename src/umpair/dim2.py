@@ -24,7 +24,7 @@ compared lexicographically as a plain tuple.  Tuples of different lengths
 differ in their first entry, so no padding is needed.
 
 ``verify_lemma_grid`` is an exhaustive diagonal-dominance check over the
-full enumerated basis, in three exact numpy phases.  It must agree with
+full enumerated basis, in exact numpy phases.  It must agree with
 engine.verify_lemma (the generic glue-table check) wherever both are feasible;
 the tests enforce that, and check the core table against glue2.
 
@@ -43,26 +43,30 @@ the tests enforce that, and check the core table against glue2.
    0s first, and they pack into one integer code, equal to the code of the
    unpadded digits as each real digit is at least 1.  Each core pair gets
    an id of its code, that is of its genus multiset.
-2. Ranks.  Each merged multiset (core genera plus the union of two closed
-   multisets) is coded by its (n, total genus, genus histogram from the top
-   genus down) in mixed radix, so that the code of a union is the sum of
-   its two sides' codes and code order is exactly the complexity order
+2. Additive test, while complexity2 is this module's own.  A multiset's
+   digits V = (n, total genus, genus histogram from the top genus down)
+   add under disjoint union and order multisets as complexity2 does, so
+   2 V(off) - V(left) - V(right) is the same at every cell of a core pair's
+   block, and its lexicographic sign decides the block
+   (``_clears_by_codes``).  When it is negative on every cell of the
+   representative rows the report passes, and phases 3 and 4 never run.
+3. Ranks, when the test is not taken or leaves a cell.  Each merged
+   multiset (core genera plus the union of two closed multisets) is coded
+   by its digits V in mixed radix, so that the code of a union is the sum
+   of its two sides' codes and code order is exactly the complexity order
    while complexity2 is this module's own.  The rank of a merged multiset
    is the slot of its code among the distinct codes.  A patched complexity2
    is instead called once per distinct code and its values ranked densely,
    so integer rank order is their order whatever totally ordered values it
    returns.
-3. Sweep.  For cores a < b every verdict between their elements depends
+4. Sweep.  For cores a < b every verdict between their elements depends
    only on the triple of ids (a, b), (a, a), (b, b); each distinct triple is
-   checked once as a block over closed-multiset pairs, except that, while
-   complexity2 is this module's own, a triple whose off gluing has fewer
-   components than the mean of its two diagonals passes unchecked (closed
-   parts add to the off count the mean of what they add to the diagonals).
-   a == b is checked on the strict upper triangle of its block.  Every
-   pair of cores is a relabelled pair of a representative row, so only
-   those rows are swept, in one process.  The sweep only decides: any
-   failure returns engine.verify_lemma's report, which lists the
-   violations, and a pass there would be a soundness defect and raises.
+   checked once as a block over closed-multiset pairs, and a == b on the
+   strict upper triangle of its block.  Every pair of cores is a relabelled
+   pair of a representative row, so only those rows are swept, in one
+   process.  The sweep only decides: any failure returns
+   engine.verify_lemma's report, which lists the violations, and a pass
+   there would be a soundness defect and raises.
 """
 
 from __future__ import annotations
@@ -348,17 +352,16 @@ def _components(masks: list[list[int]], p: int, j: int
     components are those of ``_merge``, weighted by their part count, and a
     gluing has at most j of them.  Returns (left, right, offset):
     left[v, k, q] is 1 when block v of p lies in the component in column k
-    of the gluing with q, right[u, k] likewise for the u-th block of the
-    partitions taken in turn, and offset[q, k] is that component's
+    of the gluing with q, right[q, u, k] likewise for block u of q (0 for
+    the u past q's blocks), and offset[q, k] is that component's
     E - V + 2 for its E circles and V parts.  A component's genus is the
     genus sum of its parts plus E - V + 1, so its genus plus 1 is offset
     plus the genera summed through left and right.  Unused columns are 0
     in all three.
     """
     left = np.zeros((len(masks[p]), j, len(masks)), dtype=np.int32)
-    right = np.zeros((sum(map(len, masks)), j), dtype=np.int32)
+    right = np.zeros((len(masks), j, j), dtype=np.int32)
     offset = np.zeros((len(masks), j), dtype=np.int32)
-    u = 0
     for q, other in enumerate(masks):
         components = _merge([(mask, 1) for mask in masks[p]], [(mask, 1) for mask in other])
         for k, (component, parts) in enumerate(components, j - len(components)):
@@ -366,10 +369,9 @@ def _components(masks: list[list[int]], p: int, j: int
             for v, mask in enumerate(masks[p]):
                 if mask & component:
                     left[v, k, q] = 1
-            for i, mask in enumerate(other):
+            for u, mask in enumerate(other):
                 if mask & component:
-                    right[u + i, k] = 1
-        u += len(other)
+                    right[q, u, k] = 1
     return left, right, offset
 
 
@@ -443,12 +445,10 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     row_part = np.searchsorted(starts, row_cores, side="right") - 1
     core_part = np.repeat(np.arange(len(blocks)), sizes)
     masks = [[sum(1 << c for c in block) for block in partition] for partition, _ in blocks]
-    # genera_by_part[b] holds core b's genera in its partition's block
-    # columns, so a product with it sums, per core, one row per block.
-    part_starts = np.cumsum([0] + [len(partition) for partition, _ in blocks])
-    genera_by_part = np.zeros((n, part_starts[-1]), dtype=np.int32)
-    for q, (_, genera) in enumerate(blocks):
-        genera_by_part[starts[q]:starts[q + 1], part_starts[q]:part_starts[q + 1]] = genera
+    # padded[b] holds core b's block genera, then 0s up to j columns.
+    padded = np.zeros((n, j), dtype=np.int32)
+    for q, (partition, genera) in enumerate(blocks):
+        padded[starts[q]:starts[q + 1], :len(partition)] = genera
     gid = np.empty((len(row_cores), n), dtype=np.int32)
     base = 2 * j * g_max + j + 2
     ids: dict[int, int] = {}
@@ -457,8 +457,10 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     for p in sorted(set(row_part.tolist())):
         left, right, offset = _components(masks, p, j)
         left = left.reshape(len(left), j * len(blocks))
-        # right_digits[k, b]: what core b adds to the digit in column k.
-        right_digits = np.ascontiguousarray((genera_by_part @ right + offset[core_part]).T)
+        # right_digits[k, b]: what core b adds to the digit in column k, its
+        # genera summed over its own partition's blocks only.
+        right_digits = np.ascontiguousarray((
+            np.einsum("bu,buk->bk", padded, right[core_part]) + offset[core_part]).T)
         mine = np.flatnonzero(row_part == p)
         for r0 in range(0, len(mine), step):
             chunk = mine[r0:r0 + step]
@@ -487,17 +489,29 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     return gid, [unpacked(code) for code in ids]
 
 
+def _genus_digits(multisets: list[tuple[int, ...]], width: int) -> np.ndarray:
+    """Row i: (n, G, h[width - 1], ..., h[0]) of multisets[i], its length,
+    total genus and genus histogram from the top genus down; every genus
+    lies below ``width``.  The digits of a union are the sum of its parts'."""
+    lengths = np.fromiter(map(len, multisets), np.int64, len(multisets))
+    row = np.repeat(np.arange(len(multisets)), lengths)
+    flat = np.fromiter(itertools.chain.from_iterable(multisets), np.int64)
+    counts = np.bincount(row * width + flat, minlength=len(multisets) * width
+                         ).reshape(len(multisets), width)
+    return np.column_stack([lengths, counts @ np.arange(width), counts[:, ::-1]])
+
+
 def _rank_table(genera: list[tuple[int, ...]],
                 unions: list[tuple[int, ...]]) -> np.ndarray:
     """rank[g, u]: dense complexity rank of core genera g plus closed union u.
 
     Equal complexities share a rank, so integer order of ranks is the
-    complexity order.  Each multiset m is read as its digits (n, G, h[top],
-    ..., h[0]): its length, total genus and genus histogram.  Every digit
-    of a merged multiset is the sum of its two sides' digits, so with each
-    digit's radix one more than the sum of the two sides' largest values,
-    the ``_packed`` codes add: code(g + u) == code(g) + code(u).  The table
-    is one broadcast add of the two sides' codes, deduplicated by np.unique.
+    complexity order.  Each multiset m is read as its ``_genus_digits``
+    (n, G, h[top], ..., h[0]).  Every digit of a merged multiset is the sum
+    of its two sides' digits, so with each digit's radix one more than the
+    sum of the two sides' largest values, the ``_packed`` codes add:
+    code(g + u) == code(g) + code(u).  The table is one broadcast add of the
+    two sides' codes, deduplicated by np.unique.
 
     While complexity2 is this module's own (``_OWN_COMPLEXITY2``), it is
     never called.  For n components of total genus G, complexity2 is
@@ -516,16 +530,7 @@ def _rank_table(genera: list[tuple[int, ...]],
     construction.
     """
     width = 1 + max(max(m, default=0) for m in genera + unions)
-
-    def digits(multisets: list[tuple[int, ...]]) -> np.ndarray:
-        lengths = np.fromiter(map(len, multisets), np.int64, len(multisets))
-        row = np.repeat(np.arange(len(multisets)), lengths)
-        flat = np.fromiter(itertools.chain.from_iterable(multisets), np.int64)
-        counts = np.bincount(row * width + flat, minlength=len(multisets) * width
-                             ).reshape(len(multisets), width)
-        return np.column_stack([lengths, counts @ np.arange(width), counts[:, ::-1]])
-
-    sides = digits(genera), digits(unions)
+    sides = _genus_digits(genera, width), _genus_digits(unions, width)
     radix = (sides[0].max(axis=0, initial=0) + sides[1].max(axis=0, initial=0) + 1).tolist()
     codes = _packed(sides[0], radix)[:, None] + _packed(sides[1], radix)[None, :]
     if complexity2 is _OWN_COMPLEXITY2:
@@ -541,20 +546,41 @@ def _rank_table(genera: list[tuple[int, ...]],
     return ranks.astype(np.int32).reshape(len(genera), len(unions))
 
 
-def _passes_by_count(components: np.ndarray, g_off: np.ndarray, g_left: np.ndarray,
-                     g_right: np.ndarray) -> np.ndarray:
-    """Mask of the core gluing triples that pass under complexity2 for every
-    pair of carried closed multisets, by their component counts alone.
+def _limb_codes(genera: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """The ``_genus_digits`` V of each multiset as int64 limb codes, most
+    significant limb first, for ``_dominated``.
 
-    components[g] is the component count of core gluing g.  A triple with
-    2 n_off < n_left + n_right passes: closed multisets k1 and k2 add
-    |k1| + |k2| components to the off gluing and 2|k1|, 2|k2| to the two
-    diagonals, so twice the off count, 2 n_off + 2|k1| + 2|k2|, is below
-    the sum of the diagonal counts, hence below twice their maximum.  The
-    off gluing then has fewer components than the larger diagonal, and the
-    component count is complexity2's first entry.
+    Digit i takes radix 2 M_i + 1, M_i its largest value over ``genera``,
+    so that 2 V(a) and V(b) + V(c) have every digit below its radix and
+    their codes are 2 code(a) and code(b) + code(c), limb by limb.  The
+    digits are cut, in order, into as few runs as keep each run's radix
+    product within int64; lexicographic order of the limb tuples is then
+    the order of the digit vectors.
     """
-    return 2 * components[g_off] < components[g_left] + components[g_right]
+    width = 1 + max(max(m, default=0) for m in genera)
+    digits = _genus_digits(genera, width)
+    radix = (2 * digits.max(axis=0) + 1).tolist()
+    cuts, product = [0], 1
+    for i, r in enumerate(radix):
+        if product * r - 1 > INT64_MAX and i > cuts[-1]:
+            cuts.append(i)
+            product = 1
+        product *= r
+    cuts.append(len(radix))
+    return [_packed(digits[:, lo:hi], radix[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _dominated(limbs: list[np.ndarray], off: np.ndarray, left: np.ndarray,
+               right: np.ndarray) -> np.ndarray:
+    """Mask, over the broadcast id arrays, of 2 V(off) <lex V(left) + V(right)
+    for the ``_limb_codes`` of the multisets the ids name."""
+    shape = np.broadcast_shapes(off.shape, left.shape, right.shape)
+    less, tied = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
+    for limb in limbs:
+        twice, pair = 2 * limb[off], limb[left] + limb[right]
+        less |= tied & (twice < pair)
+        tied &= twice == pair
+    return less
 
 
 # Array elements per vectorized step of the sweep.  At 1 << 15 every int32
@@ -564,32 +590,49 @@ def _passes_by_count(components: np.ndarray, g_off: np.ndarray, g_left: np.ndarr
 _SWEEP_CHUNK = 1 << 15
 
 
-def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
-    """Exhaustive diagonal-dominance check over the full enumerated basis.
+def _clears_by_codes(gid: np.ndarray, genera: list[tuple[int, ...]], reps: np.ndarray,
+                     diag: np.ndarray) -> bool:
+    """Whether every core pair's block passes by its additive digits alone.
 
-    Semantically identical to engine.verify_lemma(enumerate2(...), Dim2Theory(j))
-    but factored through the grid structure: a basis element is a bounded
-    core plus a carried closed multiset, and the complexity of any gluing
-    depends only on (core pair genera, multiset union).  For cores a < b,
-    every verdict between their elements depends only on the triple
-    (gid[a, b], gid[a, a], gid[b, b]), so each distinct triple is checked
-    once as an nk x nk block, unless its component counts alone prove that
-    it passes (``_passes_by_count``).  Relabelling the circles keeps every
-    gluing, so only the rows of the first core of each orbit
-    (``core_orbits``) are glued and swept.  Any failure returns
-    engine.verify_lemma's report instead, which lists the violations; if
-    that report passes, the two checks disagree and AssertionError is raised.
+    Valid only while complexity2 is this module's own.  gid holds the rows
+    of the representative cores ``reps``, and diag[b] is core b's diagonal
+    gluing id.  Each cell (r, b) with b after reps[r] is tested with
+    ``_dominated``: off gid[r, b], left diag[reps[r]], right diag[b].
+
+    Why a cleared cell's whole block passes.  Write V for ``_genus_digits``,
+    which add under disjoint union and order multisets exactly as
+    complexity2 does (``_rank_table``), and D = 2 V(off) - V(left) -
+    V(right).  Carried closed multisets k1, k2 add V(k1) + V(k2) to the
+    off gluing and 2 V(k1), 2 V(k2) to the diagonals, so D is the same at
+    every (k1, k2) of the block.  Lexicographic order is compatible with
+    addition, so D <lex 0 gives 2 V(off) <lex V(left) + V(right) <=lex
+    2 max, and the off gluing is below the larger diagonal.  The same-core
+    blocks need no test: there D = 0, so V(off) <=lex the larger diagonal,
+    with equality only when V(k1) = V(k2), that is k1 == k2 (the closed
+    multisets are distinct), which the strict upper triangle excludes.
+    The test reads no closed multiset, so it builds no rank table, union
+    ids or triples; a cell it leaves sends the caller to the exact sweep.
     """
-    check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
-    orbit = core_orbits(j, g_max)
-    # Orbits are numbered in order of first appearance, so this is each
-    # orbit's first core, in increasing order.
-    reps = np.unique(orbit, return_index=True)[1]
-    gid, genera = core_gluing_table(j, g_max, rows=reps)
-    closeds = closed_multisets(g_max, closed_budget)
-    nb, nk = len(orbit), len(closeds)
-    basis_size = nb * nk
+    limbs = _limb_codes(genera)
+    nb = len(diag)
+    step = max(1, _SWEEP_CHUNK // nb)
+    for r0 in range(0, len(reps), step):
+        rows = slice(r0, r0 + step)
+        later = np.arange(nb) > reps[rows, None]
+        if not _dominated(limbs, gid[rows], diag[reps[rows], None], diag)[later].all():
+            return False
+    return True
 
+
+def _sweep_passes(gid: np.ndarray, genera: list[tuple[int, ...]], reps: np.ndarray,
+                  diag: np.ndarray, closeds: list[tuple[int, ...]]) -> bool:
+    """Whether every block passes, each distinct core gluing triple checked
+    over every pair of closed multisets with ranks from ``_rank_table``.
+
+    gid, reps and diag are as in ``_clears_by_codes``; any complexity2 will
+    do.
+    """
+    nb, nk = len(diag), len(closeds)
     union_ids: dict[tuple[int, ...], int] = {}
     kuid = np.array([[union_ids.setdefault(tuple(sorted(p + q)), len(union_ids))
                       for q in closeds] for p in closeds], dtype=np.intp)
@@ -597,7 +640,6 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     off_rank = rank[:, kuid]                    # (ng, nk, nk)
     diag_rank = rank[:, kuid.diagonal()]        # (ng, nk)
     ng = len(genera)
-    components = np.array([len(g) for g in genera])
     if ng ** 3 > INT64_MAX:
         raise OverflowError(f"{ng} distinct core gluings overflow the triple codes")
     strict_upper = np.triu(np.ones((nk, nk), dtype=bool), k=1)
@@ -608,13 +650,7 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
         return off_rank[g_off] >= np.maximum(diag_rank[g_left][:, :, None],
                                              diag_rank[g_right][:, None, :])
 
-    # A relabelling g sends the pair {a, b} to {g·a, g·b} with the same three
-    # gluings.  Taking a to be the element whose orbit comes first, g·a is a
-    # representative r and g·b lies after it, so the rows of the
-    # representatives against their later columns meet every pair.  Each
-    # core's diagonal is its representative's own cell, as glue2(g·b, g·b)
-    # == glue2(b, b); the same-core blocks need only the representatives.
-    diag = gid[orbit, reps[orbit]].astype(np.int64)
+    diag = diag.astype(np.int64)
     own = diag[reps]
     # The distinct (gid[r, b], gid[r, r], gid[b, b]) of the pairs b > r,
     # coded base ng.  return_counts keeps np.unique on its sorting path; the
@@ -626,12 +662,46 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
         for rows in (slice(r0, r0 + step) for r0 in range(0, len(reps), step))]),
         return_counts=True)[0]
     triples = np.stack([codes // (ng * ng), codes // ng % ng, codes % ng])
-    if complexity2 is _OWN_COMPLEXITY2:
-        triples = triples[:, ~_passes_by_count(components, *triples)]
     step = max(1, _SWEEP_CHUNK // (nk * nk))
-    if not ((failing(own, own, own) & strict_upper).any()
-            or any(failing(*triples[:, t0:t0 + step]).any()
-                   for t0 in range(0, triples.shape[1], step))):
+    return not ((failing(own, own, own) & strict_upper).any()
+                or any(failing(*triples[:, t0:t0 + step]).any()
+                       for t0 in range(0, triples.shape[1], step)))
+
+
+def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
+    """Exhaustive diagonal-dominance check over the full enumerated basis.
+
+    Semantically identical to engine.verify_lemma(enumerate2(...), Dim2Theory(j))
+    but factored through the grid structure: a basis element is a bounded
+    core plus a carried closed multiset, and the complexity of any gluing
+    depends only on (core pair genera, multiset union).  Relabelling the
+    circles keeps every gluing, so only the rows of the first core of each
+    orbit (``core_orbits``) are glued.  While complexity2 is this module's
+    own, ``_clears_by_codes`` decides each core pair's whole block from its
+    three core gluings; when it clears every cell, no rank table or sweep
+    is built.  Otherwise ``_sweep_passes`` checks each distinct triple
+    (gid[a, b], gid[a, a], gid[b, b]) once over its block.  Any failure
+    returns engine.verify_lemma's report instead, which lists the
+    violations; if that report passes, the two checks disagree and
+    AssertionError is raised.
+    """
+    check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
+    orbit = core_orbits(j, g_max)
+    # Orbits are numbered in order of first appearance, so this is each
+    # orbit's first core, in increasing order.
+    reps = np.unique(orbit, return_index=True)[1]
+    gid, genera = core_gluing_table(j, g_max, rows=reps)
+    closeds = closed_multisets(g_max, closed_budget)
+    basis_size = len(orbit) * len(closeds)
+    # A relabelling g sends the pair {a, b} to {g·a, g·b} with the same three
+    # gluings.  Taking a to be the element whose orbit comes first, g·a is a
+    # representative r and g·b lies after it, so the rows of the
+    # representatives against their later columns meet every pair.  Each
+    # core's diagonal is its representative's own cell, as glue2(g·b, g·b)
+    # == glue2(b, b); the same-core blocks need only the representatives.
+    diag = gid[orbit, reps[orbit]]
+    if ((complexity2 is _OWN_COMPLEXITY2 and _clears_by_codes(gid, genera, reps, diag))
+            or _sweep_passes(gid, genera, reps, diag, closeds)):
         return LemmaReport(passed=True, basis_size=basis_size,
                            pairs_checked=basis_size * (basis_size - 1) // 2, violations=())
     report = verify_lemma(enumerate2(j, g_max, closed_budget), Dim2Theory(j))

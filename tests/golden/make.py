@@ -192,6 +192,11 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                            "--closed-budget", "1", "--out", "out.json"], {}),
     "verify-lemma-dim2-j4": (["verify-lemma", "--theory", "dim2", "--j", "4", "--gmax", "2",
                               "--closed-budget", "2", "--out", "out.json"], {}),
+    # The verify-dim2 benchmark's shape, and five circles with closed parts.
+    "verify-lemma-dim2-j4-gmax3": (["verify-lemma", "--theory", "dim2", "--j", "4",
+                                    "--gmax", "3", "--closed-budget", "3"], {}),
+    "verify-lemma-dim2-j5": (["verify-lemma", "--theory", "dim2", "--j", "5", "--gmax", "1",
+                              "--closed-budget", "2"], {}),
     "verify-lemma-monomial": (["verify-lemma", "--theory", "monomial", *KNOTS,
                                "--degree", "3"], {}),
     # 70 monomials in 30 orbits of the relabellings that commute with the

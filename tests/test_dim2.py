@@ -1,9 +1,11 @@
 """Surfaces: gluing, the lexicographic complexity, and the cell-count oracle."""
 
+import functools
 import itertools
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,10 @@ from oracles import ComplexityTuple, euler_oracle, glued_genera, sorted_chi_comp
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
-from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _passes_by_count,
-                         _rank_table, closed_multisets, complexity2, core_gluing_table,
-                         core_orbits, enumerate2, glue2, verify_lemma_grid)
+from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _dominated,
+                         _genus_digits, _limb_codes, _rank_table, closed_multisets,
+                         complexity2, core_gluing_table, core_orbits, enumerate2, glue2,
+                         verify_lemma_grid)
 from umpair.engine import _packed
 
 ANNULUS = Bounded2Manifold(2, (((0, 1), 0),))
@@ -618,6 +621,7 @@ def test_core_table_matches_glue2_on_every_core_pair(j):
             assert genera[gid[a, b]] == glue2(m, n).genera
 
 
+@functools.lru_cache(maxsize=None)
 def representative_triples(j, gmax):
     """(off, left, right, genera): the distinct core gluing id triples
     (gid[a, b], gid[a, a], gid[b, b]) of the sweep's first pass, b > a."""
@@ -639,42 +643,192 @@ def count_then_reversed(surface):
     return (entries[0], *(-e for e in entries[1:]))
 
 
-def block_failures(off, left, right, genera, gmax, budget, order):
+def block_failures(off, left, right, genera, gmax, budget, order, upper=False):
     """Whether the full block of each triple over the budget's closed
-    multisets has a failing cell, with ranks read from ``order`` itself."""
+    multisets has a failing cell, with ranks read from ``order`` itself;
+    only its strict upper triangle when ``upper``."""
     closeds = closed_multisets(gmax, budget)
     unions = list(dict.fromkeys(tuple(sorted(p + q)) for p in closeds for q in closeds))
     kuid = np.array([[unions.index(tuple(sorted(p + q))) for q in closeds] for p in closeds])
     ranks = per_multiset_ranks(genera, unions, order)
     diag_rank = ranks[:, kuid.diagonal()]
+    cells = np.triu(np.ones(kuid.shape, dtype=bool), k=1 if upper else -len(kuid))
     return np.concatenate([np.zeros(0, dtype=bool)] + [
-        (ranks[off[t:t + 1000]][:, kuid]
-         >= np.maximum(diag_rank[left[t:t + 1000]][:, :, None],
-                       diag_rank[right[t:t + 1000]][:, None, :])).any(axis=(1, 2))
+        ((ranks[off[t:t + 1000]][:, kuid]
+          >= np.maximum(diag_rank[left[t:t + 1000]][:, :, None],
+                        diag_rank[right[t:t + 1000]][:, None, :])) & cells).any(axis=(1, 2))
         for t in range(0, len(off), 1000)])
+
+
+def cleared_by_codes(off, left, right, genera):
+    return _dominated(_limb_codes(genera), off, left, right)
+
+
+def random_multisets(seed, count):
+    """``count`` seeded genus multisets, genera 0-12, the empty one first."""
+    rng = random.Random(seed)
+    return [()] + [tuple(sorted(rng.randint(0, 12) for _ in range(rng.randint(0, 5))))
+                   for _ in range(count - 1)]
+
+
+def test_genus_digits_add_and_order_as_complexity2():
+    multisets = random_multisets(20503, 300)
+    digits = _genus_digits(multisets, 13)
+    for m, row in zip(multisets, digits.tolist()):
+        counts = Counter(m)
+        assert row == [len(m), sum(m), *(counts[g] for g in range(12, -1, -1))]
+    vectors = [tuple(row) for row in digits.tolist()]
+    values = [complexity2(ClosedSurface(m)) for m in multisets]
+    for a, b in itertools.product(range(len(multisets)), repeat=2):
+        assert (vectors[a] < vectors[b]) == (values[a] < values[b])
+        assert (vectors[a] == vectors[b]) == (multisets[a] == multisets[b])
+        if a < 40 and b < 40:
+            union = _genus_digits([tuple(sorted(multisets[a] + multisets[b]))], 13)[0]
+            assert (union == digits[a] + digits[b]).all()
+
+
+@pytest.mark.parametrize("int64_max,limb_count", [(engine.INT64_MAX, 1), (2**12, 4), (0, 15)])
+def test_dominated_is_the_lexicographic_sign_on_every_limb_split(monkeypatch, int64_max,
+                                                                 limb_count):
+    # The limb bound lowered until the digits split into a few limbs, then
+    # into one limb each: the verdict must not depend on the split.
+    import umpair.dim2 as dim2_module
+
+    multisets = random_multisets(53054, 60)
+    vectors = _genus_digits(multisets, 13)
+    monkeypatch.setattr(dim2_module, "INT64_MAX", int64_max)
+    limbs = _limb_codes(multisets)
+    assert len(limbs) == limb_count
+    rng = np.random.default_rng(20050303)
+    off, left, right = rng.integers(0, len(multisets), size=(3, 4000))
+    off[:60] = left[:60] = right[:60] = np.arange(60)     # D = 0: never below
+    left[60:120] = off[60:120]                            # D = V(off) - V(right)
+    expected = [tuple(2 * vectors[o]) < tuple(vectors[a] + vectors[b])
+                for o, a, b in zip(off.tolist(), left.tolist(), right.tolist())]
+    assert _dominated(limbs, off, left, right).tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
+@pytest.mark.parametrize("j,gmax", [(3, 2), (4, 3), (5, 2)])
+def test_core_table_keeps_euler_characteristic_additive(j, gmax):
+    # chi(M glued to N) = chi(M) + chi(N), so on every cell of the square
+    # table 2 n_off - n_left - n_right = 2 G_off - G_left - G_right: totals
+    # tie whenever counts tie, and the genus histogram decides.
+    gid, genera = core_gluing_table(j, gmax)
+    n = np.array([len(g) for g in genera])
+    total = np.array([sum(g) for g in genera])
+    diag = gid.diagonal()
+    counts = 2 * n[gid] - n[diag][:, None] - n[diag][None, :]
+    assert (counts == 2 * total[gid] - total[diag][:, None] - total[diag][None, :]).all()
+    assert (counts == 0).any() and (counts < 0).any()
+
+
+@functools.lru_cache(maxsize=None)
+def triple_failures(j, gmax, budget, order):
+    """block_failures of every representative triple of (j, gmax)."""
+    off, left, right, genera = representative_triples(j, gmax)
+    return block_failures(off, left, right, genera, gmax, budget, order)
+
+
+@pytest.mark.parametrize("j,gmax", itertools.product(range(5), range(4)))
+def test_additive_bound_clears_only_passing_triples(j, gmax):
+    # Every triple the additive test clears passes its full block on every
+    # budget, and every same-core block its strict upper triangle, though
+    # not its diagonal.  Under an order that counts components first but
+    # reverses the rest, a cleared triple fails: the test leans on more
+    # of complexity2 than its first entry.
+    off, left, right, genera = representative_triples(j, gmax)
+    cleared = cleared_by_codes(off, left, right, genera)
+    if (j, gmax) == (4, 3):
+        assert (cleared.sum(), len(cleared)) == (19_132, 19_132)
+    own = np.unique(np.concatenate([left, [0]]))
+    for budget in range(4):
+        assert not triple_failures(j, gmax, budget, complexity2)[cleared].any()
+        assert not block_failures(own, own, own, genera, gmax, budget, complexity2,
+                                  upper=True).any()
+        assert block_failures(own, own, own, genera, gmax, budget, complexity2).all()
+    if (j, gmax) == (4, 3):
+        assert triple_failures(4, 3, 3, count_then_reversed)[cleared].any()
+
+
+def cleared_by_count(j, gmax):
+    """The triples whose off gluing has fewer components than the mean of
+    its two diagonals: the first digit of the additive test is negative."""
+    off, left, right, genera = representative_triples(j, gmax)
+    components = np.array([len(g) for g in genera])
+    return 2 * components[off] < components[left] + components[right]
 
 
 @pytest.mark.parametrize("j,gmax", itertools.product(range(5), range(4)))
 def test_component_count_bound_clears_only_passing_triples(j, gmax):
-    # Every triple the sweep's component-count bound clears passes its full
-    # block on every budget, under complexity2 and under another order that
-    # counts components first.
-    off, left, right, genera = representative_triples(j, gmax)
-    cleared = _passes_by_count(np.array([len(g) for g in genera]), off, left, right)
+    # The count bound alone passes every block it clears, under complexity2
+    # and under another order that counts components first, and the
+    # additive test, whose first digit it is, clears each of them too.
+    cleared = cleared_by_count(j, gmax)
     if (j, gmax) == (4, 3):
         assert (cleared.sum(), len(cleared)) == (14_795, 19_132)
+    off, left, right, genera = representative_triples(j, gmax)
+    assert cleared_by_codes(off, left, right, genera)[cleared].all()
     for order, budget in itertools.product((complexity2, count_then_reversed), range(4)):
-        failing = block_failures(off, left, right, genera, gmax, budget, order)
+        failing = triple_failures(j, gmax, budget, order)
         assert not failing[cleared].any()
         if (j, gmax, budget, order) == (4, 3, 3, count_then_reversed):
             assert failing.any()
 
 
 def test_component_count_bound_fails_when_components_count_lighter():
-    # The sweep applies the bound only while complexity2 is the module's own.
-    off, left, right, genera = representative_triples(2, 2)
-    cleared = _passes_by_count(np.array([len(g) for g in genera]), off, left, right)
-    assert block_failures(off, left, right, genera, 2, 2, reversed_count)[cleared].any()
+    # The sweep applies the additive test, which clears every triple the
+    # count clears, only while complexity2 is the module's own.
+    assert triple_failures(2, 2, 2, reversed_count)[cleared_by_count(2, 2)].any()
+
+
+@pytest.mark.parametrize("j,gmax", [(2, 2), (3, 1), (4, 3)])
+def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(j, gmax):
+    # The real table clears; with each id's multiset replaced by a larger
+    # one for off gluings (and the diagonals kept), some cell is left.
+    import umpair.dim2 as dim2_module
+
+    orbit = core_orbits(j, gmax)
+    reps = np.unique(orbit, return_index=True)[1]
+    gid, genera = core_gluing_table(j, gmax, rows=reps)
+    diag = gid[orbit, reps[orbit]]
+    assert dim2_module._clears_by_codes(gid, genera, reps, diag)
+    diagonal = set(diag.tolist())
+    heavier = [g if i in diagonal else g + (0,) * 2 * j for i, g in enumerate(genera)]
+    assert not dim2_module._clears_by_codes(gid, heavier, reps, diag)
+
+
+@pytest.mark.parametrize("j,gmax,budget", [(0, 1, 1), (2, 2, 2), (3, 1, 2), (4, 2, 1)])
+def test_rank_table_is_built_only_when_the_additive_test_is_not_taken(monkeypatch, j,
+                                                                      gmax, budget):
+    # The own complexity2 clears every cell by codes, with no rank table; a
+    # patched complexity2 of the same order, or an additive test forced to
+    # fail, runs the exact sweep, and all three reports are the same.
+    import umpair.dim2 as dim2_module
+
+    calls = []
+
+    def recording(name, function):
+        def wrapped(*args):
+            calls.append(name)
+            return function(*args)
+        monkeypatch.setattr(dim2_module, name, wrapped)
+
+    for name in ("_clears_by_codes", "_rank_table", "_sweep_passes"):
+        recording(name, getattr(dim2_module, name))
+    own = dim2_module.verify_lemma_grid(j, gmax, budget)
+    assert own.passed and calls == ["_clears_by_codes"]
+    with monkeypatch.context() as patched:
+        calls.clear()
+        patched.setattr(dim2_module, "complexity2", lambda surface: complexity2(surface))
+        assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
+        assert calls == ["_sweep_passes", "_rank_table"]
+    calls.clear()
+    monkeypatch.setattr(dim2_module, "_dominated",
+                        lambda limbs, off, left, right: np.zeros(off.shape, dtype=bool))
+    assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
+    assert calls == (["_clears_by_codes", "_sweep_passes", "_rank_table"] if j
+                     else ["_clears_by_codes"])
 
 
 def horner(row, base):
@@ -756,27 +910,52 @@ def test_grid_sweep_does_not_import_numpy_ma(bounds):
     assert result.stdout.strip() == "False"
 
 
-@pytest.mark.slow
-def test_dim2_positivity_j5_in_a_fresh_process():
-    """97,704 basis elements, 252 core orbits: under 2.6 s and 90 MB peak RSS.
-
-    The RSS is the child's own VmHWM: Linux carries ``ru_maxrss`` across
-    exec, so there it would read at least the RSS of the test process."""
+def fresh_grid(j, gmax, budget):
+    """(seconds, basis size, peak RSS in kB) of verify_lemma_grid in a fresh
+    process, which must pass.  The RSS is the child's own VmHWM: Linux
+    carries ``ru_maxrss`` across exec, so there it would read at least the
+    RSS of the test process."""
     src = str(Path(umpair.__file__).resolve().parents[1])
     script = ("import resource, sys, time; sys.path.insert(0, sys.argv[1]); "
               "from umpair.dim2 import verify_lemma_grid; "
               "start = time.perf_counter(); "
-              "report = verify_lemma_grid(5, 3, 3); "
+              "report = verify_lemma_grid(*map(int, sys.argv[2:])); "
               "seconds = time.perf_counter() - start; "
-              "assert report.passed and report.basis_size == 97704; "
+              "assert report.passed; "
               "from pathlib import Path; status = Path('/proc/self/status'); "
-              "print(seconds, status.read_text().split('VmHWM:')[1].split()[0] "
+              "print(seconds, report.basis_size, "
+              "status.read_text().split('VmHWM:')[1].split()[0] "
               "if status.exists() else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    result = subprocess.run([sys.executable, "-I", "-c", script, src],
-                            capture_output=True, text=True, check=True)
-    seconds, max_rss_kb = result.stdout.split()
-    assert float(seconds) < 2.6
-    assert int(max_rss_kb) < 90 * 1024
+    result = subprocess.run([sys.executable, "-I", "-c", script, src, str(j), str(gmax),
+                             str(budget)], capture_output=True, text=True, check=True)
+    seconds, size, max_rss_kb = result.stdout.split()
+    return float(seconds), int(size), int(max_rss_kb)
+
+
+@pytest.mark.slow
+def test_dim2_positivity_j5_in_a_fresh_process():
+    """97,704 basis elements, 252 core orbits: under 2.6 s and 90 MB peak RSS."""
+    seconds, size, max_rss_kb = fresh_grid(5, 3, 3)
+    assert size == 97704
+    assert seconds < 2.6
+    assert max_rss_kb < 90 * 1024
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("j,gmax,budget,size,limit_s", [(7, 1, 0, 14_214, 1.0),
+                                                        (5, 4, 4, 489_440, 2.0)],
+                         ids=["7-1-0", "5-4-4"])
+def test_dim2_frontier_grids_in_a_fresh_process(j, gmax, budget, size, limit_s):
+    """Under 80 MB peak RSS each.  At (7, 1, 0) the core table has 877
+    partitions; a table that held every core's genera against every block
+    of every partition took 4.4 s and 218 MB there, end to end, and this
+    grid takes 0.3-0.5 s.  (5, 4, 4) takes 0.5-1.3 s as the machine's
+    speed varies; a sweep over its distinct core triples peaked at 133 MB.
+    """
+    seconds, basis_size, max_rss_kb = fresh_grid(j, gmax, budget)
+    assert basis_size == size
+    assert seconds < limit_s
+    assert max_rss_kb < 80 * 1024
 
 
 def test_descriptor_json_round_trip():
