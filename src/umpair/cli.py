@@ -174,8 +174,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_null_search(args: argparse.Namespace) -> int:
     theory, config, basis = _build(args)
-    result = engine.null_search(basis(), _parse_grid(args.coeff_grid), theory,
-                                jobs=args.jobs)
+    result = engine.null_search(basis(), _parse_grid(args.coeff_grid), theory)
     config["bounds"]["coeff_grid"] = args.coeff_grid
     _write_report(args, config, search=result.to_json())
     return 0
@@ -212,8 +211,8 @@ def _add_common(parser: argparse.ArgumentParser, theory: bool = True) -> None:
     parser.add_argument("--in", dest="in_path", default=None,
                         help="fourdim: user-supplied gluing table JSON")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="null-search: worker processes for the assignments "
-                             "left to scan past the first 2^23")
+                        help="accepted for every command (at least 1) and read by "
+                             "none: every command runs in one process")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -744,17 +743,26 @@ def _canonical_grid(coeff_set: Iterable[Scalar | int]) -> tuple[Scalar, ...]:
     return tuple(grid)
 
 
-# Assignments per numpy batch; the working arrays take about 8 kB per basis
-# coordinate.  A subtree of the search that holds at most this many is
-# scanned, not walked.
-_BATCH = 1024
-# Assignments per run of adjacent scanned subtrees, and the least work (each
-# run counted as one batch more) per pool task: about 20 ms of scanning.
-_TASK = 1 << 16
-# Searches that scan fewer assignments than this stay serial.  Starting a
-# spawned pool of two workers costs about 0.5 s and the kernel scans 0.2-0.5
-# us per assignment, so a second worker only pays off past a few million.
-_PARALLEL_THRESHOLD = 1 << 23
+# Live prefixes per block of the null-search walk.  At coordinate k the
+# children of a block take 8 * G * (k + 2) bytes per prefix on a grid of G
+# values, so a level holds a few MB at most, and far less where the prunes bite.
+_BLOCK = 1024
+
+
+@dataclass
+class _Level:
+    """The live children of one block at coordinate ``k`` of
+    ``_NullKernel.search``: their positions among the block's children and
+    their digits over their codes, walked in blocks from ``next`` on.  Its
+    dead children that the ray rule does not keep are kept by position and
+    first nonzero digit."""
+
+    k: int
+    at: np.ndarray
+    prefixes: np.ndarray
+    dead: np.ndarray
+    dead_first: np.ndarray
+    next: int = 0
 
 
 @dataclass(frozen=True)
@@ -762,7 +770,8 @@ class _NullKernel:
     """<x, x> = 0 over one grid and basis as exact integer table lookups.
 
     Assignments are grid indices, one digit per basis coordinate, numbered
-    in mixed radix with coordinate 0 most significant.
+    in mixed radix with coordinate 0 most significant; ``search`` walks
+    them in that order.
 
     ``re[a * G + b]`` and ``im[a * G + b]`` are the parts of
     (L g_a) * conj(L g_b), the ``_hermitian_sums`` of the grid times itself:
@@ -786,153 +795,103 @@ class _NullKernel:
     groups: tuple[tuple[tuple[int, int], ...], ...]
     last: tuple[int, ...]
 
-    @functools.cached_property
-    def depth(self) -> int:
-        """The depth of ``walk``'s leaves: the fewest leading coordinates that
-        leave at most ``_BATCH`` assignments below them."""
-        depth = 0
-        while len(self.keep) ** (self.n - depth) > _BATCH:
-            depth += 1
-        return depth
+    def search(self) -> tuple[int | None, int, list[int] | None]:
+        """The first null assignment's index, the assignments skipped up to
+        it and its digits, its grid index per basis coordinate.  Without a
+        hit: None, the skips of every assignment, None.
 
-    @functools.cached_property
-    def open_groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The groups with an index at ``depth`` or past it.  Every other group
-        sums to zero on every assignment that ``walk`` leaves to ``scan``."""
-        return tuple(g for g, last in zip(self.groups, self.last) if last >= self.depth)
-
-    def scan(self, start: int, stop: int,
-             groups: Sequence[tuple[tuple[int, int], ...]] | None = None
-             ) -> tuple[int | None, int, list[int] | None]:
-        """First null index in [start, stop), the assignments skipped up to it
-        and the hit's digits, its grid index per basis coordinate.
-
-        Without a hit: None, the skips of the whole range, None.  The bounds
-        are Python ints of any size: each batch adds its offsets to the digits
-        of its first index, carrying from the last coordinate up.  Only
-        ``groups`` (all of them by default) are summed.
+        A depth-first walk assigns coordinates 0, 1, ... in turn to blocks of
+        at most ``_BLOCK`` live prefixes, each prefix followed by every digit
+        in order.  A child dies when the coordinate just assigned is nonzero
+        in a diagonal-only group (whose sum is a sum of |L a_i|^2) or is the
+        last index of a group whose sum is then nonzero.  A dead subtree holds
+        no null assignment.  An all-zero prefix never dies (each of its closed
+        groups sums to 0), so a dead subtree with r free coordinates has a
+        first nonzero value f: it skips s_f^r assignments,
+        s_f = #{c : not keep[f, c]}, or none once a fixed coordinate is kept.
+        Every group has closed at the last coordinate, so there the first
+        kept live child is the hit, and each child not kept is one skip.
+        Counts are Python ints of any size.
         """
-        radix = len(self.keep)
-        skipped = 0
-        for lo in range(start, stop, _BATCH):
-            count = min(_BATCH, stop - lo)
-            digits = np.empty((self.n, count), dtype=np.intp)
-            carry = np.arange(count, dtype=np.intp)
-            rest = lo
-            for k in range(self.n - 1, -1, -1):
-                rest, d = divmod(rest, radix)
-                carry += d
-                np.divmod(carry, radix, out=(carry, digits[k]))
-            first = digits[(digits != self.zero).argmax(axis=0), np.arange(count)]
-            kept = self.keep[first, digits].any(axis=0)
-            rows = np.flatnonzero(kept)
-            cand = digits[:, rows]
-            for group in self.groups if groups is None else groups:
-                offset = cand * radix
-                re = np.zeros(len(rows), dtype=self.re.dtype)
-                im = np.zeros(len(rows), dtype=self.im.dtype)
-                for i, j in group:
-                    at = offset[i] + cand[j]
-                    re += self.re[at]
-                    im += self.im[at]
-                null = (re == 0) & (im == 0)
-                rows, cand = rows[null], cand[:, null]
-                if not len(rows):
-                    break
-            if len(rows):
-                hit = int(rows[0])
-                skipped += hit - int(np.count_nonzero(kept[:hit]))
-                return lo + hit, skipped, cand[:, 0].tolist()
-            skipped += count - int(np.count_nonzero(kept))
-        return None, skipped, None
-
-    def walk(self) -> Iterator[tuple[int, int, int]]:
-        """The index ranges that survive two prunes, as (skipped, start, stop)
-        runs in index order; ``skipped`` counts the ray-rule skips of the
-        subtrees pruned since the previous run.
-
-        The walk assigns coordinates 0, 1, ... in turn, each digit in order,
-        down to the depth where a subtree holds at most ``_BATCH``
-        assignments; those subtrees are left to ``scan``.  A node dies when
-        the coordinate just assigned is the last index of a group whose sum
-        is then nonzero, or is nonzero in a diagonal-only group (whose sum
-        is a sum of |L a_i|^2).  A dead subtree holds no null assignment, so
-        the first hit and both counts are those of ``scan(0, G**n)``.
-        An all-zero prefix never dies (each of its closed groups sums to 0),
-        so a dead subtree with r free coordinates has a first nonzero value
-        f: it skips s_f^r assignments, s_f = #{c : not keep[f, c]}, or none
-        once a fixed coordinate is kept.
-        Adjacent surviving subtrees merge into runs of at most about
-        ``_TASK`` assignments; the last run is empty and carries the skips
-        after the last survivor.
-        """
-        radix, n, zero, depth = len(self.keep), self.n, self.zero, self.depth
-        block = radix ** (n - depth)
-        if depth == 0:
-            yield 0, 0, block
-            return
-        keep = self.keep.tolist()
-        re, im = self.re.tolist(), self.im.tolist()
-        spare = [row.count(False) for row in keep]
-        diagonal = [False] * depth
-        closing: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(depth)]
+        radix, n, zero = len(self.keep), self.n, self.zero
+        spare = [row.count(False) for row in self.keep.tolist()]
+        values = np.arange(radix)
+        # A prefix's code is f + G * kept: f its first nonzero digit (``zero``
+        # if none), kept whether the ray rule keeps it.  ``step[code, d]`` is
+        # the code of its child with digit d.
+        first = np.repeat(values[:, None], radix, axis=1)
+        first[zero] = values
+        step = np.concatenate([first + radix * self.keep[first, values], first + radix])
+        # The digits allowed at each coordinate, and the groups that close
+        # there as (2, cells, 1) arrays of their basis indices, smallest first.
+        allowed = [np.ones(radix, dtype=bool)] * n
+        closing: list[list[np.ndarray]] = [[] for _ in range(n)]
         for group, last in zip(self.groups, self.last):
             if all(i == j for i, j in group):
                 for i, _ in group:
-                    if i < depth:
-                        diagonal[i] = True
-            elif last < depth:
-                closing[last].append(group)
-        # Per depth k: the digit of coordinate k, and before it is assigned the
-        # first nonzero digit (-1 if none), whether a coordinate is kept and
-        # the prefix as a mixed-radix number.
-        digit, first, kept, value = [-1] * depth, [-1] * depth, [False] * depth, [0] * depth
-        part = lo = hi = pending = 0
-        k = 0
-        while k >= 0:
-            d = digit[k] = digit[k] + 1
-            if d == radix:
-                k -= 1
-                continue
-            f, is_kept = first[k], kept[k]
-            if f >= 0:
-                is_kept = is_kept or keep[f][d]
-            elif d != zero:
-                f, is_kept = d, keep[d][d]
-            dead = d != zero and diagonal[k]
-            if not dead:
-                for group in closing[k]:
-                    at = [digit[i] * radix + digit[j] for i, j in group]
-                    if sum(map(re.__getitem__, at)) or sum(map(im.__getitem__, at)):
-                        dead = True
-                        break
-            if dead:
-                pending += 0 if is_kept else spare[f] ** (n - 1 - k)
-            elif k + 1 < depth:
-                k += 1
-                digit[k], first[k], kept[k], value[k] = -1, f, is_kept, value[k - 1] * radix + d
+                    allowed[i] = values == zero
             else:
-                start = (value[k] * radix + d) * block
-                if start == hi and hi - lo < _TASK:
-                    hi += block
-                else:
-                    if hi > lo:
-                        yield part, lo, hi
-                    part, lo, hi, pending = pending, start, start + block, 0
-        yield part, lo, hi
-        yield pending, hi, hi
+                closing[last].append(np.array(group, dtype=np.intp).T[:, :, None])
 
-    def scan_runs(self, runs: Iterable[tuple[int, int, int]]
-                  ) -> tuple[int | None, int, list[int] | None]:
-        """``scan`` of ``open_groups`` over ``walk`` runs in order: the first
-        hit, the skips up to it (the runs' own included) and its digits."""
+        def children(k: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Each prefix of a block, its k digits over its code, followed by
+            every digit at coordinate k: the children, their k + 1 digits over
+            their codes, and which of them live."""
+            child = np.empty((k + 2, prefixes.shape[1], radix), dtype=np.intp)
+            child[:k] = prefixes[:k, :, None]
+            child[k] = values
+            child[k + 1] = step[prefixes[k]]
+            child = child.reshape(k + 2, -1)
+            live = allowed[k][child[k]]
+            for i, j in closing[k]:
+                rows = live.nonzero()[0]
+                at = child[i, rows] * radix + child[j, rows]
+                live[rows[(self.re[at].sum(axis=0) != 0)
+                          | (self.im[at].sum(axis=0) != 0)]] = False
+            return child, live
+
+        def skips(level: _Level, stop: int | None = None) -> int:
+            """The skips of the level's dead subtrees before child ``stop``."""
+            firsts = level.dead_first
+            if stop is not None:
+                firsts = firsts[:np.searchsorted(level.dead, stop)]
+            if not len(firsts):
+                return 0
+            counts = np.bincount(firsts, minlength=radix).tolist()
+            return sum(c * s ** (n - 1 - level.k) for c, s in zip(counts, spare) if c)
+
         skipped = 0
-        for part, start, stop in runs:
-            hit, scan_skipped, digits = self.scan(start, stop, self.open_groups)
-            skipped += part + scan_skipped
-            if hit is not None:
-                return hit, skipped, digits
-        return None, skipped, None
+        stack: list[_Level] = []
+        k, prefixes = 0, np.array([[zero]])
+        while True:
+            child, live = children(k, prefixes)
+            # A code below G is a child the ray rule does not keep, and its f.
+            if k < n - 1:
+                at, dead = live.nonzero()[0], ((child[-1] < radix) > live).nonzero()[0]
+                stack.append(_Level(k, at, child[:, at], dead, child[-1, dead]))
+            else:
+                kept = child[-1] >= radix
+                hits = (live & kept).nonzero()[0]
+                if len(hits):
+                    hit = int(hits[0])
+                    found = child[:-1, hit].tolist()
+                    skipped += hit - int(np.count_nonzero(kept[:hit]))
+                    # Each level on the stack is walking the block that holds
+                    # the hit's prefix; its dead subtrees before that count.
+                    row = hit // radix
+                    for level in reversed(stack):
+                        place = int(level.at[level.next - _BLOCK + row])
+                        skipped += skips(level, place)
+                        row = place // radix
+                    return functools.reduce(lambda a, d: a * radix + d, found, 0), skipped, found
+                skipped += len(kept) - int(np.count_nonzero(kept))
+            while stack and stack[-1].next >= len(stack[-1].at):
+                skipped += skips(stack.pop())
+            if not stack:
+                return None, skipped, None
+            level = stack[-1]
+            k, prefixes = level.k + 1, level.prefixes[:, level.next:level.next + _BLOCK]
+            level.next += _BLOCK
 
 
 def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
@@ -956,90 +915,31 @@ def _null_kernel(table: GramTensor, grid: tuple[Scalar, ...]) -> _NullKernel:
     dtype = np.int64 if len(groups[-1]) * max(map(abs, re + im)) < 2**63 else object
 
     lead = ONE if ONE in grid else next(c for c in grid if not c.is_zero())
-    on_grid = frozenset(grid)
+    # The ray rule in Gaussian integers, the grid times L: lead / f * c is on
+    # the grid when lead * c is f * x for a grid value x (both carry L^2).
+    _, xs, ys = _gaussian_integers(grid)
+    points = list(zip(xs, ys))
+    scaled_lead = points[grid.index(lead)]
 
-    def ray_row(first: Scalar) -> list[bool]:
+    def times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def ray_row(first: Scalar, scaled: tuple[int, int]) -> list[bool]:
         if first.is_zero():
             return [False] * len(grid)
         if first == lead:
             return [True] * len(grid)
-        factor = lead / first
-        return [factor * c not in on_grid for c in grid]
+        onto = {times(scaled, x) for x in points}
+        return [times(scaled_lead, c) not in onto for c in points]
 
-    keep = np.array([ray_row(f) for f in grid], dtype=bool)
+    keep = np.array([ray_row(f, scaled) for f, scaled in zip(grid, points)], dtype=bool)
     return _NullKernel(n, grid.index(ZERO), np.array(re, dtype=dtype),
                        np.array(im, dtype=dtype), keep, groups,
                        tuple(last[f] for f in by_size))
 
 
-def _tasks(runs: Iterable[tuple[int, int, int]]) -> Iterator[list[tuple[int, int, int]]]:
-    """Consecutive runs grouped into pool tasks of about ``_TASK`` work each."""
-    task, work = [], 0
-    for run in runs:
-        task.append(run)
-        work += run[2] - run[1] + _BATCH
-        if work >= _TASK:
-            yield task
-            task, work = [], 0
-    if task:
-        yield task
-
-
-def _scan_in_pool(kernel: _NullKernel, runs: Iterator[tuple[int, int, int]], jobs: int
-                  ) -> tuple[int | None, int, list[int] | None]:
-    """``kernel.scan_runs`` over the rest of ``runs`` in at most one worker per
-    CPU.
-
-    Tasks are read in order, at most four per worker in flight, and the
-    pending ones are cancelled after the first hit, so the hit and the skip
-    count are those of a serial scan whatever the number of jobs.
-    """
-    # Imported here, not at module level: loading the pool modules costs a
-    # serial run about 2 MB of memory and 20 ms.
-    import collections
-    import itertools
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = min(jobs, os.cpu_count() or 1)
-    tasks = _tasks(runs)
-    futures: collections.deque[Any] = collections.deque()
-    skipped = 0
-    pool = ProcessPoolExecutor(max_workers=jobs,
-                               mp_context=multiprocessing.get_context("spawn"))
-    try:
-        while True:
-            for task in itertools.islice(tasks, 4 * jobs - len(futures)):
-                futures.append(pool.submit(kernel.scan_runs, task))
-            if not futures:
-                return None, skipped, None
-            hit, part, digits = futures.popleft().result()
-            skipped += part
-            if hit is not None:
-                return hit, skipped, digits
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _search(kernel: _NullKernel, jobs: int) -> tuple[int | None, int, list[int] | None]:
-    """``kernel.scan_runs(kernel.walk())``; with more than one job, the runs
-    left once ``_PARALLEL_THRESHOLD`` assignments were scanned go to a pool."""
-    runs = kernel.walk()
-    skipped = scanned = 0
-    for run in runs:
-        hit, part, digits = kernel.scan_runs((run,))
-        skipped += part
-        if hit is not None:
-            return hit, skipped, digits
-        scanned += run[2] - run[1]
-        if jobs > 1 and scanned >= _PARALLEL_THRESHOLD:
-            hit, part, digits = _scan_in_pool(kernel, runs, jobs)
-            return hit, skipped + part, digits
-    return None, skipped, None
-
-
 def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
-                theory: GluingTheory, jobs: int = 1) -> NullSearchResult:
+                theory: GluingTheory) -> NullSearchResult:
     """Exhaustive search of the coefficient grid for a vector with <x,x> = 0.
 
     Assignments are searched in a fixed order (grid sorted by (re, im), basis
@@ -1049,16 +949,14 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
     meets it and no duplicates of on-grid representatives are reported.  A
     "none" result means no null vector exists on this grid only.
 
-    The search walks digit prefixes depth first (``_NullKernel.walk``),
-    drops the subtrees that a nonzero closed or diagonal-only group already
-    rules out, counts them in closed form, and scans only the surviving
-    leaf subtrees.  It reports what a scan of every assignment would:
+    The search walks digit prefixes depth first down to the last
+    coordinate (``_NullKernel.search``), drops the subtrees that a nonzero
+    closed or diagonal-only group already rules out and counts them in
+    closed form.  It reports what a scan of every assignment would:
     ``assignments_tested`` counts the assignments up to and including the
     hit, or the whole grid, and ``assignments_skipped`` those among them
     that the ray rule (or the all-zero rule) skips.  Both are Python ints,
-    past 2**63 if need be.  With ``jobs`` > 1 the surviving runs past the
-    first ``_PARALLEL_THRESHOLD`` assignments are scanned in a pool and read
-    in order, so the report is the same for every ``jobs``.
+    past 2**63 if need be.
     """
     table = GramTensor(_validated(theory, basis), theory)
     grid = _canonical_grid(coeff_set)
@@ -1066,7 +964,7 @@ def null_search(basis: Sequence[Any], coeff_set: Iterable[Scalar | int],
     if n == 0:
         return NullSearchResult(None, 0, grid, 0, 0)
     kernel = _null_kernel(table, grid)
-    hit, skipped, digits = _search(kernel, jobs)
+    hit, skipped, digits = kernel.search()
     if hit is None:
         return NullSearchResult(None, n, grid, len(grid) ** n, skipped)
     vector = FormalSum((table.basis[k], grid[d]) for k, d in enumerate(digits)

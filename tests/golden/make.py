@@ -246,6 +246,10 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                                     "--coeff-grid", "gauss1"], {}),
     "null-search-dim2": (["null-search", "--theory", "dim2", "--j", "1", "--gmax", "1",
                           "--coeff-grid", "pm1", "--out", "out.json"], {}),
+    # dim2 (2,1,1): 3**18 assignments whose groups close late.
+    "null-search-dim2-late-groups": (["null-search", "--theory", "dim2", "--j", "2",
+                                      "--gmax", "1", "--closed-budget", "1",
+                                      "--coeff-grid", "pm1"], {}),
     "null-search-monomial": (["null-search", "--theory", "monomial", "--alphabet", "a,b",
                               "--degree", "2", "--coeff-grid", "pm1"], {}),
     "null-search-fourdim-mazur": (["null-search", "--theory", "fourdim", "--table", "mazur",

@@ -8,8 +8,10 @@ engine's glue-table pairing; the loop lemma, every pair glued and
 compared on its own, is the reference for ``verify_lemma``'s orbit rows and
 its full sweep.  The Fraction null search is the
 one-assignment-at-a-time reference for the engine's integer null-search
-kernel.  The Euler oracle recounts a surface gluing cell by cell, sharing
-no code with ``glue2``, as does ``glued_genera``, which finds the glued
+kernel; the integer null scan tests every assignment against the kernel's
+own tables, with no prune, the reference for its pruned walk on grids too
+large for Fractions.  The Euler oracle recounts a surface gluing cell by
+cell, sharing no code with ``glue2``, as does ``glued_genera``, which finds the glued
 components by a breadth-first search over the parts and sums chi over
 each; the arc walk recounts a 1-manifold gluing
 without the permutation route of ``glue1``.  ``sorted_chi_complexity``
@@ -33,6 +35,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable
 
+import numpy as np
+
+from umpair import engine
 from umpair.algebra import (ONE, ZERO, FormalSum, Scalar, UniverseMismatchError,
                             as_scalar, canonical_key)
 from umpair.dim1 import Bounded1Manifold
@@ -200,6 +205,40 @@ def fraction_null_search(basis, coeff_set, theory):
             return NullSearchResult(FormalSum(zip(basis, coeffs)), n, grid,
                                     index + 1, skipped)
     return NullSearchResult(None, n, grid, len(grid) ** n, skipped)
+
+
+def integer_null_scan(basis, coeff_set, theory, batch=1 << 12):
+    """``engine.null_search``'s report from a scan of every assignment.
+
+    The assignments are read in index order, ``batch`` at a time, and each
+    one is tested against every group of ``engine._null_kernel``'s integer
+    tables: no prune, no walk, no closed-form count.
+    """
+    table = engine.GramTensor(basis, theory)
+    grid = engine._canonical_grid(coeff_set)
+    kernel = engine._null_kernel(table, grid)
+    radix, n = len(grid), len(table.basis)
+    groups = [np.array(group).T for group in kernel.groups]
+    total, skipped = radix ** n, 0
+    for lo in range(0, total, batch):
+        count = min(batch, total - lo)
+        digits = np.array(np.unravel_index(np.arange(lo, lo + count), (radix,) * n))
+        first = digits[(digits != kernel.zero).argmax(axis=0), np.arange(count)]
+        kept = kernel.keep[first, digits].any(axis=0)
+        null = kept.copy()
+        for i, j in groups:
+            at = digits[i] * radix + digits[j]
+            null &= (kernel.re[at].sum(axis=0) == 0) & (kernel.im[at].sum(axis=0) == 0)
+        hits = np.flatnonzero(null)
+        if len(hits):
+            hit = int(hits[0])
+            skipped += hit - int(np.count_nonzero(kept[:hit]))
+            vector = FormalSum((table.basis[k], grid[d])
+                               for k, d in enumerate(digits[:, hit].tolist())
+                               if d != kernel.zero)
+            return NullSearchResult(vector, n, grid, lo + hit + 1, skipped)
+        skipped += count - int(np.count_nonzero(kept))
+    return NullSearchResult(None, n, grid, total, skipped)
 
 
 def euler_oracle(m: Bounded2Manifold, n: Bounded2Manifold) -> int:

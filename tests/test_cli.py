@@ -417,10 +417,9 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_parallel_runs_produce_identical_reports(tmp_path, monkeypatch):
-    # With the threshold at 1 every null-search grid goes to the pool, so
-    # --jobs 2 really starts workers; the search must not depend on it.
-    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+def test_parallel_runs_produce_identical_reports(tmp_path):
+    # Every command runs in one process: --jobs 2 is accepted and ignored,
+    # and no report echoes it.
     for argv, status in ((["--theory", "fourdim", "--table", "mazur"], "found"),
                          (["--theory", "dim1", "--j", "2"], "none")):
         reports = []
@@ -431,7 +430,6 @@ def test_parallel_runs_produce_identical_reports(tmp_path, monkeypatch):
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["search"]["status"] == status
-    # verify-lemma runs in one process: --jobs 2 is accepted and ignored.
     serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
     argv = ["verify-lemma", "--theory", "dim1", "--j", "4", "--max-closed", "2"]
     assert main(argv + ["--jobs", "1", "--out", str(serial)]) == 0
@@ -450,12 +448,20 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path):
 
 
 @pytest.mark.slow
-def test_null_search_dim1_j5_in_a_fresh_process():
-    """dim1 j = 5 on gauss1, 5**120 assignments, found null-free by the pruned
-    search: under 1 s and 48 MB peak RSS (0.01 s and 33 MB measured on a
-    2-vCPU VM).  The RSS is the child's own VmHWM: Linux carries
-    ``ru_maxrss`` across exec, so there it would read at least the RSS of
-    the test process."""
+@pytest.mark.parametrize("argv,tested", [
+    (["--theory", "dim1", "--j", "5", "--coeff-grid", "gauss1"], 5**120),
+    (["--theory", "dim2", "--j", "2", "--gmax", "1", "--closed-budget", "1",
+      "--coeff-grid", "pm1"], 3**18),
+    (["--theory", "dim1", "--j", "3", "--max-closed", "2", "--coeff-grid", "pm1"], 3**18),
+], ids=["dim1-j5-gauss1", "dim2-211-pm1", "dim1-j3-mc2-pm1"])
+def test_null_search_dim1_j5_in_a_fresh_process(argv, tested):
+    """Null searches found null-free by the pruned walk, each under 1 s of
+    ``cli.main`` time and 48 MB peak RSS: dim1 j = 5 on gauss1 (5**120
+    assignments; 0.03 s and 36 MB measured on a 2-vCPU VM) and the two
+    3**18 searches whose groups close late (0.05 s and 38 MB, 0.25 s and
+    42 MB).  The RSS is the child's own VmHWM: Linux carries ``ru_maxrss``
+    across exec, so there it would read at least the RSS of the test
+    process."""
     src = str(Path(engine.__file__).resolve().parents[1])
     script = "\n".join([
         "import io, json, resource, sys, time",
@@ -466,8 +472,7 @@ def test_null_search_dim1_j5_in_a_fresh_process():
         "out = io.StringIO()",
         "start = time.perf_counter()",
         "with redirect_stdout(out):",
-        "    rc = cli.main(['null-search', '--theory', 'dim1', '--j', '5',",
-        "                   '--coeff-grid', 'gauss1'])",
+        "    rc = cli.main(['null-search', *sys.argv[2:]])",
         "seconds = time.perf_counter() - start",
         "assert rc == 0, rc",
         "search = json.loads(out.getvalue())['search']",
@@ -476,11 +481,11 @@ def test_null_search_dim1_j5_in_a_fresh_process():
         "      status.read_text().split('VmHWM:')[1].split()[0] if status.exists()",
         "      else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
     ])
-    result = subprocess.run([sys.executable, "-I", "-c", script, src],
+    result = subprocess.run([sys.executable, "-I", "-c", script, src, *argv],
                             capture_output=True, text=True, check=True)
-    seconds, status, tested, max_rss_kb = result.stdout.split()
+    seconds, status, assignments, max_rss_kb = result.stdout.split()
     assert status == "none"
-    assert int(tested) == 5**120
+    assert int(assignments) == tested
     assert float(seconds) < 1.0
     assert int(max_rss_kb) < 48 * 1024
 

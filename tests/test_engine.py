@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-import os
 import random
 import weakref
 from dataclasses import dataclass, field
@@ -13,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
-from oracles import _is_canonical_nonzero, fraction_null_search, loop_pair
+from oracles import (_is_canonical_nonzero, fraction_null_search, integer_null_scan,
+                     loop_pair)
 
 from umpair import dim1, engine, monomial
 from umpair.algebra import (FormalSum, I, ONE, Scalar, UniverseMismatchError, ZERO,
@@ -1193,74 +1193,20 @@ def test_scalar_division_supports_the_ray_check():
         ZERO.inverse()
 
 
-def test_null_search_parallel_matches_serial(monkeypatch):
-    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-    # The pool starts after the first run: 3**11 assignments in three runs,
-    # the hit in the second; and dim1 j = 3, whose one run precedes it.
-    labels = [f"A{k}" for k in range(11)]
-    hit = (_constant_table(tuple(labels), "S"), labels)
-    none = _dim1_case(3, 0)
-    for (theory, basis), found in ((hit, True), (none, False)):
-        serial = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=1)
-        parallel = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=2)
-        assert (serial.vector is not None) == found
-        assert serial == parallel
-        assert serial.to_json() == parallel.to_json()
-
-
-class _InlinePool:
-    """A ProcessPoolExecutor stand-in that runs each task on submit;
-    ``workers`` holds the max_workers of each pool started."""
-
-    workers: list[int] = []
-
-    def __init__(self, max_workers, mp_context=None):
-        _InlinePool.workers.append(max_workers)
-
-    def submit(self, fn, *args):
-        import concurrent.futures
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
-def _inline_pool(monkeypatch):
-    """Patch in ``_InlinePool``; the list its pools' worker counts go to."""
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "workers", [])
-    return _InlinePool.workers
-
-
-def test_null_search_caps_workers_at_the_cpu_count(monkeypatch):
-    """--jobs above the CPU count starts no more workers than there are CPUs."""
-    workers = _inline_pool(monkeypatch)
-    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-    # 3**11 assignments in three runs, the hit in the second: the pool
-    # starts after the first.
-    labels = [f"A{k}" for k in range(11)]
-    theory = _constant_table(tuple(labels), "S")
-    serial = engine.null_search(labels, engine.PM_ONE_GRID, theory)
-    assert engine.null_search(labels, engine.PM_ONE_GRID, theory, jobs=10_000) == serial
-    assert workers and max(workers) <= os.cpu_count()
-
-
-def test_null_hit_past_the_first_batch_serial_and_pooled(monkeypatch):
-    """The hit's digits come back right at a nonzero batch and range offset."""
+def test_null_hit_past_the_first_block(monkeypatch):
+    """The hit's digits and both counts come back right with blocks of 1
+    and 3 prefixes, where the hit's prefix lies past the first block."""
     labels = [f"L{k}" for k in range(5)] + ["M", "M'"]
     closed = {label: "M" if label == "M'" else label for label in labels}
     names = {(a, b): "+".join(sorted((closed[a], closed[b])))
              for a in labels for b in labels}
     theory = FourDimTheory(labels, names, {name: name for name in names.values()})
-    serial = engine.null_search(labels, engine.PM_ONE_GRID, theory)
-    assert serial.vector == FormalSum([("M", 1), ("M'", -1)])
-    assert (serial.assignments_tested, serial.assignments_skipped) == (1096, 1094)
-    assert serial.assignments_tested > engine._BATCH
-    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-    assert engine.null_search(labels, engine.PM_ONE_GRID, theory, jobs=2) == serial
+    scanned = integer_null_scan(labels, engine.PM_ONE_GRID, theory)
+    assert scanned.vector == FormalSum([("M", 1), ("M'", -1)])
+    assert (scanned.assignments_tested, scanned.assignments_skipped) == (1096, 1094)
+    for block in (1024, 3, 1):
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        assert engine.null_search(labels, engine.PM_ONE_GRID, theory) == scanned
 
 
 def test_gaussian_grid_contents():
@@ -1328,6 +1274,20 @@ def test_null_search_never_calls_complexity(theory, basis, grid, monkeypatch):
             engine.pair(x, x, theory), engine.pair(x, y, theory)) == expected
 
 
+def test_null_kernel_ray_rule_matches_scalar_division():
+    """``keep``, worked out in Gaussian integers, is the ray rule in Scalar
+    arithmetic: every value for the lead, else whether lead / f * c leaves
+    the grid; on the fixed grids and 30 seeded random ones."""
+    rng = random.Random(11)
+    table = engine.GramTensor(list(MAZUR.labels), FOURD)
+    for values in [*NULL_GRIDS.values(), *(_random_grid(rng) for _ in range(30))]:
+        grid = engine._canonical_grid(values)
+        lead = ONE if ONE in grid else next(c for c in grid if not c.is_zero())
+        expected = [[f == lead or (not f.is_zero() and lead / f * c not in grid)
+                     for c in grid] for f in grid]
+        assert engine._null_kernel(table, grid).keep.tolist() == expected
+
+
 def test_null_kernel_falls_back_to_python_ints():
     labels = list(MAZUR.labels)
     table = engine.GramTensor(labels, FOURD)
@@ -1342,21 +1302,6 @@ def test_null_kernel_falls_back_to_python_ints():
     assert engine._null_kernel(table, huge).re.dtype == object
     result = engine.null_search(labels, huge, FOURD)
     assert result.vector == FormalSum([("M", 1), ("M'", -1)])
-
-
-def _scanned(basis, grid, theory):
-    """The report of ``_NullKernel.scan`` over every assignment, the search
-    with no walk and no prune."""
-    table = engine.GramTensor(basis, theory)
-    grid = engine._canonical_grid(grid)
-    kernel = engine._null_kernel(table, grid)
-    total = len(grid) ** len(basis)
-    hit, skipped, digits = kernel.scan(0, total)
-    if hit is None:
-        return engine.NullSearchResult(None, len(basis), grid, total, skipped)
-    vector = FormalSum((table.basis[k], grid[d]) for k, d in enumerate(digits)
-                       if d != kernel.zero)
-    return engine.NullSearchResult(vector, len(basis), grid, hit + 1, skipped)
 
 
 def _random_grid(rng):
@@ -1391,7 +1336,7 @@ WALK_CASES = {
        for seed in range(12)},
 }
 # Assignments per case the brute-force scan may take, about 0.2 s; with
-# leaves of 4 assignments, the walk of every coordinate may take a few ms.
+# blocks of 1 and 3 prefixes, the walk of every coordinate may take a few ms.
 SCAN_BUDGET = 600_000
 DEEP_BUDGET = 5_000
 
@@ -1400,40 +1345,62 @@ DEEP_BUDGET = 5_000
 def test_null_walk_agrees_with_the_full_scan(case, monkeypatch):
     """The pruned search reports what a scan of every assignment does: the
     same hit, assignments_tested and assignments_skipped, on fixed and
-    seeded grids; small grids again with leaves of at most 4 assignments,
-    so that the walk, not the scan, decides nearly every coordinate."""
+    seeded grids; small grids again with blocks of 1 and 3 prefixes, so
+    that a hit's prefix sits in a later block at nearly every coordinate."""
     theory, basis = WALK_CASES[case]
     rng = random.Random(case)
     grids = [*NULL_GRIDS.values(), _random_grid(rng), _random_grid(rng)]
     scanned = {}
     for grid in grids:
         if len(set(grid)) ** len(basis) <= SCAN_BUDGET:
-            scanned[grid] = _scanned(basis, grid, theory)
+            scanned[grid] = integer_null_scan(basis, grid, theory)
             walked = engine.null_search(basis, grid, theory)
             assert walked == scanned[grid]
             assert walked.to_json() == scanned[grid].to_json()
     assert scanned
-    monkeypatch.setattr(engine, "_BATCH", 4)
-    for grid, expected in scanned.items():
-        if len(set(grid)) ** len(basis) <= DEEP_BUDGET:
-            walked = engine.null_search(basis, grid, theory)
-            assert walked == expected and walked.to_json() == expected.to_json()
+    for block in (1, 3):
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        for grid, expected in scanned.items():
+            if len(set(grid)) ** len(basis) <= DEEP_BUDGET:
+                walked = engine.null_search(basis, grid, theory)
+                assert walked == expected and walked.to_json() == expected.to_json()
+
+
+def test_null_walk_agrees_on_random_tables():
+    """200 seeded random label tables of 2 to 6 labels, most with a planted
+    null vector, on three grids: the walk reports what the full scan does,
+    and what the Fraction oracle does where it is affordable."""
+    rng = random.Random(20050303)
+    grids = [NULL_GRIDS["pm1"], NULL_GRIDS["gauss1"], NULL_GRIDS["rational"]]
+    found = 0
+    for k in range(200):
+        theory, labels = _planted_table(rng, rng.randint(2, 6))
+        grid = grids[k % 3] if len(grids[k % 3]) ** len(labels) <= 5**5 else grids[0]
+        walked = engine.null_search(labels, grid, theory)
+        assert walked == integer_null_scan(labels, grid, theory)
+        if len(grid) ** len(labels) <= 30:
+            assert walked == fraction_null_search(labels, grid, theory)
+        found += walked.vector is not None
+    assert 50 < found < 200
 
 
 def test_null_walk_prunes_far_below_the_grid(monkeypatch):
-    """dim1 j = 4 on gauss1: 5**24 assignments, of which the walk scans one
-    leaf subtree of 5**4, so jobs=2 starts no pool."""
+    """dim1 j = 4 on gauss1: of 5**24 assignments the walk keeps one live
+    prefix per coordinate, the all-zero one, so it tries 5 * 24 children."""
+    levels = []
+
+    class Recorded(engine._Level):
+        def __init__(self, *args):
+            super().__init__(*args)
+            levels.append((self.k, self.at.tolist()))
+
+    monkeypatch.setattr(engine, "_Level", Recorded)
     theory, basis = _dim1_case(4, 0)
-    kernel = engine._null_kernel(engine.GramTensor(basis, theory),
-                                 engine.gaussian_integer_grid(1))
-    runs = list(kernel.walk())
-    assert sum(stop - start for _, start, stop in runs) == 5**4
     result = engine.null_search(basis, NULL_GRIDS["gauss1"], theory)
+    zero = NULL_GRIDS["gauss1"].index(ZERO)
+    assert levels == [(k, [zero]) for k in range(23)]
     assert result.vector is None
     assert result.assignments_tested == 5**24
-    workers = _inline_pool(monkeypatch)
-    assert engine.null_search(basis, NULL_GRIDS["gauss1"], theory, jobs=2) == result
-    assert workers == []
 
 
 def _brute_ray_skips(grid, n):
@@ -1500,19 +1467,3 @@ def test_null_hit_past_int64():
     assert result.assignments_tested == index + 1 > 2**63
     # Before it, only (0, ..., 0, 1) has the lead 1 as its first nonzero value.
     assert result.assignments_skipped == index - 1
-
-
-@pytest.mark.parametrize("case", ["constant11", "dim1-j3-mc1", "fourdim-seed5"])
-def test_null_walk_pooled_runs_match_serial(case, monkeypatch):
-    """Runs handed to a pool after the first are read in order: the report
-    equals the serial one, found or not."""
-    labels = [f"A{k}" for k in range(11)]
-    theory, basis = ((_constant_table(tuple(labels), "S"), labels) if case == "constant11"
-                     else WALK_CASES[case])
-    serial = engine.null_search(basis, engine.PM_ONE_GRID, theory)
-    workers = _inline_pool(monkeypatch)
-    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-    monkeypatch.setattr(engine, "_TASK", 2 * engine._BATCH)
-    pooled = engine.null_search(basis, engine.PM_ONE_GRID, theory, jobs=2)
-    assert pooled == serial and pooled.to_json() == serial.to_json()
-    assert len(workers) == 1
