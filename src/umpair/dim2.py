@@ -28,37 +28,40 @@ full enumerated basis, in exact numpy phases.  It must agree with
 engine.verify_lemma (the generic glue-table check) wherever both are feasible;
 the tests enforce that, and check the core table against glue2.
 
-1. Core table.  Relabelling the circles keeps every gluing, so only the
-   first core of each orbit (``core_orbits``: cores with equal sorted
+1. Component digits.  Relabelling the circles keeps every gluing, so only
+   the first core of each orbit (``core_orbits``: cores with equal sorted
    (block size, genus) multisets) is glued against every core.  The
    components of a gluing of two bounded cores depend only on their two
    circle partitions, so components are found once per pair of a
    partition holding a representative with any partition, by the one
    bitmask ``_merge`` that glue2 shares; a component's genus is the genus sum
-   of its parts + E - V + 1 (E circles, V parts).  The table takes one pass
-   per partition holding a row: its components against every partition
-   sit side by side, each gluing's right-aligned in j columns padded with
-   0, so one integer matrix product and one gather give every cell's
-   genera, each plus 1.  A network of column compare-exchanges sorts them,
-   0s first, and they pack into one integer code, equal to the code of the
-   unpadded digits as each real digit is at least 1.  Each core pair gets
-   an id of its code, that is of its genus multiset.
+   of its parts + E - V + 1 (E circles, V parts).  One pass per partition
+   holding a row lays its components against every partition side by side,
+   each gluing's right-aligned in j columns padded with 0, so one integer
+   matrix product and one gather give every cell's digits, each
+   component's genus plus 1 (``_cell_digits``, chunk by chunk of rows).
 2. Additive test, while complexity2 is this module's own.  A multiset's
    digits V = (n, total genus, genus histogram from the top genus down)
    add under disjoint union and order multisets as complexity2 does, so
    2 V(off) - V(left) - V(right) is the same at every cell of a core pair's
    block, and its lexicographic sign decides the block
-   (``_clears_by_codes``).  When it is negative on every cell of the
-   representative rows the report passes, and phases 3 and 4 never run.
-3. Ranks, when the test is not taken or leaves a cell.  Each merged
-   multiset (core genera plus the union of two closed multisets) is coded
-   by its digits V in mixed radix, so that the code of a union is the sum
-   of its two sides' codes and code order is exactly the complexity order
-   while complexity2 is this module's own.  The rank of a merged multiset
-   is the slot of its code among the distinct codes.  A patched complexity2
-   is instead called once per distinct code and its values ranked densely,
-   so integer rank order is their order whatever totally ordered values it
-   returns.
+   (``_clears_by_digits``).  V is a sum over components, so each int64 limb
+   of its code is a sum of table lookups over a cell's digits, with static
+   radices; a core's diagonal gluing is read off its own parts.  When the
+   sign is negative on every cell of the representative rows the report
+   passes: no cell's multiset is sorted or named, and phases 3 and 4 never
+   run.
+3. Ids and ranks, when the test is not taken or leaves a cell.
+   ``core_gluing_table`` sorts each cell's digits by a compare-exchange
+   network and packs them into one code, and each core pair gets an id of
+   its code, that is of its genus multiset.  Each merged multiset (core
+   genera plus the union of two closed multisets) is coded by its digits V
+   in mixed radix, so that the code of a union is the sum of its two sides'
+   codes and code order is exactly the complexity order while complexity2
+   is this module's own.  The rank of a merged multiset is the slot of its
+   code among the distinct codes.  A patched complexity2 is instead called
+   once per distinct code and its values ranked densely, so integer rank
+   order is their order whatever totally ordered values it returns.
 4. Sweep.  For cores a < b every verdict between their elements depends
    only on the triple of ids (a, b), (a, a), (b, b); each distinct triple is
    checked once as a block over closed-multiset pairs, and a == b on the
@@ -288,7 +291,11 @@ def closed_multisets(g_max: int, budget: int) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda t: (len(t), t))
 
 
-def _core_blocks(j: int, g_max: int) -> list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]:
+# (partition, genera) per circle partition, as ``_core_blocks`` builds them.
+_Blocks = list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]
+
+
+def _core_blocks(j: int, g_max: int) -> _Blocks:
     """(partition, genera) for each partition of the j circles, in
     enumerate2's order: genera[i] lists the block genera of the partition's
     i-th core, the genus assignments in itertools.product order."""
@@ -375,25 +382,37 @@ def _components(masks: list[list[int]], p: int, j: int
     return left, right, offset
 
 
-def core_orbits(j: int, g_max: int) -> np.ndarray:
+def _padded_parts(blocks: _Blocks, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, genera) over the cores of ``blocks`` (``_core_blocks``), in
+    order: row c lists the circle count and the genus of each part of core
+    c, then 0s up to j columns."""
+    n = sum(len(genera) for _, genera in blocks)
+    sizes, padded = np.zeros((2, n, j), dtype=np.int32)
+    start = 0
+    for partition, genera in blocks:
+        cores = slice(start, start + len(genera))
+        sizes[cores, :len(partition)] = [len(block) for block in partition]
+        padded[cores, :len(partition)] = genera
+        start += len(genera)
+    return sizes, padded
+
+
+def core_orbits(j: int, g_max: int, blocks: _Blocks | None = None) -> np.ndarray:
     """orbit[c]: the orbit of core c under relabelling the j circles.
 
     The cores are enumerate2(j, g_max, 0), in that order; orbits are
-    numbered in order of first appearance.  The label of a core is the
-    sorted multiset of (block size, genus) over its parts.  It is a complete
-    invariant: two partitions with the same block sizes are related by a
-    relabelling, which can then match up the blocks of equal (size, genus).
-    Each part is keyed by size (g_max + 1) + genus, at least 1, and a core's
-    keys, padded with 0 to width j and sorted, pack into one code.
+    numbered in order of first appearance.  ``blocks`` is
+    ``_core_blocks(j, g_max)``, built here unless the caller has it.  The
+    label of a core is the sorted multiset of (block size, genus) over its
+    parts.  It is a complete invariant: two partitions with the same block
+    sizes are related by a relabelling, which can then match up the blocks
+    of equal (size, genus).  Each part is keyed by size (g_max + 1) + genus,
+    at least 1, and a core's keys, padded with 0 to width j and sorted, pack
+    into one code.
     """
     check_bounds({"j": j, "g_max": g_max})
-    blocks = _core_blocks(j, g_max)
-    keys = np.zeros((sum(len(genera) for _, genera in blocks), j), dtype=np.int32)
-    start = 0
-    for partition, genera in blocks:
-        sizes = np.array([len(block) for block in partition], dtype=np.int32)
-        keys[start:start + len(genera), :len(partition)] = sizes * (g_max + 1) + genera
-        start += len(genera)
+    sizes, genera = _padded_parts(_core_blocks(j, g_max) if blocks is None else blocks, j)
+    keys = sizes * (g_max + 1) + genera    # 0 in the unused columns, of size 0
     keys.sort(axis=1)
     _, first, inverse = np.unique(_packed(keys, [(j + 1) * (g_max + 1)] * j),
                                   return_index=True, return_inverse=True)
@@ -402,11 +421,56 @@ def core_orbits(j: int, g_max: int) -> np.ndarray:
     return number[inverse]
 
 
-# Cells per chunk of rows in core_gluing_table.  At 1 << 13 a chunk's int32
+# Cells per chunk of rows in _cell_digits.  At 1 << 13 a chunk's int32
 # digits stay within 128 kB at j <= 4 and every temporary within a few
 # hundred kB whatever the table's size; 1 << 14 took the same time and left
 # about 0.5 MB more peak RSS after 300 verify-dim2 passes in one process.
 _TABLE_CHUNK = 1 << 13
+
+
+def _cell_digits(blocks: _Blocks, j: int, rows: np.ndarray
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(chunk, digits) for each chunk of the core indices ``rows``: chunk
+    holds positions in rows, and digits[k, i, b] is the digit in column k of
+    the gluing of core rows[chunk[i]] with core b, a component's genus plus
+    1, or 0 in a column that the gluing leaves unused.
+
+    The cores are those of ``blocks`` (``_core_blocks``), in order.  The
+    chunks come in one pass per partition p that holds a row: the
+    components of p glued with each partition q (``_components``) are laid
+    side by side, each gluing's right-aligned in j columns, so that one
+    matrix product of the rows' genera and one gather by each core's
+    partition give every cell's j digits.  A chunk is one row or as many as
+    keep it within ``_TABLE_CHUNK`` cells.
+    """
+    sizes = [len(genera) for _, genera in blocks]
+    starts = np.cumsum([0] + sizes)
+    n = int(starts[-1])
+    if ((rows < 0) | (rows >= n)).any():
+        raise IndexError(f"core rows must lie in 0..{n - 1}")
+    row_part = np.searchsorted(starts, rows, side="right") - 1
+    core_part = np.repeat(np.arange(len(blocks)), sizes)
+    masks = [[sum(1 << c for c in block) for block in partition] for partition, _ in blocks]
+    _, padded = _padded_parts(blocks, j)
+    step = max(1, _TABLE_CHUNK // n)
+    # sorted(set(...)): a values-only np.unique would import numpy.ma.
+    for p in sorted(set(row_part.tolist())):
+        left, right, offset = _components(masks, p, j)
+        left = left.reshape(len(left), j * len(blocks))
+        # right_digits[k, b]: what core b adds to the digit in column k, its
+        # genera summed over its own partition's blocks only, one block
+        # column at a time: a (core, block, column) gather would be 17 MB at
+        # j = 7, g_max = 2.
+        right_digits = offset[core_part]
+        for u in range(j):
+            right_digits += padded[:, u, None] * right[core_part, u]
+        right_digits = np.ascontiguousarray(right_digits.T)[:, None]
+        mine = np.flatnonzero(row_part == p)
+        for r0 in range(0, len(mine), step):
+            chunk = mine[r0:r0 + step]
+            product = (blocks[p][1][rows[chunk] - starts[p]] @ left).reshape(
+                len(chunk), j, len(blocks))
+            yield chunk, np.take(product.transpose(1, 0, 2), core_part, axis=2) + right_digits
 
 
 def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
@@ -416,68 +480,40 @@ def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
     The cores are enumerate2(j, g_max, 0), in that order, and ``rows`` are
     core indices (every core when omitted, giving the square table).
     Returns (gid, genera) with genera[gid[i, b]] ==
-    glue2(cores[rows[i]], cores[b]).genera.  Each cell's genera, sorted and
-    each raised by 1, pack into one ``_packed`` code of base
-    2 j g_max + j + 2: a component has at most 2j parts, each of genus at
-    most g_max, and E - V + 1 < j, so every digit lies in 1..base - 1.
+    glue2(cores[rows[i]], cores[b]).genera.  The grid's additive test reads
+    the digits alone; this table of ids is built only on its fallback.
 
-    The table is built in one pass per partition p that holds a row.  The
-    components of p glued with each partition q (``_components``) are laid
-    side by side, each gluing's right-aligned in j columns, so that one
-    matrix product of the rows' genera and one gather by each core's
-    partition give every cell's j digits, with the columns a gluing leaves
-    unused at 0.  A network of j(j - 1)/2 column compare-exchanges sorts
-    them, the 0s first; as every real digit is at least 1, a cell's padded
-    code equals the code of its digits alone, and multisets of different
-    lengths never share a code.  Each chunk of rows is deduplicated on its
-    own codes (one np.unique over the whole table would hold every code at
-    once), and its distinct codes take global ids through one dict; the
-    multisets are unpacked from the codes at the end.
+    Each cell's ``_cell_digits`` are sorted by a network of j(j - 1)/2
+    column compare-exchanges, the 0s first, and pack into one ``_packed``
+    code of base 2 j g_max + j + 2: a component has at most 2j parts, each
+    of genus at most g_max, and E - V + 1 < j, so every component's digit
+    lies in 1..base - 1.  As 0 only pads, a cell's padded code equals the
+    code of its digits alone, and multisets of different lengths never
+    share a code.  Each chunk of rows is deduplicated on its own codes (one
+    np.unique over the whole table would hold every code at once), and its
+    distinct codes take global ids through one dict; the multisets are
+    unpacked from the codes at the end.
     """
     check_bounds({"j": j, "g_max": g_max})
     blocks = _core_blocks(j, g_max)
-    sizes = [len(genera) for _, genera in blocks]
-    starts = np.cumsum([0] + sizes)
-    n = int(starts[-1])
+    n = sum(len(genera) for _, genera in blocks)
     row_cores = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-    if ((row_cores < 0) | (row_cores >= n)).any():
-        raise IndexError(f"core rows must lie in 0..{n - 1}")
-    row_part = np.searchsorted(starts, row_cores, side="right") - 1
-    core_part = np.repeat(np.arange(len(blocks)), sizes)
-    masks = [[sum(1 << c for c in block) for block in partition] for partition, _ in blocks]
-    # padded[b] holds core b's block genera, then 0s up to j columns.
-    padded = np.zeros((n, j), dtype=np.int32)
-    for q, (partition, genera) in enumerate(blocks):
-        padded[starts[q]:starts[q + 1], :len(partition)] = genera
     gid = np.empty((len(row_cores), n), dtype=np.int32)
     base = 2 * j * g_max + j + 2
     ids: dict[int, int] = {}
-    step = max(1, _TABLE_CHUNK // n)
-    # sorted(set(...)): a values-only np.unique would import numpy.ma.
-    for p in sorted(set(row_part.tolist())):
-        left, right, offset = _components(masks, p, j)
-        left = left.reshape(len(left), j * len(blocks))
-        # right_digits[k, b]: what core b adds to the digit in column k, its
-        # genera summed over its own partition's blocks only.
-        right_digits = np.ascontiguousarray((
-            np.einsum("bu,buk->bk", padded, right[core_part]) + offset[core_part]).T)
-        mine = np.flatnonzero(row_part == p)
-        for r0 in range(0, len(mine), step):
-            chunk = mine[r0:r0 + step]
-            digits = (blocks[p][1][row_cores[chunk] - starts[p]] @ left).reshape(
-                len(chunk), j, len(blocks))[:, :, core_part] + right_digits
-            columns = list(digits.transpose(1, 0, 2))
-            for end in range(j - 1, 0, -1):
-                for k in range(end):
-                    columns[k], columns[k + 1] = (np.minimum(columns[k], columns[k + 1]),
-                                                  np.maximum(columns[k], columns[k + 1]))
-            for k, column in enumerate(columns):
-                digits[:, k] = column
-            codes = _packed(digits.transpose(0, 2, 1), [base] * j)
-            distinct, inverse = np.unique(codes, return_inverse=True)
-            global_ids = np.array([ids.setdefault(code, len(ids))
-                                   for code in distinct.tolist()], dtype=np.int32)
-            gid[chunk] = global_ids[inverse].reshape(len(chunk), n)
+    for chunk, digits in _cell_digits(blocks, j, row_cores):
+        columns = list(digits)
+        for end in range(j - 1, 0, -1):
+            for k in range(end):
+                columns[k], columns[k + 1] = (np.minimum(columns[k], columns[k + 1]),
+                                              np.maximum(columns[k], columns[k + 1]))
+        for k, column in enumerate(columns):
+            digits[k] = column
+        codes = _packed(digits.transpose(1, 2, 0), [base] * j)
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        global_ids = np.array([ids.setdefault(code, len(ids))
+                               for code in distinct.tolist()], dtype=np.int32)
+        gid[chunk] = global_ids[inverse].reshape(len(chunk), n)
 
     def unpacked(code: int) -> tuple[int, ...]:
         genera = []
@@ -546,20 +582,11 @@ def _rank_table(genera: list[tuple[int, ...]],
     return ranks.astype(np.int32).reshape(len(genera), len(unions))
 
 
-def _limb_codes(genera: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """The ``_genus_digits`` V of each multiset as int64 limb codes, most
-    significant limb first, for ``_dominated``.
-
-    Digit i takes radix 2 M_i + 1, M_i its largest value over ``genera``,
-    so that 2 V(a) and V(b) + V(c) have every digit below its radix and
-    their codes are 2 code(a) and code(b) + code(c), limb by limb.  The
-    digits are cut, in order, into as few runs as keep each run's radix
-    product within int64; lexicographic order of the limb tuples is then
-    the order of the digit vectors.
-    """
-    width = 1 + max(max(m, default=0) for m in genera)
-    digits = _genus_digits(genera, width)
-    radix = (2 * digits.max(axis=0) + 1).tolist()
+def _limbs(digits: np.ndarray, radix: list[int]) -> list[np.ndarray]:
+    """Each row of ``digits`` as ``_packed`` int64 limb codes, most
+    significant limb first.  The digits are cut, in order, into as few runs
+    as keep each run's radix product within int64; lexicographic order of
+    the limb tuples is then the order of the rows."""
     cuts, product = [0], 1
     for i, r in enumerate(radix):
         if product * r - 1 > INT64_MAX and i > cuts[-1]:
@@ -570,34 +597,77 @@ def _limb_codes(genera: list[tuple[int, ...]]) -> list[np.ndarray]:
     return [_packed(digits[:, lo:hi], radix[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _dominated(limbs: list[np.ndarray], off: np.ndarray, left: np.ndarray,
-               right: np.ndarray) -> np.ndarray:
-    """Mask, over the broadcast id arrays, of 2 V(off) <lex V(left) + V(right)
-    for the ``_limb_codes`` of the multisets the ids name."""
-    shape = np.broadcast_shapes(off.shape, left.shape, right.shape)
-    less, tied = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
-    for limb in limbs:
-        twice, pair = 2 * limb[off], limb[left] + limb[right]
-        less |= tied & (twice < pair)
-        tied &= twice == pair
+def _component_limbs(j: int, g_max: int) -> list[np.ndarray]:
+    """One table per ``_limbs`` limb: table[d] is the code that a component
+    of digit d (genus d - 1) adds to its gluing's V, and table[0] == 0.
+
+    V = (n, G, h[top], ..., h[0]) is ``_genus_digits``, a sum over
+    components: a component of genus g adds 1 to n, g to G and 1 to h[g].
+    So a cell's limb code is the sum of table[d] over its j digits.  The
+    radices are static.  A gluing of two cores over j circles has n <= j
+    components, so each histogram count is at most j.  G is the genus sum
+    of its P <= 2j parts plus j - P + n, and n <= P/2 as every component
+    holds a part of each side; so G <= 2 j g_max + j - 1 when j > 0, and
+    so is every genus.  Digit i with bound M_i takes radix 2 M_i + 1:
+    2 V(off) and V(left) + V(right) then keep every digit below its radix,
+    and their codes are 2 code(off) and code(left) + code(right), limb by
+    limb.
+    """
+    width = j * (2 * g_max + 1)    # the genera 0..width - 1
+    radix = [2 * j + 1, 2 * max(width - 1, 0) + 1] + [2 * j + 1] * width
+    return _limbs(_genus_digits([()] + [(g,) for g in range(width)], width), radix)
+
+
+def _limb(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The limb codes of the gluings whose digit k is cells[k]: the sum of
+    their j ``_component_limbs`` table lookups."""
+    codes = np.zeros(cells.shape[1:], dtype=np.int64)
+    for column in cells:
+        codes += np.take(table, column)
+    return codes
+
+
+def _dominated(tables: list[np.ndarray], cells: np.ndarray, diag: list[np.ndarray],
+               left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Mask, over the off gluings, of 2 V(off) <lex V(left) + V(right).
+
+    cells[k] holds digit k of every off gluing, whose limb codes are read
+    through the ``_component_limbs`` tables; the ids ``left`` and
+    ``right`` broadcast to the shape of cells[k], and the limb i codes of
+    the two diagonals are diag[i][left] and diag[i][right].  Each limb after
+    the first is compared only on the off gluings whose earlier limbs tie.
+    """
+    twice = 2 * _limb(tables[0], cells)
+    pair = diag[0][left] + diag[0][right]
+    less = twice < pair
+    tied = np.flatnonzero(twice == pair)
+    cells = cells.reshape(len(cells), less.size)
+    for table, codes in zip(tables[1:], diag[1:]):
+        twice = 2 * _limb(table, cells[:, tied])
+        pair = (codes[left] + codes[right]).reshape(-1)[tied]
+        less.reshape(-1)[tied] = twice < pair
+        tied = tied[twice == pair]
     return less
 
 
-# Array elements per vectorized step of the sweep.  At 1 << 15 every int32
-# temporary of a step is at most 128 kB, glibc's default mmap threshold, so
-# the steps reuse heap memory; at 1 << 18 (1 MB) each one was a fresh mmap
-# unless an earlier free had happened to raise that threshold.
-_SWEEP_CHUNK = 1 << 15
+def _diagonal_digits(blocks: _Blocks, j: int) -> np.ndarray:
+    """digits[k, b] of each core b of ``blocks`` glued to itself.  Each part
+    of s circles and genus g is glued to its own copy alone, into one
+    closed component of genus 2g + s - 1, so its digit is 2g + s; the
+    columns past the core's parts are 0."""
+    sizes, genera = _padded_parts(blocks, j)
+    return (2 * genera + sizes).T
 
 
-def _clears_by_codes(gid: np.ndarray, genera: list[tuple[int, ...]], reps: np.ndarray,
-                     diag: np.ndarray) -> bool:
+def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> bool:
     """Whether every core pair's block passes by its additive digits alone.
 
-    Valid only while complexity2 is this module's own.  gid holds the rows
-    of the representative cores ``reps``, and diag[b] is core b's diagonal
-    gluing id.  Each cell (r, b) with b after reps[r] is tested with
-    ``_dominated``: off gid[r, b], left diag[reps[r]], right diag[b].
+    Valid only while complexity2 is this module's own.  The cores are those
+    of ``blocks`` (``_core_blocks(j, g_max)``) and ``reps`` the first core of
+    each orbit.  Each cell (r, b) with b after reps[r] is tested with
+    ``_dominated``: off the gluing of reps[r] with b, its ``_cell_digits``,
+    left and right the ``_diagonal_digits`` of reps[r] and b, so no
+    diagonal cell is glued.
 
     Why a cleared cell's whole block passes.  Write V for ``_genus_digits``,
     which add under disjoint union and order multisets exactly as
@@ -610,18 +680,26 @@ def _clears_by_codes(gid: np.ndarray, genera: list[tuple[int, ...]], reps: np.nd
     blocks need no test: there D = 0, so V(off) <=lex the larger diagonal,
     with equality only when V(k1) = V(k2), that is k1 == k2 (the closed
     multisets are distinct), which the strict upper triangle excludes.
-    The test reads no closed multiset, so it builds no rank table, union
-    ids or triples; a cell it leaves sends the caller to the exact sweep.
+    The test reads neither a closed multiset nor a sorted genus multiset,
+    so it builds no id table, rank table, union ids or triples; a cell it
+    leaves sends the caller to the exact sweep.
     """
-    limbs = _limb_codes(genera)
-    nb = len(diag)
-    step = max(1, _SWEEP_CHUNK // nb)
-    for r0 in range(0, len(reps), step):
-        rows = slice(r0, r0 + step)
-        later = np.arange(nb) > reps[rows, None]
-        if not _dominated(limbs, gid[rows], diag[reps[rows], None], diag)[later].all():
+    tables = _component_limbs(j, g_max)
+    diagonal = _diagonal_digits(blocks, j)
+    diag = [_limb(table, diagonal) for table in tables]
+    cores = np.arange(diagonal.shape[1])
+    for chunk, digits in _cell_digits(blocks, j, reps):
+        later = cores > reps[chunk, None]
+        if not _dominated(tables, digits, diag, reps[chunk, None], cores)[later].all():
             return False
     return True
+
+
+# Array elements per vectorized step of the sweep.  At 1 << 15 every int32
+# temporary of a step is at most 128 kB, glibc's default mmap threshold, so
+# the steps reuse heap memory; at 1 << 18 (1 MB) each one was a fresh mmap
+# unless an earlier free had happened to raise that threshold.
+_SWEEP_CHUNK = 1 << 15
 
 
 def _sweep_passes(gid: np.ndarray, genera: list[tuple[int, ...]], reps: np.ndarray,
@@ -629,8 +707,9 @@ def _sweep_passes(gid: np.ndarray, genera: list[tuple[int, ...]], reps: np.ndarr
     """Whether every block passes, each distinct core gluing triple checked
     over every pair of closed multisets with ranks from ``_rank_table``.
 
-    gid, reps and diag are as in ``_clears_by_codes``; any complexity2 will
-    do.
+    gid holds the rows of the representative cores ``reps``
+    (``core_gluing_table``), and diag[b] is core b's diagonal gluing id;
+    any complexity2 will do.
     """
     nb, nk = len(diag), len(closeds)
     union_ids: dict[tuple[int, ...], int] = {}
@@ -677,31 +756,37 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     depends only on (core pair genera, multiset union).  Relabelling the
     circles keeps every gluing, so only the rows of the first core of each
     orbit (``core_orbits``) are glued.  While complexity2 is this module's
-    own, ``_clears_by_codes`` decides each core pair's whole block from its
-    three core gluings; when it clears every cell, no rank table or sweep
-    is built.  Otherwise ``_sweep_passes`` checks each distinct triple
-    (gid[a, b], gid[a, a], gid[b, b]) once over its block.  Any failure
-    returns engine.verify_lemma's report instead, which lists the
+    own, ``_clears_by_digits`` decides each core pair's whole block from the
+    component digits of its off gluing and the closed-form digits of its
+    two diagonals; when it clears every cell, no table of gluing ids, rank
+    table or sweep is built.  Otherwise ``core_gluing_table`` gives the
+    representative rows' ids and ``_sweep_passes`` checks each distinct
+    triple (gid[a, b], gid[a, a], gid[b, b]) once over its block.  Any
+    failure returns engine.verify_lemma's report instead, which lists the
     violations; if that report passes, the two checks disagree and
     AssertionError is raised.
     """
     check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
-    orbit = core_orbits(j, g_max)
+    blocks = _core_blocks(j, g_max)
+    orbit = core_orbits(j, g_max, blocks)
     # Orbits are numbered in order of first appearance, so this is each
-    # orbit's first core, in increasing order.
+    # orbit's first core, in increasing order.  A relabelling g sends the
+    # pair {a, b} to {g·a, g·b} with the same three gluings.  Taking a to be
+    # the element whose orbit comes first, g·a is a representative r and
+    # g·b lies after it, so the rows of the representatives against their
+    # later columns meet every pair.
     reps = np.unique(orbit, return_index=True)[1]
-    gid, genera = core_gluing_table(j, g_max, rows=reps)
     closeds = closed_multisets(g_max, closed_budget)
     basis_size = len(orbit) * len(closeds)
-    # A relabelling g sends the pair {a, b} to {g·a, g·b} with the same three
-    # gluings.  Taking a to be the element whose orbit comes first, g·a is a
-    # representative r and g·b lies after it, so the rows of the
-    # representatives against their later columns meet every pair.  Each
-    # core's diagonal is its representative's own cell, as glue2(g·b, g·b)
-    # == glue2(b, b); the same-core blocks need only the representatives.
-    diag = gid[orbit, reps[orbit]]
-    if ((complexity2 is _OWN_COMPLEXITY2 and _clears_by_codes(gid, genera, reps, diag))
-            or _sweep_passes(gid, genera, reps, diag, closeds)):
+    if complexity2 is _OWN_COMPLEXITY2 and _clears_by_digits(blocks, j, g_max, reps):
+        passed = True
+    else:
+        gid, genera = core_gluing_table(j, g_max, rows=reps)
+        # Each core's diagonal is its representative's own cell, as
+        # glue2(g·b, g·b) == glue2(b, b); the same-core blocks need only the
+        # representatives.
+        passed = _sweep_passes(gid, genera, reps, gid[orbit, reps[orbit]], closeds)
+    if passed:
         return LemmaReport(passed=True, basis_size=basis_size,
                            pairs_checked=basis_size * (basis_size - 1) // 2, violations=())
     report = verify_lemma(enumerate2(j, g_max, closed_budget), Dim2Theory(j))

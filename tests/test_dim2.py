@@ -15,8 +15,9 @@ from oracles import ComplexityTuple, euler_oracle, glued_genera, sorted_chi_comp
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
-from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _dominated,
-                         _genus_digits, _limb_codes, _rank_table, closed_multisets,
+from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _cell_digits,
+                         _component_limbs, _core_blocks, _diagonal_digits, _dominated,
+                         _genus_digits, _limb, _limbs, _rank_table, closed_multisets,
                          complexity2, core_gluing_table, core_orbits, enumerate2, glue2,
                          verify_lemma_grid)
 from umpair.engine import _packed
@@ -318,7 +319,7 @@ def test_grid_verifier_matches_generic_verifier(j, gmax, budget):
     assert grid_report.violations == generic.violations == ()
 
 
-def every_core_its_own_orbit(j, g_max):
+def every_core_its_own_orbit(j, g_max, blocks=None):
     """The trivial orbits: the representative rows are then every core, and
     the sweep is the sweep over every core pair."""
     return np.arange(len(enumerate2(j, g_max, 0)))
@@ -660,8 +661,21 @@ def block_failures(off, left, right, genera, gmax, budget, order, upper=False):
         for t in range(0, len(off), 1000)])
 
 
-def cleared_by_codes(off, left, right, genera):
-    return _dominated(_limb_codes(genera), off, left, right)
+def multiset_digits(genera, j):
+    """digits[k, i]: the sorted genera of multiset i, each plus 1, after 0s
+    up to j columns, as ``_cell_digits`` lays out one cell."""
+    return np.array([[0] * (j - len(g)) + [x + 1 for x in g] for g in genera],
+                    dtype=np.int32).reshape(len(genera), j).T
+
+
+def cleared_by_codes(j, gmax, off, left, right, genera):
+    """The additive test on triples of ids into ``genera``, the multisets of
+    core gluings over j circles: off gluings by their digits, diagonals by
+    their limb codes."""
+    tables = _component_limbs(j, gmax)
+    digits = multiset_digits(genera, j)
+    return _dominated(tables, digits[:, off], [_limb(table, digits) for table in tables],
+                      left, right)
 
 
 def random_multisets(seed, count):
@@ -691,22 +705,61 @@ def test_genus_digits_add_and_order_as_complexity2():
 def test_dominated_is_the_lexicographic_sign_on_every_limb_split(monkeypatch, int64_max,
                                                                  limb_count):
     # The limb bound lowered until the digits split into a few limbs, then
-    # into one limb each: the verdict must not depend on the split.
+    # into one limb each: the verdict must not depend on the split.  Off
+    # gluings of up to five components are read by their digits, through
+    # tables packed with the radix 2 max + 1 of the multisets' own digits.
     import umpair.dim2 as dim2_module
 
     multisets = random_multisets(53054, 60)
     vectors = _genus_digits(multisets, 13)
     monkeypatch.setattr(dim2_module, "INT64_MAX", int64_max)
-    limbs = _limb_codes(multisets)
-    assert len(limbs) == limb_count
+    radix = (2 * vectors.max(axis=0) + 1).tolist()
+    tables = _limbs(_genus_digits([()] + [(g,) for g in range(13)], 13), radix)
+    assert len(tables) == limb_count
+    cells = multiset_digits(multisets, 5)
+    diag = [_limb(table, cells) for table in tables]
+    assert all((codes == limb).all() for codes, limb in zip(diag, _limbs(vectors, radix)))
     rng = np.random.default_rng(20050303)
     off, left, right = rng.integers(0, len(multisets), size=(3, 4000))
     off[:60] = left[:60] = right[:60] = np.arange(60)     # D = 0: never below
     left[60:120] = off[60:120]                            # D = V(off) - V(right)
     expected = [tuple(2 * vectors[o]) < tuple(vectors[a] + vectors[b])
                 for o, a, b in zip(off.tolist(), left.tolist(), right.tolist())]
-    assert _dominated(limbs, off, left, right).tolist() == expected
+    assert _dominated(tables, cells[:, off], diag, left, right).tolist() == expected
+    # The same cells as a broadcast grid, as the grid's row chunks pass them.
+    grid = _dominated(tables, np.broadcast_to(cells[:, :, None], (5, 60, 60)), diag,
+                      np.arange(60)[:, None], np.arange(60))
+    assert grid.tolist() == [[tuple(2 * vectors[o]) < tuple(vectors[o] + vectors[b])
+                              for b in range(60)] for o in range(60)]
     assert 0 < sum(expected) < len(expected)
+
+
+@pytest.mark.parametrize("j,gmax", [*itertools.product(range(5), range(4)), (5, 2)])
+def test_cell_limbs_are_the_packed_genus_digits_of_the_core_table(j, gmax):
+    # On every cell of the square table, the limb codes summed from the
+    # cell's digits are the packed V of its multiset, with the static
+    # radices: n and each histogram count at most j, every genus and the
+    # total genus at most 2 j gmax + j - 1, radix 2 M + 1 for a bound M.
+    # Each core's diagonal, read off its own parts, is the table's.
+    gid, genera = core_gluing_table(j, gmax)
+    width = j * (2 * gmax + 1)
+    vectors = _genus_digits(genera, width)
+    bounds = [j, max(width - 1, 0)] + [j] * width
+    assert (vectors.max(axis=0) <= bounds).all()
+    assert max((max(g, default=0) for g in genera), default=0) < max(width, 1)
+    expected = _limbs(vectors, [2 * bound + 1 for bound in bounds])
+    tables = _component_limbs(j, gmax)
+    assert len(tables) == len(expected) and all(table[0] == 0 for table in tables)
+    blocks = _core_blocks(j, gmax)
+    seen = np.zeros(len(gid), dtype=bool)
+    for chunk, digits in _cell_digits(blocks, j, np.arange(len(gid))):
+        for table, codes in zip(tables, expected):
+            assert (_limb(table, digits) == codes[gid[chunk]]).all()
+        seen[chunk] = True
+    assert seen.all()
+    diagonal = _diagonal_digits(blocks, j)
+    assert [tuple(sorted(d - 1 for d in column if d)) for column in diagonal.T.tolist()] == [
+        genera[g] for g in gid.diagonal().tolist()]
 
 
 @pytest.mark.parametrize("j,gmax", [(3, 2), (4, 3), (5, 2)])
@@ -738,7 +791,7 @@ def test_additive_bound_clears_only_passing_triples(j, gmax):
     # reverses the rest, a cleared triple fails: the test leans on more
     # of complexity2 than its first entry.
     off, left, right, genera = representative_triples(j, gmax)
-    cleared = cleared_by_codes(off, left, right, genera)
+    cleared = cleared_by_codes(j, gmax, off, left, right, genera)
     if (j, gmax) == (4, 3):
         assert (cleared.sum(), len(cleared)) == (19_132, 19_132)
     own = np.unique(np.concatenate([left, [0]]))
@@ -768,7 +821,7 @@ def test_component_count_bound_clears_only_passing_triples(j, gmax):
     if (j, gmax) == (4, 3):
         assert (cleared.sum(), len(cleared)) == (14_795, 19_132)
     off, left, right, genera = representative_triples(j, gmax)
-    assert cleared_by_codes(off, left, right, genera)[cleared].all()
+    assert cleared_by_codes(j, gmax, off, left, right, genera)[cleared].all()
     for order, budget in itertools.product((complexity2, count_then_reversed), range(4)):
         failing = triple_failures(j, gmax, budget, order)
         assert not failing[cleared].any()
@@ -783,52 +836,56 @@ def test_component_count_bound_fails_when_components_count_lighter():
 
 
 @pytest.mark.parametrize("j,gmax", [(2, 2), (3, 1), (4, 3)])
-def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(j, gmax):
-    # The real table clears; with each id's multiset replaced by a larger
-    # one for off gluings (and the diagonals kept), some cell is left.
+def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(monkeypatch, j, gmax):
+    # The real digits clear; with each unused column of an off gluing made a
+    # sphere (the diagonals kept), every off gluing has j components, at
+    # least the mean of its diagonals', and no cell is cleared.
     import umpair.dim2 as dim2_module
 
-    orbit = core_orbits(j, gmax)
-    reps = np.unique(orbit, return_index=True)[1]
-    gid, genera = core_gluing_table(j, gmax, rows=reps)
-    diag = gid[orbit, reps[orbit]]
-    assert dim2_module._clears_by_codes(gid, genera, reps, diag)
-    diagonal = set(diag.tolist())
-    heavier = [g if i in diagonal else g + (0,) * 2 * j for i, g in enumerate(genera)]
-    assert not dim2_module._clears_by_codes(gid, heavier, reps, diag)
+    blocks = _core_blocks(j, gmax)
+    reps = np.unique(core_orbits(j, gmax), return_index=True)[1]
+    assert dim2_module._clears_by_digits(blocks, j, gmax, reps)
+
+    def heavier(blocks, j, rows):
+        for chunk, digits in _cell_digits(blocks, j, rows):
+            yield chunk, np.where(digits == 0, 1, digits)
+
+    monkeypatch.setattr(dim2_module, "_cell_digits", heavier)
+    assert not dim2_module._clears_by_digits(blocks, j, gmax, reps)
 
 
 @pytest.mark.parametrize("j,gmax,budget", [(0, 1, 1), (2, 2, 2), (3, 1, 2), (4, 2, 1)])
 def test_rank_table_is_built_only_when_the_additive_test_is_not_taken(monkeypatch, j,
                                                                       gmax, budget):
-    # The own complexity2 clears every cell by codes, with no rank table; a
-    # patched complexity2 of the same order, or an additive test forced to
-    # fail, runs the exact sweep, and all three reports are the same.
+    # The own complexity2 clears every cell by its digits, with no table of
+    # gluing ids and no rank table; a patched complexity2 of the same order,
+    # or an additive test forced to fail, builds the table and runs the
+    # exact sweep, and all three reports are the same.
     import umpair.dim2 as dim2_module
 
     calls = []
 
     def recording(name, function):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append(name)
-            return function(*args)
+            return function(*args, **kwargs)
         monkeypatch.setattr(dim2_module, name, wrapped)
 
-    for name in ("_clears_by_codes", "_rank_table", "_sweep_passes"):
+    for name in ("_clears_by_digits", "core_gluing_table", "_rank_table", "_sweep_passes"):
         recording(name, getattr(dim2_module, name))
     own = dim2_module.verify_lemma_grid(j, gmax, budget)
-    assert own.passed and calls == ["_clears_by_codes"]
+    assert own.passed and calls == ["_clears_by_digits"]
+    fallback = ["core_gluing_table", "_sweep_passes", "_rank_table"]
     with monkeypatch.context() as patched:
         calls.clear()
         patched.setattr(dim2_module, "complexity2", lambda surface: complexity2(surface))
         assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
-        assert calls == ["_sweep_passes", "_rank_table"]
+        assert calls == fallback
     calls.clear()
-    monkeypatch.setattr(dim2_module, "_dominated",
-                        lambda limbs, off, left, right: np.zeros(off.shape, dtype=bool))
+    monkeypatch.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
+                        np.zeros(cells.shape[1:], dtype=bool))
     assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
-    assert calls == (["_clears_by_codes", "_sweep_passes", "_rank_table"] if j
-                     else ["_clears_by_codes"])
+    assert calls == ["_clears_by_digits"] + (fallback if j else [])
 
 
 def horner(row, base):
@@ -943,14 +1000,18 @@ def test_dim2_positivity_j5_in_a_fresh_process():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("j,gmax,budget,size,limit_s", [(7, 1, 0, 14_214, 1.0),
-                                                        (5, 4, 4, 489_440, 2.0)],
-                         ids=["7-1-0", "5-4-4"])
+                                                        (5, 4, 4, 489_440, 2.0),
+                                                        (7, 2, 0, 88_563, 3.5)],
+                         ids=["7-1-0", "5-4-4", "7-2-0"])
 def test_dim2_frontier_grids_in_a_fresh_process(j, gmax, budget, size, limit_s):
-    """Under 80 MB peak RSS each.  At (7, 1, 0) the core table has 877
+    """Under 80 MB peak RSS each.  At (7, 1, 0) the grid has 877 circle
     partitions; a table that held every core's genera against every block
     of every partition took 4.4 s and 218 MB there, end to end, and this
-    grid takes 0.3-0.5 s.  (5, 4, 4) takes 0.5-1.3 s as the machine's
-    speed varies; a sweep over its distinct core triples peaked at 133 MB.
+    grid takes 0.16-0.20 s.  (5, 4, 4) takes 0.20-0.25 s; a sweep over its
+    distinct core triples peaked at 133 MB.  (7, 2, 0) glues 429 rows of
+    88,563 cores in 1.5-1.7 s and 54 MB; with the whole table of gluing
+    ids held it took 4.4 s and 219 MB.  Each time varies up to 2x with the
+    machine's speed.
     """
     seconds, basis_size, max_rss_kb = fresh_grid(j, gmax, budget)
     assert basis_size == size
