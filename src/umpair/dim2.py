@@ -26,7 +26,7 @@ differ in their first entry, so no padding is needed.
 ``verify_lemma_grid`` is an exhaustive diagonal-dominance check over the
 full enumerated basis, in exact numpy phases.  It must agree with
 engine.verify_lemma (the generic glue-table check) wherever both are feasible;
-the tests enforce that, and check the core table against glue2.
+the tests enforce that, and check the cells' digits against glue2.
 
 1. Component digits.  Relabelling the circles keeps every gluing, so only
    the first core of each orbit (``core_orbits``: cores with equal sorted
@@ -47,29 +47,11 @@ the tests enforce that, and check the core table against glue2.
    block, and its lexicographic sign decides the block
    (``_clears_by_digits``).  V is a sum over components, so each int64 limb
    of its code is a sum of table lookups over a cell's digits, with static
-   radices; a core's diagonal gluing is read off its own parts.  When the
-   sign is negative on every cell of the representative rows the report
-   passes: no cell's multiset is sorted or named, and phases 3 and 4 never
-   run.
-3. Ids and ranks, when the test is not taken or leaves a cell.
-   ``core_gluing_table`` sorts each cell's digits by a compare-exchange
-   network and packs them into one code, and each core pair gets an id of
-   its code, that is of its genus multiset.  Each merged multiset (core
-   genera plus the union of two closed multisets) is coded by its digits V
-   in mixed radix, so that the code of a union is the sum of its two sides'
-   codes and code order is exactly the complexity order while complexity2
-   is this module's own.  The rank of a merged multiset is the slot of its
-   code among the distinct codes.  A patched complexity2 is instead called
-   once per distinct code and its values ranked densely, so integer rank
-   order is their order whatever totally ordered values it returns.
-4. Sweep.  For cores a < b every verdict between their elements depends
-   only on the triple of ids (a, b), (a, a), (b, b); each distinct triple is
-   checked once as a block over closed-multiset pairs, and a == b on the
-   strict upper triangle of its block.  Every pair of cores is a relabelled
-   pair of a representative row, so only those rows are swept, in one
-   process.  The sweep only decides: any failure returns
-   engine.verify_lemma's report, which lists the violations, and a pass
-   there would be a soundness defect and raises.
+   radices; a core's diagonal gluing is read off its own parts.  The sign
+   is negative on every cell of every grid (the completeness argument in
+   ``_clears_by_digits``), so the report passes with no cell's multiset
+   sorted or named.  A patched complexity2, or a cell the test leaves,
+   returns engine.verify_lemma's report over the same basis instead.
 """
 
 from __future__ import annotations
@@ -83,8 +65,7 @@ import numpy as np
 
 from .algebra import (UniverseMismatchError, build_canonical, check_bounds, json_int,
                       json_list)
-from .engine import (INT64_MAX, GluingTheory, LemmaReport, _packed, dense_ranks,
-                     verify_lemma)
+from .engine import INT64_MAX, GluingTheory, LemmaReport, _packed, verify_lemma
 
 
 @dataclass(frozen=True)
@@ -196,7 +177,9 @@ def complexity2(c: ClosedSurface) -> tuple[int, ...]:
     return (len(neg), sum(neg), *neg)
 
 
-# The complexity that ``_rank_table`` ranks from histograms without calling it.
+# The complexity that ``_clears_by_digits`` decides from digits without calling
+# it.  The benchmark's tracer rebinds this alias along with complexity2, so a
+# traced pass takes the same path and counts no complexity2 call.
 _OWN_COMPLEXITY2 = complexity2
 
 
@@ -298,11 +281,13 @@ _Blocks = list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]
 def _core_blocks(j: int, g_max: int) -> _Blocks:
     """(partition, genera) for each partition of the j circles, in
     enumerate2's order: genera[i] lists the block genera of the partition's
-    i-th core, the genus assignments in itertools.product order."""
-    return [(partition,
-             np.array(list(itertools.product(range(g_max + 1), repeat=len(partition))),
-                      dtype=np.int32))
-            for partition in _set_partitions(j)]
+    i-th core, the genus assignments in itertools.product order.  The
+    partitions of one block count share one genera array."""
+    partitions = list(_set_partitions(j))
+    genera = {count: np.array(list(itertools.product(range(g_max + 1), repeat=count)),
+                              dtype=np.int32)
+              for count in {len(partition) for partition in partitions}}
+    return [(partition, genera[len(partition)]) for partition in partitions]
 
 
 def enumerate2(j: int, g_max: int, closed_budget: int = 0) -> list[Bounded2Manifold]:
@@ -473,113 +458,20 @@ def _cell_digits(blocks: _Blocks, j: int, rows: np.ndarray
             yield chunk, np.take(product.transpose(1, 0, 2), core_part, axis=2) + right_digits
 
 
-def core_gluing_table(j: int, g_max: int, rows: Sequence[int] | None = None
-                      ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Genus multiset of the gluing of cores, rows by every core.
-
-    The cores are enumerate2(j, g_max, 0), in that order, and ``rows`` are
-    core indices (every core when omitted, giving the square table).
-    Returns (gid, genera) with genera[gid[i, b]] ==
-    glue2(cores[rows[i]], cores[b]).genera.  The grid's additive test reads
-    the digits alone; this table of ids is built only on its fallback.
-
-    Each cell's ``_cell_digits`` are sorted by a network of j(j - 1)/2
-    column compare-exchanges, the 0s first, and pack into one ``_packed``
-    code of base 2 j g_max + j + 2: a component has at most 2j parts, each
-    of genus at most g_max, and E - V + 1 < j, so every component's digit
-    lies in 1..base - 1.  As 0 only pads, a cell's padded code equals the
-    code of its digits alone, and multisets of different lengths never
-    share a code.  Each chunk of rows is deduplicated on its own codes (one
-    np.unique over the whole table would hold every code at once), and its
-    distinct codes take global ids through one dict; the multisets are
-    unpacked from the codes at the end.
-    """
-    check_bounds({"j": j, "g_max": g_max})
-    blocks = _core_blocks(j, g_max)
-    n = sum(len(genera) for _, genera in blocks)
-    row_cores = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-    gid = np.empty((len(row_cores), n), dtype=np.int32)
-    base = 2 * j * g_max + j + 2
-    ids: dict[int, int] = {}
-    for chunk, digits in _cell_digits(blocks, j, row_cores):
-        columns = list(digits)
-        for end in range(j - 1, 0, -1):
-            for k in range(end):
-                columns[k], columns[k + 1] = (np.minimum(columns[k], columns[k + 1]),
-                                              np.maximum(columns[k], columns[k + 1]))
-        for k, column in enumerate(columns):
-            digits[k] = column
-        codes = _packed(digits.transpose(1, 2, 0), [base] * j)
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        global_ids = np.array([ids.setdefault(code, len(ids))
-                               for code in distinct.tolist()], dtype=np.int32)
-        gid[chunk] = global_ids[inverse].reshape(len(chunk), n)
-
-    def unpacked(code: int) -> tuple[int, ...]:
-        genera = []
-        while code:
-            code, digit = divmod(code, base)
-            genera.append(digit - 1)
-        return tuple(genera[::-1])
-
-    return gid, [unpacked(code) for code in ids]
-
-
 def _genus_digits(multisets: list[tuple[int, ...]], width: int) -> np.ndarray:
     """Row i: (n, G, h[width - 1], ..., h[0]) of multisets[i], its length,
     total genus and genus histogram from the top genus down; every genus
-    lies below ``width``.  The digits of a union are the sum of its parts'."""
+    lies below ``width``.  The digits of a union are the sum of its parts'.
+    Lexicographic order of the rows is complexity2's order: for n
+    components of total genus G, complexity2 is (n, 2G - 2n, 2g - 2 over the
+    genera in descending order), and descending sequences of equal length
+    compare as their histograms read from the top genus down."""
     lengths = np.fromiter(map(len, multisets), np.int64, len(multisets))
     row = np.repeat(np.arange(len(multisets)), lengths)
     flat = np.fromiter(itertools.chain.from_iterable(multisets), np.int64)
     counts = np.bincount(row * width + flat, minlength=len(multisets) * width
                          ).reshape(len(multisets), width)
     return np.column_stack([lengths, counts @ np.arange(width), counts[:, ::-1]])
-
-
-def _rank_table(genera: list[tuple[int, ...]],
-                unions: list[tuple[int, ...]]) -> np.ndarray:
-    """rank[g, u]: dense complexity rank of core genera g plus closed union u.
-
-    Equal complexities share a rank, so integer order of ranks is the
-    complexity order.  Each multiset m is read as its ``_genus_digits``
-    (n, G, h[top], ..., h[0]).  Every digit of a merged multiset is the sum
-    of its two sides' digits, so with each digit's radix one more than the
-    sum of the two sides' largest values, the ``_packed`` codes add:
-    code(g + u) == code(g) + code(u).  The table is one broadcast add of the
-    two sides' codes, deduplicated by np.unique.
-
-    While complexity2 is this module's own (``_OWN_COMPLEXITY2``), it is
-    never called.  For n components of total genus G, complexity2 is
-    (n, 2G - 2n, 2g - 2 for the genera in descending order), and descending
-    sequences of equal length compare as their histograms read from the
-    top genus down; so code order is the complexity order, and as a
-    histogram and its complexity determine each other, the slot of each
-    code among the distinct codes is its rank.  The benchmark's tracer
-    rebinds the alias along with complexity2, so a traced pass takes this
-    path too and counts no complexity2 call.
-
-    A patched complexity2 runs once per distinct code instead, on the first
-    (g, u) with that code, and its values are ranked densely.  Its
-    ClosedSurface is built already sorted, without the checks of its
-    constructor: core genera and closed unions are nonnegative by
-    construction.
-    """
-    width = 1 + max(max(m, default=0) for m in genera + unions)
-    sides = _genus_digits(genera, width), _genus_digits(unions, width)
-    radix = (sides[0].max(axis=0, initial=0) + sides[1].max(axis=0, initial=0) + 1).tolist()
-    codes = _packed(sides[0], radix)[:, None] + _packed(sides[1], radix)[None, :]
-    if complexity2 is _OWN_COMPLEXITY2:
-        ranks = np.unique(codes.reshape(-1), return_inverse=True)[1]
-    else:
-        _, first, inverse = np.unique(codes.reshape(-1), return_index=True,
-                                      return_inverse=True)
-        g_first, u_first = np.divmod(first, len(unions))
-        ranks = dense_ranks([
-            complexity2(build_canonical(ClosedSurface,
-                                        genera=tuple(sorted(genera[g] + unions[u]))))
-            for g, u in zip(g_first.tolist(), u_first.tolist())])[inverse]
-    return ranks.astype(np.int32).reshape(len(genera), len(unions))
 
 
 def _limbs(digits: np.ndarray, radix: list[int]) -> list[np.ndarray]:
@@ -671,18 +563,31 @@ def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> 
 
     Why a cleared cell's whole block passes.  Write V for ``_genus_digits``,
     which add under disjoint union and order multisets exactly as
-    complexity2 does (``_rank_table``), and D = 2 V(off) - V(left) -
-    V(right).  Carried closed multisets k1, k2 add V(k1) + V(k2) to the
-    off gluing and 2 V(k1), 2 V(k2) to the diagonals, so D is the same at
-    every (k1, k2) of the block.  Lexicographic order is compatible with
-    addition, so D <lex 0 gives 2 V(off) <lex V(left) + V(right) <=lex
-    2 max, and the off gluing is below the larger diagonal.  The same-core
-    blocks need no test: there D = 0, so V(off) <=lex the larger diagonal,
-    with equality only when V(k1) = V(k2), that is k1 == k2 (the closed
-    multisets are distinct), which the strict upper triangle excludes.
-    The test reads neither a closed multiset nor a sorted genus multiset,
-    so it builds no id table, rank table, union ids or triples; a cell it
-    leaves sends the caller to the exact sweep.
+    complexity2 does, and D = 2 V(off) - V(left) - V(right).  Carried
+    closed multisets k1, k2 add V(k1) + V(k2) to the off gluing and
+    2 V(k1), 2 V(k2) to the diagonals, so D is the same at every (k1, k2)
+    of the block.  Lexicographic order is compatible with addition, so
+    D <lex 0 gives 2 V(off) <lex V(left) + V(right) <=lex 2 max, and the
+    off gluing is below the larger diagonal.  The same-core blocks need no
+    test: there D = 0, so V(off) <=lex the larger diagonal, with equality
+    only when V(k1) = V(k2), that is k1 == k2 (the closed multisets are
+    distinct), which the strict upper triangle excludes.
+
+    Why every cell clears.  A diagonal gluing has one component per part.
+    For cores with different circle partitions, each component of the off
+    gluing holds at least one part of each side, so n(off) <= min(p_a, p_b)
+    for part counts p_a and p_b; equality on both sides would pair every
+    part of each core with exactly one part of the other, making the two
+    partitions equal.  So 2 n(off) < p_a + p_b, D's first digit.  For
+    distinct cores with the same partition, each part of s circles and
+    genera x, y (one per core) glues to its own copy alone, into one
+    component of genus x + y + s - 1 off the diagonal, and 2x + s - 1,
+    2y + s - 1 on them; so n and G tie.  The parts with x == y cancel in
+    D, and every other part puts its off component strictly below
+    2 max(x, y) + s - 1.  At the largest such genus over the parts whose
+    genera differ, D's histogram is first nonzero, and negative.  So the
+    test reads neither a closed multiset nor a sorted genus multiset, and
+    a cell it leaves can come only from a patched piece of it.
     """
     tables = _component_limbs(j, g_max)
     diagonal = _diagonal_digits(blocks, j)
@@ -695,101 +600,34 @@ def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> 
     return True
 
 
-# Array elements per vectorized step of the sweep.  At 1 << 15 every int32
-# temporary of a step is at most 128 kB, glibc's default mmap threshold, so
-# the steps reuse heap memory; at 1 << 18 (1 MB) each one was a fresh mmap
-# unless an earlier free had happened to raise that threshold.
-_SWEEP_CHUNK = 1 << 15
-
-
-def _sweep_passes(gid: np.ndarray, genera: list[tuple[int, ...]], reps: np.ndarray,
-                  diag: np.ndarray, closeds: list[tuple[int, ...]]) -> bool:
-    """Whether every block passes, each distinct core gluing triple checked
-    over every pair of closed multisets with ranks from ``_rank_table``.
-
-    gid holds the rows of the representative cores ``reps``
-    (``core_gluing_table``), and diag[b] is core b's diagonal gluing id;
-    any complexity2 will do.
-    """
-    nb, nk = len(diag), len(closeds)
-    union_ids: dict[tuple[int, ...], int] = {}
-    kuid = np.array([[union_ids.setdefault(tuple(sorted(p + q)), len(union_ids))
-                      for q in closeds] for p in closeds], dtype=np.intp)
-    rank = _rank_table(genera, list(union_ids))
-    off_rank = rank[:, kuid]                    # (ng, nk, nk)
-    diag_rank = rank[:, kuid.diagonal()]        # (ng, nk)
-    ng = len(genera)
-    if ng ** 3 > INT64_MAX:
-        raise OverflowError(f"{ng} distinct core gluings overflow the triple codes")
-    strict_upper = np.triu(np.ones((nk, nk), dtype=bool), k=1)
-
-    def failing(g_off: np.ndarray, g_left: np.ndarray,
-                g_right: np.ndarray) -> np.ndarray:
-        """(t, nk, nk) mask of the (k1, k2) whose off gluing does not dominate."""
-        return off_rank[g_off] >= np.maximum(diag_rank[g_left][:, :, None],
-                                             diag_rank[g_right][:, None, :])
-
-    diag = diag.astype(np.int64)
-    own = diag[reps]
-    # The distinct (gid[r, b], gid[r, r], gid[b, b]) of the pairs b > r,
-    # coded base ng.  return_counts keeps np.unique on its sorting path; the
-    # values-only path imports numpy.ma, about 3 MB more in a fresh process.
-    step = max(1, _SWEEP_CHUNK // nb)
-    codes = np.unique(np.concatenate([
-        np.unique(((gid[rows].astype(np.int64) * ng + own[rows, None]) * ng + diag)
-                  [np.arange(nb) > reps[rows, None]], return_counts=True)[0]
-        for rows in (slice(r0, r0 + step) for r0 in range(0, len(reps), step))]),
-        return_counts=True)[0]
-    triples = np.stack([codes // (ng * ng), codes // ng % ng, codes % ng])
-    step = max(1, _SWEEP_CHUNK // (nk * nk))
-    return not ((failing(own, own, own) & strict_upper).any()
-                or any(failing(*triples[:, t0:t0 + step]).any()
-                       for t0 in range(0, triples.shape[1], step)))
-
-
 def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     """Exhaustive diagonal-dominance check over the full enumerated basis.
 
-    Semantically identical to engine.verify_lemma(enumerate2(...), Dim2Theory(j))
-    but factored through the grid structure: a basis element is a bounded
-    core plus a carried closed multiset, and the complexity of any gluing
-    depends only on (core pair genera, multiset union).  Relabelling the
-    circles keeps every gluing, so only the rows of the first core of each
-    orbit (``core_orbits``) are glued.  While complexity2 is this module's
-    own, ``_clears_by_digits`` decides each core pair's whole block from the
-    component digits of its off gluing and the closed-form digits of its
-    two diagonals; when it clears every cell, no table of gluing ids, rank
-    table or sweep is built.  Otherwise ``core_gluing_table`` gives the
-    representative rows' ids and ``_sweep_passes`` checks each distinct
-    triple (gid[a, b], gid[a, a], gid[b, b]) once over its block.  Any
-    failure returns engine.verify_lemma's report instead, which lists the
-    violations; if that report passes, the two checks disagree and
-    AssertionError is raised.
+    The report of engine.verify_lemma(enumerate2(...), Dim2Theory(j)),
+    decided through the grid structure: a basis element is a bounded core
+    plus a carried closed multiset.  While complexity2 is this module's
+    own, ``_clears_by_digits`` decides each core pair's whole block from
+    the component digits of its off gluing and the closed-form digits of
+    its two diagonals, on the rows of the first core of each orbit
+    (``core_orbits``) alone, as relabelling the circles keeps every gluing.
+    It clears every cell, and the report passes.  A patched complexity2, or
+    a cell the test leaves, returns engine.verify_lemma's report over the
+    basis itself, which lists any violations.
     """
     check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
-    blocks = _core_blocks(j, g_max)
-    orbit = core_orbits(j, g_max, blocks)
-    # Orbits are numbered in order of first appearance, so this is each
-    # orbit's first core, in increasing order.  A relabelling g sends the
-    # pair {a, b} to {g·a, g·b} with the same three gluings.  Taking a to be
-    # the element whose orbit comes first, g·a is a representative r and
-    # g·b lies after it, so the rows of the representatives against their
-    # later columns meet every pair.
-    reps = np.unique(orbit, return_index=True)[1]
-    closeds = closed_multisets(g_max, closed_budget)
-    basis_size = len(orbit) * len(closeds)
-    if complexity2 is _OWN_COMPLEXITY2 and _clears_by_digits(blocks, j, g_max, reps):
-        passed = True
-    else:
-        gid, genera = core_gluing_table(j, g_max, rows=reps)
-        # Each core's diagonal is its representative's own cell, as
-        # glue2(g·b, g·b) == glue2(b, b); the same-core blocks need only the
-        # representatives.
-        passed = _sweep_passes(gid, genera, reps, gid[orbit, reps[orbit]], closeds)
-    if passed:
-        return LemmaReport(passed=True, basis_size=basis_size,
-                           pairs_checked=basis_size * (basis_size - 1) // 2, violations=())
-    report = verify_lemma(enumerate2(j, g_max, closed_budget), Dim2Theory(j))
-    if report.passed:
-        raise AssertionError("the grid sweep fails where the pairwise check passes")
-    return report
+    if complexity2 is _OWN_COMPLEXITY2:
+        blocks = _core_blocks(j, g_max)
+        orbit = core_orbits(j, g_max, blocks)
+        # Orbits are numbered in order of first appearance, so this is each
+        # orbit's first core, in increasing order.  A relabelling g sends the
+        # pair {a, b} to {g·a, g·b} with the same three gluings.  Taking a to
+        # be the element whose orbit comes first, g·a is a representative r
+        # and g·b lies after it, so the rows of the representatives against
+        # their later columns meet every pair.
+        reps = np.unique(orbit, return_index=True)[1]
+        if _clears_by_digits(blocks, j, g_max, reps):
+            basis_size = len(orbit) * len(closed_multisets(g_max, closed_budget))
+            return LemmaReport(passed=True, basis_size=basis_size,
+                               pairs_checked=basis_size * (basis_size - 1) // 2,
+                               violations=())
+    return verify_lemma(enumerate2(j, g_max, closed_budget), Dim2Theory(j))

@@ -20,7 +20,9 @@ relying on the order of the genera.  ``counted_whole_orbits`` decides
 whether a monomial basis is a union of whole relabelling orbits by counting
 each orbit label's members against the orbit's size, the check
 ``MonomialTheory.orbits`` once made before it tested closure under the
-group's generators.  ``ComplexityTuple`` and
+group's generators.  ``core_table`` is no oracle: it reads the dim2 grid's
+cell digits into a table of genus multisets, which the tests check against
+``glue2`` and then read in their own checks of the grid.  ``ComplexityTuple`` and
 ``MonomialComplexity`` are the padded comparators the dim2 and monomial
 complexities once used; the tests check that plain tuple order agrees with
 them.
@@ -41,7 +43,7 @@ from umpair import engine
 from umpair.algebra import (ONE, ZERO, FormalSum, Scalar, UniverseMismatchError,
                             as_scalar, canonical_key)
 from umpair.dim1 import Bounded1Manifold
-from umpair.dim2 import Bounded2Manifold
+from umpair.dim2 import Bounded2Manifold, _cell_digits, _core_blocks
 from umpair.engine import LemmaReport, LemmaViolation, NullSearchResult
 from umpair.monomial import Involution, Monomial
 
@@ -307,6 +309,41 @@ def glued_genera(m: Bounded2Manifold, n: Bounded2Manifold) -> tuple[int, ...]:
         assert chi % 2 == 0 and chi <= 2, chi
         genera.append((2 - chi) // 2)
     return tuple(sorted(genera))
+
+
+def core_table(j: int, gmax: int, rows=None) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """(gid, genera): the genus multiset of the gluing of each core of
+    ``rows`` (every core when omitted: the square table) with every core,
+    the cores being enumerate2(j, gmax, 0) in order.
+
+    Not an oracle: each cell is read from the grid's own ``_cell_digits``,
+    its sorted nonzero digits minus 1, so that the tests can check the
+    digits against glue2 and give the grid's checks a table of ids.
+    genera lists each distinct multiset once, and genera[gid[i, b]] is the
+    multiset of cell (rows[i], b).  Each cell's sorted digits pack into one
+    int64 code of base 2 j gmax + j + 2, above every digit.
+    """
+    blocks = _core_blocks(j, gmax)
+    n = sum(len(genera) for _, genera in blocks)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    base = 2 * j * gmax + j + 2
+    assert base ** j <= engine.INT64_MAX
+    codes = np.empty((len(rows), n), dtype=np.int64)
+    for chunk, digits in _cell_digits(blocks, j, rows):
+        assert digits.max(initial=0) < base
+        code = np.zeros(digits.shape[1:], dtype=np.int64)
+        for column in np.sort(digits, axis=0):
+            code = code * base + column
+        codes[chunk] = code
+    distinct, gid = np.unique(codes, return_inverse=True)
+    genera = []
+    for code in distinct.tolist():
+        digits = []
+        while code:
+            code, digit = divmod(code, base)
+            digits.append(digit - 1)
+        genera.append(tuple(digits[::-1]))
+    return gid.reshape(codes.shape), genera
 
 
 def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:

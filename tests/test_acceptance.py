@@ -11,15 +11,14 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import (as_raw, convolution_oracle, euler_oracle, random_poly,
+from oracles import (as_raw, convolution_oracle, core_table, euler_oracle, random_poly,
                      random_vector, raw_terms)
 
 from umpair import engine
 from umpair.algebra import FormalSum, Scalar
 from umpair.cli import main
 from umpair.dim1 import Dim1Theory, Closed1Manifold, enumerate1, standard_boundary
-from umpair.dim2 import (ClosedSurface, Dim2Theory, core_gluing_table,
-                         enumerate2, glue2, verify_lemma_grid)
+from umpair.dim2 import ClosedSurface, Dim2Theory, enumerate2, glue2, verify_lemma_grid
 from umpair.fourdim import build_mazur_table, build_scob_table, demo_null
 from umpair.monomial import (Involution, Monomial, MonomialTheory,
                              enumerate_monomials, manifold3_to_monomial)
@@ -67,10 +66,11 @@ def test_criterion_2_dim2_positivity():
         # pairs at j = 3 and 4 (their full product is ~9e7 pairs, far past
         # the runtime budget; the closed contribution to chi is linear and
         # covered exactly by the smaller sweeps).
-        # The same sweep checks the grid verifier's core table against glue2.
+        # The same sweep checks the grid verifier's cell digits, read as a
+        # square table of genus multisets, against glue2.
         for j in range(5):
             bounded = enumerate2(j, 3, 0)
-            gid, genera = core_gluing_table(j, 3)
+            gid, genera = core_table(j, 3)
             for (a, m), (b, n) in itertools.combinations_with_replacement(
                     enumerate(bounded), 2):
                 glued = glue2(m, n)

@@ -10,16 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import ComplexityTuple, euler_oracle, glued_genera, sorted_chi_complexity
+from oracles import (ComplexityTuple, core_table, euler_oracle, glued_genera,
+                     sorted_chi_complexity)
 
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
 from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _cell_digits,
-                         _component_limbs, _core_blocks, _diagonal_digits, _dominated,
-                         _genus_digits, _limb, _limbs, _rank_table, closed_multisets,
-                         complexity2, core_gluing_table, core_orbits, enumerate2, glue2,
-                         verify_lemma_grid)
+                         _clears_by_digits, _component_limbs, _core_blocks, _diagonal_digits,
+                         _dominated, _genus_digits, _limb, _limbs, closed_multisets,
+                         complexity2, core_orbits, enumerate2, glue2, verify_lemma_grid)
 from umpair.engine import _packed
 
 ANNULUS = Bounded2Manifold(2, (((0, 1), 0),))
@@ -348,61 +348,85 @@ def reversed_count(surface):
     return (9 - entries[0],) + entries[1:]
 
 
+def same_order(surface):
+    """complexity2 itself, behind a name the grid does not know."""
+    return complexity2(surface)
+
+
 @pytest.mark.parametrize("order,j,gmax,budget", [
+    (same_order, 0, 1, 1), (same_order, 2, 2, 2), (same_order, 3, 1, 2),
+    (same_order, 4, 2, 1),
     (flat, 0, 1, 2), (flat, 1, 1, 1), (flat, 2, 1, 1), (flat, 3, 1, 1), (flat, 4, 1, 0),
     # reversed_count passes over one circle or none.
     (reversed_count, 2, 1, 1), (reversed_count, 3, 1, 1), (reversed_count, 4, 1, 0)])
-def test_failing_representative_sweep_falls_back_to_every_core(monkeypatch, order, j,
-                                                               gmax, budget):
-    # A failing sweep builds no core table past the representative rows and
-    # falls back to the generic check over every pair of basis elements,
-    # whose report the trivial orbits give too.
+def test_grid_runs_the_additive_test_or_the_generic_verifier(monkeypatch, order, j, gmax,
+                                                             budget):
+    # The own complexity2 clears every cell by its digits and builds no
+    # basis.  A patched complexity2, or an additive test forced to leave
+    # every cell, returns engine.verify_lemma's report over the basis: the
+    # own report under a patch of the same order, a failing one under flat
+    # or reversed_count, each equal to the generic check's.
     import umpair.dim2 as dim2_module
 
-    tables = []
+    calls = []
 
-    def recording(j, g_max, rows=None):
-        tables.append(rows is None)
-        return core_gluing_table(j, g_max, rows)
+    def recording(name, function):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(dim2_module, name, wrapped)
 
-    monkeypatch.setattr(dim2_module, "complexity2", order)
-    monkeypatch.setattr(dim2_module, "core_gluing_table", recording)
-    reduced = dim2_module.verify_lemma_grid(j, gmax, budget)
-    assert tables == [False]
-    generic = engine.verify_lemma(enumerate2(j, gmax, budget), Dim2Theory(j))
-    assert not reduced.passed and reduced == generic
-    monkeypatch.setattr(dim2_module, "core_orbits", every_core_its_own_orbit)
-    assert dim2_module.verify_lemma_grid(j, gmax, budget) == reduced
+    for name in ("_clears_by_digits", "verify_lemma"):
+        recording(name, getattr(dim2_module, name))
+    own = dim2_module.verify_lemma_grid(j, gmax, budget)
+    assert own.passed and calls == ["_clears_by_digits"]
+    with monkeypatch.context() as patched:
+        calls.clear()
+        patched.setattr(dim2_module, "complexity2", order)
+        report = dim2_module.verify_lemma_grid(j, gmax, budget)
+        assert calls == ["verify_lemma"]
+        assert report == engine.verify_lemma(enumerate2(j, gmax, budget), Dim2Theory(j))
+        if order is same_order:
+            assert report == own
+        else:
+            assert not report.passed
+    calls.clear()
+    monkeypatch.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
+                        np.zeros(cells.shape[1:], dtype=bool))
+    assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
+    # A single core has no cell to leave.
+    fallback = ["verify_lemma"] if len(enumerate2(j, gmax, 0)) > 1 else []
+    assert calls == ["_clears_by_digits"] + fallback
 
 
 @pytest.mark.parametrize("j,gmax", [(0, 2), (1, 3), (2, 2), (3, 3), (4, 3)])
 def test_representative_core_table_equals_the_square_rows(j, gmax):
-    square, square_genera = core_gluing_table(j, gmax)
+    # The cells' digits of any rows are those of the square table's rows.
+    square, square_genera = core_table(j, gmax)
     orbit = core_orbits(j, gmax)
     reps = np.unique(orbit, return_index=True)[1]
     # Representatives, then every core in reverse and one repeated: rows in
     # any order and from any partition.
     for rows in (reps, np.arange(len(orbit))[::-1], reps[-1:].repeat(2)):
-        table, genera = core_gluing_table(j, gmax, rows=rows)
+        table, genera = core_table(j, gmax, rows=rows)
         assert table.shape == (len(rows), len(orbit))
         assert ([[genera[g] for g in row] for row in table.tolist()]
                 == [[square_genera[g] for g in row] for row in square[rows].tolist()])
-    assert set(core_gluing_table(j, gmax, rows=reps)[1]) == set(square_genera)
+    assert set(core_table(j, gmax, rows=reps)[1]) == set(square_genera)
 
 
 @pytest.mark.parametrize("j,gmax", [(0, 2), (1, 3), (2, 2), (3, 2)])
 def test_core_table_is_the_same_one_row_per_chunk(monkeypatch, j, gmax):
-    # With one row per chunk every row is deduplicated on its own, and the
-    # ids its codes take must still name one multiset each across chunks.
-    # Every core in reverse, then repeats: rows of every partition, out of
-    # order and twice over.
+    # With one row per chunk every row's digits come on their own, and they
+    # must be those of the default chunks.  Every core in reverse, then
+    # repeats: rows of every partition, out of order and twice over.
     import umpair.dim2 as dim2_module
 
     cores = enumerate2(j, gmax, 0)
     rows = [*reversed(range(len(cores))), len(cores) // 2, len(cores) // 2, 0]
 
     def labels():
-        gid, genera = core_gluing_table(j, gmax, rows=rows)
+        gid, genera = core_table(j, gmax, rows=rows)
         assert len(set(genera)) == len(genera)
         return [[genera[g] for g in row] for row in gid.tolist()]
 
@@ -415,35 +439,7 @@ def test_core_table_is_the_same_one_row_per_chunk(monkeypatch, j, gmax):
 @pytest.mark.parametrize("rows", [[-1], [0, 2]])
 def test_core_table_rejects_rows_past_the_cores(rows):
     with pytest.raises(IndexError, match=r"core rows must lie in 0\.\.1"):
-        core_gluing_table(2, 0, rows=rows)
-
-
-@pytest.mark.parametrize("j,gmax,budget", [(2, 2, 2), (3, 1, 2)])
-def test_failing_run_calls_complexity2_once_per_distinct_merged_multiset(
-        monkeypatch, j, gmax, budget):
-    # A failing run ranks no multiset twice.  The generic report reads its
-    # complexities through the theory, which is patched apart so that only
-    # the rank table's calls are counted.
-    import umpair.dim2 as dim2_module
-
-    calls = []
-
-    def counting(surface):
-        calls.append(surface.genera)
-        return reversed_count(surface)
-
-    monkeypatch.setattr(dim2_module, "complexity2", counting)
-    monkeypatch.setattr(Dim2Theory, "complexity",
-                        lambda self, closed: reversed_count(closed))
-    report = dim2_module.verify_lemma_grid(j, gmax, budget)
-    assert not report.passed
-    cores = enumerate2(j, gmax, 0)
-    closeds = closed_multisets(gmax, budget)
-    core_genera = {glue2(m, n).genera for m in cores for n in cores}
-    expected = {tuple(sorted(g + p + q))
-                for g in core_genera for p in closeds for q in closeds}
-    assert len(calls) == len(expected)
-    assert set(calls) == expected
+        core_table(2, 0, rows=rows)
 
 
 @pytest.mark.parametrize("bounds,name", [((-1, 0, 0), "j"), ((1, -1, 0), "g_max"),
@@ -453,7 +449,7 @@ def test_grid_verifier_rejects_negative_bounds(bounds, name):
         verify_lemma_grid(*bounds)
     if name != "closed_budget":
         with pytest.raises(ValueError, match=f"bound {name} must be nonnegative"):
-            core_gluing_table(*bounds[:2])
+            core_orbits(*bounds[:2])
 
 
 def test_grid_verifier_is_not_vacuous(monkeypatch):
@@ -467,17 +463,6 @@ def test_grid_verifier_is_not_vacuous(monkeypatch):
     assert not grid_report.passed and not generic.passed
     assert grid_report.pairs_checked == len(grid_report.violations) == 15
     assert grid_report.violations == generic.violations
-
-
-def test_grid_verifier_raises_when_the_generic_verifier_passes(monkeypatch):
-    # A flat order fails the grid sweep, while the theory keeps complexity2:
-    # the two checks then disagree, which is a soundness defect.
-    import umpair.dim2 as dim2_module
-
-    monkeypatch.setattr(dim2_module, "complexity2", flat)
-    monkeypatch.setattr(Dim2Theory, "complexity", lambda self, closed: complexity2(closed))
-    with pytest.raises(AssertionError, match="pairwise check passes"):
-        dim2_module.verify_lemma_grid(2, 1, 1)
 
 
 def test_grid_verifier_matches_generic_verifier_on_partial_failures(monkeypatch):
@@ -495,20 +480,10 @@ def test_grid_verifier_matches_generic_verifier_on_partial_failures(monkeypatch)
             assert_same_descriptor(element, checked_rebuild(element))
 
 
-def test_glue2_and_rank_table_surfaces_equal_their_checked_builds(monkeypatch):
-    # Both build their ClosedSurfaces without the checked constructor.  Over
-    # j <= 3, g_max 3, budget 3, glue2 runs once per distinct core gluing
-    # and closed union, which reaches every surface it can produce there,
-    # and _rank_table once per distinct merged multiset; the two sets agree.
-    import umpair.dim2 as dim2_module
-
-    ranked = []
-
-    def recording(surface):
-        ranked.append(surface)
-        return complexity2(surface)
-
-    monkeypatch.setattr(dim2_module, "complexity2", recording)
+def test_glue2_surfaces_equal_their_checked_builds():
+    # glue2 builds its ClosedSurfaces without the checked constructor.  Over
+    # j <= 3, g_max 3, budget 3, it runs once per distinct core gluing and
+    # closed union, which reaches every surface it can produce there.
     closeds = closed_multisets(3, 3)
     split = {}  # each closed union, from one pair of closed multisets
     for p in closeds:
@@ -516,24 +491,21 @@ def test_glue2_and_rank_table_surfaces_equal_their_checked_builds(monkeypatch):
             split.setdefault(tuple(sorted(p + q)), (p, q))
     for j in range(4):
         cores = enumerate2(j, 3, 0)
-        gid, genera = core_gluing_table(j, 3)
-        ranked.clear()
-        dim2_module._rank_table(genera, list(split))
+        gid, _ = core_table(j, 3)
         _, first = np.unique(gid, return_index=True)
-        glued = [glue2(Bounded2Manifold(j, cores[a].parts, p),
-                       Bounded2Manifold(j, cores[b].parts, q))
-                 for a, b in zip(*np.divmod(first, len(cores)))
-                 for p, q in split.values()]
-        assert {s.genera for s in glued} == {s.genera for s in ranked}
-        for surface in glued + ranked:
-            assert_same_descriptor(surface, ClosedSurface(surface.genera[::-1]))
+        for a, b in zip(*np.divmod(first, len(cores))):
+            for p, q in split.values():
+                surface = glue2(Bounded2Manifold(j, cores[a].parts, p),
+                                Bounded2Manifold(j, cores[b].parts, q))
+                assert_same_descriptor(surface, ClosedSurface(surface.genera[::-1]))
 
 
 @pytest.mark.parametrize("j,gmax,budget", [(1, 3, 3), (2, 2, 2), (3, 1, 2)])
-def test_rank_table_calls_complexity2_once_per_distinct_merged_multiset(
+def test_patched_grid_calls_complexity2_once_per_distinct_merged_multiset(
         monkeypatch, j, gmax, budget):
-    # The patched-complexity tests above rely on every merged multiset
-    # reaching complexity2, and the benchmark counts these calls.
+    # A patched complexity2 reaches every merged multiset once, through
+    # engine.verify_lemma's ranks: the patched-complexity tests above rely
+    # on that, and the benchmark's tracer counts these calls.
     import umpair.dim2 as dim2_module
 
     calls = []
@@ -554,32 +526,10 @@ def test_rank_table_calls_complexity2_once_per_distinct_merged_multiset(
 
 
 def per_multiset_ranks(genera, unions, order=complexity2):
-    """The rank table through one ``order`` call per merged multiset."""
+    """rank[g, u]: the dense rank of core genera g plus closed union u, through
+    one ``order`` call per merged multiset."""
     values = [order(ClosedSurface(g + u)) for g in genera for u in unions]
     return engine.dense_ranks(values).reshape(len(genera), len(unions))
-
-
-@pytest.mark.parametrize("j,gmax", itertools.product(range(5), range(4)))
-def test_rank_table_matches_the_per_multiset_ranks(j, gmax):
-    # The histogram ranks, on every grid's core genera and closed unions.
-    _, genera = core_gluing_table(j, gmax, rows=np.unique(core_orbits(j, gmax),
-                                                          return_index=True)[1])
-    for budget in range(4):
-        closeds = closed_multisets(gmax, budget)
-        unions = list(dict.fromkeys(tuple(sorted(p + q)) for p in closeds for q in closeds))
-        ranks = _rank_table(genera, unions)
-        assert ranks.shape == (len(genera), len(unions))
-        assert (ranks == per_multiset_ranks(genera, unions)).all()
-
-
-@pytest.mark.parametrize("genera,unions", [
-    ([()], [()]), ([(2,)], [()]), ([(0, 3)], [(1,), (0, 0), (2,)]),
-    # Merged counts past 255 and 65,535, reached only by adding the two
-    # sides, must widen the histogram dtype rather than wrap.
-    ([(0,) * 128, (), (1,) * 3], [(0,) * 128, (), (0,) * 127]),
-    ([(0,) * 40_000, (1,) * 2], [(0,) * 30_000, (), (0,) * 25_536])])
-def test_rank_table_matches_the_per_multiset_ranks_at_the_edges(genera, unions):
-    assert (_rank_table(genera, unions) == per_multiset_ranks(genera, unions)).all()
 
 
 def test_unpatched_grid_sweep_never_calls_complexity2(monkeypatch):
@@ -603,7 +553,7 @@ def test_unpatched_grid_sweep_never_calls_complexity2(monkeypatch):
             sys.setprofile(previous)
 
     assert profiled_sweep().passed and calls == []
-    # With the guard failed, the per-multiset path calls the same code once
+    # With the guard failed, the generic verifier calls the same code once
     # per distinct merged multiset, so the profiler would have seen it.
     monkeypatch.setattr(dim2_module, "_OWN_COMPLEXITY2", None)
     assert profiled_sweep().passed and len(calls) == len(set(calls)) > 0
@@ -615,7 +565,7 @@ def test_core_table_matches_glue2_on_every_core_pair(j):
     # five genera per cell, and g_max 0 keeps its 52 cores.
     gmax = {4: 1, 5: 0}.get(j, 3)
     cores = enumerate2(j, gmax, 0)
-    gid, genera = core_gluing_table(j, gmax)
+    gid, genera = core_table(j, gmax)
     assert gid.shape == (len(cores), len(cores))
     for a, m in enumerate(cores):
         for b, n in enumerate(cores):
@@ -625,10 +575,11 @@ def test_core_table_matches_glue2_on_every_core_pair(j):
 @functools.lru_cache(maxsize=None)
 def representative_triples(j, gmax):
     """(off, left, right, genera): the distinct core gluing id triples
-    (gid[a, b], gid[a, a], gid[b, b]) of the sweep's first pass, b > a."""
+    (gid[a, b], gid[a, a], gid[b, b]) over the representative rows a of
+    ``core_orbits`` and their later cores b."""
     orbit = core_orbits(j, gmax)
     reps = np.unique(orbit, return_index=True)[1]
-    gid, genera = core_gluing_table(j, gmax, rows=reps)
+    gid, genera = core_table(j, gmax, rows=reps)
     diag = gid[orbit, reps[orbit]]
     upper = np.arange(len(orbit)) > reps[:, None]
     triples = np.stack([gid[upper], np.broadcast_to(diag[reps][:, None], gid.shape)[upper],
@@ -741,7 +692,7 @@ def test_cell_limbs_are_the_packed_genus_digits_of_the_core_table(j, gmax):
     # radices: n and each histogram count at most j, every genus and the
     # total genus at most 2 j gmax + j - 1, radix 2 M + 1 for a bound M.
     # Each core's diagonal, read off its own parts, is the table's.
-    gid, genera = core_gluing_table(j, gmax)
+    gid, genera = core_table(j, gmax)
     width = j * (2 * gmax + 1)
     vectors = _genus_digits(genera, width)
     bounds = [j, max(width - 1, 0)] + [j] * width
@@ -767,7 +718,7 @@ def test_core_table_keeps_euler_characteristic_additive(j, gmax):
     # chi(M glued to N) = chi(M) + chi(N), so on every cell of the square
     # table 2 n_off - n_left - n_right = 2 G_off - G_left - G_right: totals
     # tie whenever counts tie, and the genus histogram decides.
-    gid, genera = core_gluing_table(j, gmax)
+    gid, genera = core_table(j, gmax)
     n = np.array([len(g) for g in genera])
     total = np.array([sum(g) for g in genera])
     diag = gid.diagonal()
@@ -830,9 +781,55 @@ def test_component_count_bound_clears_only_passing_triples(j, gmax):
 
 
 def test_component_count_bound_fails_when_components_count_lighter():
-    # The sweep applies the additive test, which clears every triple the
+    # The grid applies the additive test, which clears every triple the
     # count clears, only while complexity2 is the module's own.
     assert triple_failures(2, 2, 2, reversed_count)[cleared_by_count(2, 2)].any()
+
+
+def random_core(rng, j, partition=None):
+    """A seeded core over j circles: ``partition``, or a random partition
+    of the circles, with a genus of 0-4 on each block."""
+    if partition is None:
+        blocks = {}
+        for circle in range(j):
+            blocks.setdefault(rng.randrange(j), []).append(circle)
+        partition = blocks.values()
+    return Bounded2Manifold(j, tuple((tuple(block), rng.randint(0, 4)) for block in partition))
+
+
+def test_distinct_cores_glue_below_their_diagonals_in_the_additive_digits():
+    # The completeness argument of _clears_by_digits, through glue2 and
+    # _genus_digits alone: for distinct cores a, b over at most 8 circles,
+    # genera at most 4, 2 V(ab) <lex V(aa) + V(bb).  Different partitions
+    # decide it by the component count; the same partition ties the count
+    # and the total genus, and the genus histogram decides.
+    rng = random.Random(20050303)
+    pairs = {True: [], False: []}      # by whether the partitions are equal
+    while min(map(len, pairs.values())) < 1500:
+        j = rng.randint(1, 8)
+        a = random_core(rng, j)
+        same = rng.random() < 0.5
+        b = random_core(rng, j, [circles for circles, _ in a.parts] if same else None)
+        if a != b:
+            pairs[[c for c, _ in a.parts] == [c for c, _ in b.parts]].append((a, b))
+    for same, kind in pairs.items():
+        multisets = [glue2(*pair).genera for a, b in kind for pair in ((a, b), (a, a), (b, b))]
+        width = 1 + max(max(m, default=0) for m in multisets)
+        for off, left, right in _genus_digits(multisets, width).reshape(
+                len(kind), 3, width + 2).tolist():
+            assert [2 * d for d in off] < [x + y for x, y in zip(left, right)]
+            if same:
+                assert [2 * d for d in off[:2]] == [x + y for x, y in zip(left[:2], right[:2])]
+            else:
+                assert 2 * off[0] < left[0] + right[0]
+
+
+@pytest.mark.parametrize("j,gmax", [*itertools.product(range(5), range(4)),
+                                    (5, 2), (6, 1), (7, 0)])
+def test_additive_test_clears_every_grid(j, gmax):
+    blocks = _core_blocks(j, gmax)
+    reps = np.unique(core_orbits(j, gmax, blocks), return_index=True)[1]
+    assert _clears_by_digits(blocks, j, gmax, reps)
 
 
 @pytest.mark.parametrize("j,gmax", [(2, 2), (3, 1), (4, 3)])
@@ -852,40 +849,6 @@ def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(monkeypatch, j
 
     monkeypatch.setattr(dim2_module, "_cell_digits", heavier)
     assert not dim2_module._clears_by_digits(blocks, j, gmax, reps)
-
-
-@pytest.mark.parametrize("j,gmax,budget", [(0, 1, 1), (2, 2, 2), (3, 1, 2), (4, 2, 1)])
-def test_rank_table_is_built_only_when_the_additive_test_is_not_taken(monkeypatch, j,
-                                                                      gmax, budget):
-    # The own complexity2 clears every cell by its digits, with no table of
-    # gluing ids and no rank table; a patched complexity2 of the same order,
-    # or an additive test forced to fail, builds the table and runs the
-    # exact sweep, and all three reports are the same.
-    import umpair.dim2 as dim2_module
-
-    calls = []
-
-    def recording(name, function):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return function(*args, **kwargs)
-        monkeypatch.setattr(dim2_module, name, wrapped)
-
-    for name in ("_clears_by_digits", "core_gluing_table", "_rank_table", "_sweep_passes"):
-        recording(name, getattr(dim2_module, name))
-    own = dim2_module.verify_lemma_grid(j, gmax, budget)
-    assert own.passed and calls == ["_clears_by_digits"]
-    fallback = ["core_gluing_table", "_sweep_passes", "_rank_table"]
-    with monkeypatch.context() as patched:
-        calls.clear()
-        patched.setattr(dim2_module, "complexity2", lambda surface: complexity2(surface))
-        assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
-        assert calls == fallback
-    calls.clear()
-    monkeypatch.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
-                        np.zeros(cells.shape[1:], dtype=bool))
-    assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
-    assert calls == ["_clears_by_digits"] + (fallback if j else [])
 
 
 def horner(row, base):
@@ -908,48 +871,6 @@ def test_packed_codes_past_int64_are_exact_and_in_row_order():
     fits = _packed(rows[:, :12], [30] * 12)  # 30**12 < 2**63
     assert fits.dtype == np.int64
     assert fits.tolist() == [horner(row, 30) for row in rows[:, :12].tolist()]
-
-
-@pytest.mark.parametrize("j,gmax", [(2, 2), (3, 2), (4, 1)])
-def test_core_table_on_object_codes_matches_glue2(monkeypatch, j, gmax):
-    # No enumerable grid packs core codes past int64 (j = 5, g_max = 3 needs
-    # under 2**27), so the bound is lowered until every code is a Python int.
-    import umpair.dim2 as dim2_module
-
-    packed = []
-
-    def recording(digits, radix):
-        packed.append(_packed(digits, radix))
-        return packed[-1]
-
-    int64_table, int64_genera = core_gluing_table(j, gmax)
-    monkeypatch.setattr(engine, "INT64_MAX", 0)
-    monkeypatch.setattr(dim2_module, "_packed", recording)
-    cores = enumerate2(j, gmax, 0)
-    gid, genera = core_gluing_table(j, gmax)
-    assert any(codes.size for codes in packed)
-    assert all(codes.dtype == object for codes in packed if codes.size)
-    assert [[genera[g] for g in row] for row in gid.tolist()] == [
-        [glue2(m, n).genera for n in cores] for m in cores]
-    assert (gid == int64_table).all() and genera == int64_genera
-
-
-def test_rank_table_past_int64_matches_the_per_multiset_ranks(monkeypatch):
-    # 24 genera held up to 4 and 3 times give histogram radices of 8: the
-    # radix product passes 2**63 and the codes are Python ints.
-    import umpair.dim2 as dim2_module
-
-    packed = []
-
-    def recording(digits, radix):
-        packed.append(_packed(digits, radix))
-        return packed[-1]
-
-    monkeypatch.setattr(dim2_module, "_packed", recording)
-    genera = [tuple(sorted(list(range(24)) * 4)), (0,), (), (3, 23)]
-    unions = [tuple(sorted(list(range(24)) * 3)), (), (5, 5, 23), tuple(range(24))]
-    assert (_rank_table(genera, unions) == per_multiset_ranks(genera, unions)).all()
-    assert [codes.dtype for codes in packed] == [object, object]
 
 
 @pytest.mark.parametrize("bounds", [(2, 1, 1), (4, 3, 3)], ids=["2-1-1", "4-3-3"])
