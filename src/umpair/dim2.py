@@ -24,34 +24,36 @@ compared lexicographically as a plain tuple.  Tuples of different lengths
 differ in their first entry, so no padding is needed.
 
 ``verify_lemma_grid`` is an exhaustive diagonal-dominance check over the
-full enumerated basis, in exact numpy phases.  It must agree with
-engine.verify_lemma (the generic glue-table check) wherever both are feasible;
-the tests enforce that, and check the cells' digits against glue2.
+full enumerated basis.  It must agree with engine.verify_lemma (the generic
+glue-table check) wherever both are feasible; the tests enforce that, and
+check the component counts and the cells' digits against glue2.
 
-1. Component digits.  Relabelling the circles keeps every gluing, so only
-   the first core of each orbit (``core_orbits``: cores with equal sorted
-   (block size, genus) multisets) is glued against every core.  The
-   components of a gluing of two bounded cores depend only on their two
-   circle partitions, so components are found once per pair of a
-   partition holding a representative with any partition, by the one
-   bitmask ``_merge`` that glue2 shares; a component's genus is the genus sum
-   of its parts + E - V + 1 (E circles, V parts).  One pass per partition
-   holding a row lays its components against every partition side by side,
-   each gluing's right-aligned in j columns padded with 0, so one integer
-   matrix product and one gather give every cell's digits, each
-   component's genus plus 1 (``_cell_digits``, chunk by chunk of rows).
-2. Additive test, while complexity2 is this module's own.  A multiset's
-   digits V = (n, total genus, genus histogram from the top genus down)
-   add under disjoint union and order multisets as complexity2 does, so
-   2 V(off) - V(left) - V(right) is the same at every cell of a core pair's
-   block, and its lexicographic sign decides the block
-   (``_clears_by_digits``).  V is a sum over components, so each int64 limb
-   of its code is a sum of table lookups over a cell's digits, with static
-   radices; a core's diagonal gluing is read off its own parts.  The sign
-   is negative on every cell of every grid (the completeness argument in
-   ``_clears_by_digits``), so the report passes with no cell's multiset
-   sorted or named.  A patched complexity2, or a cell the test leaves,
-   returns engine.verify_lemma's report over the same basis instead.
+Relabelling the circles keeps every gluing, so only the first core of each
+orbit (``core_orbits``: cores with equal sorted (block size, genus)
+multisets) is tested against its later cores.  While complexity2 is this
+module's own, a multiset's digits V = (n, total genus, genus histogram from
+the top genus down) add under disjoint union and order multisets as
+complexity2 does, so 2 V(off) - V(left) - V(right) is the same at every cell
+of a core pair's block, and its lexicographic sign decides the block
+(``_clears_by_digits``), in two exact phases.
+
+1. Other partitions.  The components of a gluing of two bounded cores
+   depend only on their two circle partitions, so for each partition P
+   holding a representative and each later partition Q one call of the
+   bitmask ``_merge`` that glue2 shares counts them, n(P, Q).  The first
+   digit of the sign, 2 n(P, Q) - |P| - |Q|, then decides every core pair
+   of the two partitions.
+2. Own partition.  Two cores of one partition glue part to part, each part
+   of s circles and genera x, y into one component of genus x + y + s - 1,
+   so a cell's digits (each component's genus plus 1) have a closed form,
+   as do a core's diagonal digits.  Each int64 limb of V's code is a sum of
+   table lookups over a cell's digits, with static radices, and each row is
+   tested against its later cores of its own partition, in row chunks.
+
+Both phases pass on every grid (the completeness argument in
+``_clears_by_digits``), so the report passes with no cell's multiset sorted
+or named.  A patched complexity2, or a pair the phases leave, returns
+engine.verify_lemma's report over the same basis instead.
 """
 
 from __future__ import annotations
@@ -335,38 +337,6 @@ class Dim2Theory(GluingTheory):
                 f"{self.boundary_circles} circles")
 
 
-def _components(masks: list[list[int]], p: int, j: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Components of the gluing of circle partition p with every partition q,
-    genera aside, each gluing's laid out right-aligned in j columns.
-
-    masks[q] lists the circle bitmasks of the blocks of partition q; the
-    components are those of ``_merge``, weighted by their part count, and a
-    gluing has at most j of them.  Returns (left, right, offset):
-    left[v, k, q] is 1 when block v of p lies in the component in column k
-    of the gluing with q, right[q, u, k] likewise for block u of q (0 for
-    the u past q's blocks), and offset[q, k] is that component's
-    E - V + 2 for its E circles and V parts.  A component's genus is the
-    genus sum of its parts plus E - V + 1, so its genus plus 1 is offset
-    plus the genera summed through left and right.  Unused columns are 0
-    in all three.
-    """
-    left = np.zeros((len(masks[p]), j, len(masks)), dtype=np.int32)
-    right = np.zeros((len(masks), j, j), dtype=np.int32)
-    offset = np.zeros((len(masks), j), dtype=np.int32)
-    for q, other in enumerate(masks):
-        components = _merge([(mask, 1) for mask in masks[p]], [(mask, 1) for mask in other])
-        for k, (component, parts) in enumerate(components, j - len(components)):
-            offset[q, k] = component.bit_count() - parts + 2
-            for v, mask in enumerate(masks[p]):
-                if mask & component:
-                    left[v, k, q] = 1
-            for u, mask in enumerate(other):
-                if mask & component:
-                    right[q, u, k] = 1
-    return left, right, offset
-
-
 def _padded_parts(blocks: _Blocks, j: int) -> tuple[np.ndarray, np.ndarray]:
     """(sizes, genera) over the cores of ``blocks`` (``_core_blocks``), in
     order: row c lists the circle count and the genus of each part of core
@@ -404,58 +374,6 @@ def core_orbits(j: int, g_max: int, blocks: _Blocks | None = None) -> np.ndarray
     number = np.empty(len(first), dtype=np.intp)
     number[np.argsort(first)] = np.arange(len(first))
     return number[inverse]
-
-
-# Cells per chunk of rows in _cell_digits.  At 1 << 13 a chunk's int32
-# digits stay within 128 kB at j <= 4 and every temporary within a few
-# hundred kB whatever the table's size; 1 << 14 took the same time and left
-# about 0.5 MB more peak RSS after 300 verify-dim2 passes in one process.
-_TABLE_CHUNK = 1 << 13
-
-
-def _cell_digits(blocks: _Blocks, j: int, rows: np.ndarray
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(chunk, digits) for each chunk of the core indices ``rows``: chunk
-    holds positions in rows, and digits[k, i, b] is the digit in column k of
-    the gluing of core rows[chunk[i]] with core b, a component's genus plus
-    1, or 0 in a column that the gluing leaves unused.
-
-    The cores are those of ``blocks`` (``_core_blocks``), in order.  The
-    chunks come in one pass per partition p that holds a row: the
-    components of p glued with each partition q (``_components``) are laid
-    side by side, each gluing's right-aligned in j columns, so that one
-    matrix product of the rows' genera and one gather by each core's
-    partition give every cell's j digits.  A chunk is one row or as many as
-    keep it within ``_TABLE_CHUNK`` cells.
-    """
-    sizes = [len(genera) for _, genera in blocks]
-    starts = np.cumsum([0] + sizes)
-    n = int(starts[-1])
-    if ((rows < 0) | (rows >= n)).any():
-        raise IndexError(f"core rows must lie in 0..{n - 1}")
-    row_part = np.searchsorted(starts, rows, side="right") - 1
-    core_part = np.repeat(np.arange(len(blocks)), sizes)
-    masks = [[sum(1 << c for c in block) for block in partition] for partition, _ in blocks]
-    _, padded = _padded_parts(blocks, j)
-    step = max(1, _TABLE_CHUNK // n)
-    # sorted(set(...)): a values-only np.unique would import numpy.ma.
-    for p in sorted(set(row_part.tolist())):
-        left, right, offset = _components(masks, p, j)
-        left = left.reshape(len(left), j * len(blocks))
-        # right_digits[k, b]: what core b adds to the digit in column k, its
-        # genera summed over its own partition's blocks only, one block
-        # column at a time: a (core, block, column) gather would be 17 MB at
-        # j = 7, g_max = 2.
-        right_digits = offset[core_part]
-        for u in range(j):
-            right_digits += padded[:, u, None] * right[core_part, u]
-        right_digits = np.ascontiguousarray(right_digits.T)[:, None]
-        mine = np.flatnonzero(row_part == p)
-        for r0 in range(0, len(mine), step):
-            chunk = mine[r0:r0 + step]
-            product = (blocks[p][1][rows[chunk] - starts[p]] @ left).reshape(
-                len(chunk), j, len(blocks))
-            yield chunk, np.take(product.transpose(1, 0, 2), core_part, axis=2) + right_digits
 
 
 def _genus_digits(multisets: list[tuple[int, ...]], width: int) -> np.ndarray:
@@ -542,13 +460,33 @@ def _dominated(tables: list[np.ndarray], cells: np.ndarray, diag: list[np.ndarra
     return less
 
 
-def _diagonal_digits(blocks: _Blocks, j: int) -> np.ndarray:
-    """digits[k, b] of each core b of ``blocks`` glued to itself.  Each part
-    of s circles and genus g is glued to its own copy alone, into one
-    closed component of genus 2g + s - 1, so its digit is 2g + s; the
-    columns past the core's parts are 0."""
-    sizes, genera = _padded_parts(blocks, j)
+def _component_counts(masks: list[list[tuple[int, int]]], p: int) -> np.ndarray:
+    """n(P, Q) for circle partition p against each later partition q: the
+    component count of every gluing of a core of p with a core of q, as it
+    is that of ``_merge`` of their blocks whatever the genera.  masks[q]
+    lists the blocks of partition q as (circle bitmask, 0)."""
+    return np.array([len(_merge(masks[p], other)) for other in masks[p + 1:]], dtype=np.int64)
+
+
+def _own_digits(sizes: np.ndarray, genera: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """digits[u, i, b] of core rows[i] glued with core b, both of one circle
+    partition of block sizes ``sizes``, genera[c] the block genera of its
+    core c.  Part u of s circles and genera x, y glues to its own copy
+    alone, into one component of genus x + y + s - 1, so its digit is
+    x + y + s."""
+    return genera[rows].T[:, :, None] + genera.T[:, None, :] + sizes[:, None, None]
+
+
+def _diagonal_digits(sizes: np.ndarray, genera: np.ndarray) -> np.ndarray:
+    """digits[u, c] of core c glued to itself, in the setting of
+    ``_own_digits``: 2g + s for part u of s circles and genus g."""
     return (2 * genera + sizes).T
+
+
+# Cells per chunk of rows in the own-partition test of _clears_by_digits: a
+# chunk's digits and every temporary stay within a few hundred kB whatever
+# the partition's core count.  A chunk holds one row at least.
+_TABLE_CHUNK = 1 << 13
 
 
 def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> bool:
@@ -556,12 +494,10 @@ def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> 
 
     Valid only while complexity2 is this module's own.  The cores are those
     of ``blocks`` (``_core_blocks(j, g_max)``) and ``reps`` the first core of
-    each orbit.  Each cell (r, b) with b after reps[r] is tested with
-    ``_dominated``: off the gluing of reps[r] with b, its ``_cell_digits``,
-    left and right the ``_diagonal_digits`` of reps[r] and b, so no
-    diagonal cell is glued.
+    each orbit.  Each pair (reps[r], b) with b after reps[r] is decided,
+    and with it the pair's whole block of carried closed multisets.
 
-    Why a cleared cell's whole block passes.  Write V for ``_genus_digits``,
+    Why a pair's sign decides its block.  Write V for ``_genus_digits``,
     which add under disjoint union and order multisets exactly as
     complexity2 does, and D = 2 V(off) - V(left) - V(right).  Carried
     closed multisets k1, k2 add V(k1) + V(k2) to the off gluing and
@@ -573,30 +509,45 @@ def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> 
     only when V(k1) = V(k2), that is k1 == k2 (the closed multisets are
     distinct), which the strict upper triangle excludes.
 
-    Why every cell clears.  A diagonal gluing has one component per part.
-    For cores with different circle partitions, each component of the off
-    gluing holds at least one part of each side, so n(off) <= min(p_a, p_b)
-    for part counts p_a and p_b; equality on both sides would pair every
-    part of each core with exactly one part of the other, making the two
-    partitions equal.  So 2 n(off) < p_a + p_b, D's first digit.  For
-    distinct cores with the same partition, each part of s circles and
-    genera x, y (one per core) glues to its own copy alone, into one
-    component of genus x + y + s - 1 off the diagonal, and 2x + s - 1,
-    2y + s - 1 on them; so n and G tie.  The parts with x == y cancel in
-    D, and every other part puts its off component strictly below
-    2 max(x, y) + s - 1.  At the largest such genus over the parts whose
-    genera differ, D's histogram is first nonzero, and negative.  So the
-    test reads neither a closed multiset nor a sorted genus multiset, and
-    a cell it leaves can come only from a patched piece of it.
+    How each pair is decided, by the circle partitions P of reps[r] and Q
+    of b.  A diagonal gluing has one component per part, so D's first
+    digit is 2 n(off) - |P| - |Q|, with no genus in it.
+    - Q after P.  n(off) is n(P, Q) (``_component_counts``), so one count
+      decides every core pair of the two partitions: D's first digit must
+      be negative.  It is, as each component holds at least one part of
+      each side: n(P, Q) <= min(|P|, |Q|), and equality on both sides
+      would pair every block of P with exactly one of Q, making P == Q.
+    - Q == P.  Each part of s circles and genera x, y glues to its own
+      copy alone, into one component of genus x + y + s - 1 off the
+      diagonal (``_own_digits``) and 2x + s - 1, 2y + s - 1 on them
+      (``_diagonal_digits``), so n and G tie.  ``_dominated`` tests D on
+      the rows' later cores of P, in row chunks of at most ``_TABLE_CHUNK``
+      cells.  D is negative: the parts with x == y cancel in it, and every
+      other part puts its off component strictly below 2 max(x, y) + s - 1,
+      so at the largest such genus D's histogram is first nonzero.
+    So the test reads neither a closed multiset nor a sorted genus
+    multiset, and a pair it leaves can come only from a patched piece of it.
     """
     tables = _component_limbs(j, g_max)
-    diagonal = _diagonal_digits(blocks, j)
-    diag = [_limb(table, diagonal) for table in tables]
-    cores = np.arange(diagonal.shape[1])
-    for chunk, digits in _cell_digits(blocks, j, reps):
-        later = cores > reps[chunk, None]
-        if not _dominated(tables, digits, diag, reps[chunk, None], cores)[later].all():
+    starts = np.cumsum([0] + [len(genera) for _, genera in blocks])
+    masks = [[(sum(1 << c for c in block), 0) for block in partition] for partition, _ in blocks]
+    parts = np.array([len(partition) for partition, _ in blocks])
+    rep_part = np.searchsorted(starts, reps, side="right") - 1
+    # sorted(set(...)): a values-only np.unique would import numpy.ma.
+    for p in sorted(set(rep_part.tolist())):
+        if not (2 * _component_counts(masks, p) < parts[p] + parts[p + 1:]).all():
             return False
+        partition, genera = blocks[p]
+        sizes = np.array([len(block) for block in partition], dtype=np.int32)
+        diag = [_limb(table, _diagonal_digits(sizes, genera)) for table in tables]
+        cores = np.arange(len(genera))
+        rows = reps[rep_part == p] - starts[p]
+        step = max(1, _TABLE_CHUNK // len(genera))
+        for r0 in range(0, len(rows), step):
+            chunk = rows[r0:r0 + step, None]
+            digits = _own_digits(sizes, genera, chunk[:, 0])
+            if not _dominated(tables, digits, diag, chunk, cores)[cores > chunk].all():
+                return False
     return True
 
 
@@ -606,13 +557,14 @@ def verify_lemma_grid(j: int, g_max: int, closed_budget: int) -> LemmaReport:
     The report of engine.verify_lemma(enumerate2(...), Dim2Theory(j)),
     decided through the grid structure: a basis element is a bounded core
     plus a carried closed multiset.  While complexity2 is this module's
-    own, ``_clears_by_digits`` decides each core pair's whole block from
-    the component digits of its off gluing and the closed-form digits of
-    its two diagonals, on the rows of the first core of each orbit
-    (``core_orbits``) alone, as relabelling the circles keeps every gluing.
-    It clears every cell, and the report passes.  A patched complexity2, or
-    a cell the test leaves, returns engine.verify_lemma's report over the
-    basis itself, which lists any violations.
+    own, ``_clears_by_digits`` decides each core pair's whole block: by one
+    component count per pair of circle partitions, and inside a partition
+    by the closed-form digits of the off gluing and of its two diagonals,
+    on the rows of the first core of each orbit (``core_orbits``) alone, as
+    relabelling the circles keeps every gluing.  It clears every pair, and
+    the report passes.  A patched complexity2, or a pair the test leaves,
+    returns engine.verify_lemma's report over the basis itself, which lists
+    any violations.
     """
     check_bounds({"j": j, "g_max": g_max, "closed_budget": closed_budget})
     if complexity2 is _OWN_COMPLEXITY2:

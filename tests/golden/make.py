@@ -197,6 +197,11 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                                     "--gmax", "3", "--closed-budget", "3"], {}),
     "verify-lemma-dim2-j5": (["verify-lemma", "--theory", "dim2", "--j", "5", "--gmax", "1",
                               "--closed-budget", "2"], {}),
+    # Two frontier grids: 877 circle partitions, and 98,808 elements over six circles.
+    "verify-lemma-dim2-j7-gmax1": (["verify-lemma", "--theory", "dim2", "--j", "7",
+                                    "--gmax", "1"], {}),
+    "verify-lemma-dim2-j6-gmax2": (["verify-lemma", "--theory", "dim2", "--j", "6",
+                                    "--gmax", "2", "--closed-budget", "2"], {}),
     "verify-lemma-monomial": (["verify-lemma", "--theory", "monomial", *KNOTS,
                                "--degree", "3"], {}),
     # 70 monomials in 30 orbits of the relabellings that commute with the

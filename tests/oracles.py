@@ -20,9 +20,10 @@ relying on the order of the genera.  ``counted_whole_orbits`` decides
 whether a monomial basis is a union of whole relabelling orbits by counting
 each orbit label's members against the orbit's size, the check
 ``MonomialTheory.orbits`` once made before it tested closure under the
-group's generators.  ``core_table`` is no oracle: it reads the dim2 grid's
-cell digits into a table of genus multisets, which the tests check against
-``glue2`` and then read in their own checks of the grid.  ``ComplexityTuple`` and
+group's generators.  ``core_table`` tabulates ``glue2`` over the dim2 core
+pairs, the rows of orbit representatives glued and the rest read through
+relabellings, sharing no code with the grid's component counts and
+closed-form digits, which the tests check against it.  ``ComplexityTuple`` and
 ``MonomialComplexity`` are the padded comparators the dim2 and monomial
 complexities once used; the tests check that plain tuple order agrees with
 them.
@@ -30,6 +31,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter, deque
@@ -43,7 +45,7 @@ from umpair import engine
 from umpair.algebra import (ONE, ZERO, FormalSum, Scalar, UniverseMismatchError,
                             as_scalar, canonical_key)
 from umpair.dim1 import Bounded1Manifold
-from umpair.dim2 import Bounded2Manifold, _cell_digits, _core_blocks
+from umpair.dim2 import Bounded2Manifold, enumerate2, glue2
 from umpair.engine import LemmaReport, LemmaViolation, NullSearchResult
 from umpair.monomial import Involution, Monomial
 
@@ -311,39 +313,76 @@ def glued_genera(m: Bounded2Manifold, n: Bounded2Manifold) -> tuple[int, ...]:
     return tuple(sorted(genera))
 
 
+@functools.lru_cache(maxsize=None)
+def _square_core_table(j: int, gmax: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """core_table's square table, read-only, built once per (j, gmax).
+
+    glue2 runs on the row of the first core r of each relabelling orbit
+    against every core.  A relabelling s of the circles keeps every gluing,
+    so the row of s r is glue2(s r, b) = glue2(r, s^-1 b): r's row read
+    through the index map of s^-1.  Each core is coded by its circles' block
+    bitmasks and genera, and the index map of s sends the code of every
+    core relabelled by s back to its position.
+    """
+    cores = enumerate2(j, gmax, 0)
+    n = len(cores)
+    mask = np.zeros((n, j), dtype=np.int64)     # circle c's block bitmask
+    genus = np.zeros((n, j), dtype=np.int64)    # and that block's genus
+    for b, core in enumerate(cores):
+        for circles, g in core.parts:
+            mask[b, list(circles)] = sum(1 << c for c in circles)
+            genus[b, list(circles)] = g
+    base = (gmax + 1) << j
+    assert base ** j <= engine.INT64_MAX
+    bits = (np.arange(1 << j)[:, None] >> np.arange(j)) & 1
+
+    def codes(perm: tuple[int, ...]) -> np.ndarray:
+        """The code of every core relabelled by circle c -> perm[c]."""
+        moved = np.empty_like(mask)
+        moved[:, list(perm)] = (bits @ (1 << np.array(perm, dtype=np.int64)))[mask] \
+            * (gmax + 1) + genus
+        return moved @ base ** np.arange(j, dtype=np.int64)
+
+    perms = list(itertools.permutations(range(j)))
+    plain = codes(perms[0])
+    order = np.argsort(plain)
+    index = []  # index[k][b]: the position of core b relabelled by perms[k]
+    for perm in perms:
+        moved = codes(perm)
+        found = order[np.searchsorted(plain[order], moved)]
+        assert (plain[found] == moved).all()
+        index.append(found)
+    index = np.array(index, dtype=np.int32)
+    rep = index.min(axis=0)     # the first core of each core's orbit
+    reps = sorted(set(rep.tolist()))
+    ids: dict[tuple[int, ...], int] = {}
+    rows = np.array([[ids.setdefault(glue2(cores[r], m).genera, len(ids)) for m in cores]
+                     for r in reps], dtype=np.int32).reshape(len(reps), n)
+    # The relabelling taking each core's representative to it, then its inverse.
+    mover = (index[:, rep] == np.arange(n)).argmax(axis=0)
+    inverse = [perms.index(tuple(np.argsort(perm).tolist())) for perm in perms]
+    row_of = dict(zip(reps, range(len(reps))))
+    gid = np.take_along_axis(rows[[row_of[r] for r in rep.tolist()]],
+                             index[np.array(inverse)[mover]], axis=1)
+    genera = sorted(ids, key=lambda g: (len(g), g))
+    renumber = np.empty(len(ids), dtype=np.int32)
+    renumber[[ids[g] for g in genera]] = np.arange(len(genera))
+    gid = renumber[gid]
+    gid.flags.writeable = False
+    return gid, genera
+
+
 def core_table(j: int, gmax: int, rows=None) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """(gid, genera): the genus multiset of the gluing of each core of
     ``rows`` (every core when omitted: the square table) with every core,
-    the cores being enumerate2(j, gmax, 0) in order.
+    the cores being enumerate2(j, gmax, 0) in order, each cell from glue2.
 
-    Not an oracle: each cell is read from the grid's own ``_cell_digits``,
-    its sorted nonzero digits minus 1, so that the tests can check the
-    digits against glue2 and give the grid's checks a table of ids.
-    genera lists each distinct multiset once, and genera[gid[i, b]] is the
-    multiset of cell (rows[i], b).  Each cell's sorted digits pack into one
-    int64 code of base 2 j gmax + j + 2, above every digit.
+    genera lists every distinct multiset of the square table once, ordered
+    by length and then as tuples, and genera[gid[i, b]] is the multiset of
+    cell (rows[i], b).
     """
-    blocks = _core_blocks(j, gmax)
-    n = sum(len(genera) for _, genera in blocks)
-    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-    base = 2 * j * gmax + j + 2
-    assert base ** j <= engine.INT64_MAX
-    codes = np.empty((len(rows), n), dtype=np.int64)
-    for chunk, digits in _cell_digits(blocks, j, rows):
-        assert digits.max(initial=0) < base
-        code = np.zeros(digits.shape[1:], dtype=np.int64)
-        for column in np.sort(digits, axis=0):
-            code = code * base + column
-        codes[chunk] = code
-    distinct, gid = np.unique(codes, return_inverse=True)
-    genera = []
-    for code in distinct.tolist():
-        digits = []
-        while code:
-            code, digit = divmod(code, base)
-            digits.append(digit - 1)
-        genera.append(tuple(digits[::-1]))
-    return gid.reshape(codes.shape), genera
+    gid, genera = _square_core_table(j, gmax)
+    return (gid if rows is None else gid[np.asarray(rows, dtype=np.intp)]), genera
 
 
 def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:

@@ -16,10 +16,11 @@ from oracles import (ComplexityTuple, core_table, euler_oracle, glued_genera,
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
-from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _cell_digits,
-                         _clears_by_digits, _component_limbs, _core_blocks, _diagonal_digits,
-                         _dominated, _genus_digits, _limb, _limbs, closed_multisets,
-                         complexity2, core_orbits, enumerate2, glue2, verify_lemma_grid)
+from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _clears_by_digits,
+                         _component_counts, _component_limbs, _core_blocks, _diagonal_digits,
+                         _dominated, _genus_digits, _limb, _limbs, _own_digits,
+                         closed_multisets, complexity2, core_orbits, enumerate2, glue2,
+                         verify_lemma_grid)
 from umpair.engine import _packed
 
 ANNULUS = Bounded2Manifold(2, (((0, 1), 0),))
@@ -412,34 +413,9 @@ def test_representative_core_table_equals_the_square_rows(j, gmax):
         assert table.shape == (len(rows), len(orbit))
         assert ([[genera[g] for g in row] for row in table.tolist()]
                 == [[square_genera[g] for g in row] for row in square[rows].tolist()])
-    assert set(core_table(j, gmax, rows=reps)[1]) == set(square_genera)
-
-
-@pytest.mark.parametrize("j,gmax", [(0, 2), (1, 3), (2, 2), (3, 2)])
-def test_core_table_is_the_same_one_row_per_chunk(monkeypatch, j, gmax):
-    # With one row per chunk every row's digits come on their own, and they
-    # must be those of the default chunks.  Every core in reverse, then
-    # repeats: rows of every partition, out of order and twice over.
-    import umpair.dim2 as dim2_module
-
-    cores = enumerate2(j, gmax, 0)
-    rows = [*reversed(range(len(cores))), len(cores) // 2, len(cores) // 2, 0]
-
-    def labels():
-        gid, genera = core_table(j, gmax, rows=rows)
-        assert len(set(genera)) == len(genera)
-        return [[genera[g] for g in row] for row in gid.tolist()]
-
-    default = labels()
-    monkeypatch.setattr(dim2_module, "_TABLE_CHUNK", 1)
-    assert labels() == default == [[glue2(cores[a], n).genera for n in cores]
-                                   for a in rows]
-
-
-@pytest.mark.parametrize("rows", [[-1], [0, 2]])
-def test_core_table_rejects_rows_past_the_cores(rows):
-    with pytest.raises(IndexError, match=r"core rows must lie in 0\.\.1"):
-        core_table(2, 0, rows=rows)
+    # The representative rows meet every multiset of the square table.
+    assert ({square_genera[g] for g in core_table(j, gmax, rows=reps)[0].ravel().tolist()}
+            == set(square_genera))
 
 
 @pytest.mark.parametrize("bounds,name", [((-1, 0, 0), "j"), ((1, -1, 0), "g_max"),
@@ -561,8 +537,9 @@ def test_unpatched_grid_sweep_never_calls_complexity2(monkeypatch):
 
 @pytest.mark.parametrize("j", range(6))
 def test_core_table_matches_glue2_on_every_core_pair(j):
-    # j = 4 has 15 partitions, and g_max 1 keeps 94 cores; j = 5 sorts up to
-    # five genera per cell, and g_max 0 keeps its 52 cores.
+    # core_table glues the rows of orbit representatives and fills the other
+    # rows by relabelling; here every cell is glued on its own.  j = 4 has
+    # 15 partitions, and g_max 1 keeps 94 cores; at j = 5 g_max 0 keeps 52.
     gmax = {4: 1, 5: 0}.get(j, 3)
     cores = enumerate2(j, gmax, 0)
     gid, genera = core_table(j, gmax)
@@ -614,7 +591,7 @@ def block_failures(off, left, right, genera, gmax, budget, order, upper=False):
 
 def multiset_digits(genera, j):
     """digits[k, i]: the sorted genera of multiset i, each plus 1, after 0s
-    up to j columns, as ``_cell_digits`` lays out one cell."""
+    up to j columns: one off gluing's digits, as ``_dominated`` reads them."""
     return np.array([[0] * (j - len(g)) + [x + 1 for x in g] for g in genera],
                     dtype=np.int32).reshape(len(genera), j).T
 
@@ -687,11 +664,12 @@ def test_dominated_is_the_lexicographic_sign_on_every_limb_split(monkeypatch, in
 
 @pytest.mark.parametrize("j,gmax", [*itertools.product(range(5), range(4)), (5, 2)])
 def test_cell_limbs_are_the_packed_genus_digits_of_the_core_table(j, gmax):
-    # On every cell of the square table, the limb codes summed from the
-    # cell's digits are the packed V of its multiset, with the static
-    # radices: n and each histogram count at most j, every genus and the
-    # total genus at most 2 j gmax + j - 1, radix 2 M + 1 for a bound M.
-    # Each core's diagonal, read off its own parts, is the table's.
+    # On every multiset of the square table, the limb codes summed from its
+    # digits are its packed V, with the static radices: n and each
+    # histogram count at most j, every genus and the total genus at most
+    # 2 j gmax + j - 1, radix 2 M + 1 for a bound M.  Inside each circle
+    # partition, the closed-form digits of every cell and of every core's
+    # diagonal, read off the cores' own parts, give the table's codes.
     gid, genera = core_table(j, gmax)
     width = j * (2 * gmax + 1)
     vectors = _genus_digits(genera, width)
@@ -701,16 +679,68 @@ def test_cell_limbs_are_the_packed_genus_digits_of_the_core_table(j, gmax):
     expected = _limbs(vectors, [2 * bound + 1 for bound in bounds])
     tables = _component_limbs(j, gmax)
     assert len(tables) == len(expected) and all(table[0] == 0 for table in tables)
-    blocks = _core_blocks(j, gmax)
-    seen = np.zeros(len(gid), dtype=bool)
-    for chunk, digits in _cell_digits(blocks, j, np.arange(len(gid))):
+    digits = multiset_digits(genera, j)
+    for table, codes in zip(tables, expected):
+        assert (_limb(table, digits) == codes).all()
+    start = 0
+    for partition, core_genera in _core_blocks(j, gmax):
+        sizes = np.array([len(block) for block in partition], dtype=np.int32)
+        cores = np.arange(len(core_genera))
+        own = gid[start:start + len(cores), start:start + len(cores)]
         for table, codes in zip(tables, expected):
-            assert (_limb(table, digits) == codes[gid[chunk]]).all()
-        seen[chunk] = True
-    assert seen.all()
-    diagonal = _diagonal_digits(blocks, j)
-    assert [tuple(sorted(d - 1 for d in column if d)) for column in diagonal.T.tolist()] == [
-        genera[g] for g in gid.diagonal().tolist()]
+            assert (_limb(table, _own_digits(sizes, core_genera, cores)) == codes[own]).all()
+            assert (_limb(table, _diagonal_digits(sizes, core_genera))
+                    == codes[own.diagonal()]).all()
+        start += len(cores)
+    assert start == len(gid)
+
+
+def partition_masks(blocks):
+    """Each circle partition of ``blocks`` as ``_component_counts`` reads it:
+    its blocks as (circle bitmask, 0)."""
+    return [[(sum(1 << c for c in block), 0) for block in partition]
+            for partition, _ in blocks]
+
+
+@pytest.mark.parametrize("j", range(6))
+def test_component_counts_are_those_of_glue2_on_every_partition_pair(j):
+    # n(P, Q) is the component count of the gluing of every core of P with
+    # every core of Q, either way round, whatever their genera: genera up
+    # to 2, and up to 1 at j = 5.
+    gmax = 1 if j == 5 else 2
+    blocks = _core_blocks(j, gmax)
+    gid, genera = core_table(j, gmax)
+    n = np.array([len(g) for g in genera])[gid]
+    starts = np.cumsum([0] + [len(core_genera) for _, core_genera in blocks])
+    masks = partition_masks(blocks)
+    for p in range(len(blocks)):
+        counts = _component_counts(masks, p)
+        assert len(counts) == len(blocks) - p - 1
+        mine = slice(starts[p], starts[p + 1])
+        for q, count in enumerate(counts.tolist(), p + 1):
+            other = slice(starts[q], starts[q + 1])
+            assert (n[mine, other] == count).all() and (n[other, mine] == count).all()
+
+
+@pytest.mark.parametrize("j,gmax", [(3, 2), (4, 2)])
+def test_own_partition_digits_are_the_glue2_genera_plus_1(j, gmax):
+    # On every pair of cores of one circle partition, the closed-form digits
+    # less 1, sorted, are glue2's genera, and so on each core's diagonal.
+    cores = enumerate2(j, gmax, 0)
+    start = 0
+    for partition, genera in _core_blocks(j, gmax):
+        sizes = np.array([len(block) for block in partition], dtype=np.int32)
+        mine = cores[start:start + len(genera)]
+        digits = _own_digits(sizes, genera, np.arange(len(genera)))
+        assert digits.shape == (len(partition), len(mine), len(mine))
+        cells = digits.transpose(1, 2, 0).tolist()
+        for (a, m), (b, n) in itertools.product(enumerate(mine), repeat=2):
+            assert tuple(sorted(d - 1 for d in cells[a][b])) == glue2(m, n).genera
+        assert [tuple(sorted(d - 1 for d in column))
+                for column in _diagonal_digits(sizes, genera).T.tolist()] == [
+            glue2(m, m).genera for m in mine]
+        start += len(genera)
+    assert start == len(cores)
 
 
 @pytest.mark.parametrize("j,gmax", [(3, 2), (4, 3), (5, 2)])
@@ -834,21 +864,77 @@ def test_additive_test_clears_every_grid(j, gmax):
 
 @pytest.mark.parametrize("j,gmax", [(2, 2), (3, 1), (4, 3)])
 def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(monkeypatch, j, gmax):
-    # The real digits clear; with each unused column of an off gluing made a
-    # sphere (the diagonals kept), every off gluing has j components, at
-    # least the mean of its diagonals', and no cell is cleared.
+    # The real counts and digits clear.  Each mutation below leaves a core
+    # pair: a component count one higher for every pair of circle
+    # partitions (2 (n + 1) >= |P| + |Q| for P of one block and Q of two),
+    # or every off gluing inside a partition one genus heavier per
+    # component, its diagonals kept (D's total genus is then 2 |P| > 0).
+    # verify_lemma_grid then returns engine.verify_lemma's report over its
+    # basis.
     import umpair.dim2 as dim2_module
 
     blocks = _core_blocks(j, gmax)
     reps = np.unique(core_orbits(j, gmax), return_index=True)[1]
     assert dim2_module._clears_by_digits(blocks, j, gmax, reps)
+    counts, own = dim2_module._component_counts, dim2_module._own_digits
+    report = object()
+    for name, heavier in (("_component_counts", lambda masks, p: counts(masks, p) + 1),
+                          ("_own_digits", lambda sizes, genera, rows:
+                           own(sizes, genera, rows) + 1)):
+        calls = []
 
-    def heavier(blocks, j, rows):
-        for chunk, digits in _cell_digits(blocks, j, rows):
-            yield chunk, np.where(digits == 0, 1, digits)
+        def generic(basis, theory):
+            calls.append((basis, theory))
+            return report
 
-    monkeypatch.setattr(dim2_module, "_cell_digits", heavier)
-    assert not dim2_module._clears_by_digits(blocks, j, gmax, reps)
+        with monkeypatch.context() as patched:
+            patched.setattr(dim2_module, name, heavier)
+            assert not dim2_module._clears_by_digits(blocks, j, gmax, reps)
+            patched.setattr(dim2_module, "verify_lemma", generic)
+            assert dim2_module.verify_lemma_grid(j, gmax, 1) is report
+        assert calls == [(enumerate2(j, gmax, 1), Dim2Theory(j))]
+
+
+@pytest.mark.parametrize("j,gmax", [(0, 2), (1, 3), (2, 2), (3, 2), (4, 3)])
+def test_additive_test_decides_the_same_one_row_per_chunk(monkeypatch, j, gmax):
+    # With one row per chunk every representative row meets _dominated on
+    # its own.  The rows tested, and the decision on the real digits, under
+    # a _dominated that clears nothing and under one that clears only the
+    # row's later cores, must be those of the default chunks.
+    import umpair.dim2 as dim2_module
+
+    blocks = _core_blocks(j, gmax)
+    reps = np.unique(core_orbits(j, gmax), return_index=True)[1]
+    dominated = dim2_module._dominated
+
+    def decide():
+        rows = []
+
+        def recording(tables, cells, diag, left, right):
+            rows.append(left.ravel().tolist())
+            return dominated(tables, cells, diag, left, right)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dim2_module, "_dominated", recording)
+            cleared = dim2_module._clears_by_digits(blocks, j, gmax, reps)
+        with monkeypatch.context() as patched:
+            patched.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
+                            np.zeros(cells.shape[1:], dtype=bool))
+            none = dim2_module._clears_by_digits(blocks, j, gmax, reps)
+            patched.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
+                            np.broadcast_to(right > left, cells.shape[1:]))
+            later = dim2_module._clears_by_digits(blocks, j, gmax, reps)
+        return cleared, none, later, rows
+
+    cleared, none, later, rows = decide()
+    assert cleared and later and none == (len(enumerate2(j, gmax, 0)) == 1)
+    monkeypatch.setattr(dim2_module, "_TABLE_CHUNK", 1)
+    one = decide()
+    assert one[:3] == (cleared, none, later)
+    assert all(len(chunk) == 1 for chunk in one[3])
+    assert sum(one[3], []) == sum(rows, []) and len(rows) <= len(one[3])
+    if (j, gmax) == (4, 3):
+        assert len(rows) < len(one[3])
 
 
 def horner(row, base):
@@ -921,23 +1007,28 @@ def test_dim2_positivity_j5_in_a_fresh_process():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("j,gmax,budget,size,limit_s", [(7, 1, 0, 14_214, 1.0),
-                                                        (5, 4, 4, 489_440, 2.0),
-                                                        (7, 2, 0, 88_563, 3.5)],
-                         ids=["7-1-0", "5-4-4", "7-2-0"])
+                                                        (5, 4, 4, 489_440, 0.5),
+                                                        (7, 2, 0, 88_563, 0.5),
+                                                        (9, 0, 0, 21_147, 3.0)],
+                         ids=["7-1-0", "5-4-4", "7-2-0", "9-0-0"])
 def test_dim2_frontier_grids_in_a_fresh_process(j, gmax, budget, size, limit_s):
-    """Under 80 MB peak RSS each.  At (7, 1, 0) the grid has 877 circle
+    """Under 64 MB peak RSS each.  At (7, 1, 0) the grid has 877 circle
     partitions; a table that held every core's genera against every block
     of every partition took 4.4 s and 218 MB there, end to end, and this
-    grid takes 0.16-0.20 s.  (5, 4, 4) takes 0.20-0.25 s; a sweep over its
-    distinct core triples peaked at 133 MB.  (7, 2, 0) glues 429 rows of
-    88,563 cores in 1.5-1.7 s and 54 MB; with the whole table of gluing
-    ids held it took 4.4 s and 219 MB.  Each time varies up to 2x with the
-    machine's speed.
+    grid takes 0.03 s.  (5, 4, 4) takes
+    0.06-0.08 s; a sweep over its distinct core triples peaked at 133 MB.
+    (7, 2, 0) takes 0.06-0.09 s and 42 MB: its 429 representative rows
+    meet 88,563 cores, but only 161,847 cells lie inside a row's own
+    circle partition, and one component count decides each of its 11,628
+    other partition pairs; with digits built for every cell it took
+    1.5-1.9 s and 52 MB.  (9, 0, 0) takes 1.0-1.3 s and 48 MB, almost all
+    in the 598,122 ``_merge`` calls over its partition pairs.  Each time varies
+    up to 2x with the machine's speed.
     """
     seconds, basis_size, max_rss_kb = fresh_grid(j, gmax, budget)
     assert basis_size == size
     assert seconds < limit_s
-    assert max_rss_kb < 80 * 1024
+    assert max_rss_kb < 64 * 1024
 
 
 def test_descriptor_json_round_trip():
