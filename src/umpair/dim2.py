@@ -45,10 +45,11 @@ of a core pair's block, and its lexicographic sign decides the block
    of the two partitions.
 2. Own partition.  Two cores of one partition glue part to part, each part
    of s circles and genera x, y into one component of genus x + y + s - 1,
-   so a cell's digits (each component's genus plus 1) have a closed form,
-   as do a core's diagonal digits.  Each int64 limb of V's code is a sum of
-   table lookups over a cell's digits, with static radices, and each row is
-   tested against its later cores of its own partition, in row chunks.
+   so each part's digit (genus plus 1) has a closed form, off the diagonal
+   and on each diagonal (``_part_digits``).  Each row is tested against its
+   later cores of its own partition, in row chunks, one part at a time:
+   over the parts whose genera differ, the largest off digit must lie below
+   the largest diagonal digit.
 
 Both phases pass on every grid (the completeness argument in
 ``_clears_by_digits``), so the report passes with no cell's multiset sorted
@@ -67,7 +68,7 @@ import numpy as np
 
 from .algebra import (UniverseMismatchError, build_canonical, check_bounds, json_int,
                       json_list)
-from .engine import INT64_MAX, GluingTheory, LemmaReport, _packed, verify_lemma
+from .engine import GluingTheory, LemmaReport, _packed, verify_lemma
 
 
 @dataclass(frozen=True)
@@ -376,90 +377,6 @@ def core_orbits(j: int, g_max: int, blocks: _Blocks | None = None) -> np.ndarray
     return number[inverse]
 
 
-def _genus_digits(multisets: list[tuple[int, ...]], width: int) -> np.ndarray:
-    """Row i: (n, G, h[width - 1], ..., h[0]) of multisets[i], its length,
-    total genus and genus histogram from the top genus down; every genus
-    lies below ``width``.  The digits of a union are the sum of its parts'.
-    Lexicographic order of the rows is complexity2's order: for n
-    components of total genus G, complexity2 is (n, 2G - 2n, 2g - 2 over the
-    genera in descending order), and descending sequences of equal length
-    compare as their histograms read from the top genus down."""
-    lengths = np.fromiter(map(len, multisets), np.int64, len(multisets))
-    row = np.repeat(np.arange(len(multisets)), lengths)
-    flat = np.fromiter(itertools.chain.from_iterable(multisets), np.int64)
-    counts = np.bincount(row * width + flat, minlength=len(multisets) * width
-                         ).reshape(len(multisets), width)
-    return np.column_stack([lengths, counts @ np.arange(width), counts[:, ::-1]])
-
-
-def _limbs(digits: np.ndarray, radix: list[int]) -> list[np.ndarray]:
-    """Each row of ``digits`` as ``_packed`` int64 limb codes, most
-    significant limb first.  The digits are cut, in order, into as few runs
-    as keep each run's radix product within int64; lexicographic order of
-    the limb tuples is then the order of the rows."""
-    cuts, product = [0], 1
-    for i, r in enumerate(radix):
-        if product * r - 1 > INT64_MAX and i > cuts[-1]:
-            cuts.append(i)
-            product = 1
-        product *= r
-    cuts.append(len(radix))
-    return [_packed(digits[:, lo:hi], radix[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _component_limbs(j: int, g_max: int) -> list[np.ndarray]:
-    """One table per ``_limbs`` limb: table[d] is the code that a component
-    of digit d (genus d - 1) adds to its gluing's V, and table[0] == 0.
-
-    V = (n, G, h[top], ..., h[0]) is ``_genus_digits``, a sum over
-    components: a component of genus g adds 1 to n, g to G and 1 to h[g].
-    So a cell's limb code is the sum of table[d] over its j digits.  The
-    radices are static.  A gluing of two cores over j circles has n <= j
-    components, so each histogram count is at most j.  G is the genus sum
-    of its P <= 2j parts plus j - P + n, and n <= P/2 as every component
-    holds a part of each side; so G <= 2 j g_max + j - 1 when j > 0, and
-    so is every genus.  Digit i with bound M_i takes radix 2 M_i + 1:
-    2 V(off) and V(left) + V(right) then keep every digit below its radix,
-    and their codes are 2 code(off) and code(left) + code(right), limb by
-    limb.
-    """
-    width = j * (2 * g_max + 1)    # the genera 0..width - 1
-    radix = [2 * j + 1, 2 * max(width - 1, 0) + 1] + [2 * j + 1] * width
-    return _limbs(_genus_digits([()] + [(g,) for g in range(width)], width), radix)
-
-
-def _limb(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """The limb codes of the gluings whose digit k is cells[k]: the sum of
-    their j ``_component_limbs`` table lookups."""
-    codes = np.zeros(cells.shape[1:], dtype=np.int64)
-    for column in cells:
-        codes += np.take(table, column)
-    return codes
-
-
-def _dominated(tables: list[np.ndarray], cells: np.ndarray, diag: list[np.ndarray],
-               left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Mask, over the off gluings, of 2 V(off) <lex V(left) + V(right).
-
-    cells[k] holds digit k of every off gluing, whose limb codes are read
-    through the ``_component_limbs`` tables; the ids ``left`` and
-    ``right`` broadcast to the shape of cells[k], and the limb i codes of
-    the two diagonals are diag[i][left] and diag[i][right].  Each limb after
-    the first is compared only on the off gluings whose earlier limbs tie.
-    """
-    twice = 2 * _limb(tables[0], cells)
-    pair = diag[0][left] + diag[0][right]
-    less = twice < pair
-    tied = np.flatnonzero(twice == pair)
-    cells = cells.reshape(len(cells), less.size)
-    for table, codes in zip(tables[1:], diag[1:]):
-        twice = 2 * _limb(table, cells[:, tied])
-        pair = (codes[left] + codes[right]).reshape(-1)[tied]
-        less.reshape(-1)[tied] = twice < pair
-        tied = tied[twice == pair]
-    return less
-
-
 def _component_counts(masks: list[list[tuple[int, int]]], p: int) -> np.ndarray:
     """n(P, Q) for circle partition p against each later partition q: the
     component count of every gluing of a core of p with a core of q, as it
@@ -468,25 +385,40 @@ def _component_counts(masks: list[list[tuple[int, int]]], p: int) -> np.ndarray:
     return np.array([len(_merge(masks[p], other)) for other in masks[p + 1:]], dtype=np.int64)
 
 
-def _own_digits(sizes: np.ndarray, genera: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """digits[u, i, b] of core rows[i] glued with core b, both of one circle
-    partition of block sizes ``sizes``, genera[c] the block genera of its
-    core c.  Part u of s circles and genera x, y glues to its own copy
-    alone, into one component of genus x + y + s - 1, so its digit is
-    x + y + s."""
-    return genera[rows].T[:, :, None] + genera.T[:, None, :] + sizes[:, None, None]
+def _part_digits(size: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(off, top): the digits (genus plus 1) that a part of ``size`` circles
+    and genera x, y gives the gluing of its two cores and the larger of
+    their two diagonals.  Two cores of one circle partition glue each part
+    to its own copy alone, into one component of genus x + y + s - 1 for s
+    circles, so its digit is x + y + s; on the diagonals it is 2x + s and
+    2y + s."""
+    return x + y + size, 2 * np.maximum(x, y) + size
 
 
-def _diagonal_digits(sizes: np.ndarray, genera: np.ndarray) -> np.ndarray:
-    """digits[u, c] of core c glued to itself, in the setting of
-    ``_own_digits``: 2g + s for part u of s circles and genus g."""
-    return (2 * genera + sizes).T
-
-
-# Cells per chunk of rows in the own-partition test of _clears_by_digits: a
-# chunk's digits and every temporary stay within a few hundred kB whatever
-# the partition's core count.  A chunk holds one row at least.
+# Cells per chunk of rows in the own-partition test of _clears_by_digits: each
+# per-part array of a chunk stays within a few tens of kB whatever the
+# partition's core count.  A chunk holds one row at least.
 _TABLE_CHUNK = 1 << 13
+
+
+def _own_cleared(sizes: list[int], columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """cleared[i, b]: whether core rows[i] glued with core b, both of one
+    circle partition of block sizes ``sizes``, is cleared by its digits;
+    columns[u] lists the genus of part u over the partition's cores.  Over
+    the parts whose genera differ, the largest off digit must be below the
+    largest diagonal digit (``_part_digits``).  A core against itself has no
+    such part and is not cleared."""
+    off = np.zeros((len(rows), columns.shape[1]), dtype=np.int32)
+    top = np.zeros_like(off)
+    for size, column in zip(sizes, columns):
+        x, y = column[rows, None], column
+        differ = x != y
+        part_off, part_top = _part_digits(size, x, y)
+        part_off *= differ
+        part_top *= differ
+        np.maximum(off, part_off, out=off)
+        np.maximum(top, part_top, out=top)
+    return off < top
 
 
 def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> bool:
@@ -497,17 +429,22 @@ def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> 
     each orbit.  Each pair (reps[r], b) with b after reps[r] is decided,
     and with it the pair's whole block of carried closed multisets.
 
-    Why a pair's sign decides its block.  Write V for ``_genus_digits``,
-    which add under disjoint union and order multisets exactly as
-    complexity2 does, and D = 2 V(off) - V(left) - V(right).  Carried
-    closed multisets k1, k2 add V(k1) + V(k2) to the off gluing and
-    2 V(k1), 2 V(k2) to the diagonals, so D is the same at every (k1, k2)
-    of the block.  Lexicographic order is compatible with addition, so
-    D <lex 0 gives 2 V(off) <lex V(left) + V(right) <=lex 2 max, and the
-    off gluing is below the larger diagonal.  The same-core blocks need no
-    test: there D = 0, so V(off) <=lex the larger diagonal, with equality
-    only when V(k1) = V(k2), that is k1 == k2 (the closed multisets are
-    distinct), which the strict upper triangle excludes.
+    Why a pair's sign decides its block.  Write V(m) for the digits
+    (n, G, h[top], ..., h[0]) of a genus multiset m: its length, its total
+    genus and its genus histogram read from the top genus down.  V adds
+    under disjoint union and orders multisets exactly as complexity2 does:
+    for n components of total genus G, complexity2 is (n, 2G - 2n, 2g - 2
+    over the genera in descending order), and descending sequences of equal
+    length compare as their histograms read from the top genus down.  Let
+    D = 2 V(off) - V(left) - V(right).  Carried closed multisets k1, k2 add
+    V(k1) + V(k2) to the off gluing and 2 V(k1), 2 V(k2) to the diagonals,
+    so D is the same at every (k1, k2) of the block.  Lexicographic order
+    is compatible with addition, so D <lex 0 gives 2 V(off) <lex V(left) +
+    V(right) <=lex 2 max, and the off gluing is below the larger diagonal.
+    The same-core blocks need no test: there D = 0, so V(off) <=lex the
+    larger diagonal, with equality only when V(k1) = V(k2), that is
+    k1 == k2 (the closed multisets are distinct), which the strict upper
+    triangle excludes.
 
     How each pair is decided, by the circle partitions P of reps[r] and Q
     of b.  A diagonal gluing has one component per part, so D's first
@@ -518,17 +455,26 @@ def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> 
       each side: n(P, Q) <= min(|P|, |Q|), and equality on both sides
       would pair every block of P with exactly one of Q, making P == Q.
     - Q == P.  Each part of s circles and genera x, y glues to its own
-      copy alone, into one component of genus x + y + s - 1 off the
-      diagonal (``_own_digits``) and 2x + s - 1, 2y + s - 1 on them
-      (``_diagonal_digits``), so n and G tie.  ``_dominated`` tests D on
-      the rows' later cores of P, in row chunks of at most ``_TABLE_CHUNK``
-      cells.  D is negative: the parts with x == y cancel in it, and every
-      other part puts its off component strictly below 2 max(x, y) + s - 1,
-      so at the largest such genus D's histogram is first nonzero.
+      copy alone, into one component of digit (genus plus 1) x + y + s off
+      the diagonal and 2x + s, 2y + s on them (``_part_digits``).
+      ``_own_cleared`` tests the rows' later cores of P, in row chunks of
+      at most ``_TABLE_CHUNK`` cells, and clears a cell when, over the
+      parts whose genera differ, the largest off digit is below the
+      largest diagonal digit M.  That is sound:
+      - a part with x == y adds one component of digit 2x + s twice to
+        2 V(off) and once to each diagonal, so it cancels in D;
+      - n and G tie by the closed form: each gluing has one component per
+        part, and 2 (x + y + s - 1) = (2x + s - 1) + (2y + s - 1);
+      - so D's histogram decides.  Above M it meets no diagonal digit and,
+        the cell being cleared, no off digit, so it is 0 there; at M it
+        meets at least one diagonal digit and no off digit, so it is
+        negative there, and D <lex 0.
+      It is also complete: each differing part's off digit lies strictly
+      below its own larger diagonal digit 2 max(x, y) + s <= M, so every
+      pair of distinct cores is cleared.
     So the test reads neither a closed multiset nor a sorted genus
     multiset, and a pair it leaves can come only from a patched piece of it.
     """
-    tables = _component_limbs(j, g_max)
     starts = np.cumsum([0] + [len(genera) for _, genera in blocks])
     masks = [[(sum(1 << c for c in block), 0) for block in partition] for partition, _ in blocks]
     parts = np.array([len(partition) for partition, _ in blocks])
@@ -538,15 +484,14 @@ def _clears_by_digits(blocks: _Blocks, j: int, g_max: int, reps: np.ndarray) -> 
         if not (2 * _component_counts(masks, p) < parts[p] + parts[p + 1:]).all():
             return False
         partition, genera = blocks[p]
-        sizes = np.array([len(block) for block in partition], dtype=np.int32)
-        diag = [_limb(table, _diagonal_digits(sizes, genera)) for table in tables]
+        sizes = [len(block) for block in partition]
+        columns = np.ascontiguousarray(genera.T)
         cores = np.arange(len(genera))
         rows = reps[rep_part == p] - starts[p]
         step = max(1, _TABLE_CHUNK // len(genera))
         for r0 in range(0, len(rows), step):
             chunk = rows[r0:r0 + step, None]
-            digits = _own_digits(sizes, genera, chunk[:, 0])
-            if not _dominated(tables, digits, diag, chunk, cores)[cores > chunk].all():
+            if not _own_cleared(sizes, columns, chunk[:, 0])[cores > chunk].all():
                 return False
     return True
 

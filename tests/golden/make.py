@@ -202,6 +202,9 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                                     "--gmax", "1"], {}),
     "verify-lemma-dim2-j6-gmax2": (["verify-lemma", "--theory", "dim2", "--j", "6",
                                     "--gmax", "2", "--closed-budget", "2"], {}),
+    # 489,440 elements, the own-partition test's largest partitions.
+    "verify-lemma-dim2-j5-gmax4": (["verify-lemma", "--theory", "dim2", "--j", "5",
+                                    "--gmax", "4", "--closed-budget", "4"], {}),
     "verify-lemma-monomial": (["verify-lemma", "--theory", "monomial", *KNOTS,
                                "--degree", "3"], {}),
     # 70 monomials in 30 orbits of the relabellings that commute with the

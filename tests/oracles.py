@@ -23,7 +23,9 @@ each orbit label's members against the orbit's size, the check
 group's generators.  ``core_table`` tabulates ``glue2`` over the dim2 core
 pairs, the rows of orbit representatives glued and the rest read through
 relabellings, sharing no code with the grid's component counts and
-closed-form digits, which the tests check against it.  ``ComplexityTuple`` and
+closed-form digits, which the tests check against it.  ``genus_digits``
+is the additive digit vector V of a genus multiset, the exact reference
+for the grid's own-partition decision.  ``ComplexityTuple`` and
 ``MonomialComplexity`` are the padded comparators the dim2 and monomial
 complexities once used; the tests check that plain tuple order agrees with
 them.
@@ -383,6 +385,22 @@ def core_table(j: int, gmax: int, rows=None) -> tuple[np.ndarray, list[tuple[int
     """
     gid, genera = _square_core_table(j, gmax)
     return (gid if rows is None else gid[np.asarray(rows, dtype=np.intp)]), genera
+
+
+def genus_digits(multisets: list[tuple[int, ...]], width: int) -> np.ndarray:
+    """Row i: V = (n, G, h[width - 1], ..., h[0]) of multisets[i], its length,
+    total genus and genus histogram from the top genus down; every genus
+    lies below ``width``.  The digits of a union are the sum of its parts'.
+    Lexicographic order of the rows is complexity2's order: for n
+    components of total genus G, complexity2 is (n, 2G - 2n, 2g - 2 over the
+    genera in descending order), and descending sequences of equal length
+    compare as their histograms read from the top genus down."""
+    lengths = np.fromiter(map(len, multisets), np.int64, len(multisets))
+    row = np.repeat(np.arange(len(multisets)), lengths)
+    flat = np.fromiter(itertools.chain.from_iterable(multisets), np.int64)
+    counts = np.bincount(row * width + flat, minlength=len(multisets) * width
+                         ).reshape(len(multisets), width)
+    return np.column_stack([lengths, counts @ np.arange(width), counts[:, ::-1]])
 
 
 def arc_walk_circles(m: Bounded1Manifold, n: Bounded1Manifold) -> int:

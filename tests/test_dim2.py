@@ -10,15 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (ComplexityTuple, core_table, euler_oracle, glued_genera,
+from oracles import (ComplexityTuple, core_table, euler_oracle, genus_digits, glued_genera,
                      sorted_chi_complexity)
 
 import umpair
 from umpair import engine
 from umpair.algebra import UniverseMismatchError, canonical_key
 from umpair.dim2 import (Bounded2Manifold, ClosedSurface, Dim2Theory, _clears_by_digits,
-                         _component_counts, _component_limbs, _core_blocks, _diagonal_digits,
-                         _dominated, _genus_digits, _limb, _limbs, _own_digits,
+                         _component_counts, _core_blocks, _own_cleared, _part_digits,
                          closed_multisets, complexity2, core_orbits, enumerate2, glue2,
                          verify_lemma_grid)
 from umpair.engine import _packed
@@ -392,8 +391,8 @@ def test_grid_runs_the_additive_test_or_the_generic_verifier(monkeypatch, order,
         else:
             assert not report.passed
     calls.clear()
-    monkeypatch.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
-                        np.zeros(cells.shape[1:], dtype=bool))
+    monkeypatch.setattr(dim2_module, "_own_cleared", lambda sizes, columns, rows:
+                        np.zeros((len(rows), columns.shape[1]), dtype=bool))
     assert dim2_module.verify_lemma_grid(j, gmax, budget) == own
     # A single core has no cell to leave.
     fallback = ["verify_lemma"] if len(enumerate2(j, gmax, 0)) > 1 else []
@@ -550,10 +549,12 @@ def test_core_table_matches_glue2_on_every_core_pair(j):
 
 
 @functools.lru_cache(maxsize=None)
-def representative_triples(j, gmax):
-    """(off, left, right, genera): the distinct core gluing id triples
-    (gid[a, b], gid[a, a], gid[b, b]) over the representative rows a of
-    ``core_orbits`` and their later cores b."""
+def representative_pairs(j, gmax):
+    """(off, left, right, genera, upper, triple): the distinct core gluing id
+    triples (gid[a, b], gid[a, a], gid[b, b]) over the representative rows a
+    of ``core_orbits`` and their later cores b, the mask ``upper`` of those
+    pairs over the representative rows against every core, and the triple
+    of each pair of the mask, in its order."""
     orbit = core_orbits(j, gmax)
     reps = np.unique(orbit, return_index=True)[1]
     gid, genera = core_table(j, gmax, rows=reps)
@@ -561,7 +562,13 @@ def representative_triples(j, gmax):
     upper = np.arange(len(orbit)) > reps[:, None]
     triples = np.stack([gid[upper], np.broadcast_to(diag[reps][:, None], gid.shape)[upper],
                         np.broadcast_to(diag, gid.shape)[upper]])
-    return (*np.unique(triples, axis=1).reshape(3, -1), genera)
+    distinct, triple = np.unique(triples, axis=1, return_inverse=True)
+    return (*distinct.reshape(3, -1), genera, upper, triple.reshape(-1))
+
+
+def representative_triples(j, gmax):
+    """(off, left, right, genera) of ``representative_pairs``."""
+    return representative_pairs(j, gmax)[:4]
 
 
 def count_then_reversed(surface):
@@ -589,23 +596,6 @@ def block_failures(off, left, right, genera, gmax, budget, order, upper=False):
         for t in range(0, len(off), 1000)])
 
 
-def multiset_digits(genera, j):
-    """digits[k, i]: the sorted genera of multiset i, each plus 1, after 0s
-    up to j columns: one off gluing's digits, as ``_dominated`` reads them."""
-    return np.array([[0] * (j - len(g)) + [x + 1 for x in g] for g in genera],
-                    dtype=np.int32).reshape(len(genera), j).T
-
-
-def cleared_by_codes(j, gmax, off, left, right, genera):
-    """The additive test on triples of ids into ``genera``, the multisets of
-    core gluings over j circles: off gluings by their digits, diagonals by
-    their limb codes."""
-    tables = _component_limbs(j, gmax)
-    digits = multiset_digits(genera, j)
-    return _dominated(tables, digits[:, off], [_limb(table, digits) for table in tables],
-                      left, right)
-
-
 def random_multisets(seed, count):
     """``count`` seeded genus multisets, genera 0-12, the empty one first."""
     rng = random.Random(seed)
@@ -615,7 +605,7 @@ def random_multisets(seed, count):
 
 def test_genus_digits_add_and_order_as_complexity2():
     multisets = random_multisets(20503, 300)
-    digits = _genus_digits(multisets, 13)
+    digits = genus_digits(multisets, 13)
     for m, row in zip(multisets, digits.tolist()):
         counts = Counter(m)
         assert row == [len(m), sum(m), *(counts[g] for g in range(12, -1, -1))]
@@ -625,74 +615,8 @@ def test_genus_digits_add_and_order_as_complexity2():
         assert (vectors[a] < vectors[b]) == (values[a] < values[b])
         assert (vectors[a] == vectors[b]) == (multisets[a] == multisets[b])
         if a < 40 and b < 40:
-            union = _genus_digits([tuple(sorted(multisets[a] + multisets[b]))], 13)[0]
+            union = genus_digits([tuple(sorted(multisets[a] + multisets[b]))], 13)[0]
             assert (union == digits[a] + digits[b]).all()
-
-
-@pytest.mark.parametrize("int64_max,limb_count", [(engine.INT64_MAX, 1), (2**12, 4), (0, 15)])
-def test_dominated_is_the_lexicographic_sign_on_every_limb_split(monkeypatch, int64_max,
-                                                                 limb_count):
-    # The limb bound lowered until the digits split into a few limbs, then
-    # into one limb each: the verdict must not depend on the split.  Off
-    # gluings of up to five components are read by their digits, through
-    # tables packed with the radix 2 max + 1 of the multisets' own digits.
-    import umpair.dim2 as dim2_module
-
-    multisets = random_multisets(53054, 60)
-    vectors = _genus_digits(multisets, 13)
-    monkeypatch.setattr(dim2_module, "INT64_MAX", int64_max)
-    radix = (2 * vectors.max(axis=0) + 1).tolist()
-    tables = _limbs(_genus_digits([()] + [(g,) for g in range(13)], 13), radix)
-    assert len(tables) == limb_count
-    cells = multiset_digits(multisets, 5)
-    diag = [_limb(table, cells) for table in tables]
-    assert all((codes == limb).all() for codes, limb in zip(diag, _limbs(vectors, radix)))
-    rng = np.random.default_rng(20050303)
-    off, left, right = rng.integers(0, len(multisets), size=(3, 4000))
-    off[:60] = left[:60] = right[:60] = np.arange(60)     # D = 0: never below
-    left[60:120] = off[60:120]                            # D = V(off) - V(right)
-    expected = [tuple(2 * vectors[o]) < tuple(vectors[a] + vectors[b])
-                for o, a, b in zip(off.tolist(), left.tolist(), right.tolist())]
-    assert _dominated(tables, cells[:, off], diag, left, right).tolist() == expected
-    # The same cells as a broadcast grid, as the grid's row chunks pass them.
-    grid = _dominated(tables, np.broadcast_to(cells[:, :, None], (5, 60, 60)), diag,
-                      np.arange(60)[:, None], np.arange(60))
-    assert grid.tolist() == [[tuple(2 * vectors[o]) < tuple(vectors[o] + vectors[b])
-                              for b in range(60)] for o in range(60)]
-    assert 0 < sum(expected) < len(expected)
-
-
-@pytest.mark.parametrize("j,gmax", [*itertools.product(range(5), range(4)), (5, 2)])
-def test_cell_limbs_are_the_packed_genus_digits_of_the_core_table(j, gmax):
-    # On every multiset of the square table, the limb codes summed from its
-    # digits are its packed V, with the static radices: n and each
-    # histogram count at most j, every genus and the total genus at most
-    # 2 j gmax + j - 1, radix 2 M + 1 for a bound M.  Inside each circle
-    # partition, the closed-form digits of every cell and of every core's
-    # diagonal, read off the cores' own parts, give the table's codes.
-    gid, genera = core_table(j, gmax)
-    width = j * (2 * gmax + 1)
-    vectors = _genus_digits(genera, width)
-    bounds = [j, max(width - 1, 0)] + [j] * width
-    assert (vectors.max(axis=0) <= bounds).all()
-    assert max((max(g, default=0) for g in genera), default=0) < max(width, 1)
-    expected = _limbs(vectors, [2 * bound + 1 for bound in bounds])
-    tables = _component_limbs(j, gmax)
-    assert len(tables) == len(expected) and all(table[0] == 0 for table in tables)
-    digits = multiset_digits(genera, j)
-    for table, codes in zip(tables, expected):
-        assert (_limb(table, digits) == codes).all()
-    start = 0
-    for partition, core_genera in _core_blocks(j, gmax):
-        sizes = np.array([len(block) for block in partition], dtype=np.int32)
-        cores = np.arange(len(core_genera))
-        own = gid[start:start + len(cores), start:start + len(cores)]
-        for table, codes in zip(tables, expected):
-            assert (_limb(table, _own_digits(sizes, core_genera, cores)) == codes[own]).all()
-            assert (_limb(table, _diagonal_digits(sizes, core_genera))
-                    == codes[own.diagonal()]).all()
-        start += len(cores)
-    assert start == len(gid)
 
 
 def partition_masks(blocks):
@@ -724,23 +648,48 @@ def test_component_counts_are_those_of_glue2_on_every_partition_pair(j):
 
 @pytest.mark.parametrize("j,gmax", [(3, 2), (4, 2)])
 def test_own_partition_digits_are_the_glue2_genera_plus_1(j, gmax):
-    # On every pair of cores of one circle partition, the closed-form digits
-    # less 1, sorted, are glue2's genera, and so on each core's diagonal.
+    # On every pair of cores of one circle partition, a core with itself
+    # included, the closed-form off digits less 1, sorted, are glue2's
+    # genera, and each part's larger diagonal digit is the larger of its off
+    # digits on the two cores' own gluings.
     cores = enumerate2(j, gmax, 0)
     start = 0
     for partition, genera in _core_blocks(j, gmax):
-        sizes = np.array([len(block) for block in partition], dtype=np.int32)
         mine = cores[start:start + len(genera)]
-        digits = _own_digits(sizes, genera, np.arange(len(genera)))
-        assert digits.shape == (len(partition), len(mine), len(mine))
-        cells = digits.transpose(1, 2, 0).tolist()
+        digits = [_part_digits(len(block), genera[:, u, None], genera[:, u])
+                  for u, block in enumerate(partition)]
+        off, top = (np.stack(side, axis=-1) for side in zip(*digits))
+        assert off.shape == top.shape == (len(mine), len(mine), len(partition))
+        cells = off.tolist()
         for (a, m), (b, n) in itertools.product(enumerate(mine), repeat=2):
             assert tuple(sorted(d - 1 for d in cells[a][b])) == glue2(m, n).genera
-        assert [tuple(sorted(d - 1 for d in column))
-                for column in _diagonal_digits(sizes, genera).T.tolist()] == [
-            glue2(m, m).genera for m in mine]
+        diagonal = off[np.arange(len(mine)), np.arange(len(mine))]
+        assert (top == np.maximum(diagonal[:, None], diagonal[None, :])).all()
         start += len(genera)
     assert start == len(cores)
+
+
+@pytest.mark.parametrize("j,gmax", itertools.product(range(5), range(4)))
+def test_own_partition_decision_is_the_exact_digit_sign(j, gmax):
+    # On every pair of cores of one circle partition, a core with itself
+    # included, _own_cleared is True exactly when 2 V(off) <lex V(aa) + V(bb)
+    # over glue2's genera, V the exact genus_digits: on every distinct pair
+    # and on no diagonal one.
+    gid, genera = core_table(j, gmax)
+    digits = genus_digits(genera, 1 + max((max(g, default=0) for g in genera), default=0))
+    start = 0
+    for partition, core_genera in _core_blocks(j, gmax):
+        cores = np.arange(len(core_genera))
+        own = gid[start:start + len(cores), start:start + len(cores)]
+        diag = digits[own.diagonal()]
+        sign = 2 * digits[own] - diag[:, None] - diag[None, :]
+        first = np.take_along_axis(sign, (sign != 0).argmax(axis=-1)[..., None], axis=-1)
+        decided = _own_cleared([len(block) for block in partition],
+                               np.ascontiguousarray(core_genera.T), cores)
+        assert (decided == (first[..., 0] < 0)).all()
+        assert (decided == (cores[:, None] != cores)).all()
+        start += len(cores)
+    assert start == len(gid)
 
 
 @pytest.mark.parametrize("j,gmax", [(3, 2), (4, 3), (5, 2)])
@@ -764,15 +713,41 @@ def triple_failures(j, gmax, budget, order):
     return block_failures(off, left, right, genera, gmax, budget, order)
 
 
+@functools.lru_cache(maxsize=None)
+def grid_cleared(j, gmax):
+    """cleared[t]: whether the grid's decision clears every representative
+    pair of triple t of ``representative_triples``: the component count
+    n(P, Q) for a pair of two circle partitions, ``_own_cleared`` for a
+    pair of one."""
+    blocks = _core_blocks(j, gmax)
+    reps = np.unique(core_orbits(j, gmax, blocks), return_index=True)[1]
+    off, _, _, _, upper, triple = representative_pairs(j, gmax)
+    counts = [len(genera) for _, genera in blocks]
+    starts = np.cumsum([0] + counts)
+    parts = np.array([len(partition) for partition, _ in blocks])
+    masks = partition_masks(blocks)
+    decided = np.zeros(upper.shape, dtype=bool)
+    for i, rep in enumerate(reps.tolist()):
+        p = int(np.searchsorted(starts, rep, side="right")) - 1
+        later = 2 * _component_counts(masks, p) < parts[p] + parts[p + 1:]
+        decided[i, starts[p + 1]:] = np.repeat(later, counts[p + 1:])
+        partition, genera = blocks[p]
+        decided[i, starts[p]:starts[p + 1]] = _own_cleared(
+            [len(block) for block in partition], np.ascontiguousarray(genera.T),
+            np.array([rep - starts[p]]))[0]
+    left = np.bincount(triple, weights=~decided[upper], minlength=len(off))
+    return left == 0
+
+
 @pytest.mark.parametrize("j,gmax", itertools.product(range(5), range(4)))
 def test_additive_bound_clears_only_passing_triples(j, gmax):
-    # Every triple the additive test clears passes its full block on every
-    # budget, and every same-core block its strict upper triangle, though
-    # not its diagonal.  Under an order that counts components first but
-    # reverses the rest, a cleared triple fails: the test leans on more
+    # Every triple the grid's decision clears passes its full block on
+    # every budget, and every same-core block its strict upper triangle,
+    # though not its diagonal.  Under an order that counts components first
+    # but reverses the rest, a cleared triple fails: the test leans on more
     # of complexity2 than its first entry.
     off, left, right, genera = representative_triples(j, gmax)
-    cleared = cleared_by_codes(j, gmax, off, left, right, genera)
+    cleared = grid_cleared(j, gmax)
     if (j, gmax) == (4, 3):
         assert (cleared.sum(), len(cleared)) == (19_132, 19_132)
     own = np.unique(np.concatenate([left, [0]]))
@@ -797,12 +772,11 @@ def cleared_by_count(j, gmax):
 def test_component_count_bound_clears_only_passing_triples(j, gmax):
     # The count bound alone passes every block it clears, under complexity2
     # and under another order that counts components first, and the
-    # additive test, whose first digit it is, clears each of them too.
+    # grid's decision, whose first digit it is, clears each of them too.
     cleared = cleared_by_count(j, gmax)
     if (j, gmax) == (4, 3):
         assert (cleared.sum(), len(cleared)) == (14_795, 19_132)
-    off, left, right, genera = representative_triples(j, gmax)
-    assert cleared_by_codes(j, gmax, off, left, right, genera)[cleared].all()
+    assert grid_cleared(j, gmax)[cleared].all()
     for order, budget in itertools.product((complexity2, count_then_reversed), range(4)):
         failing = triple_failures(j, gmax, budget, order)
         assert not failing[cleared].any()
@@ -829,7 +803,7 @@ def random_core(rng, j, partition=None):
 
 def test_distinct_cores_glue_below_their_diagonals_in_the_additive_digits():
     # The completeness argument of _clears_by_digits, through glue2 and
-    # _genus_digits alone: for distinct cores a, b over at most 8 circles,
+    # genus_digits alone: for distinct cores a, b over at most 8 circles,
     # genera at most 4, 2 V(ab) <lex V(aa) + V(bb).  Different partitions
     # decide it by the component count; the same partition ties the count
     # and the total genus, and the genus histogram decides.
@@ -845,7 +819,7 @@ def test_distinct_cores_glue_below_their_diagonals_in_the_additive_digits():
     for same, kind in pairs.items():
         multisets = [glue2(*pair).genera for a, b in kind for pair in ((a, b), (a, a), (b, b))]
         width = 1 + max(max(m, default=0) for m in multisets)
-        for off, left, right in _genus_digits(multisets, width).reshape(
+        for off, left, right in genus_digits(multisets, width).reshape(
                 len(kind), 3, width + 2).tolist():
             assert [2 * d for d in off] < [x + y for x, y in zip(left, right)]
             if same:
@@ -868,7 +842,8 @@ def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(monkeypatch, j
     # pair: a component count one higher for every pair of circle
     # partitions (2 (n + 1) >= |P| + |Q| for P of one block and Q of two),
     # or every off gluing inside a partition one genus heavier per
-    # component, its diagonals kept (D's total genus is then 2 |P| > 0).
+    # component, its diagonals kept (a part whose genera differ by 1 then
+    # puts its off digit level with its larger diagonal digit).
     # verify_lemma_grid then returns engine.verify_lemma's report over its
     # basis.
     import umpair.dim2 as dim2_module
@@ -876,11 +851,11 @@ def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(monkeypatch, j
     blocks = _core_blocks(j, gmax)
     reps = np.unique(core_orbits(j, gmax), return_index=True)[1]
     assert dim2_module._clears_by_digits(blocks, j, gmax, reps)
-    counts, own = dim2_module._component_counts, dim2_module._own_digits
+    counts, part = dim2_module._component_counts, dim2_module._part_digits
     report = object()
     for name, heavier in (("_component_counts", lambda masks, p: counts(masks, p) + 1),
-                          ("_own_digits", lambda sizes, genera, rows:
-                           own(sizes, genera, rows) + 1)):
+                          ("_part_digits", lambda size, x, y:
+                           (part(size, x, y)[0] + 1, part(size, x, y)[1]))):
         calls = []
 
         def generic(basis, theory):
@@ -897,32 +872,32 @@ def test_additive_test_leaves_cells_whose_off_gluing_is_not_below(monkeypatch, j
 
 @pytest.mark.parametrize("j,gmax", [(0, 2), (1, 3), (2, 2), (3, 2), (4, 3)])
 def test_additive_test_decides_the_same_one_row_per_chunk(monkeypatch, j, gmax):
-    # With one row per chunk every representative row meets _dominated on
+    # With one row per chunk every representative row meets _own_cleared on
     # its own.  The rows tested, and the decision on the real digits, under
-    # a _dominated that clears nothing and under one that clears only the
+    # an _own_cleared that clears nothing and under one that clears only the
     # row's later cores, must be those of the default chunks.
     import umpair.dim2 as dim2_module
 
     blocks = _core_blocks(j, gmax)
     reps = np.unique(core_orbits(j, gmax), return_index=True)[1]
-    dominated = dim2_module._dominated
+    own_cleared = dim2_module._own_cleared
 
     def decide():
         rows = []
 
-        def recording(tables, cells, diag, left, right):
-            rows.append(left.ravel().tolist())
-            return dominated(tables, cells, diag, left, right)
+        def recording(sizes, columns, chunk):
+            rows.append(chunk.tolist())
+            return own_cleared(sizes, columns, chunk)
 
         with monkeypatch.context() as patched:
-            patched.setattr(dim2_module, "_dominated", recording)
+            patched.setattr(dim2_module, "_own_cleared", recording)
             cleared = dim2_module._clears_by_digits(blocks, j, gmax, reps)
         with monkeypatch.context() as patched:
-            patched.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
-                            np.zeros(cells.shape[1:], dtype=bool))
+            patched.setattr(dim2_module, "_own_cleared", lambda sizes, columns, chunk:
+                            np.zeros((len(chunk), columns.shape[1]), dtype=bool))
             none = dim2_module._clears_by_digits(blocks, j, gmax, reps)
-            patched.setattr(dim2_module, "_dominated", lambda tables, cells, diag, left, right:
-                            np.broadcast_to(right > left, cells.shape[1:]))
+            patched.setattr(dim2_module, "_own_cleared", lambda sizes, columns, chunk:
+                            np.arange(columns.shape[1]) > chunk[:, None])
             later = dim2_module._clears_by_digits(blocks, j, gmax, reps)
         return cleared, none, later, rows
 
@@ -1015,13 +990,14 @@ def test_dim2_frontier_grids_in_a_fresh_process(j, gmax, budget, size, limit_s):
     """Under 64 MB peak RSS each.  At (7, 1, 0) the grid has 877 circle
     partitions; a table that held every core's genera against every block
     of every partition took 4.4 s and 218 MB there, end to end, and this
-    grid takes 0.03 s.  (5, 4, 4) takes
-    0.06-0.08 s; a sweep over its distinct core triples peaked at 133 MB.
-    (7, 2, 0) takes 0.06-0.09 s and 42 MB: its 429 representative rows
+    grid takes 0.02-0.03 s.  (5, 4, 4) takes 0.016-0.019 s and 31 MB
+    (0.05-0.06 s when its own-partition cells were compared by packed int64
+    limb codes); a sweep over its distinct core triples peaked at 133 MB.
+    (7, 2, 0) takes 0.045-0.047 s and 43 MB: its 429 representative rows
     meet 88,563 cores, but only 161,847 cells lie inside a row's own
     circle partition, and one component count decides each of its 11,628
     other partition pairs; with digits built for every cell it took
-    1.5-1.9 s and 52 MB.  (9, 0, 0) takes 1.0-1.3 s and 48 MB, almost all
+    1.5-1.9 s and 52 MB.  (9, 0, 0) takes 1.0-1.45 s and 49 MB, almost all
     in the 598,122 ``_merge`` calls over its partition pairs.  Each time varies
     up to 2x with the machine's speed.
     """
